@@ -36,6 +36,16 @@ def _classify(coef):
     raise TypeError(f"bad coefficient of type {type(coef).__name__}")
 
 
+def _accumulate(terms: dict, key, coef) -> None:
+    """Add coef to terms[key], dropping the key when the sum cancels."""
+    acc = terms.get(key)
+    acc = coef if acc is None else acc + coef
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
+
+
 def _conj(coef):
     if isinstance(coef, CoefPoly):
         return coef.conjugate()
@@ -63,15 +73,7 @@ class _Laurent:
                     raise ModeMismatch(
                         f"cannot mix {seen} and {kmode} coefficients in one element"
                     )
-                key = self._norm_key(key)
-                if key in clean:
-                    acc = clean[key] + value
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        del clean[key]
-                else:
-                    clean[key] = value
+                _accumulate(clean, self._norm_key(key), value)
         self.terms = clean
         # the zero element belongs to both modes, so it never pins one
         self.mode = seen if clean else None
@@ -79,6 +81,19 @@ class _Laurent:
     @staticmethod
     def _norm_key(key):
         raise NotImplementedError
+
+    @classmethod
+    def exact(cls, terms: Mapping):
+        return cls(terms, mode=EXACT)
+
+    @classmethod
+    def numeric(cls, terms: Mapping):
+        clean = {}
+        for key, coef in terms.items():
+            value = complex(coef)
+            if value:
+                clean[cls._norm_key(key)] = value
+        return cls._new(clean, NUMERIC)
 
     def _join_mode(self, other) -> str | None:
         if self.mode is None:
@@ -101,8 +116,9 @@ class _Laurent:
     def __hash__(self):
         return hash((type(self).__name__, frozenset(self.terms.items())))
 
-    def _new(self, terms, mode):
-        out = type(self).__new__(type(self))
+    @classmethod
+    def _new(cls, terms, mode):
+        out = cls.__new__(cls)
         out.terms = terms
         out.mode = mode if terms else None
         return out
@@ -113,14 +129,7 @@ class _Laurent:
         mode = self._join_mode(other)
         terms = dict(self.terms)
         for key, coef in other.terms.items():
-            if key in terms:
-                acc = terms[key] + coef
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
-            else:
-                terms[key] = coef
+            _accumulate(terms, key, coef)
         return self._new(terms, mode)
 
     def __neg__(self):
@@ -137,13 +146,7 @@ class _Laurent:
             terms = {}
             for ka, ca in self.terms.items():
                 for kb, cb in other.terms.items():
-                    key = self._add_keys(ka, kb)
-                    acc = terms.get(key)
-                    acc = ca * cb if acc is None else acc + ca * cb
-                    if acc:
-                        terms[key] = acc
-                    else:
-                        terms.pop(key, None)
+                    _accumulate(terms, self._add_keys(ka, kb), ca * cb)
             return self._new(terms, mode)
         kmode, value = _classify(other)
         if kmode is None:
@@ -162,13 +165,7 @@ class _Laurent:
         """Relabel exponents through fn, merging collisions."""
         terms = {}
         for key, coef in self.terms.items():
-            new = self._norm_key(fn(key))
-            acc = terms.get(new)
-            acc = coef if acc is None else acc + coef
-            if acc:
-                terms[new] = acc
-            else:
-                terms.pop(new, None)
+            _accumulate(terms, self._norm_key(fn(key)), coef)
         return self._new(terms, self.mode)
 
 
@@ -182,20 +179,6 @@ class LaurentPoly(_Laurent):
     @staticmethod
     def _add_keys(ka, kb):
         return ka + kb
-
-    @staticmethod
-    def exact(terms: Mapping[int, object]) -> "LaurentPoly":
-        return LaurentPoly(terms, mode=EXACT)
-
-    @staticmethod
-    def numeric(terms: Mapping[int, object]) -> "LaurentPoly":
-        out = LaurentPoly(mode=NUMERIC)
-        for key, coef in terms.items():
-            value = complex(coef)
-            if value:
-                out.terms[int(key)] = value
-        out.mode = NUMERIC if out.terms else None
-        return out
 
     @staticmethod
     def monomial(n: int, coef=1) -> "LaurentPoly":
@@ -241,20 +224,6 @@ class BiLaurent(_Laurent):
     def _add_keys(ka, kb):
         return (ka[0] + kb[0], ka[1] + kb[1])
 
-    @staticmethod
-    def exact(terms: Mapping[tuple, object]) -> "BiLaurent":
-        return BiLaurent(terms, mode=EXACT)
-
-    @staticmethod
-    def numeric(terms: Mapping[tuple, object]) -> "BiLaurent":
-        out = BiLaurent(mode=NUMERIC)
-        for key, coef in terms.items():
-            value = complex(coef)
-            if value:
-                out.terms[BiLaurent._norm_key(key)] = value
-        out.mode = NUMERIC if out.terms else None
-        return out
-
     def star(self) -> "BiLaurent":
         return self._new(
             {(-m, -n): _conj(c) for (m, n), c in self.terms.items()}, self.mode
@@ -264,17 +233,10 @@ class BiLaurent(_Laurent):
         """Apply the counit to one tensor leg (0 = left, 1 = right)."""
         if which not in (0, 1):
             raise ValueError("which must be 0 or 1")
-        out = LaurentPoly(mode=self.mode)
+        terms = {}
         for (m, n), coef in self.terms.items():
-            key = n if which == 0 else m
-            acc = out.terms.get(key)
-            acc = coef if acc is None else acc + coef
-            if acc:
-                out.terms[key] = acc
-            else:
-                out.terms.pop(key, None)
-        out.mode = self.mode if out.terms else None
-        return out
+            _accumulate(terms, n if which == 0 else m, coef)
+        return LaurentPoly._new(terms, self.mode)
 
     def __repr__(self) -> str:
         body = " + ".join(
@@ -288,10 +250,7 @@ class BiLaurent(_Laurent):
 
 def hopf_coproduct(f: LaurentPoly) -> BiLaurent:
     """Coproduct of the circle Hopf algebra: U^N -> U^N x U^N."""
-    out = BiLaurent(mode=f.mode)
-    out.terms = {(n, n): c for n, c in f.terms.items()}
-    out.mode = f.mode if out.terms else None
-    return out
+    return BiLaurent._new({(n, n): c for n, c in f.terms.items()}, f.mode)
 
 
 def hopf_counit(f: LaurentPoly):
@@ -311,17 +270,10 @@ def hopf_antipode(f: LaurentPoly) -> LaurentPoly:
 
 def pointwise_product(F: BiLaurent) -> LaurentPoly:
     """Multiply the two tensor legs together: U^m x U^n -> U^{m+n}."""
-    out = LaurentPoly(mode=F.mode)
+    terms = {}
     for (m, n), coef in F.terms.items():
-        key = m + n
-        acc = out.terms.get(key)
-        acc = coef if acc is None else acc + coef
-        if acc:
-            out.terms[key] = acc
-        else:
-            out.terms.pop(key, None)
-    out.mode = F.mode if out.terms else None
-    return out
+        _accumulate(terms, m + n, coef)
+    return LaurentPoly._new(terms, F.mode)
 
 
 # -- torus twist maps ---------------------------------------------------------
@@ -337,12 +289,10 @@ def w_inverse(F: BiLaurent) -> BiLaurent:
     return F.map_exponents(lambda k: (k[0] - k[1], k[1]))
 
 
-def phi_map(F: BiLaurent) -> BiLaurent:
-    """Gluing algebra map; acts on monomials exactly like w_map (both are
-    algebra maps on the torus, but they play different roles: phi_map
-    transports one gluing chart to the other, w_map is the comparison
-    bijection used by compatibility checks)."""
-    return F.map_exponents(lambda k: (k[0] + k[1], k[1]))
+# The gluing algebra map. It acts on monomials exactly as w_map does, but
+# plays a different role: phi_map transports one gluing chart to the other,
+# while w_map is the comparison bijection used by compatibility checks.
+phi_map = w_map
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -14,16 +14,16 @@ is `key = value` lines with # comments, keys matching the long flag names
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from dataclasses import dataclass, fields
 
+from . import __version__
 from .errors import QGlueError
 from .opnum import ParamSet
 from .report import Report, timestamp_now
-from .suites import SUITES, run_suites, suite_index
+from .suites import SUITES, run_suites
 
-_PACKAGE_VERSION = "0.1.0"
+FORMATS = ("json", "csv")
 
 
 @dataclass
@@ -70,6 +70,11 @@ def load_config_file(path: str) -> dict:
                 values["suites"] = tuple(
                     name.strip() for name in value.split(",") if name.strip()
                 )
+            elif key == "format" and value not in FORMATS:
+                raise ValueError(
+                    f"{path}:{lineno}: format must be one of {', '.join(FORMATS)}, "
+                    f"got {value!r}"
+                )
             else:
                 values[key] = value
     return values
@@ -85,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, help="residual tolerance for relation checks")
     common.add_argument("--nmax", type=int, help="largest twist degree to sweep")
     common.add_argument("--seed", type=int, help="seed for the randomized checks")
-    common.add_argument("--format", choices=("json", "csv"), help="report format")
+    common.add_argument("--format", choices=FORMATS, help="report format")
     common.add_argument("--out", help="write the report to this file instead of stdout")
     common.add_argument("--config", help="read defaults from a key = value file")
 
@@ -93,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qglue",
         description="verification workbench for glued quantum-disc algebras",
     )
-    parser.add_argument("--version", action="version", version=f"qglue {_PACKAGE_VERSION}")
+    parser.add_argument("--version", action="version", version=f"qglue {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser(
         "verify", parents=[common], help="run verification suites and emit a report"
@@ -150,13 +155,9 @@ def run(argv) -> int:
 
     # guard failures (window too small to certify a trace, idempotent defect
     # over tolerance, ...) are parameter problems, not mathematical fails
+    names = cfg.suites if args.command == "verify" else ("index",)
     try:
-        if args.command == "verify":
-            records = run_suites(cfg.suites, params, cfg.nmax, cfg.seed)
-            suites_meta = list(n for n in SUITES if n in set(cfg.suites))
-        else:
-            records = suite_index(params, cfg.nmax, random.Random(cfg.seed))
-            suites_meta = ["index"]
+        records = run_suites(names, params, cfg.nmax, cfg.seed)
     except (QGlueError, ValueError) as exc:
         print(f"qglue: {exc}", file=sys.stderr)
         return 2
@@ -164,7 +165,7 @@ def run(argv) -> int:
     report = Report(
         meta={
             "command": args.command,
-            "version": _PACKAGE_VERSION,
+            "version": __version__,
             "params": {
                 "q": params.q,
                 "p": params.p,
@@ -175,7 +176,7 @@ def run(argv) -> int:
             },
             "nmax": cfg.nmax,
             "seed": cfg.seed,
-            "suites": suites_meta,
+            "suites": [n for n in SUITES if n in set(names)],
             "timestamp": timestamp_now(),
         }
     )

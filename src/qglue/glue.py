@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circle import EXACT, BiLaurent, LaurentPoly, w_map
+from .circle import EXACT, BiLaurent, LaurentPoly, _accumulate, w_map
 from .coefficients import CoefPoly, ONE, S as S_COEF
 from .errors import DimensionMismatch, SymbolMismatch
 from .ncpoly import NCPoly
@@ -36,6 +36,7 @@ from .opnum import (
     inv_sqrt_psd,
     pi_rep,
     shift,
+    _word_sum,
 )
 
 ORIENTATION = (
@@ -444,13 +445,7 @@ class CSfpElement:
         out = BiLaurent(mode=EXACT)
         for k, (_, sym) in self.legs[leg].items():
             for m, coef in sym.terms.items():
-                key = (m, k)
-                acc = out.terms.get(key)
-                acc = coef if acc is None else acc + coef
-                if acc:
-                    out.terms[key] = acc
-                else:
-                    out.terms.pop(key, None)
+                _accumulate(out.terms, (m, k), coef)
         return out
 
     def w_compatible(self) -> bool:
@@ -554,16 +549,12 @@ def kron_interior(d: int, w: int, disc_margin: int, window_margin: int) -> np.nd
 
 
 def evaluate_raw(x: NCPoly, assignment: Mapping[str, np.ndarray], params: ParamSet) -> np.ndarray:
-    """Evaluate a symbolic element on raw matrices (no trust bookkeeping)."""
-    letters = x.pres.letters
-    first = next(iter(assignment.values()))
-    total = np.zeros_like(first, dtype=np.complex128)
-    for word, coef in x.terms().items():
-        factor = np.eye(first.shape[0], dtype=np.complex128)
-        for i in word:
-            factor = factor @ assignment[letters[i]]
-        total = total + coef.evaluate(params.q, params.p, params.s) * factor
-    return total
+    """Evaluate a symbolic element on raw matrices (no trust bookkeeping),
+    with the loop of opnum.evaluate; the matrices are not copied."""
+    n = next(iter(assignment.values())).shape[0]
+    one = np.eye(n, dtype=np.complex128)
+    zero = np.zeros((n, n), dtype=np.complex128)
+    return _word_sum(x, assignment, one, zero, params)
 
 
 # -- the equatorial family -------------------------------------------------------

@@ -18,15 +18,20 @@ convention, not a free choice per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
+from .circle import LaurentPoly
 from .errors import DimensionMismatch, SymbolMismatch
 from .glue import FibrePair, chi, en_numeric, fp_matmul
 from .opnum import ParamSet, TraceResult, pi_rep, trace_finite_rank
 
 ORIENTATION_SIGN = -1
+
+# default certification thresholds of a pairing
+IDEM_TOL = 1e-8
+TAIL_TOL = 1e-9
+GUARD = 2
 
 
 @dataclass(frozen=True)
@@ -98,21 +103,9 @@ def _idem_defect(entries: list[list[FibrePair]], guard: int) -> float:
     return worst
 
 
-def pair(
-    module: FredholmModule,
-    P,
-    idem_tol: float = 1e-8,
-    tail_tol: float = 1e-9,
-    guard: int = 2,
-) -> PairingResult:
-    """Index pairing of a module with an idempotent (FibrePair or square
-    matrix of twist-0 FibrePairs).
-
-    Preconditions enforced: every entry has twist 0, the exact symbol matrix
-    is exactly idempotent, and the operator legs are idempotent on their
-    trusted blocks within idem_tol. The value is the sum of the diagonal
-    traces of (rho_+ - rho_-); `exact` means every trace had a machine-zero
-    tail, in which case the residual cannot move with the window size."""
+def _checked_idempotent(P, idem_tol: float = IDEM_TOL, guard: int = GUARD):
+    """First step of pair(): check its preconditions, then return P as a
+    square matrix of entries together with its trusted-block defect."""
     entries = _as_matrix(P)
     for row in entries:
         for entry in row:
@@ -124,6 +117,12 @@ def pair(
             f"not an idempotent within tolerance: trusted-block defect "
             f"{defect:.3e} exceeds {idem_tol:.3e}"
         )
+    return entries, defect
+
+
+def _trace_pairing(module, entries, defect, tail_tol=TAIL_TOL, guard=GUARD) -> PairingResult:
+    """Second step of a pairing: the sum of the diagonal traces of
+    (rho_+ - rho_-) over a checked idempotent."""
     traces: list[TraceResult] = []
     for i in range(len(entries)):
         diff = module.difference(entries[i][i])
@@ -142,6 +141,25 @@ def pair(
     return PairingResult(
         value=value, rounded=rounded, exact=exact, residual=residual, meta=meta
     )
+
+
+def pair(
+    module: FredholmModule,
+    P,
+    idem_tol: float = IDEM_TOL,
+    tail_tol: float = TAIL_TOL,
+    guard: int = GUARD,
+) -> PairingResult:
+    """Index pairing of a module with an idempotent (FibrePair or square
+    matrix of twist-0 FibrePairs).
+
+    Preconditions enforced: every entry has twist 0, the exact symbol matrix
+    is exactly idempotent, and the operator legs are idempotent on their
+    trusted blocks within idem_tol. The value is the sum of the diagonal
+    traces of (rho_+ - rho_-); `exact` means every trace had a machine-zero
+    tail, in which case the residual cannot move with the window size."""
+    entries, defect = _checked_idempotent(P, idem_tol, guard)
+    return _trace_pairing(module, entries, defect, tail_tol, guard)
 
 
 # -- expected values and interpretation ------------------------------------------
@@ -185,6 +203,83 @@ EN_RESIDUAL_TOL = 1e-3
 EN_CAP = 3
 
 
+@dataclass(frozen=True)
+class TableEntry:
+    """What a PairingTable keeps of one (representative, N): the pairing with
+    each module by kind ("pr", then "pi"), and for the degree-N idempotent
+    the exact trace of its symbol matrix."""
+
+    results: dict[str, PairingResult]
+    symbol_trace: LaurentPoly | None
+
+
+class PairingTable:
+    """The chi(N) and degree-N idempotent pairings of one run, keyed by
+    (representative, N) with representative "chi" or "en", and filled on
+    first use.
+
+    Filling an entry builds the idempotent once, checks its defect once and
+    traces it against both modules; the operators are dropped afterwards,
+    so the table holds results only. The window size d and the "pi" window
+    radius w default to the run's parameters."""
+
+    def __init__(self, params: ParamSet, d: int | None = None, w: int | None = None):
+        self.params = params
+        self.d = params.d if d is None else d
+        self.modules = (
+            FredholmModule("pr"),
+            FredholmModule("pi", params=params, w=params.w if w is None else w),
+        )
+        self._entries: dict[tuple[str, int], TableEntry] = {}
+
+    def entry(self, representative: str, N: int) -> TableEntry:
+        """The entry for (representative, N), filled on first use."""
+        key = (representative, N)
+        if key not in self._entries:
+            self._entries[key] = self._fill(representative, N)
+        return self._entries[key]
+
+    def _fill(self, representative: str, N: int) -> TableEntry:
+        symbol_trace = None
+        if representative == "chi":
+            P = chi(N, self.d)
+        else:
+            P, syms = en_numeric(N, self.params, d=self.d)
+            symbol_trace = sum((row[i] for i, row in enumerate(syms)), LaurentPoly.exact({}))
+        entries, defect = _checked_idempotent(P)
+        results = {m.kind: _trace_pairing(m, entries, defect) for m in self.modules}
+        return TableEntry(results, symbol_trace)
+
+    def rows(self, representative: str, N: int) -> list[IndexRow]:
+        """The (representative, N) pairings classified, one row per module."""
+        tol = CHI_RESIDUAL_TOL if representative == "chi" else EN_RESIDUAL_TOL
+        rows = []
+        for kind, result in self.entry(representative, N).results.items():
+            expected = expected_pairing(kind, representative, N)
+            ok = result.rounded == expected and result.residual <= tol
+            rows.append(
+                IndexRow(
+                    N=N,
+                    representative=representative,
+                    module=kind,
+                    result=result,
+                    expected=expected,
+                    interpretation=winding_interpretation(representative, kind, N),
+                    status="pass" if ok else "fail",
+                )
+            )
+        return rows
+
+    def index_rows(self, nmax: int, include_en: bool = True) -> list[IndexRow]:
+        """Rows for chi(N), |N| <= nmax, then (unless include_en is false)
+        for the degree-N idempotents, |N| <= min(nmax, EN_CAP)."""
+        rows = [row for N in range(-nmax, nmax + 1) for row in self.rows("chi", N)]
+        if include_en:
+            cap = min(nmax, EN_CAP)
+            rows += [row for N in range(-cap, cap + 1) for row in self.rows("en", N)]
+        return rows
+
+
 def index_table(
     params: ParamSet,
     nmax: int = 5,
@@ -194,35 +289,4 @@ def index_table(
 ) -> list[IndexRow]:
     """Pair chi(N) for |N| <= nmax (and the degree-N idempotents for
     |N| <= min(nmax, 3)) against both modules and classify each row."""
-    d = params.d if d is None else d
-    w = params.w if w is None else w
-    pr = FredholmModule("pr")
-    pi = FredholmModule("pi", params=params, w=w)
-    rows: list[IndexRow] = []
-
-    def add(N: int, rep: str, module: FredholmModule, P, tol: float) -> None:
-        result = pair(module, P)
-        expected = expected_pairing(module.kind, rep, N)
-        ok = result.rounded == expected and result.residual <= tol
-        rows.append(
-            IndexRow(
-                N=N,
-                representative=rep,
-                module=module.kind,
-                result=result,
-                expected=expected,
-                interpretation=winding_interpretation(rep, module.kind, N),
-                status="pass" if ok else "fail",
-            )
-        )
-
-    for N in range(-nmax, nmax + 1):
-        cN = chi(N, d)
-        add(N, "chi", pr, cN, CHI_RESIDUAL_TOL)
-        add(N, "chi", pi, cN, CHI_RESIDUAL_TOL)
-    if include_en:
-        for N in range(-min(nmax, EN_CAP), min(nmax, EN_CAP) + 1):
-            pairs, _ = en_numeric(N, params, d=d)
-            add(N, "en", pr, pairs, EN_RESIDUAL_TOL)
-            add(N, "en", pi, pairs, EN_RESIDUAL_TOL)
-    return rows
+    return PairingTable(params, d, w).index_rows(nmax, include_en)

@@ -91,27 +91,19 @@ class TruncOp:
                 f"vs ({other.lattice},{other.d},{other.w})"
             )
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
+        """Sum or difference: entrywise op, the larger bandwidth."""
         if not isinstance(other, TruncOp):
             return NotImplemented
         self._compat(other)
-        return TruncOp(
-            self.mat + other.mat,
-            max(self.bandwidth, other.bandwidth),
-            self.lattice,
-            self.w,
-        )
+        bandwidth = max(self.bandwidth, other.bandwidth)
+        return TruncOp(op(self.mat, other.mat), bandwidth, self.lattice, self.w)
+
+    def __add__(self, other):
+        return self._entrywise(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncOp):
-            return NotImplemented
-        self._compat(other)
-        return TruncOp(
-            self.mat - other.mat,
-            max(self.bandwidth, other.bandwidth),
-            self.lattice,
-            self.w,
-        )
+        return self._entrywise(other, np.subtract)
 
     def __neg__(self):
         return TruncOp(-self.mat, self.bandwidth, self.lattice, self.w)
@@ -279,19 +271,26 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
     first = next(iter(ops.values()))
     for op in ops.values():
         first._compat(op)
-    letters = x.pres.letters
-    total = TruncOp(
+    zero = TruncOp(
         np.zeros((first.d, first.d), dtype=np.complex128), 0, first.lattice, first.w
     )
+    return _word_sum(x, ops, identity_like(first), zero, params)
+
+
+def _word_sum(x: NCPoly, ops: Mapping, one, zero, params: ParamSet):
+    """The one word-evaluation loop, shared with glue.evaluate_raw: each word
+    becomes the product of its letters' images starting from one, weighted
+    by its coefficient at the parameter point and summed onto zero."""
+    letters = x.pres.letters
+    total = zero
     for word, coef in x.terms().items():
-        factor = identity_like(first)
+        factor = one
         for letter_index in word:
             name = letters[letter_index]
             if name not in ops:
                 raise KeyError(f"assignment misses letter {name!r}")
             factor = factor @ ops[name]
-        value = coef.evaluate(params.q, params.p, params.s)
-        total = total + value * factor
+        total = total + coef.evaluate(params.q, params.p, params.s) * factor
     return total
 
 

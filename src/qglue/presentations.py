@@ -247,14 +247,12 @@ def _merge(acc: dict[Word, CoefPoly], word: Word, coef: CoefPoly) -> None:
 
 
 def _subword_options(pres: Presentation, word: Word):
-    """All (rule, position) pairs where a subword rule applies."""
-    options = []
+    """The (rule, position) pairs where a subword rule applies, leftmost
+    position first, in rule order at each position."""
     for pos in range(len(word)):
         for rule in pres._subword_rules:
-            width = len(rule.redex)
-            if word[pos : pos + width] == rule.redex:
-                options.append((rule, pos))
-    return options
+            if word[pos : pos + len(rule.redex)] == rule.redex:
+                yield rule, pos
 
 def _pbw_options(pres: Presentation, word: Word):
     if not pres._pbw_rules or not _is_sorted(word):
@@ -296,12 +294,9 @@ def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
 def _expand_once(pres: Presentation, word: Word, budget: _Budget, use_pbw: bool):
     """One deterministic reduction step (leftmost position, first rule), or
     None if the word is irreducible."""
-    for pos in range(len(word)):
-        for rule in pres._subword_rules:
-            width = len(rule.redex)
-            if word[pos : pos + width] == rule.redex:
-                budget.tick()
-                return _apply_subword(word, rule, pos)
+    for rule, pos in _subword_options(pres, word):
+        budget.tick()
+        return _apply_subword(word, rule, pos)
     if use_pbw:
         for rule in _pbw_options(pres, word):
             budget.tick()
@@ -361,7 +356,7 @@ def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
     while True:
         options = []
         for word in sorted(acc):
-            subs = _subword_options(pres, word)
+            subs = list(_subword_options(pres, word))
             for rule, pos in subs:
                 options.append((word, rule, pos))
             if not subs:

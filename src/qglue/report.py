@@ -73,15 +73,7 @@ class Report:
             "meta": dict(self.meta),
             "summary": self.counts(),
             "checks": [
-                {
-                    "suite": rec.suite,
-                    "check": rec.check,
-                    "status": rec.status,
-                    "value": rec.value,
-                    "expected": rec.expected,
-                    "residual": rec.residual,
-                    "anchor": rec.anchor,
-                }
+                {column: getattr(rec, column) for column in CSV_COLUMNS}
                 for rec in self.records
             ],
         }
@@ -92,17 +84,7 @@ class Report:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in self.records:
-            writer.writerow(
-                [
-                    rec.suite,
-                    rec.check,
-                    rec.status,
-                    _cell(rec.value),
-                    _cell(rec.expected),
-                    _cell(rec.residual),
-                    rec.anchor,
-                ]
-            )
+            writer.writerow([_cell(getattr(rec, column)) for column in CSV_COLUMNS])
         return buf.getvalue()
 
 

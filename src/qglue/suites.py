@@ -1,10 +1,12 @@
 """Named verification suites.
 
-Each suite is a function (params, nmax, rng) -> list[CheckRecord] and is
-registered in SUITES under a stable name. Suites never raise on a failed
-check; they return fail records. run_suites seeds one rng per suite from
-(seed, suite name), so a subset run reproduces exactly the records the full
-run would have produced for those suites.
+Each suite is a function (params, nmax, rng, pairings) -> list[CheckRecord]
+and is registered in SUITES under a stable name. Suites never raise on a
+failed check; they return fail records. run_suites seeds one rng per suite
+from (seed, suite name), so a subset run reproduces exactly the records the
+full run would have produced for those suites. The chi, en-numeric and index
+suites read the chi(N) and E_N pairings from the run's one PairingTable, so
+each is computed once per run whichever of them ask for it.
 """
 
 from __future__ import annotations
@@ -43,15 +45,7 @@ from .glue import (
     unit_pair,
 )
 from .idempotents import build_en
-from .kpair import (
-    CHI_RESIDUAL_TOL,
-    EN_CAP,
-    EN_RESIDUAL_TOL,
-    FredholmModule,
-    expected_pairing,
-    index_table,
-    pair,
-)
+from .kpair import EN_CAP, FredholmModule, IndexRow, PairingTable, pair
 from .ncpoly import NCPoly
 from .opnum import (
     ParamSet,
@@ -127,6 +121,19 @@ def _flag(suite, check, ok, anchor, value=None, expected=None) -> CheckRecord:
     )
 
 
+def _pairing_record(suite, check, row: IndexRow, anchor, status=None) -> CheckRecord:
+    """Record of one classified pairing from the run's table."""
+    return CheckRecord(
+        suite=suite,
+        check=check,
+        status=row.status if status is None else status,
+        value=row.result.value,
+        expected=row.expected,
+        residual=row.result.residual,
+        anchor=anchor,
+    )
+
+
 def _random_word(pres, rng: random.Random, max_len: int) -> tuple[int, ...]:
     n = rng.randint(1, max_len)
     return tuple(rng.randrange(len(pres.letters)) for _ in range(n))
@@ -158,7 +165,9 @@ def confluence_sample(pres, n_words: int, max_len: int, rng: random.Random) -> i
 # -- disc -------------------------------------------------------------------------
 
 
-def suite_disc(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_disc(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     for which, base in (("q", params.q), ("p", params.p), ("q2", params.q**2)):
         pres = disc_presentation(which)
@@ -204,7 +213,9 @@ def suite_disc(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRec
 # -- glued pair of discs ------------------------------------------------------------
 
 
-def suite_s3(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_s3(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     pres = sphere3_presentation()
     for leg in (0, 1):
@@ -248,7 +259,9 @@ def suite_s3(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecor
 # -- quotient sphere ----------------------------------------------------------------
 
 
-def suite_s2(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_s2(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     pres = sphere2_presentation()
     for leg in (0, 1):
@@ -264,7 +277,9 @@ def suite_s2(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecor
 # -- quantum SU(2) ------------------------------------------------------------------
 
 
-def suite_su2(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_su2(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     pres = su2_presentation()
     try:
@@ -296,7 +311,9 @@ def suite_su2(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckReco
 # -- equatorial family -------------------------------------------------------------
 
 
-def suite_podles(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_podles(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     zeta, eta = podles_zeta_eta()
     pres = zeta.pres
@@ -388,31 +405,30 @@ def suite_podles(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckR
 # -- circle Hopf structure -----------------------------------------------------------
 
 
-def _random_laurent(rng: random.Random, span: int, n_terms: int = 3) -> LaurentPoly:
+def _random_exact(cls, rng: random.Random, draw_key, n_terms: int = 3):
+    """An exact LaurentPoly or BiLaurent: n_terms monomials at draw_key()
+    with small rational coefficients."""
     terms = {}
     for _ in range(n_terms):
-        n = rng.randint(-span, span)
-        coef = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
-        terms[n] = terms.get(n, Fraction(0)) + coef
-    return LaurentPoly.exact({n: c for n, c in terms.items() if c})
-
-
-def _random_bilaurent(rng: random.Random, span: int, n_terms: int = 3) -> BiLaurent:
-    terms = {}
-    for _ in range(n_terms):
-        key = (rng.randint(-span, span), rng.randint(-span, span))
+        key = draw_key()
         coef = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
         terms[key] = terms.get(key, Fraction(0)) + coef
-    return BiLaurent.exact({k: c for k, c in terms.items() if c})
+    return cls.exact({k: c for k, c in terms.items() if c})
 
 
-def suite_hopf(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_hopf(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     span = min(max(nmax, 1), 10)
+
+    def exponent():
+        return rng.randint(-span, span)
+
     counit_ok = antipode_ok = coassoc_ok = morphism_ok = True
     for _ in range(25):
-        f = _random_laurent(rng, span)
-        g = _random_laurent(rng, span)
+        f = _random_exact(LaurentPoly, rng, exponent)
+        g = _random_exact(LaurentPoly, rng, exponent)
         cf = hopf_coproduct(f)
         if cf.collapse(0) != f or cf.collapse(1) != f:
             counit_ok = False
@@ -461,7 +477,7 @@ def suite_hopf(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRec
     )
     w_ok = phi_ok = True
     for _ in range(25):
-        F = _random_bilaurent(rng, span)
+        F = _random_exact(BiLaurent, rng, lambda: (exponent(), exponent()))
         if w_inverse(w_map(F)) != F or w_map(w_inverse(F)) != F:
             w_ok = False
         if phi_map(F) != w_map(F):
@@ -476,7 +492,9 @@ def suite_hopf(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRec
 # -- line-bundle idempotents ----------------------------------------------------------
 
 
-def suite_en_symbolic(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_en_symbolic(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     pres = sphere3_presentation()
     cap = min(nmax, EN_CAP)
@@ -518,38 +536,28 @@ def suite_en_symbolic(params: ParamSet, nmax: int, rng: random.Random) -> list[C
     return recs
 
 
-def suite_en_numeric(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_en_numeric(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
-    pr = FredholmModule("pr")
-    pi = FredholmModule("pi", params=params, w=params.w)
+    one_sym = LaurentPoly.exact({0: 1})
     cap = min(nmax, EN_CAP)
     for N in range(-cap, cap + 1):
-        pairs, syms = en_numeric(N, params)
-        trace_sym = LaurentPoly.exact({})
-        for i in range(len(syms)):
-            trace_sym = trace_sym + syms[i][i]
-        one_sym = LaurentPoly.exact({0: 1})
         recs.append(
             _flag(
                 "en-numeric",
                 f"symbol trace N={N:+d}",
-                trace_sym == one_sym,
+                pairings.entry("en", N).symbol_trace == one_sym,
                 "tr sigma(E) = 1 exactly",
             )
         )
-        for module, name in ((pr, "pr"), (pi, "pi")):
-            result = pair(module, pairs)
-            expected = expected_pairing(name, "en", N)
-            ok = result.rounded == expected and result.residual <= EN_RESIDUAL_TOL
+        for row in pairings.rows("en", N):
             recs.append(
-                CheckRecord(
-                    suite="en-numeric",
-                    check=f"pairing N={N:+d} [{name}]",
-                    status=PASS if ok else FAIL,
-                    value=result.value,
-                    expected=expected,
-                    residual=result.residual,
-                    anchor=f"<[{name}], [E_{N}]> = {expected}",
+                _pairing_record(
+                    "en-numeric",
+                    f"pairing N={N:+d} [{row.module}]",
+                    row,
+                    f"<[{row.module}], [E_{N}]> = {row.expected}",
                 )
             )
     return recs
@@ -558,30 +566,21 @@ def suite_en_numeric(params: ParamSet, nmax: int, rng: random.Random) -> list[Ch
 # -- boundary classes and the index table ---------------------------------------------
 
 
-def suite_chi(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_chi(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     d = params.d
     pr = FredholmModule("pr")
-    pi = FredholmModule("pi", params=params, w=params.w)
     for N in range(-nmax, nmax + 1):
-        cN = chi(N, d)
-        for module, name in ((pr, "pr"), (pi, "pi")):
-            result = pair(module, cN)
-            expected = expected_pairing(name, "chi", N)
-            ok = (
-                result.rounded == expected
-                and result.residual <= CHI_RESIDUAL_TOL
-                and result.exact
-            )
+        for row in pairings.rows("chi", N):
             recs.append(
-                CheckRecord(
-                    suite="chi",
-                    check=f"pairing N={N:+d} [{name}]",
-                    status=PASS if ok else FAIL,
-                    value=result.value,
-                    expected=expected,
-                    residual=result.residual,
-                    anchor=f"<[{name}], [chi_{N}]> = {expected}, exactly at finite window",
+                _pairing_record(
+                    "chi",
+                    f"pairing N={N:+d} [{row.module}]",
+                    row,
+                    f"<[{row.module}], [chi_{N}]> = {row.expected}, exactly at finite window",
+                    status=row.status if row.result.exact else FAIL,
                 )
             )
     unit = unit_pair(d)
@@ -698,28 +697,27 @@ def suite_chi(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckReco
     return recs
 
 
-def suite_index(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
-    recs = []
-    for row in index_table(params, nmax=nmax):
-        recs.append(
-            CheckRecord(
-                suite="index",
-                check=f"{row.representative} N={row.N:+d} [{row.module}]",
-                status=row.status,
-                value=row.result.value,
-                expected=row.expected,
-                residual=row.result.residual,
-                anchor=f"<[{row.module}], [{row.representative}_{row.N}]> = "
-                f"{row.expected}; {row.interpretation}",
-            )
+def suite_index(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
+    return [
+        _pairing_record(
+            "index",
+            f"{row.representative} N={row.N:+d} [{row.module}]",
+            row,
+            f"<[{row.module}], [{row.representative}_{row.N}]> = "
+            f"{row.expected}; {row.interpretation}",
         )
-    return recs
+        for row in pairings.index_rows(nmax)
+    ]
 
 
 # -- convergence and stability ---------------------------------------------------------
 
 
-def suite_convergence(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_convergence(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     pr = FredholmModule("pr")
     for N in (1, 2):
@@ -787,7 +785,9 @@ def suite_convergence(params: ParamSet, nmax: int, rng: random.Random) -> list[C
     return recs
 
 
-def suite_confluence(params: ParamSet, nmax: int, rng: random.Random) -> list[CheckRecord]:
+def suite_confluence(
+    params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
+) -> list[CheckRecord]:
     recs = []
     for name, pres in all_presentations().items():
         bad = confluence_sample(pres, n_words=50, max_len=8, rng=rng)
@@ -845,13 +845,15 @@ SUITES = {
 def run_suites(
     names, params: ParamSet, nmax: int, seed: int = 0
 ) -> list[CheckRecord]:
-    """Run the named suites in registry order with per-suite seeded rngs."""
+    """Run the named suites in registry order with per-suite seeded rngs and
+    one pairing table, shared by the suites of this run and dropped with it."""
     selected = [n for n in SUITES if n in set(names)]
     unknown = sorted(set(names) - set(SUITES))
     if unknown:
         raise KeyError(f"unknown suite names: {unknown}")
+    pairings = PairingTable(params)
     records = []
     for name in selected:
         rng = random.Random(f"{seed}:{name}")
-        records.extend(SUITES[name](params, nmax, rng))
+        records.extend(SUITES[name](params, nmax, rng, pairings))
     return records

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import qglue
 from qglue.cli import load_config_file, run
 from qglue.report import CSV_COLUMNS
 
@@ -21,6 +22,11 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     capsys.readouterr()
+
+
+def test_version_flag_prints_package_version(capsys):
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out == f"qglue {qglue.__version__}\n"
 
 
 def test_unknown_suite_is_exit_2(capsys):
@@ -44,6 +50,18 @@ def test_malformed_config_is_exit_2(tmp_path, capsys):
     cfg.write_text("unknown_key = 3\n")
     assert run(["verify", "--config", str(cfg)]) == 2
     assert "unknown_key" in capsys.readouterr().err
+
+
+def test_bad_config_format_is_exit_2(tmp_path, capsys):
+    # a config value gets the same choices as the --format flag
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("format = xml\n")
+    code = run(["verify", "--suite", "su2", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("qglue:")
+    assert "xml" in captured.err
+    assert captured.out == ""
 
 
 def test_tiny_tolerance_forces_exit_1(capsys):
@@ -161,6 +179,14 @@ def test_index_subcommand(capsys):
     assert {row[0] for row in body} == {"index"}
     assert {row[2] for row in body} == {"pass"}
     assert captured.err.startswith("qglue index:")
+
+
+def test_index_subcommand_matches_verify_index_suite(capsys):
+    assert run(["index", "--format", "csv"]) == 0
+    index_out = capsys.readouterr().out
+    assert run(["verify", "--suite", "index", "--format", "csv"]) == 0
+    verify_out = capsys.readouterr().out
+    assert index_out == verify_out
 
 
 def test_uncertifiable_window_is_a_parameter_error(capsys):

@@ -1,7 +1,10 @@
 """Verification suite registry: naming, determinism, subset reproducibility."""
 
+import sys
+
 import pytest
 
+import qglue.glue
 from qglue import ParamSet, SUITES, run_suites
 
 PARAMS = ParamSet(d=32, w=6)
@@ -61,3 +64,37 @@ def test_cheap_suites_pass_at_defaults():
     assert bad == []
     for rec in records:
         assert rec.anchor, f"record {rec.suite}/{rec.check} is missing its anchor"
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every qglue namespace binding it."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("qglue") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_pairing_suites_share_one_pairing_per_representative(monkeypatch):
+    builds = _count_calls(monkeypatch, qglue.glue, "en_numeric")
+    # every idempotent check squares the idempotent once
+    squares = _count_calls(monkeypatch, qglue.glue, "fp_matmul")
+    run_suites(["en-numeric", "chi", "index"], ParamSet(), nmax=1)
+    # E_N for N = -1, 0, 1 once each
+    assert builds[0] == 3
+    # chi(N) and E_N for N = -1, 0, 1, plus chi's unit class and point defect
+    assert squares[0] == 8
+
+
+def test_index_records_do_not_depend_on_companion_suites():
+    params = ParamSet()
+    alone = run_suites(["index"], params, 1)
+    together = run_suites(["en-numeric", "chi", "index"], params, 1)
+    assert alone
+    assert alone == [rec for rec in together if rec.suite == "index"]
