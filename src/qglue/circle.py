@@ -16,7 +16,7 @@ from fractions import Fraction
 from numbers import Complex, Rational
 from typing import Callable, Mapping
 
-from .coefficients import CoefPoly
+from .coefficients import CoefPoly, _accumulate
 from .errors import ModeMismatch
 
 EXACT = "exact"
@@ -34,16 +34,6 @@ def _classify(coef):
         value = complex(coef)
         return (NUMERIC, value) if value != 0 else (None, None)
     raise TypeError(f"bad coefficient of type {type(coef).__name__}")
-
-
-def _accumulate(terms: dict, key, coef) -> None:
-    """Add coef to terms[key], dropping the key when the sum cancels."""
-    acc = terms.get(key)
-    acc = coef if acc is None else acc + coef
-    if acc:
-        terms[key] = acc
-    else:
-        terms.pop(key, None)
 
 
 def _conj(coef):

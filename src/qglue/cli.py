@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from .errors import QGlueError
@@ -28,25 +28,25 @@ FORMATS = ("json", "csv")
 
 @dataclass
 class RunConfig:
-    q: float = 0.6
-    p: float = 0.4
-    s: float = 0.8
-    d: int = 64
-    w: int = 8
-    tol: float = 1e-10
+    """The settings of one run. param_values holds the ParamSet fields that
+    were set; the others keep ParamSet's defaults."""
+
     nmax: int = 5
     seed: int = 0
     format: str = "json"
     out: str | None = None
     suites: tuple = tuple(SUITES)
+    param_values: dict = field(default_factory=dict)
 
     def params(self) -> ParamSet:
-        return ParamSet(q=self.q, p=self.p, s=self.s, d=self.d, w=self.w, tol=self.tol)
+        return ParamSet(**self.param_values)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_FLOAT_KEYS = ("q", "p", "s", "tol")
-_INT_KEYS = ("d", "w", "nmax", "seed")
+_PARAM_KEYS = tuple(f.name for f in fields(ParamSet))
+_KEYS = _PARAM_KEYS + tuple(f.name for f in fields(RunConfig) if f.name != "param_values")
+# config-file number parsers; a ParamSet field parses as the type of its default
+_NUMBER_TYPES = {f.name: type(f.default) for f in fields(ParamSet)}
+_NUMBER_TYPES.update(nmax=int, seed=int)
 
 
 def load_config_file(path: str) -> dict:
@@ -60,12 +60,10 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _INT_KEYS:
-                values[key] = int(value)
+            if key in _NUMBER_TYPES:
+                values[key] = _NUMBER_TYPES[key](value)
             elif key == "suites":
                 values["suites"] = tuple(
                     name.strip() for name in value.split(",") if name.strip()
@@ -121,7 +119,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         layers.append(load_config_file(args.config))
     flags: dict = {}
-    for key in ("q", "p", "s", "d", "w", "tol", "nmax", "seed", "format", "out"):
+    for key in _PARAM_KEYS + ("nmax", "seed", "format", "out"):
         value = getattr(args, key, None)
         if value is not None:
             flags[key] = value
@@ -133,7 +131,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     layers.append(flags)
     for layer in layers:
         for key, value in layer.items():
-            setattr(cfg, key, value)
+            if key in _PARAM_KEYS:
+                cfg.param_values[key] = value
+            else:
+                setattr(cfg, key, value)
     unknown = [name for name in cfg.suites if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite names: {', '.join(sorted(unknown))}")
@@ -166,14 +167,7 @@ def run(argv) -> int:
         meta={
             "command": args.command,
             "version": __version__,
-            "params": {
-                "q": params.q,
-                "p": params.p,
-                "s": params.s,
-                "d": params.d,
-                "w": params.w,
-                "tol": params.tol,
-            },
+            "params": asdict(params),
             "nmax": cfg.nmax,
             "seed": cfg.seed,
             "suites": [n for n in SUITES if n in set(names)],

@@ -24,6 +24,16 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational coefficient, got {type(value).__name__}")
 
 
+def _accumulate(terms: dict, key, coef) -> None:
+    """Add coef to terms[key], dropping the key when the sum cancels."""
+    acc = terms.get(key)
+    acc = coef if acc is None else acc + coef
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
+
+
 class CoefPoly:
     """Element of Q[q^{+-1}, p^{+-1}, s].
 
@@ -40,14 +50,7 @@ class CoefPoly:
                 eq, ep, es = expo
                 if es < 0:
                     raise ValueError("s exponent must be nonnegative")
-                c = _as_fraction(coef)
-                if c:
-                    key = (int(eq), int(ep), int(es))
-                    c = clean.get(key, Fraction(0)) + c
-                    if c:
-                        clean[key] = c
-                    else:
-                        clean.pop(key, None)
+                _accumulate(clean, (int(eq), int(ep), int(es)), _as_fraction(coef))
         self._terms = clean
 
     # -- constructors ------------------------------------------------------

@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circle import EXACT, BiLaurent, LaurentPoly, _accumulate, w_map
-from .coefficients import CoefPoly, ONE, S as S_COEF
+from .circle import EXACT, BiLaurent, LaurentPoly, w_map
+from .coefficients import CoefPoly, ONE, S as S_COEF, _accumulate
 from .errors import DimensionMismatch, SymbolMismatch
 from .ncpoly import NCPoly
 from .opnum import (
@@ -36,6 +36,9 @@ from .opnum import (
     inv_sqrt_psd,
     pi_rep,
     shift,
+    weighted_shift,
+    zero,
+    _at_point,
     _word_sum,
 )
 
@@ -179,7 +182,7 @@ class FibrePair:
 
 
 def zero_pair(d: int, twist: int = 0) -> FibrePair:
-    z = TruncOp(np.zeros((d, d)), 0, "N")
+    z = zero(d)
     empty = LaurentPoly.exact({})
     return FibrePair(z, z, empty, empty, twist)
 
@@ -332,19 +335,18 @@ def s2_leg_assignment(leg: int, params: ParamSet, d: int | None = None) -> dict[
     defect projections, only one of which survives on each leg."""
     d = params.d if d is None else d
     n = np.arange(d)
-    zero = TruncOp(np.zeros((d, d)), 0, "N")
     if leg == 0:
         z = disc_rep("z", params, d)
         return {
             "A": diag_op(params.q**n),
-            "B": zero,
+            "B": zero(d),
             "R": z,
             "R*": z.adjoint(),
         }
     if leg == 1:
         y = disc_rep("y", params, d)
         return {
-            "A": zero,
+            "A": zero(d),
             "B": diag_op(params.p**n),
             "R": y,
             "R*": y.adjoint(),
@@ -478,16 +480,12 @@ def iota(x: NCPoly, params: ParamSet, d: int | None = None) -> CSfpElement:
         "b": CSfpElement({1: (one_op, one_sym)}, {1: (y, u)}),
         "b*": CSfpElement({-1: (one_op, one_sym)}, {-1: (y.adjoint(), ustar)}),
     }
-    letters = x.pres.letters
     unit = CSfpElement({0: (one_op, one_sym)}, {0: (one_op, one_sym)})
-    total: CSfpElement | None = None
-    for word, coef in x.terms().items():
-        factor = unit
-        for i in word:
-            factor = factor @ images[letters[i]]
-        term = factor.scale(coef.evaluate(params.q, params.p, params.s), coef)
-        total = term if total is None else total + term
-    return total if total is not None else CSfpElement({}, {})
+
+    def weigh(factor: CSfpElement, coef: CoefPoly) -> CSfpElement:
+        return factor.scale(coef.evaluate(params.q, params.p, params.s), coef)
+
+    return _word_sum(x, images, unit, CSfpElement({}, {}), weigh)
 
 
 def extract_degree(element: CSfpElement, N: int) -> FibrePair | None:
@@ -498,11 +496,9 @@ def extract_degree(element: CSfpElement, N: int) -> FibrePair | None:
     c1 = element.legs[1].get(N)
     if c0 is None and c1 is None:
         return None
-    d = element.dim()
-    zero_op = TruncOp(np.zeros((d, d)), 0, "N")
-    empty = LaurentPoly.exact({})
-    op0, sym0 = c0 if c0 is not None else (zero_op, empty)
-    op1, sym1 = c1 if c1 is not None else (zero_op, empty)
+    absent = (zero(element.dim()), LaurentPoly.exact({}))
+    op0, sym0 = c0 if c0 is not None else absent
+    op1, sym1 = c1 if c1 is not None else absent
     return FibrePair(op0, op1, sym0, sym1, N)
 
 
@@ -553,8 +549,8 @@ def evaluate_raw(x: NCPoly, assignment: Mapping[str, np.ndarray], params: ParamS
     with the loop of opnum.evaluate; the matrices are not copied."""
     n = next(iter(assignment.values())).shape[0]
     one = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    return _word_sum(x, assignment, one, zero, params)
+    empty = np.zeros((n, n), dtype=np.complex128)
+    return _word_sum(x, assignment, one, empty, _at_point(params))
 
 
 # -- the equatorial family -------------------------------------------------------
@@ -588,13 +584,8 @@ def podles_generators(params: ParamSet, d: int | None = None) -> PodlesPair:
     zeta0 = diag_op(-(s**2) * qq ** (n + 1.0))
     zeta1 = diag_op(qq ** (n + 1.0))
     v = qq ** (np.arange(d - 1) + 1.0)
-    mat0 = np.zeros((d, d), dtype=np.complex128)
-    mat1 = np.zeros((d, d), dtype=np.complex128)
-    rows = np.arange(d - 1)
-    mat0[rows + 1, rows] = s * np.sqrt((1.0 - v) * (1.0 + s**2 * v))
-    mat1[rows + 1, rows] = np.sqrt((1.0 - v) * (s**2 + v))
-    eta0 = TruncOp(mat0, 1, "N")
-    eta1 = TruncOp(mat1, 1, "N")
+    eta0 = weighted_shift(s * np.sqrt((1.0 - v) * (1.0 + s**2 * v)))
+    eta1 = weighted_shift(np.sqrt((1.0 - v) * (s**2 + v)))
     empty = LaurentPoly.exact({})
     s_u = LaurentPoly.exact({1: S_COEF})
     zeta = FibrePair(zeta0, zeta1, empty, empty, 0)

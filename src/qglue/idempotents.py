@@ -70,23 +70,21 @@ def build_en(
     A = one - a * astar
     B = one - b * bstar
 
+    # the corrected base is p for N >= 0 and q for N < 0; literal swaps them
+    if N >= 0:
+        x_front, x_back, proj, back, front = b, astar, B, a, bstar
+        bases = (("p", P), ("q", Q))
+    else:
+        x_front, x_back, proj, back, front = a, bstar, A, b, astar
+        bases = (("q", Q), ("p", P))
+    which, base = bases[0] if assignment == "corrected" else bases[1]
+
     xs: list[NCPoly] = []
     ys: list[NCPoly] = []
     for k in range(n + 1):
-        if N >= 0:
-            xs.append(b**k * astar ** (n - k))
-            which, base, proj, back, front = (
-                ("p", P, B, a, bstar) if assignment == "corrected" else ("q", Q, B, a, bstar)
-            )
-            coef = gaussian_binomial(n, k, which) * base ** (n - k)
-            ys.append(coef * (proj ** (n - k) * back ** (n - k) * front**k))
-        else:
-            xs.append(a**k * bstar ** (n - k))
-            which, base, proj, back, front = (
-                ("q", Q, A, b, astar) if assignment == "corrected" else ("p", P, A, b, astar)
-            )
-            coef = gaussian_binomial(n, k, which) * base ** (n - k)
-            ys.append(coef * (proj ** (n - k) * back ** (n - k) * front**k))
+        xs.append(x_front**k * x_back ** (n - k))
+        coef = gaussian_binomial(n, k, which) * base ** (n - k)
+        ys.append(coef * (proj ** (n - k) * back ** (n - k) * front**k))
 
     X = SymMatrix(pres, [[x] for x in xs])
     Y = SymMatrix(pres, [[y] for y in ys])

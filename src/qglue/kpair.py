@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .circle import LaurentPoly
 from .errors import DimensionMismatch, SymbolMismatch
 from .glue import FibrePair, chi, en_numeric, fp_matmul
@@ -92,10 +90,7 @@ def _idem_defect(entries: list[list[FibrePair]], guard: int) -> float:
     for row_sq, row in zip(square, entries):
         for a, b in zip(row_sq, row):
             diff = a - b
-            for leg in (diff.t0, diff.t1):
-                block = leg.trusted_block(guard)
-                if block.size:
-                    worst = max(worst, float(np.max(np.abs(block))))
+            worst = max(worst, diff.t0.max_abs(guard), diff.t1.max_abs(guard))
             if not (diff.sym0.is_zero() and diff.sym1.is_zero()):
                 raise SymbolMismatch(
                     "symbol matrix is not exactly idempotent; refusing to pair"

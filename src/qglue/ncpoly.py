@@ -11,7 +11,7 @@ from __future__ import annotations
 from numbers import Rational
 from typing import Callable, Iterator, Mapping, Sequence, Tuple
 
-from .coefficients import CoefPoly
+from .coefficients import CoefPoly, _accumulate
 
 Word = Tuple[int, ...]
 
@@ -25,16 +25,7 @@ class NCPoly:
         clean: dict[Word, CoefPoly] = {}
         if terms:
             for word, coef in terms.items():
-                coef = CoefPoly.coerce(coef)
-                if not coef:
-                    continue
-                word = tuple(word)
-                acc = clean.get(word)
-                acc = coef if acc is None else acc + coef
-                if acc:
-                    clean[word] = acc
-                else:
-                    clean.pop(word, None)
+                _accumulate(clean, tuple(word), CoefPoly.coerce(coef))
         self.pres = pres
         self._terms = clean
 
@@ -98,12 +89,7 @@ class NCPoly:
             return NotImplemented
         terms = dict(self._terms)
         for word, coef in other._terms.items():
-            acc = terms.get(word)
-            acc = coef if acc is None else acc + coef
-            if acc:
-                terms[word] = acc
-            else:
-                terms.pop(word, None)
+            _accumulate(terms, word, coef)
         out = NCPoly.__new__(NCPoly)
         out.pres = self.pres
         out._terms = terms
@@ -147,14 +133,7 @@ class NCPoly:
         terms: dict[Word, CoefPoly] = {}
         for wa, ca in self._terms.items():
             for wb, cb in other._terms.items():
-                word = wa + wb
-                coef = ca * cb
-                acc = terms.get(word)
-                acc = coef if acc is None else acc + coef
-                if acc:
-                    terms[word] = acc
-                else:
-                    terms.pop(word, None)
+                _accumulate(terms, wa + wb, ca * cb)
         out = NCPoly.__new__(NCPoly)
         out.pres = self.pres
         out._terms = terms
@@ -189,13 +168,7 @@ class NCPoly:
                 partner, scale = table[letter]
                 out_word.append(partner)
                 out_coef = out_coef * scale
-            key = tuple(out_word)
-            acc = terms.get(key)
-            acc = out_coef if acc is None else acc + out_coef
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            _accumulate(terms, tuple(out_word), out_coef)
         out = NCPoly.__new__(NCPoly)
         out.pres = self.pres
         out._terms = terms

@@ -84,6 +84,12 @@ class TruncOp:
         lo, hi = self.trusted_range(guard)
         return self.mat[lo:hi, lo:hi]
 
+    def max_abs(self, guard: int | None = None) -> float:
+        """Largest entry magnitude: of the whole window when guard is None,
+        else of the guarded trusted block (0.0 when that block is empty)."""
+        block = self.mat if guard is None else self.trusted_block(guard)
+        return float(np.max(np.abs(block))) if block.size else 0.0
+
     def _compat(self, other: "TruncOp") -> None:
         if self.lattice != other.lattice or self.w != other.w or self.d != other.d:
             raise DimensionMismatch(
@@ -160,16 +166,27 @@ def identity_like(op: TruncOp) -> TruncOp:
     return identity(op.d, op.lattice, op.w)
 
 
+def zero(d: int, lattice: str = "N", w: int | None = None) -> TruncOp:
+    return TruncOp(np.zeros((d, d), dtype=np.complex128), 0, lattice, w)
+
+
 def diag_op(values, lattice: str = "N", w: int | None = None) -> TruncOp:
     return TruncOp(np.diag(np.asarray(values, dtype=np.complex128)), 0, lattice, w)
 
 
-def shift(d: int) -> TruncOp:
-    """Unilateral shift e_n -> e_{n+1}, truncated; bandwidth 1."""
+def weighted_shift(weights) -> TruncOp:
+    """Weighted unilateral shift e_n -> weights[n] e_{n+1} on the window of
+    size len(weights) + 1; bandwidth 1."""
+    d = len(weights) + 1
     mat = np.zeros((d, d), dtype=np.complex128)
     idx = np.arange(d - 1)
-    mat[idx + 1, idx] = 1.0
+    mat[idx + 1, idx] = weights
     return TruncOp(mat, 1, "N")
+
+
+def shift(d: int) -> TruncOp:
+    """Unilateral shift e_n -> e_{n+1}, truncated; bandwidth 1."""
+    return weighted_shift(np.ones(d - 1))
 
 
 _DISC_BASE = {"z": "q", "y": "p", "x": "q2"}
@@ -188,10 +205,7 @@ def disc_rep(letter: str, params: ParamSet, d: int | None = None) -> TruncOp:
     e_n -> sqrt(1 - base^{n+1}) e_{n+1}, its star as the adjoint."""
     base = disc_base(letter, params)
     d = params.d if d is None else d
-    n = np.arange(d - 1)
-    mat = np.zeros((d, d), dtype=np.complex128)
-    mat[n + 1, n] = np.sqrt(1.0 - base ** (n + 1.0))
-    op = TruncOp(mat, 1, "N")
+    op = weighted_shift(np.sqrt(1.0 - base ** (np.arange(d - 1) + 1.0)))
     return op.adjoint() if letter.endswith("*") else op
 
 
@@ -271,18 +285,23 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
     first = next(iter(ops.values()))
     for op in ops.values():
         first._compat(op)
-    zero = TruncOp(
-        np.zeros((first.d, first.d), dtype=np.complex128), 0, first.lattice, first.w
-    )
-    return _word_sum(x, ops, identity_like(first), zero, params)
+    empty = zero(first.d, first.lattice, first.w)
+    return _word_sum(x, ops, identity_like(first), empty, _at_point(params))
 
 
-def _word_sum(x: NCPoly, ops: Mapping, one, zero, params: ParamSet):
-    """The one word-evaluation loop, shared with glue.evaluate_raw: each word
-    becomes the product of its letters' images starting from one, weighted
-    by its coefficient at the parameter point and summed onto zero."""
+def _at_point(params: ParamSet):
+    """The numeric weighting step of _word_sum: the coefficient evaluated at
+    the parameter point, times the word's product."""
+    return lambda factor, coef: coef.evaluate(params.q, params.p, params.s) * factor
+
+
+def _word_sum(x: NCPoly, ops: Mapping, one, empty, weigh):
+    """The one word-evaluation loop, shared with glue.evaluate_raw and
+    glue.iota: each word becomes the product of its letters' images starting
+    from one, is turned into a term by weigh(product, coefficient) and
+    summed onto empty."""
     letters = x.pres.letters
-    total = zero
+    total = empty
     for word, coef in x.terms().items():
         factor = one
         for letter_index in word:
@@ -290,7 +309,7 @@ def _word_sum(x: NCPoly, ops: Mapping, one, zero, params: ParamSet):
             if name not in ops:
                 raise KeyError(f"assignment misses letter {name!r}")
             factor = factor @ ops[name]
-        total = total + coef.evaluate(params.q, params.p, params.s) * factor
+        total = total + weigh(factor, coef)
     return total
 
 

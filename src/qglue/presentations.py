@@ -25,7 +25,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
-from .coefficients import CoefPoly, ONE
+from .coefficients import CoefPoly, ONE, _accumulate
 from .errors import GradingError, PresentationError, RewriteLimitExceeded
 from .ncpoly import NCPoly, Word
 
@@ -237,15 +237,6 @@ def _dominates(counts: Sequence[int], base: Sequence[int]) -> bool:
     return all(c >= b for c, b in zip(counts, base))
 
 
-def _merge(acc: dict[Word, CoefPoly], word: Word, coef: CoefPoly) -> None:
-    cur = acc.get(word)
-    cur = coef if cur is None else cur + coef
-    if cur:
-        acc[word] = cur
-    else:
-        acc.pop(word, None)
-
-
 def _subword_options(pres: Presentation, word: Word):
     """The (rule, position) pairs where a subword rule applies, leftmost
     position first, in rule order at each position."""
@@ -279,7 +270,7 @@ def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
     cword = pres.sorted_word_from_counts(cof)
     terms: dict[Word, CoefPoly] = {cword + rule.redex: ONE}
     for mid, coef in rule.rhs:
-        _merge(terms, cword + mid, -coef)
+        _accumulate(terms, cword + mid, -coef)
     full = _reduce_terms(pres, terms, budget, use_pbw=False)
     lam = full.pop(word, None)
     if lam is None or not lam.is_monomial():
@@ -335,7 +326,7 @@ def _word_nf(pres: Presentation, start: Word, budget: _Budget, use_pbw: bool):
                         f"{pres._word_str(child)}"
                     )
                 for w2, c2 in child_nf.items():
-                    _merge(acc, w2, coef * c2)
+                    _accumulate(acc, w2, coef * c2)
             cache[word] = acc
     return cache[start]
 
@@ -344,7 +335,7 @@ def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw
     acc: dict[Word, CoefPoly] = {}
     for word, coef in terms.items():
         for w2, c2 in _word_nf(pres, word, budget, use_pbw).items():
-            _merge(acc, w2, coef * c2)
+            _accumulate(acc, w2, coef * c2)
     return acc
 
 
@@ -372,7 +363,7 @@ def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
             expansion = _apply_subword(word, rule, pos)
         coef = acc.pop(word)
         for w2, c2 in expansion:
-            _merge(acc, w2, coef * c2)
+            _accumulate(acc, w2, coef * c2)
 
 
 def normal_form(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -47,6 +48,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json_safe(value):
+    """value with every non-finite float written as its CSV cell ("inf",
+    "-inf", "nan"), since strict JSON has no literal for them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _cell(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 @dataclass
 class Report:
     meta: dict = field(default_factory=dict)
@@ -77,7 +90,7 @@ class Report:
                 for rec in self.records
             ],
         }
-        return json.dumps(payload, indent=2, default=str) + "\n"
+        return json.dumps(_json_safe(payload), indent=2, default=str, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()

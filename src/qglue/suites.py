@@ -27,7 +27,7 @@ from .circle import (
     w_inverse,
     w_map,
 )
-from .coefficients import CoefPoly, ONE, P, Q, S
+from .coefficients import CoefPoly, ONE, P, Q, S, _accumulate
 from .glue import (
     FibrePair,
     chi,
@@ -49,7 +49,6 @@ from .kpair import EN_CAP, FredholmModule, IndexRow, PairingTable, pair
 from .ncpoly import NCPoly
 from .opnum import (
     ParamSet,
-    TruncOp,
     diag_op,
     disc_assignment,
     disc_rep,
@@ -58,6 +57,7 @@ from .opnum import (
     pi_rep,
     shift,
     trusted_diff_norm,
+    zero,
 )
 from .presentations import degree, normal_form, verify_identity
 from .presets import (
@@ -73,19 +73,10 @@ from .report import CheckRecord, FAIL, PASS, WARN
 # -- small helpers -----------------------------------------------------------------
 
 
-def _max_abs(op: TruncOp, guard: int = 0) -> float:
-    block = op.trusted_block(guard)
-    return float(np.max(np.abs(block))) if block.size else 0.0
-
-
 def _rule_element(pres, rule) -> NCPoly:
     terms = {rule.redex: ONE}
     for word, coef in rule.rhs:
-        acc = terms.get(word, CoefPoly()) - coef
-        if acc:
-            terms[word] = acc
-        else:
-            terms.pop(word, None)
+        _accumulate(terms, word, -coef)
     return NCPoly(pres, terms)
 
 
@@ -174,13 +165,13 @@ def suite_disc(
         letter = pres.letters[0]
         ops = disc_assignment(pres, params)
         for rule in pres.rules:
-            res = _max_abs(evaluate(_rule_element(pres, rule), ops, params))
+            res = evaluate(_rule_element(pres, rule), ops, params).max_abs(guard=0)
             recs.append(
                 _res("disc", f"relation [{which}]", res, params.tol, _rule_text(pres, rule))
             )
         z = ops[letter]
         t = diag_op(base ** np.arange(params.d))
-        res = _max_abs(identity(params.d) - z @ z.adjoint() - t)
+        res = (identity(params.d) - z @ z.adjoint() - t).max_abs(guard=0)
         recs.append(
             _res(
                 "disc",
@@ -197,7 +188,7 @@ def suite_disc(
             tt = base ** np.arange(params.d)
             for k in range(1, N + 1):
                 v = v * (1.0 - base**k * tt)
-            res = _max_abs(lhs - diag_op(v))
+            res = (lhs - diag_op(v)).max_abs(guard=0)
             recs.append(
                 _res(
                     "disc",
@@ -221,7 +212,7 @@ def suite_s3(
     for leg in (0, 1):
         ops = s3_leg_assignment(leg, params)
         for rule in pres.rules:
-            res = _max_abs(evaluate(_rule_element(pres, rule), ops, params))
+            res = evaluate(_rule_element(pres, rule), ops, params).max_abs(guard=0)
             recs.append(
                 _res("s3", f"relation [leg {leg}]", res, params.tol, _rule_text(pres, rule))
             )
@@ -267,7 +258,7 @@ def suite_s2(
     for leg in (0, 1):
         ops = s2_leg_assignment(leg, params)
         for rule in pres.rules:
-            res = _max_abs(evaluate(_rule_element(pres, rule), ops, params))
+            res = evaluate(_rule_element(pres, rule), ops, params).max_abs(guard=0)
             recs.append(
                 _res("s2", f"relation [leg {leg}]", res, params.tol, _rule_text(pres, rule))
             )
@@ -366,9 +357,8 @@ def suite_podles(
             ),
         ]
         for check, op, anchor in checks:
-            recs.append(
-                _res("podles", f"numeric {check} [leg {leg}]", _max_abs(op), params.tol, anchor)
-            )
+            res = op.max_abs(guard=0)
+            recs.append(_res("podles", f"numeric {check} [leg {leg}]", res, params.tol, anchor))
     s_u = LaurentPoly.exact({1: S})
     recs.append(
         _flag(
@@ -597,8 +587,7 @@ def suite_chi(
     )
     sh = shift(d)
     empty = LaurentPoly.exact({})
-    zero_op = TruncOp(np.zeros((d, d)), 0, "N")
-    point = FibrePair(zero_op, identity(d) - sh @ sh.adjoint(), empty, empty, 0)
+    point = FibrePair(zero(d), identity(d) - sh @ sh.adjoint(), empty, empty, 0)
     result = pair(pr, point)
     recs.append(
         _flag(
@@ -619,10 +608,7 @@ def suite_chi(
         img = psi_iso(gen)
         cN = chi(-N, d)
         prod = img @ cN
-        res = max(
-            float(np.max(np.abs(prod.t0.mat - img.t0.mat))),
-            float(np.max(np.abs(prod.t1.mat - img.t1.mat))),
-        )
+        res = max((prod.t0 - img.t0).max_abs(), (prod.t1 - img.t1).max_abs())
         recs.append(
             _res(
                 "chi",
@@ -656,7 +642,7 @@ def suite_chi(
         g = LaurentPoly.numeric({2: -0.75, 0: 1.0})
         whole = pi_rep(sign, f * g, params.w)
         factors = pi_rep(sign, f, params.w) @ pi_rep(sign, g, params.w)
-        res = float(np.max(np.abs(whole.mat - factors.mat)))
+        res = (whole - factors).max_abs()
         recs.append(
             _res(
                 "chi",
@@ -671,7 +657,7 @@ def suite_chi(
         whole = pi_rep(sign, f2 * g2, params.w)
         factors = pi_rep(sign, f2, params.w) @ pi_rep(sign, g2, params.w)
         res_int = trusted_diff_norm(whole, factors, guard=1)
-        res_full = float(np.max(np.abs(whole.mat - factors.mat)))
+        res_full = (whole - factors).max_abs()
         if res_int <= 1e-12 and res_full > 1e-12:
             recs.append(
                 CheckRecord(
@@ -746,8 +732,9 @@ def suite_convergence(
     x = z * z.star() * z + z.star()
     small = evaluate(x, disc_assignment(pres, params, d=32), params)
     big = evaluate(x, disc_assignment(pres, params, d=64), params)
-    keep = 32 - small.bandwidth
-    stable = bool(np.array_equal(small.mat[:keep, :keep], big.mat[:keep, :keep]))
+    block = small.trusted_block()
+    keep = len(block)
+    stable = bool(np.array_equal(block, big.trusted_block()[:keep, :keep]))
     recs.append(
         _flag(
             "convergence",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coefficients import CoefPoly
+from .coefficients import CoefPoly, _accumulate
 from .errors import PresentationError
 from .presentations import Presentation
 
@@ -65,15 +65,7 @@ class _PolyParser:
             sign = -1 if self.take() == "-" else 1
         while True:
             coef, word = self.parse_term()
-            coef = coef * sign
-            if word in terms:
-                acc = terms[word] + coef
-                if acc:
-                    terms[word] = acc
-                else:
-                    del terms[word]
-            elif coef:
-                terms[word] = coef
+            _accumulate(terms, word, coef * sign)
             tok = self.peek()
             if tok in ("+", "-"):
                 sign = -1 if self.take() == "-" else 1

@@ -23,6 +23,7 @@ from qglue import (
     trace_finite_rank,
     trusted_diff_norm,
 )
+from qglue.opnum import weighted_shift, zero
 
 
 def test_paramset_validation():
@@ -272,3 +273,42 @@ def test_shift_window_defects_sit_at_the_edges():
     # S S* the first
     assert np.array_equal((s.adjoint() @ s).mat, np.diag([1.0] * 5 + [0.0]))
     assert np.array_equal((s @ s.adjoint()).mat, np.diag([0.0] + [1.0] * 5))
+
+
+# -- window primitives ------------------------------------------------------------
+
+
+def test_max_abs_reads_whole_window_or_guarded_block():
+    mat = np.zeros((6, 6))
+    mat[5, 4] = -3.0  # outside the top-left 5x5 block trusted at bandwidth 1
+    op = TruncOp(mat, 1)
+    assert op.max_abs() == 3.0
+    assert op.max_abs(0) == 0.0
+    corner = TruncOp(np.diag([0.5, 0, 0, 0, 2.0]), 0, "Z", 2)
+    assert corner.max_abs() == 2.0
+    assert corner.max_abs(1) == 0.0  # the centered block drops both ends
+    assert op.max_abs(5) == 0.0  # empty guarded block
+
+
+@pytest.mark.parametrize(
+    "x",
+    [2.0 * shift(7) + identity(7), pi_rep("+", LaurentPoly.numeric({1: 2.0, -2: 0.5}), 3)],
+    ids=["N", "Z"],
+)
+def test_zero_is_the_additive_identity(x):
+    z = zero(x.d, x.lattice, x.w)
+    assert z.bandwidth == 0
+    assert (z.lattice, z.w) == (x.lattice, x.w)
+    for total in (x + z, z + x):
+        assert np.array_equal(total.mat, x.mat)
+        assert total.bandwidth == x.bandwidth
+
+
+def test_weighted_shift_of_ones_is_the_shift():
+    for d in (1, 2, 9):
+        ws = weighted_shift(np.ones(d - 1))
+        s = shift(d)
+        assert np.array_equal(ws.mat, s.mat)
+        assert ws.bandwidth == s.bandwidth == min(1, d)
+    ws = weighted_shift([2.0, 3.0])
+    assert np.array_equal(ws.mat, [[0, 0, 0], [2.0, 0, 0], [0, 3.0, 0]])

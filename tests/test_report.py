@@ -107,3 +107,20 @@ def test_timestamp_parses():
     stamp = timestamp_now()
     parsed = datetime.fromisoformat(stamp)
     assert parsed.tzinfo is not None
+
+
+def test_json_writes_non_finite_values_as_strings():
+    rep = Report(meta={"seed": 0})
+    rep.add(CheckRecord("a", "b", "fail", value=float("inf"), residual=float("nan")))
+    rep.add(CheckRecord("a", "c", "fail", value=float("-inf"), expected=2.5))
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(rep.to_json(), parse_constant=reject)
+    first, second = payload["checks"]
+    assert (first["value"], first["residual"]) == ("inf", "nan")
+    assert (second["value"], second["expected"]) == ("-inf", 2.5)
+    # the strings are the CSV cells of the same records
+    rows = list(csv.reader(io.StringIO(rep.to_csv())))
+    assert (rows[1][3], rows[1][5], rows[2][3]) == ("inf", "nan", "-inf")
