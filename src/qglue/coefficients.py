@@ -3,7 +3,10 @@ polynomial variable s.
 
 Every symbolic computation in the package keeps its coefficients in this
 ring, so identities are decided by exact arithmetic and only the final
-operator-theoretic checks involve floats.
+operator-theoretic checks involve floats. A rational coefficient is stored
+as an int while it is integral and as a Fraction only once a denominator
+appears; every shipped rule has integer coefficients, and int arithmetic
+is many times cheaper than Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +27,28 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational coefficient, got {type(value).__name__}")
 
 
+def _coef(value) -> int | Fraction:
+    """The stored form of a rational coefficient: an int when it is
+    integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Rational):
+        raise TypeError(f"expected a rational coefficient, got {type(value).__name__}")
+    if value.denominator == 1:
+        return int(value.numerator)
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _settle(terms: dict) -> dict:
+    """Bring the values of terms to their stored form, in place. Sums and
+    products of stored coefficients are rational, so only a Fraction that
+    came out integral changes."""
+    for key, coef in terms.items():
+        if type(coef) is not int:
+            terms[key] = _coef(coef)
+    return terms
+
+
 def _accumulate(terms: dict, key, coef) -> None:
     """Add coef to terms[key], dropping the key when the sum cancels."""
     acc = terms.get(key)
@@ -37,31 +62,32 @@ def _accumulate(terms: dict, key, coef) -> None:
 class CoefPoly:
     """Element of Q[q^{+-1}, p^{+-1}, s].
 
-    Terms are stored sparsely as {(e_q, e_p, e_s): Fraction} with no zero
-    coefficients; e_q, e_p range over all integers, e_s >= 0.
+    Terms are stored sparsely as {(e_q, e_p, e_s): coefficient} with no zero
+    coefficients; e_q, e_p range over all integers, e_s >= 0. A coefficient
+    is an int when it is integral and a Fraction otherwise (see _coef).
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Expo, Fraction] | None = None):
-        clean: dict[Expo, Fraction] = {}
+    def __init__(self, terms: Mapping[Expo, Rational] | None = None):
+        clean: dict[Expo, int | Fraction] = {}
         if terms:
             for expo, coef in terms.items():
                 eq, ep, es = expo
                 if es < 0:
                     raise ValueError("s exponent must be nonnegative")
-                _accumulate(clean, (int(eq), int(ep), int(es)), _as_fraction(coef))
+                _accumulate(clean, (int(eq), int(ep), int(es)), _coef(coef))
         self._terms = clean
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def scalar(value) -> "CoefPoly":
-        return CoefPoly({(0, 0, 0): _as_fraction(value)})
+        return CoefPoly({(0, 0, 0): value})
 
     @staticmethod
     def monomial(e_q: int = 0, e_p: int = 0, e_s: int = 0, coef=1) -> "CoefPoly":
-        return CoefPoly({(e_q, e_p, e_s): _as_fraction(coef)})
+        return CoefPoly({(e_q, e_p, e_s): coef})
 
     @staticmethod
     def coerce(value: ScalarLike) -> "CoefPoly":
@@ -71,7 +97,7 @@ class CoefPoly:
 
     # -- basic queries -----------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Expo, Fraction]]:
+    def items(self) -> Iterator[tuple[Expo, int | Fraction]]:
         return iter(sorted(self._terms.items()))
 
     def __bool__(self) -> bool:
@@ -81,18 +107,19 @@ class CoefPoly:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0, 0, 0): Fraction(1)}
+        return self._terms == {(0, 0, 0): 1}
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
     def as_fraction(self) -> Fraction:
-        """The value of a constant element; raises if q, p or s appear."""
+        """The value of a constant element, always as a Fraction; raises if
+        q, p or s appear."""
         if not self._terms:
             return Fraction(0)
         if set(self._terms) != {(0, 0, 0)}:
             raise ValueError("element is not constant")
-        return self._terms[(0, 0, 0)]
+        return _as_fraction(self._terms[(0, 0, 0)])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CoefPoly):
@@ -106,20 +133,24 @@ class CoefPoly:
 
     # -- ring operations ---------------------------------------------------
 
+    # Operands are tested against CoefPoly before the Rational ABC, whose
+    # isinstance check is slow: nearly every operand is a CoefPoly.
+
     def __add__(self, other) -> "CoefPoly":
-        if isinstance(other, Rational):
-            other = CoefPoly.scalar(other)
         if not isinstance(other, CoefPoly):
-            return NotImplemented
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = CoefPoly.scalar(other)
         terms = dict(self._terms)
         for expo, coef in other._terms.items():
-            acc = terms.get(expo, Fraction(0)) + coef
+            acc = terms.get(expo)
+            acc = coef if acc is None else acc + coef
             if acc:
                 terms[expo] = acc
             else:
-                terms.pop(expo, None)
+                del terms[expo]
         out = CoefPoly.__new__(CoefPoly)
-        out._terms = terms
+        out._terms = _settle(terms)
         return out
 
     __radd__ = __add__
@@ -130,10 +161,10 @@ class CoefPoly:
         return out
 
     def __sub__(self, other) -> "CoefPoly":
-        if isinstance(other, Rational):
-            other = CoefPoly.scalar(other)
         if not isinstance(other, CoefPoly):
-            return NotImplemented
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = CoefPoly.scalar(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "CoefPoly":
@@ -142,21 +173,22 @@ class CoefPoly:
         return NotImplemented
 
     def __mul__(self, other) -> "CoefPoly":
-        if isinstance(other, Rational):
-            other = CoefPoly.scalar(other)
         if not isinstance(other, CoefPoly):
-            return NotImplemented
-        terms: dict[Expo, Fraction] = {}
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = CoefPoly.scalar(other)
+        terms: dict[Expo, int | Fraction] = {}
         for (aq, ap, as_), ac in self._terms.items():
             for (bq, bp, bs), bc in other._terms.items():
                 key = (aq + bq, ap + bp, as_ + bs)
-                acc = terms.get(key, Fraction(0)) + ac * bc
+                acc = terms.get(key)
+                acc = ac * bc if acc is None else acc + ac * bc
                 if acc:
                     terms[key] = acc
                 else:
-                    terms.pop(key, None)
+                    del terms[key]
         out = CoefPoly.__new__(CoefPoly)
-        out._terms = terms
+        out._terms = _settle(terms)
         return out
 
     __rmul__ = __mul__
@@ -182,7 +214,7 @@ class CoefPoly:
         (eq, ep, es), coef = next(iter(self._terms.items()))
         if es:
             raise ValueError("s is not invertible")
-        return CoefPoly({(-eq, -ep, 0): Fraction(1) / coef})
+        return CoefPoly({(-eq, -ep, 0): Fraction(1, coef)})
 
     def conjugate(self) -> "CoefPoly":
         """Coefficientwise *-conjugation; the ring is real, so identity."""

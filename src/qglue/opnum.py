@@ -9,6 +9,7 @@ operator. Sums take the larger bandwidth, products add bandwidths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -41,8 +42,8 @@ class ParamSet:
             raise ValueError(f"d must lie in [4, 512], got {self.d}")
         if not (1 <= self.w <= 512):
             raise ValueError(f"w must lie in [1, 512], got {self.w}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 class TruncOp:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
@@ -41,10 +40,15 @@ class Rule:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """The rewrite steps one normal_form call has left, and the normal-form
+    caches (pbw and subword-only) it reduces against."""
 
-    def __init__(self, max_steps: int):
+    __slots__ = ("left", "nf_cache", "nf_cache_subword")
+
+    def __init__(self, max_steps: int, nf_cache: dict, nf_cache_subword: dict):
         self.left = int(max_steps)
+        self.nf_cache = nf_cache
+        self.nf_cache_subword = nf_cache_subword
 
     def tick(self) -> None:
         self.left -= 1
@@ -96,7 +100,11 @@ class Presentation:
 
         self.star_table = self._build_star_table(star)
         self.rules = tuple(self._build_rule(spec) for spec in rules)
-        self._subword_rules = tuple(r for r in self.rules if not r.pbw)
+        subword_rules = [r for r in self.rules if not r.pbw]
+        # subword rules by the first letter of their redex, in rule order
+        self._subword_rules_by_first = tuple(
+            tuple(r for r in subword_rules if r.redex[0] == i) for i in range(len(self.letters))
+        )
         self._pbw_rules = tuple(r for r in self.rules if r.pbw)
 
         if check_order:
@@ -240,8 +248,9 @@ def _dominates(counts: Sequence[int], base: Sequence[int]) -> bool:
 def _subword_options(pres: Presentation, word: Word):
     """The (rule, position) pairs where a subword rule applies, leftmost
     position first, in rule order at each position."""
-    for pos in range(len(word)):
-        for rule in pres._subword_rules:
+    by_first = pres._subword_rules_by_first
+    for pos, letter in enumerate(word):
+        for rule in by_first[letter]:
             if word[pos : pos + len(rule.redex)] == rule.redex:
                 yield rule, pos
 
@@ -296,7 +305,7 @@ def _expand_once(pres: Presentation, word: Word, budget: _Budget, use_pbw: bool)
 
 
 def _word_nf(pres: Presentation, start: Word, budget: _Budget, use_pbw: bool):
-    cache = pres._nf_cache if use_pbw else pres._nf_cache_subword
+    cache = budget.nf_cache if use_pbw else budget.nf_cache_subword
     hit = cache.get(start)
     if hit is not None:
         return hit
@@ -341,8 +350,9 @@ def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw
 
 def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
     """Fully randomized reduction: at each step pick uniformly among every
-    applicable (word, rule, position) option. Bypasses all caches; used to
-    probe confluence against the deterministic reducer."""
+    applicable (word, rule, position) option. Bypasses the normal-form
+    cache (a pbw step still reduces its cofactor through the subword-only
+    one); used to probe confluence against the deterministic reducer."""
     acc = dict(terms)
     while True:
         options = []
@@ -369,7 +379,7 @@ def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
 def normal_form(
     x: NCPoly,
     *,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    max_steps: int | None = None,
     rng=None,
 ) -> NCPoly:
     """Reduce an element to its normal form.
@@ -377,10 +387,21 @@ def normal_form(
     Deterministic by default (memoized, leftmost-position first-rule);
     passing an rng switches to the uncached randomized strategy, which
     must agree with the deterministic one exactly when the rule system is
-    confluent. Raises RewriteLimitExceeded after max_steps rewrites.
+    confluent.
+
+    max_steps bounds the rewrite steps (single rule applications) this call
+    performs; past it the call raises RewriteLimitExceeded. Without it the
+    bound is DEFAULT_MAX_STEPS, a guard against rule systems that do not
+    terminate, and the call reduces against the presentation's shared
+    normal-form caches, so it performs only the steps that earlier calls
+    did not. With it the call reduces against fresh caches of its own, so
+    whether the budget suffices does not depend on what ran before.
     """
     pres = x.pres
-    budget = _Budget(max_steps)
+    if max_steps is None:
+        budget = _Budget(DEFAULT_MAX_STEPS, pres._nf_cache, pres._nf_cache_subword)
+    else:
+        budget = _Budget(max_steps, {}, {})
     if rng is None:
         reduced = _reduce_terms(pres, x.terms(), budget, use_pbw=True)
     else:
@@ -407,7 +428,7 @@ def homogeneous_component(x: NCPoly, n: int) -> NCPoly:
     )
 
 
-def verify_identity(lhs: NCPoly, rhs=None, *, max_steps: int = DEFAULT_MAX_STEPS):
+def verify_identity(lhs: NCPoly, rhs=None, *, max_steps: int | None = None):
     """Check lhs = rhs in the algebra; returns (holds, witness) where the
     witness is the normal form of the difference."""
     diff = lhs if rhs is None else lhs - rhs

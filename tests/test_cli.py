@@ -71,6 +71,16 @@ def test_tiny_tolerance_forces_exit_1(capsys):
     assert " fail" in captured.err
 
 
+def test_infinite_tolerance_is_exit_2(capsys):
+    # tol = inf would let every residual check pass whatever its residual
+    code = run(["verify", "--suite", "disc", "--d", "16", "--tol", "inf"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("qglue:")
+    assert "tol" in captured.err
+    assert captured.out == ""
+
+
 def test_csv_verify_run(capsys):
     code = run(["verify", "--suite", "disc,su2", "--d", "16", "--format", "csv"])
     captured = capsys.readouterr()
@@ -99,6 +109,16 @@ def test_json_runs_are_deterministic_modulo_timestamp(capsys):
     assert a["meta"]["seed"] == 2
     assert a["meta"]["suites"] == ["hopf"]
     assert a["summary"]["fail"] == 0
+
+
+def test_repeated_runs_in_one_process_write_identical_reports(tmp_path, capsys):
+    # the second run reduces against normal-form caches the first one filled
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    for path in paths:
+        argv = ["verify", "--suite", "en-symbolic", "--format", "csv", "--out", str(path)]
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -136,3 +136,104 @@ def test_str_readable():
     assert str(ONE - Q) == "1 - 1 q"
     assert str(ZERO) == "0"
     assert "q^-2" in str(Q**-2)
+
+
+# -- stored form: int while integral, Fraction once a denominator appears ------
+
+
+def coefficient_types(x: CoefPoly) -> list:
+    return [type(c) for _, c in x.items()]
+
+
+def test_integral_coefficients_are_ints():
+    x = CoefPoly({(1, 0, 0): Fraction(4, 2), (0, 0, 0): 3, (0, 1, 1): Fraction(-1)})
+    assert coefficient_types(x) == [int, int, int]
+    assert coefficient_types(CoefPoly.scalar(Fraction(6, 3))) == [int]
+    inv = (-Q).inverse_monomial()
+    assert inv == CoefPoly.monomial(e_q=-1, coef=-1)
+    assert coefficient_types(inv) == [int]
+    assert coefficient_types(Q**-3) == [int]
+    half = CoefPoly.scalar(Fraction(1, 2))
+    assert coefficient_types(half + half) == [int]
+    assert coefficient_types(half * 4 * Q) == [int]
+    assert coefficient_types((2 * Q) ** -1 * 2) == [int]
+
+
+def test_non_integral_coefficients_are_fractions():
+    third = CoefPoly.monomial(e_p=1, coef=Fraction(1, 3))
+    assert coefficient_types(third * 2 + Q) == [Fraction, int]
+    assert dict((third * 2).items()) == {(0, 1, 0): Fraction(2, 3)}
+    assert coefficient_types((3 * Q).inverse_monomial()) == [Fraction]
+    assert coefficient_types(CoefPoly.scalar(Fraction(3, 2)) - 1) == [Fraction]
+
+
+def test_as_fraction_is_always_a_fraction():
+    for x, value in [
+        (ZERO, 0),
+        (ONE, 1),
+        (CoefPoly.scalar(-7), -7),
+        (CoefPoly.scalar(Fraction(8, 4)), 2),
+        (CoefPoly.scalar(Fraction(5, 3)), Fraction(5, 3)),
+    ]:
+        result = x.as_fraction()
+        assert type(result) is Fraction
+        assert result == value
+
+
+def test_integral_scalar_forms_are_equal_and_hash_equally():
+    a, b = CoefPoly.scalar(2), CoefPoly.scalar(Fraction(4, 2))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a == 2 and a == Fraction(2)
+    assert CoefPoly.monomial(e_s=2, coef=Fraction(-3, 1)) == -3 * S * S
+
+
+def test_mixed_sums_that_cancel_drop_the_key():
+    x = CoefPoly({(1, 0, 0): 2, (0, 0, 1): Fraction(1, 2)})
+    y = CoefPoly({(1, 0, 0): Fraction(-4, 2), (0, 0, 1): Fraction(1, 2)})
+    assert dict((x + y).items()) == {(0, 0, 1): 1}
+    assert coefficient_types(x + y) == [int]
+    assert dict((x - CoefPoly({(0, 0, 1): Fraction(1, 2)})).items()) == {(1, 0, 0): 2}
+    assert (2 * Q + Fraction(-2) * Q).is_zero()
+    # (1 + q/2)(1 - q/2): the cross terms q/2 - q/2 cancel inside one product
+    half_q = Q * Fraction(1, 2)
+    product = (ONE + half_q) * (ONE - half_q)
+    assert dict(product.items()) == {(0, 0, 0): 1, (2, 0, 0): Fraction(-1, 4)}
+    assert coefficient_types(product) == [int, Fraction]
+
+
+mixed_coefs = st.one_of(st.integers(min_value=-5, max_value=5), fractions).filter(
+    lambda c: c != 0
+)
+rational_points = st.tuples(fractions, fractions, st.fractions(max_denominator=6))
+
+
+@st.composite
+def mixed_coefpolys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        key = (
+            draw(st.integers(min_value=-3, max_value=3)),
+            draw(st.integers(min_value=-3, max_value=3)),
+            draw(st.integers(min_value=0, max_value=3)),
+        )
+        terms[key] = terms.get(key, 0) + draw(mixed_coefs)
+    return CoefPoly(terms)
+
+
+def assert_stored_form(x: CoefPoly):
+    for _, c in x.items():
+        assert c != 0
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mixed_coefpolys(), mixed_coefpolys(), st.integers(min_value=0, max_value=3), rational_points
+)
+def test_mixed_arithmetic_matches_exact_evaluation(x, y, n, pt):
+    assert ev(x + y, pt) == ev(x, pt) + ev(y, pt)
+    assert ev(x * y, pt) == ev(x, pt) * ev(y, pt)
+    assert ev(x**n, pt) == ev(x, pt) ** n
+    for z in (x, y, x + y, x - y, x * y, x**n):
+        assert_stored_form(z)

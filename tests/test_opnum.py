@@ -44,6 +44,12 @@ def test_paramset_validation():
     assert ParamSet(s=1.0).s == 1.0
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_paramset_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        ParamSet(tol=tol)
+
+
 def test_truncop_basic_bookkeeping():
     a = TruncOp(np.eye(4), 1)
     b = TruncOp(np.ones((4, 4)), 2)

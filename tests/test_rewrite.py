@@ -186,6 +186,24 @@ def test_budget_exhaustion():
     assert isinstance(RewriteLimitExceeded("x"), RuntimeError)
 
 
+@pytest.mark.parametrize("warm_first", [False, True], ids=["cold-first", "warm-first"])
+def test_budget_outcome_does_not_depend_on_history(warm_first):
+    # z*^3 z^3 takes more than 5 rewrite steps from scratch; a budgeted call
+    # must run out whether or not an unbudgeted call has reduced it before
+    pres = disc_presentation("q")
+    z = pres.gen("z")
+    x = z.star() ** 3 * z**3
+
+    def budgeted():
+        with pytest.raises(RewriteLimitExceeded):
+            normal_form(x, max_steps=5)
+
+    calls = [budgeted, lambda: normal_form(x)]
+    for call in reversed(calls) if warm_first else calls:
+        call()
+    assert normal_form(x, max_steps=100) == normal_form(x)
+
+
 def test_budget_applies_to_randomized_strategy():
     pres = _loop_presentation()
     x = pres.gen("u") * pres.gen("v")
