@@ -12,7 +12,6 @@ w_map / w_inverse / phi_map act on it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from numbers import Complex, Rational
 from typing import Callable, Mapping
 
@@ -169,10 +168,6 @@ class LaurentPoly(_Laurent):
     @staticmethod
     def _add_keys(ka, kb):
         return ka + kb
-
-    @staticmethod
-    def monomial(n: int, coef=1) -> "LaurentPoly":
-        return LaurentPoly({n: coef})
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by U^n."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
+from operator import index
 from typing import Iterator, Mapping, Tuple, Union
 
 Expo = Tuple[int, int, int]
@@ -73,10 +74,11 @@ class CoefPoly:
         clean: dict[Expo, int | Fraction] = {}
         if terms:
             for expo, coef in terms.items():
-                eq, ep, es = expo
+                # index() takes any integer type and raises on a float
+                eq, ep, es = (index(e) for e in expo)
                 if es < 0:
                     raise ValueError("s exponent must be nonnegative")
-                _accumulate(clean, (int(eq), int(ep), int(es)), _coef(coef))
+                _accumulate(clean, (eq, ep, es), _coef(coef))
         self._terms = clean
 
     # -- constructors ------------------------------------------------------

@@ -23,13 +23,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circle import EXACT, BiLaurent, LaurentPoly, w_map
-from .coefficients import CoefPoly, ONE, S as S_COEF, _accumulate
+from .coefficients import CoefPoly, S as S_COEF, _accumulate
 from .errors import DimensionMismatch, SymbolMismatch
 from .ncpoly import NCPoly
 from .opnum import (
     ParamSet,
     TruncOp,
     diag_op,
+    disc_base,
     disc_rep,
     evaluate,
     identity,
@@ -41,6 +42,7 @@ from .opnum import (
     _at_point,
     _word_sum,
 )
+from .presets import sphere3_presentation
 
 ORIENTATION = (
     "psi_iso removes a twist by shifting the leg whose symbol carries the "
@@ -297,15 +299,25 @@ def disc_symbol(x: NCPoly) -> LaurentPoly:
     return symbol_map(x, {letters[0]: 1, letters[1]: -1})
 
 
-_S3_LEG_EXPONENTS = (
-    {"a": 1, "a*": -1, "b": 0, "b*": 0},
-    {"a": 0, "a*": 0, "b": 1, "b*": -1},
-)
+# The gluing map: each s3pq letter as the disc letter it acts as on leg 0
+# and on leg 1 (None: the unit), tensored with U^(its grading weight), so
+#     a -> (z (x) U*, 1 (x) U*)      b -> (1 (x) U, y (x) U)
+S3_GLUING = {
+    "a": ("z", None),
+    "a*": ("z*", None),
+    "b": (None, "y"),
+    "b*": (None, "y*"),
+}
 
 
 def s3_leg_symbol(x: NCPoly, leg: int) -> LaurentPoly:
-    """Boundary symbol of a glued-disc element on one leg (a-side or b-side)."""
-    return symbol_map(x, _S3_LEG_EXPONENTS[leg])
+    """Boundary symbol of a glued-disc element on one leg (a-side or b-side):
+    the leg's disc letter goes to U, its star to U^{-1}, the unit to 1."""
+    exponents = {}
+    for letter, discs in S3_GLUING.items():
+        disc = discs[leg]
+        exponents[letter] = 0 if disc is None else (-1 if disc.endswith("*") else 1)
+    return symbol_map(x, exponents)
 
 
 def s2_leg_symbol(x: NCPoly) -> LaurentPoly:
@@ -317,41 +329,30 @@ def s2_leg_symbol(x: NCPoly) -> LaurentPoly:
 
 
 def s3_leg_assignment(leg: int, params: ParamSet, d: int | None = None) -> dict[str, TruncOp]:
-    """Operators for one leg of the glued-disc picture: the a-copy acts as
-    the q-disc and b is scalar on leg 0; mirrored on leg 1."""
+    """Operators for one leg of the glued-disc picture, read off S3_GLUING:
+    the a-copy acts as the q-disc and b is scalar on leg 0; mirrored on leg 1."""
+    if leg not in (0, 1):
+        raise ValueError("leg must be 0 or 1")
     d = params.d if d is None else d
     one = identity(d)
-    if leg == 0:
-        z = disc_rep("z", params, d)
-        return {"a": z, "a*": z.adjoint(), "b": one, "b*": one}
-    if leg == 1:
-        y = disc_rep("y", params, d)
-        return {"a": one, "a*": one, "b": y, "b*": y.adjoint()}
-    raise ValueError("leg must be 0 or 1")
+    return {
+        letter: one if discs[leg] is None else disc_rep(discs[leg], params, d)
+        for letter, discs in S3_GLUING.items()
+    }
 
 
 def s2_leg_assignment(leg: int, params: ParamSet, d: int | None = None) -> dict[str, TruncOp]:
-    """Operators for one leg of the quotient sphere: A and B are the two
-    defect projections, only one of which survives on each leg."""
+    """Operators for one leg of the quotient sphere: R acts as the z-disc on
+    leg 0 and the y-disc on leg 1; A and B are the two defect projections
+    diag(base^n), only one of which survives on each leg."""
+    if leg not in (0, 1):
+        raise ValueError("leg must be 0 or 1")
     d = params.d if d is None else d
-    n = np.arange(d)
-    if leg == 0:
-        z = disc_rep("z", params, d)
-        return {
-            "A": diag_op(params.q**n),
-            "B": zero(d),
-            "R": z,
-            "R*": z.adjoint(),
-        }
-    if leg == 1:
-        y = disc_rep("y", params, d)
-        return {
-            "A": zero(d),
-            "B": diag_op(params.p**n),
-            "R": y,
-            "R*": y.adjoint(),
-        }
-    raise ValueError("leg must be 0 or 1")
+    disc = ("z", "y")[leg]
+    r = disc_rep(disc, params, d)
+    defects = [zero(d), zero(d)]
+    defects[leg] = diag_op(disc_base(disc, params) ** np.arange(d))
+    return {"A": defects[0], "B": defects[1], "R": r, "R*": r.adjoint()}
 
 
 # -- the doubled picture ----------------------------------------------------------
@@ -461,25 +462,23 @@ class CSfpElement:
 
 
 def iota(x: NCPoly, params: ParamSet, d: int | None = None) -> CSfpElement:
-    """Embed a symbolic glued-disc element into the doubled picture:
-
-        a  -> (z (x) U*, 1 (x) U*)      b  -> (1 (x) U, y (x) U)
-
-    and adjoints accordingly. Coefficients scale the operators numerically
-    and the symbols exactly."""
+    """Embed a symbolic glued-disc element into the doubled picture by the
+    gluing map S3_GLUING, each leg operator paired with its boundary symbol.
+    Coefficients scale the operators numerically and the symbols exactly."""
     d = params.d if d is None else d
-    z = disc_rep("z", params, d)
-    y = disc_rep("y", params, d)
+    pres = sphere3_presentation()
+    legs = [s3_leg_assignment(leg, params, d) for leg in (0, 1)]
+    images = {
+        letter: CSfpElement(
+            *(
+                {weight: (legs[leg][letter], s3_leg_symbol(pres.gen(letter), leg))}
+                for leg in (0, 1)
+            )
+        )
+        for letter, weight in zip(pres.letters, pres.weights)
+    }
     one_op = identity(d)
     one_sym = LaurentPoly.exact({0: 1})
-    u = LaurentPoly.exact({1: 1})
-    ustar = LaurentPoly.exact({-1: 1})
-    images = {
-        "a": CSfpElement({-1: (z, u)}, {-1: (one_op, one_sym)}),
-        "a*": CSfpElement({1: (z.adjoint(), ustar)}, {1: (one_op, one_sym)}),
-        "b": CSfpElement({1: (one_op, one_sym)}, {1: (y, u)}),
-        "b*": CSfpElement({-1: (one_op, one_sym)}, {-1: (y.adjoint(), ustar)}),
-    }
     unit = CSfpElement({0: (one_op, one_sym)}, {0: (one_op, one_sym)})
 
     def weigh(factor: CSfpElement, coef: CoefPoly) -> CSfpElement:
@@ -509,27 +508,14 @@ def iota_kron_assignment(
     factor realized as the window shift: a -> z (x) U* on leg 0, etc.
     Matrices act on the tensor of the disc space (dim d) and the window
     (dim 2w+1); trust the interior kron_interior(d, w, margins) only."""
+    pres = sphere3_presentation()
+    ops = s3_leg_assignment(leg, params, d)
     u = pi_rep("+", LaurentPoly.numeric({1: 1}), w).mat
-    ustar = u.conj().T
-    eye_d = np.eye(d)
-    eye_w = np.eye(2 * w + 1)
-    z = disc_rep("z", params, d).mat
-    y = disc_rep("y", params, d).mat
-    if leg == 0:
-        return {
-            "a": np.kron(z, ustar),
-            "a*": np.kron(z.conj().T, u),
-            "b": np.kron(eye_d, u),
-            "b*": np.kron(eye_d, ustar),
-        }
-    if leg == 1:
-        return {
-            "a": np.kron(eye_d, ustar),
-            "a*": np.kron(eye_d, u),
-            "b": np.kron(y, u),
-            "b*": np.kron(y.conj().T, ustar),
-        }
-    raise ValueError("leg must be 0 or 1")
+    circle = {1: u, -1: u.conj().T}
+    return {
+        letter: np.kron(ops[letter].mat, circle[weight])
+        for letter, weight in zip(pres.letters, pres.weights)
+    }
 
 
 def kron_interior(d: int, w: int, disc_margin: int, window_margin: int) -> np.ndarray:
@@ -576,7 +562,7 @@ def podles_generators(params: ParamSet, d: int | None = None) -> PodlesPair:
 
     Both eta legs have exact boundary symbol s U; zeta has symbol 0."""
     d = params.d if d is None else d
-    qq = params.q**2
+    qq = disc_base("x", params)
     s = params.s
     n = np.arange(d)
     t_diag = qq**n

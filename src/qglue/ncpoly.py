@@ -9,7 +9,7 @@ explicit step (see presentations.normal_form).
 from __future__ import annotations
 
 from numbers import Rational
-from typing import Callable, Iterator, Mapping, Sequence, Tuple
+from typing import Iterator, Mapping, Sequence, Tuple
 
 from .coefficients import CoefPoly, _accumulate
 
@@ -55,9 +55,6 @@ class NCPoly:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def coefficient(self, word: Sequence[int]) -> CoefPoly:
-        return self._terms.get(tuple(word), CoefPoly())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, NCPoly):
@@ -174,14 +171,7 @@ class NCPoly:
         out._terms = terms
         return out
 
-    def map_coefficients(self, fn: Callable[[CoefPoly], CoefPoly]) -> "NCPoly":
-        return NCPoly(self.pres, {w: fn(c) for w, c in self._terms.items()})
-
     # -- display -----------------------------------------------------------
-
-    def _word_str(self, word: Word) -> str:
-        names = self.pres.letters
-        return " ".join(names[i] for i in word) if word else "1"
 
     def __str__(self) -> str:
         if not self._terms:
@@ -189,7 +179,7 @@ class NCPoly:
         parts = []
         for word, coef in sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0])):
             cs = str(coef)
-            ws = self._word_str(word)
+            ws = self.pres._word_str(word)
             if ws == "1":
                 parts.append(f"({cs})" if " " in cs else cs)
             elif coef.is_one():
@@ -281,9 +271,6 @@ class SymMatrix:
                 for ra, rb in zip(self.entries, other.entries)
             ],
         )
-
-    def map(self, fn: Callable[[NCPoly], NCPoly]) -> "SymMatrix":
-        return SymMatrix(self.pres, [[fn(e) for e in row] for row in self.entries])
 
     def __repr__(self) -> str:
         rows, cols = self.shape

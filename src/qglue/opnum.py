@@ -15,9 +15,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .circle import EXACT, LaurentPoly
+from .circle import EXACT, LaurentPoly, _params_qps
 from .errors import DimensionMismatch, WindowOverflow
 from .ncpoly import NCPoly
+from .presets import DISC_FLAVOURS
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,6 @@ class TruncOp:
     def adjoint(self) -> "TruncOp":
         return TruncOp(self.mat.conj().T, self.bandwidth, self.lattice, self.w)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.mat, 2))
-
     def __repr__(self) -> str:
         tag = f"Z,w={self.w}" if self.lattice == "Z" else "N"
         return f"TruncOp({self.d}x{self.d}, bw={self.bandwidth}, lattice={tag})"
@@ -190,15 +188,13 @@ def shift(d: int) -> TruncOp:
     return weighted_shift(np.ones(d - 1))
 
 
-_DISC_BASE = {"z": "q", "y": "p", "x": "q2"}
-
-
 def disc_base(letter: str, params: ParamSet) -> float:
-    """Deformation base encoded in the disc letter name."""
-    kind = _DISC_BASE.get(letter.rstrip("*"))
-    if kind is None:
-        raise ValueError(f"not a disc letter: {letter!r}")
-    return {"q": params.q, "p": params.p, "q2": params.q**2}[kind]
+    """Deformation base of a disc letter (or its star), as presets.DISC_FLAVOURS
+    declares it, evaluated at params."""
+    for flavour_letter, base in DISC_FLAVOURS.values():
+        if flavour_letter == letter.rstrip("*"):
+            return base.evaluate(params.q, params.p, params.s)
+    raise ValueError(f"not a disc letter: {letter!r}")
 
 
 def disc_rep(letter: str, params: ParamSet, d: int | None = None) -> TruncOp:
@@ -250,19 +246,14 @@ def pi_rep(sign: str, f: LaurentPoly, w: int, params=None) -> TruncOp:
     d = 2 * w + 1
     mat = np.zeros((d, d), dtype=np.complex128)
     bandwidth = 0
+    point = _params_qps(params) if f.mode == EXACT else None
     for n, coef in f.terms.items():
         if abs(n) > w:
             raise WindowOverflow(
                 f"monomial exponent {n} does not fit in window radius {w}"
             )
         bandwidth = max(bandwidth, abs(n))
-        if f.mode == EXACT:
-            from .circle import _params_qps
-
-            q, p, s = _params_qps(params)
-            value = complex(coef.evaluate(q, p, s))
-        else:
-            value = complex(coef)
+        value = complex(coef if point is None else coef.evaluate(*point))
         for j in range(-w, w + 1):
             if sign == "+":
                 k = _trajectory_plus(j, n)

@@ -209,6 +209,22 @@ class Presentation:
     def _word_str(self, word: Word) -> str:
         return " ".join(self.letters[i] for i in word) if word else "1"
 
+    def rule_element(self, rule: Rule) -> NCPoly:
+        """The relation a rule asserts, as the element redex - rhs."""
+        terms = {rule.redex: ONE}
+        for word, coef in rule.rhs:
+            _accumulate(terms, word, -coef)
+        return NCPoly(self, terms)
+
+    def rule_text(self, rule: Rule) -> str:
+        """The rule as 'lhs -> (coef) word + ...', in the syntax of the text
+        format; the empty word renders as nothing, an empty rhs as 0."""
+        rhs = " + ".join(
+            f"({coef}) {' '.join(self.letters[i] for i in word)}".strip()
+            for word, coef in rule.rhs
+        )
+        return f"{' '.join(self.letters[i] for i in rule.redex)} -> {rhs or '0'}"
+
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> None:
@@ -223,8 +239,7 @@ class Presentation:
                         f"inhomogeneous at {self._word_str(word)}"
                     )
         for rule in self.rules:
-            element = NCPoly(self, {rule.redex: ONE}) - NCPoly(self, dict(rule.rhs))
-            if not normal_form(element.star()).is_zero():
+            if not normal_form(self.rule_element(rule).star()).is_zero():
                 raise PresentationError(
                     f"{self.name}: adjoint of rule {self._word_str(rule.redex)} -> ... "
                     "does not reduce to zero"

@@ -1,37 +1,37 @@
 """Curated presentations shipped with the package.
 
-Every rule set below is oriented by the term order declared with it and was
-checked for confluence by hand on all critical pairs; the randomized
-confluence suite re-checks them continuously.
+Every rule set below is oriented by the term order declared with it. Its
+confluence is probed, not certified: the `confluence` suite reduces random
+words in random rule order and compares the results with the deterministic
+normal form. Certification over all critical pairs is not implemented yet.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coefficients import CoefPoly, ONE, P, Q, S
+from .coefficients import ONE, P, Q, S
 from .ncpoly import NCPoly
 from .presentations import Presentation
 
 _QINV = Q.inverse_monomial()
 _PINV = P.inverse_monomial()
 
+# The quantum-disc flavours: flavour name -> (letter, exact deformation base).
+DISC_FLAVOURS = {"q": ("z", Q), "p": ("y", P), "q2": ("x", Q * Q)}
+
 
 @lru_cache(maxsize=None)
 def disc_presentation(which: str = "q") -> Presentation:
     """Quantum disc: one normal letter with z* z = base zz* + (1 - base).
 
-    which selects the deformation base and the letter names:
-    "q" -> z with base q, "p" -> y with base p, "q2" -> x with base q^2.
+    which selects the letter name and the deformation base from
+    DISC_FLAVOURS: "q" -> z with base q, "p" -> y with base p, "q2" -> x
+    with base q^2.
     """
-    if which == "q":
-        letter, base = "z", Q
-    elif which == "p":
-        letter, base = "y", P
-    elif which == "q2":
-        letter, base = "x", Q * Q
-    else:
+    if which not in DISC_FLAVOURS:
         raise ValueError(f"unknown disc flavour {which!r}")
+    letter, base = DISC_FLAVOURS[which]
     star = letter + "*"
     return Presentation(
         name=f"disc-{which}",

@@ -51,7 +51,7 @@ from .opnum import (
     ParamSet,
     diag_op,
     disc_assignment,
-    disc_rep,
+    disc_base,
     evaluate,
     identity,
     pi_rep,
@@ -61,6 +61,7 @@ from .opnum import (
 )
 from .presentations import degree, normal_form, verify_identity
 from .presets import (
+    DISC_FLAVOURS,
     all_presentations,
     disc_presentation,
     podles_zeta_eta,
@@ -73,24 +74,6 @@ from .report import CheckRecord, FAIL, PASS, WARN
 # -- small helpers -----------------------------------------------------------------
 
 
-def _rule_element(pres, rule) -> NCPoly:
-    terms = {rule.redex: ONE}
-    for word, coef in rule.rhs:
-        _accumulate(terms, word, -coef)
-    return NCPoly(pres, terms)
-
-
-def _rule_text(pres, rule) -> str:
-    lhs = " ".join(pres.letters[i] for i in rule.redex)
-    if not rule.rhs:
-        return f"{lhs} -> 0"
-    parts = []
-    for word, coef in rule.rhs:
-        wtxt = " ".join(pres.letters[i] for i in word)
-        parts.append(f"({coef}) {wtxt}".strip())
-    return f"{lhs} -> " + " + ".join(parts)
-
-
 def _res(suite, check, residual, tol, anchor) -> CheckRecord:
     return CheckRecord(
         suite=suite,
@@ -99,6 +82,19 @@ def _res(suite, check, residual, tol, anchor) -> CheckRecord:
         residual=float(residual),
         anchor=anchor,
     )
+
+
+def _relation_records(suite, check, pres, residual, tol, note="") -> list[CheckRecord]:
+    """One record per rule of pres: residual(rule element) against tol."""
+    return [
+        _res(suite, check, residual(pres.rule_element(rule)), tol, pres.rule_text(rule) + note)
+        for rule in pres.rules
+    ]
+
+
+def _window_residual(ops, params: ParamSet):
+    """The largest entry of an element evaluated on truncated operators."""
+    return lambda x: evaluate(x, ops, params).max_abs(guard=0)
 
 
 def _flag(suite, check, ok, anchor, value=None, expected=None) -> CheckRecord:
@@ -134,9 +130,8 @@ def _random_element(pres, rng: random.Random, n_words: int = 2, max_len: int = 5
     terms = {}
     for _ in range(n_words):
         coef = CoefPoly.scalar(Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 3)))
-        word = _random_word(pres, rng, max_len)
-        terms[word] = terms.get(word, CoefPoly()) + coef
-    return NCPoly(pres, {w: c for w, c in terms.items() if c})
+        _accumulate(terms, _random_word(pres, rng, max_len), coef)
+    return NCPoly(pres, terms)
 
 
 def confluence_sample(pres, n_words: int, max_len: int, rng: random.Random) -> int:
@@ -160,18 +155,16 @@ def suite_disc(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
 ) -> list[CheckRecord]:
     recs = []
-    for which, base in (("q", params.q), ("p", params.p), ("q2", params.q**2)):
+    for which, (letter, _) in DISC_FLAVOURS.items():
         pres = disc_presentation(which)
-        letter = pres.letters[0]
+        base = disc_base(letter, params)
         ops = disc_assignment(pres, params)
-        for rule in pres.rules:
-            res = evaluate(_rule_element(pres, rule), ops, params).max_abs(guard=0)
-            recs.append(
-                _res("disc", f"relation [{which}]", res, params.tol, _rule_text(pres, rule))
-            )
+        recs += _relation_records(
+            "disc", f"relation [{which}]", pres, _window_residual(ops, params), params.tol
+        )
         z = ops[letter]
-        t = diag_op(base ** np.arange(params.d))
-        res = (identity(params.d) - z @ z.adjoint() - t).max_abs(guard=0)
+        t = base ** np.arange(params.d)
+        res = (identity(params.d) - z @ z.adjoint() - diag_op(t)).max_abs(guard=0)
         recs.append(
             _res(
                 "disc",
@@ -185,9 +178,8 @@ def suite_disc(
         for N in range(1, min(nmax, 5) + 1):
             lhs = (z.adjoint() ** N) @ (z**N)
             v = np.ones(params.d)
-            tt = base ** np.arange(params.d)
             for k in range(1, N + 1):
-                v = v * (1.0 - base**k * tt)
+                v = v * (1.0 - base**k * t)
             res = (lhs - diag_op(v)).max_abs(guard=0)
             recs.append(
                 _res(
@@ -211,28 +203,23 @@ def suite_s3(
     pres = sphere3_presentation()
     for leg in (0, 1):
         ops = s3_leg_assignment(leg, params)
-        for rule in pres.rules:
-            res = evaluate(_rule_element(pres, rule), ops, params).max_abs(guard=0)
-            recs.append(
-                _res("s3", f"relation [leg {leg}]", res, params.tol, _rule_text(pres, rule))
-            )
+        recs += _relation_records(
+            "s3", f"relation [leg {leg}]", pres, _window_residual(ops, params), params.tol
+        )
     # honest tensor picture: same relations on kron matrices, interior only
     dk, wk = 24, 6
-    interior = kron_interior(dk, wk, 5, 5)
+    keep = kron_interior(dk, wk, 5, 5)
+    interior = np.ix_(keep, keep)
     for leg in (0, 1):
         raw = iota_kron_assignment(leg, params, dk, wk)
-        for rule in pres.rules:
-            mat = evaluate_raw(_rule_element(pres, rule), raw, params)
-            res = float(np.max(np.abs(mat[np.ix_(interior, interior)])))
-            recs.append(
-                _res(
-                    "s3",
-                    f"kron relation [leg {leg}]",
-                    res,
-                    params.tol,
-                    _rule_text(pres, rule) + " (tensor interior)",
-                )
-            )
+        recs += _relation_records(
+            "s3",
+            f"kron relation [leg {leg}]",
+            pres,
+            lambda x: float(np.max(np.abs(evaluate_raw(x, raw, params)[interior]))),
+            params.tol,
+            " (tensor interior)",
+        )
     for trial in range(5):
         x = _random_element(pres, rng, n_words=2, max_len=4)
         ok = iota(x, params, d=8).w_compatible()
@@ -257,11 +244,9 @@ def suite_s2(
     pres = sphere2_presentation()
     for leg in (0, 1):
         ops = s2_leg_assignment(leg, params)
-        for rule in pres.rules:
-            res = evaluate(_rule_element(pres, rule), ops, params).max_abs(guard=0)
-            recs.append(
-                _res("s2", f"relation [leg {leg}]", res, params.tol, _rule_text(pres, rule))
-            )
+        recs += _relation_records(
+            "s2", f"relation [leg {leg}]", pres, _window_residual(ops, params), params.tol
+        )
     return recs
 
 
@@ -401,9 +386,8 @@ def _random_exact(cls, rng: random.Random, draw_key, n_terms: int = 3):
     terms = {}
     for _ in range(n_terms):
         key = draw_key()
-        coef = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
-        terms[key] = terms.get(key, Fraction(0)) + coef
-    return cls.exact({k: c for k, c in terms.items() if c})
+        _accumulate(terms, key, Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)))
+    return cls.exact(terms)
 
 
 def suite_hopf(

@@ -234,10 +234,6 @@ def load_presentation(text: str, check_order: bool = True) -> Presentation:
     )
 
 
-def _coef_text(coef: CoefPoly) -> str:
-    return f"({coef})"
-
-
 def dump_presentation(pres: Presentation) -> str:
     """Render a presentation back into the text format (round-trips through
     load_presentation)."""
@@ -251,19 +247,11 @@ def dump_presentation(pres: Presentation) -> str:
         if i not in starred:
             parts.append(f"star {pres.letters[j]}")
             if not scale.is_one():
-                parts.append(f"scale {_coef_text(scale)}")
+                parts.append(f"scale ({scale})")
             starred.add(i)
             starred.add(j)
         lines.append(" ".join(parts))
     for rule in pres.rules:
         head = "pbwrule" if rule.pbw else "rule"
-        lhs = " ".join(pres.letters[i] for i in rule.redex)
-        if rule.rhs:
-            rhs = " + ".join(
-                f"{_coef_text(c)} {' '.join(pres.letters[i] for i in w)}".strip()
-                for w, c in rule.rhs
-            )
-        else:
-            rhs = "0"
-        lines.append(f"{head} {lhs} -> {rhs}")
+        lines.append(f"{head} {pres.rule_text(rule)}")
     return "\n".join(lines) + "\n"

@@ -237,3 +237,19 @@ def test_mixed_arithmetic_matches_exact_evaluation(x, y, n, pt):
     assert ev(x**n, pt) == ev(x, pt) ** n
     for z in (x, y, x + y, x - y, x * y, x**n):
         assert_stored_form(z)
+
+
+def test_exponents_must_be_integers():
+    # a float exponent used to be truncated: (1.5, 0, 0) read as q
+    with pytest.raises(TypeError):
+        CoefPoly({(1.5, 0, 0): 1})
+    with pytest.raises(TypeError):
+        CoefPoly({(0, 0, 0.7): 2})
+    with pytest.raises(TypeError):
+        CoefPoly.monomial(e_p=2.0)
+    # any integer type is accepted and stored as an int
+    import numpy as np
+
+    x = CoefPoly({(np.int64(2), np.int32(-1), 0): 3})
+    assert x == 3 * Q * Q * P**-1
+    assert all(type(e) is int for expo, _ in x.items() for e in expo)

@@ -23,6 +23,7 @@ from qglue import (
     iota,
     iota_kron_assignment,
     kron_interior,
+    pi_rep,
     podles_generators,
     polar_part,
     psi_inverse,
@@ -311,6 +312,33 @@ def test_kron_legs_satisfy_relations_on_interior():
         assert interior_max(a @ bstar - bstar @ a) < 1e-10
         sphere = (a @ astar) @ (b @ bstar) - a @ astar - b @ bstar + eye
         assert interior_max(sphere) < 1e-10
+
+
+def test_gluing_map_agrees_across_its_uses():
+    # iota, the leg assignment, the leg symbol and the kron picture all read
+    # one gluing map: on each leg a letter is its leg operator (x) U^weight,
+    # and that operator's symbol is U to the leg-symbol exponent
+    pres = sphere3_presentation()
+    d, w = 10, 3
+    for leg in (0, 1):
+        ops = s3_leg_assignment(leg, PARAMS, d)
+        kron = iota_kron_assignment(leg, PARAMS, d, w)
+        for letter, weight in zip(pres.letters, pres.weights):
+            gen = pres.gen(letter)
+            sym = s3_leg_symbol(gen, leg)
+            assert list(sym.terms.values()) == [1]
+            image = iota(gen, PARAMS, d).legs[leg]
+            assert list(image) == [weight]
+            op, image_sym = image[weight]
+            assert np.array_equal(op.mat, ops[letter].mat)
+            assert op.bandwidth == ops[letter].bandwidth
+            assert image_sym == sym
+            circle = pi_rep("+", LaurentPoly.numeric({weight: 1}), w).mat
+            assert np.array_equal(kron[letter], np.kron(ops[letter].mat, circle))
+            # the leg operator is the unit exactly where the symbol is 1
+            (exponent,) = sym.terms
+            is_unit = np.array_equal(ops[letter].mat, np.eye(d))
+            assert is_unit == (exponent == 0)
 
 
 def test_evaluate_raw_matches_word_product():

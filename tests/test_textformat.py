@@ -12,6 +12,7 @@ from qglue import (
     PresentationError,
     Q,
     all_presentations,
+    disc_presentation,
     dump_presentation,
     load_presentation,
     normal_form,
@@ -121,3 +122,23 @@ def test_letters_take_no_exponents():
 def test_trailing_tokens_rejected():
     with pytest.raises(PresentationError):
         parse_poly_text("q )", {"z"})
+
+
+@pytest.mark.parametrize("name", sorted(all_presentations()))
+def test_dump_writes_each_rule_as_its_rule_text(name):
+    pres = all_presentations()[name]
+    lines = dump_presentation(pres).splitlines()
+    rule_lines = [line for line in lines if line.split()[0] in ("rule", "pbwrule")]
+    assert rule_lines == [
+        ("pbwrule" if rule.pbw else "rule") + " " + pres.rule_text(rule)
+        for rule in pres.rules
+    ]
+
+
+def test_rule_text_renders_the_empty_word_as_nothing():
+    (rule,) = disc_presentation("q").rules
+    assert disc_presentation("q").rule_text(rule) == "z* z -> (q) z z* + (1 - 1 q)"
+    (rule,) = disc_presentation("q2").rules
+    assert disc_presentation("q2").rule_text(rule) == "x* x -> (q^2) x x* + (1 - 1 q^2)"
+    zero_rule = all_presentations()["s2pq"].rules[0]
+    assert all_presentations()["s2pq"].rule_text(zero_rule) == "A B -> 0"
