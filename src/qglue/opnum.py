@@ -48,32 +48,66 @@ class ParamSet:
 
 
 class TruncOp:
-    """A d x d window onto an operator, plus its trust bookkeeping."""
+    """A d x d window onto an operator, plus its trust bookkeeping.
 
-    __slots__ = ("mat", "bandwidth", "lattice", "w")
+    The window is stored by diagonals: offset k (column minus row) maps to
+    the vector of the entries (i, i + k) that lie in the window, in row
+    order, and only diagonals with a nonzero entry are kept. So a product of
+    operators with k1 and k2 diagonals costs O(d k1 k2). TruncOp(mat, ...)
+    takes a dense square array; .mat builds the dense window on each read.
+    """
+
+    __slots__ = ("_diags", "d", "bandwidth", "lattice", "w")
 
     def __init__(self, mat, bandwidth: int = 0, lattice: str = "N", w: int | None = None):
-        arr = np.array(mat, dtype=np.complex128)
+        arr = np.asarray(mat, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"operator must be square, got shape {arr.shape}")
-        if lattice not in ("N", "Z"):
-            raise ValueError(f"lattice must be 'N' or 'Z', got {lattice!r}")
-        if lattice == "Z":
-            if w is None or arr.shape[0] != 2 * w + 1:
-                raise DimensionMismatch(
-                    "integer-lattice window of radius w needs dimension 2w+1"
-                )
-        else:
-            w = None
-        arr.setflags(write=False)
-        self.mat = arr
-        self.bandwidth = min(max(int(bandwidth), 0), arr.shape[0])
+        d = arr.shape[0]
+        w = _checked_window(d, lattice, w)
+        diags = {k: np.diagonal(arr, k).copy() for k in range(1 - d, d)}
+        self._store(diags, d, bandwidth, lattice, w)
+
+    @classmethod
+    def _new(cls, diags, d, bandwidth, lattice, w) -> "TruncOp":
+        """An operator from {offset: diagonal vector}; the vectors are taken
+        over, not copied."""
+        op = object.__new__(cls)
+        op._store(diags, d, bandwidth, lattice, w)
+        return op
+
+    def _store(self, diags, d, bandwidth, lattice, w) -> None:
+        self._diags = {}
+        for k in sorted(diags):
+            vec = diags[k]
+            if vec.any():
+                vec.setflags(write=False)
+                self._diags[k] = vec
+        self.d = d
+        self.bandwidth = min(max(int(bandwidth), 0), d)
         self.lattice = lattice
         self.w = w
 
+    def _like(self, diags, bandwidth: int) -> "TruncOp":
+        return TruncOp._new(diags, self.d, bandwidth, self.lattice, self.w)
+
+    def _block(self, lo: int, hi: int) -> np.ndarray:
+        """The dense block of rows and columns [lo, hi), read-only."""
+        n = hi - lo
+        out = np.zeros((n, n), dtype=np.complex128)
+        flat = out.reshape(-1)
+        for k, vec in self._diags.items():
+            seg = _segment(k, vec, lo, hi)
+            if seg.size:
+                start = max(0, -k) * n + max(0, k)
+                flat[start :: n + 1][: seg.size] = seg
+        out.setflags(write=False)
+        return out
+
     @property
-    def d(self) -> int:
-        return self.mat.shape[0]
+    def mat(self) -> np.ndarray:
+        """The whole window as a read-only dense array."""
+        return self._block(0, self.d)
 
     def trusted_range(self, guard: int = 0) -> tuple[int, int]:
         """Index range [lo, hi) on which entries are trusted."""
@@ -83,14 +117,13 @@ class TruncOp:
         return (lo, max(lo, hi))
 
     def trusted_block(self, guard: int = 0) -> np.ndarray:
-        lo, hi = self.trusted_range(guard)
-        return self.mat[lo:hi, lo:hi]
+        return self._block(*self.trusted_range(guard))
 
     def max_abs(self, guard: int | None = None) -> float:
         """Largest entry magnitude: of the whole window when guard is None,
         else of the guarded trusted block (0.0 when that block is empty)."""
-        block = self.mat if guard is None else self.trusted_block(guard)
-        return float(np.max(np.abs(block))) if block.size else 0.0
+        lo, hi = (0, self.d) if guard is None else self.trusted_range(guard)
+        return _max_abs([_segment(k, vec, lo, hi) for k, vec in self._diags.items()])
 
     def _compat(self, other: "TruncOp") -> None:
         if self.lattice != other.lattice or self.w != other.w or self.d != other.d:
@@ -100,12 +133,14 @@ class TruncOp:
             )
 
     def _entrywise(self, other, op):
-        """Sum or difference: entrywise op, the larger bandwidth."""
+        """Sum or difference: op per offset (an absent diagonal reads as
+        0.0), the larger bandwidth."""
         if not isinstance(other, TruncOp):
             return NotImplemented
         self._compat(other)
-        bandwidth = max(self.bandwidth, other.bandwidth)
-        return TruncOp(op(self.mat, other.mat), bandwidth, self.lattice, self.w)
+        mine, theirs = self._diags, other._diags
+        diags = {k: op(mine.get(k, 0.0), theirs.get(k, 0.0)) for k in mine.keys() | theirs.keys()}
+        return self._like(diags, max(self.bandwidth, other.bandwidth))
 
     def __add__(self, other):
         return self._entrywise(other, np.add)
@@ -114,51 +149,93 @@ class TruncOp:
         return self._entrywise(other, np.subtract)
 
     def __neg__(self):
-        return TruncOp(-self.mat, self.bandwidth, self.lattice, self.w)
+        return self._like({k: -vec for k, vec in self._diags.items()}, self.bandwidth)
 
     def __matmul__(self, other):
+        """Entry (i, i + a + b) gains A[i, i + a] * B[i + a, i + a + b] for
+        each pair of offsets a of self and b of other."""
         if not isinstance(other, TruncOp):
             return NotImplemented
         self._compat(other)
-        return TruncOp(
-            self.mat @ other.mat,
-            self.bandwidth + other.bandwidth,
-            self.lattice,
-            self.w,
-        )
+        d = self.d
+        diags = {}
+        for a, va in self._diags.items():
+            for b, vb in other._diags.items():
+                c = a + b
+                lo, hi = max(0, -a, -c), min(d, d - a, d - c)
+                if hi <= lo:
+                    continue
+                ra, rb, rc = max(0, -a), a - max(0, -b), max(0, -c)
+                acc = diags.get(c)
+                if acc is None:
+                    acc = diags[c] = np.zeros(d - abs(c), dtype=np.complex128)
+                acc[lo - rc : hi - rc] += va[lo - ra : hi - ra] * vb[lo + rb : hi + rb]
+        return self._like(diags, self.bandwidth + other.bandwidth)
 
     def __mul__(self, scalar):
         if isinstance(scalar, TruncOp):
             return NotImplemented
-        return TruncOp(self.mat * complex(scalar), self.bandwidth, self.lattice, self.w)
+        c = complex(scalar)
+        return self._like({k: vec * c for k, vec in self._diags.items()}, self.bandwidth)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Binary powering: the result takes the squares of self for the set
+        bits of n, lowest first."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = identity_like(self)
+        if n == 0:
+            return identity_like(self)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base @ base
 
     def adjoint(self) -> "TruncOp":
-        return TruncOp(self.mat.conj().T, self.bandwidth, self.lattice, self.w)
+        return self._like({-k: vec.conj() for k, vec in self._diags.items()}, self.bandwidth)
 
     def __repr__(self) -> str:
         tag = f"Z,w={self.w}" if self.lattice == "Z" else "N"
         return f"TruncOp({self.d}x{self.d}, bw={self.bandwidth}, lattice={tag})"
 
 
+def _checked_window(d: int, lattice: str, w: int | None) -> int | None:
+    """The window radius to store: w on the integer lattice, where the
+    dimension must be 2w + 1, else None."""
+    if lattice not in ("N", "Z"):
+        raise ValueError(f"lattice must be 'N' or 'Z', got {lattice!r}")
+    if lattice == "N":
+        return None
+    if w is None or d != 2 * w + 1:
+        raise DimensionMismatch("integer-lattice window of radius w needs dimension 2w+1")
+    return w
+
+
+def _segment(k: int, vec: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The part of diagonal k that lies in the block of rows and columns
+    [lo, hi)."""
+    return vec[lo : max(lo, hi - abs(k))]
+
+
+def _max_abs(parts) -> float:
+    """Largest magnitude over some diagonal parts; 0.0 for no entries (the
+    rest of the window is zero)."""
+    parts = [part for part in parts if part.size]
+    return float(np.max(np.abs(np.concatenate(parts)))) if parts else 0.0
+
+
 # -- constructors -------------------------------------------------------------
 
 
 def identity(d: int, lattice: str = "N", w: int | None = None) -> TruncOp:
-    return TruncOp(np.eye(d, dtype=np.complex128), 0, lattice, w)
+    w = _checked_window(d, lattice, w)
+    return TruncOp._new({0: np.ones(d, dtype=np.complex128)}, d, 0, lattice, w)
 
 
 def identity_like(op: TruncOp) -> TruncOp:
@@ -166,21 +243,22 @@ def identity_like(op: TruncOp) -> TruncOp:
 
 
 def zero(d: int, lattice: str = "N", w: int | None = None) -> TruncOp:
-    return TruncOp(np.zeros((d, d), dtype=np.complex128), 0, lattice, w)
+    return TruncOp._new({}, d, 0, lattice, _checked_window(d, lattice, w))
 
 
 def diag_op(values, lattice: str = "N", w: int | None = None) -> TruncOp:
-    return TruncOp(np.diag(np.asarray(values, dtype=np.complex128)), 0, lattice, w)
+    vec = np.array(values, dtype=np.complex128)
+    if vec.ndim != 1:
+        raise DimensionMismatch(f"diagonal values must be a vector, got shape {vec.shape}")
+    d = vec.size
+    return TruncOp._new({0: vec}, d, 0, lattice, _checked_window(d, lattice, w))
 
 
 def weighted_shift(weights) -> TruncOp:
     """Weighted unilateral shift e_n -> weights[n] e_{n+1} on the window of
     size len(weights) + 1; bandwidth 1."""
-    d = len(weights) + 1
-    mat = np.zeros((d, d), dtype=np.complex128)
-    idx = np.arange(d - 1)
-    mat[idx + 1, idx] = weights
-    return TruncOp(mat, 1, "N")
+    vec = np.array(weights, dtype=np.complex128)
+    return TruncOp._new({-1: vec}, vec.size + 1, 1, "N", None)
 
 
 def shift(d: int) -> TruncOp:
@@ -244,7 +322,7 @@ def pi_rep(sign: str, f: LaurentPoly, w: int, params=None) -> TruncOp:
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     d = 2 * w + 1
-    mat = np.zeros((d, d), dtype=np.complex128)
+    diags = {}
     bandwidth = 0
     point = _params_qps(params) if f.mode == EXACT else None
     for n, coef in f.terms.items():
@@ -261,8 +339,12 @@ def pi_rep(sign: str, f: LaurentPoly, w: int, params=None) -> TruncOp:
                 k = _trajectory_minus(j, n)
             if k is None or abs(k) > w:
                 continue
-            mat[k + w, j + w] += value
-    return TruncOp(mat, bandwidth, "Z", w)
+            row, col = k + w, j + w
+            offset = col - row
+            if offset not in diags:
+                diags[offset] = np.zeros(d - abs(offset), dtype=np.complex128)
+            diags[offset][min(row, col)] += value
+    return TruncOp._new(diags, d, bandwidth, "Z", w)
 
 
 # -- evaluation of symbolic elements -------------------------------------------
@@ -333,15 +415,17 @@ def trace_finite_rank(op: TruncOp, tail_tol: float = 1e-9, guard: int = 2) -> Tr
         lo, hi = op.trusted_range(guard)
     if hi <= lo:
         raise DimensionMismatch("window too small for the requested guard")
-    mask = np.ones((op.d, op.d), dtype=bool)
-    mask[lo:hi, lo:hi] = False
-    tail_max = float(np.max(np.abs(op.mat[mask]))) if mask.any() else 0.0
+    tail = []
+    for k, vec in op._diags.items():
+        inside_end = lo + _segment(k, vec, lo, hi).size
+        tail += [vec[:lo], vec[inside_end:]]
+    tail_max = _max_abs(tail)
     if tail_max > tail_tol:
         raise ValueError(
             f"operator is not finite-rank within the window: tail {tail_max:.3e} "
             f"exceeds {tail_tol:.3e}"
         )
-    value = complex(np.trace(op.mat))
+    value = complex(op._diags[0].sum()) if 0 in op._diags else 0j
     return TraceResult(value=float(value.real), exact=tail_max == 0.0, tail_max=tail_max)
 
 
@@ -360,20 +444,26 @@ def trusted_diff_norm(a: TruncOp, b: TruncOp, guard: int = 0) -> float:
         hi = min(a.trusted_range(guard)[1], b.trusted_range(guard)[1])
     if hi <= lo:
         raise DimensionMismatch("no common trusted block")
-    block = a.mat[lo:hi, lo:hi] - b.mat[lo:hi, lo:hi]
+    block = a._block(lo, hi) - b._block(lo, hi)
     return float(np.linalg.norm(block, 2))
 
 
 def inv_sqrt_psd(op: TruncOp, floor: float = 1e-12) -> TruncOp:
-    """Pseudo-inverse square root of a positive semidefinite operator via
-    eigendecomposition. Eigenvalues at or below the floor map to zero (a
-    truncated positive operator always picks up a zero at the boundary);
-    genuinely negative eigenvalues raise. Intended for the essentially
-    diagonal positive operators arising here."""
-    herm = float(np.linalg.norm(op.mat - op.mat.conj().T))
-    if herm > 1e-12 * max(1.0, float(np.linalg.norm(op.mat))):
+    """Pseudo-inverse square root of a positive semidefinite operator.
+    Eigenvalues at or below the floor map to zero (a truncated positive
+    operator always picks up a zero at the boundary); genuinely negative
+    eigenvalues raise. A diagonal operator, the case arising here, is
+    handled entrywise and keeps its bandwidth; any other goes through an
+    eigendecomposition and is trusted nowhere."""
+    diagonal = op._diags.keys() <= {0}
+    mat = op._diags.get(0, np.zeros(op.d, dtype=np.complex128)) if diagonal else op.mat
+    herm = float(np.linalg.norm(mat - mat.conj().T))
+    if herm > 1e-12 * max(1.0, float(np.linalg.norm(mat))):
         raise ValueError(f"operator is not self-adjoint (defect {herm:.3e})")
-    eigvals, eigvecs = np.linalg.eigh(op.mat)
+    if diagonal:
+        eigvals = mat.real
+    else:
+        eigvals, eigvecs = np.linalg.eigh(mat)
     if float(eigvals.min()) < -max(floor, 1e-12):
         raise ValueError(
             f"operator is not positive semidefinite: min eig {float(eigvals.min()):.3e}"
@@ -381,7 +471,6 @@ def inv_sqrt_psd(op: TruncOp, floor: float = 1e-12) -> TruncOp:
     inv = np.zeros_like(eigvals)
     keep = eigvals > floor
     inv[keep] = eigvals[keep] ** -0.5
-    mat = (eigvecs * inv) @ eigvecs.conj().T
-    diagonal = np.count_nonzero(op.mat - np.diag(np.diag(op.mat))) == 0
-    bandwidth = op.bandwidth if diagonal else op.d - 1
-    return TruncOp(mat, bandwidth, op.lattice, op.w)
+    if diagonal:
+        return op._like({0: inv.astype(np.complex128)}, op.bandwidth)
+    return TruncOp((eigvecs * inv) @ eigvecs.conj().T, op.d - 1, op.lattice, op.w)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coefficients import CoefPoly, _accumulate
+from .coefficients import P, Q, S, CoefPoly, _accumulate
 from .errors import PresentationError
 from .presentations import Presentation
 
@@ -105,11 +105,7 @@ class _PolyParser:
                     )
             base = inner.get((), CoefPoly())
         elif tok in ("q", "p", "s"):
-            base = {
-                "q": CoefPoly.monomial(e_q=1),
-                "p": CoefPoly.monomial(e_p=1),
-                "s": CoefPoly.monomial(e_s=1),
-            }[tok]
+            base = {"q": Q, "p": P, "s": S}[tok]
         elif re.fullmatch(r"\d+/\d+", tok):
             num, den = tok.split("/")
             base = CoefPoly.scalar(Fraction(int(num), int(den)))

@@ -1,7 +1,10 @@
-"""Import hygiene: no package module imports a name it never uses.
+"""Source hygiene, checked with the stdlib ast module.
 
-A stdlib stand-in for a linter's unused-import rule. __init__.py is exempt,
-since its imports are the package's re-exports.
+- No package module imports a name it never uses: a stand-in for a linter's
+  unused-import rule. __init__.py is exempt, since its imports are the
+  package's re-exports.
+- Only opnum, which stores operator windows, and the dense kron picture
+  (glue.iota_kron_assignment) read a window's dense .mat array.
 """
 
 import ast
@@ -38,3 +41,42 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# module name -> the functions outside opnum allowed to read .mat
+MAT_READERS = {"glue": {"iota_kron_assignment"}}
+
+
+def mat_readers(source: str) -> set[str]:
+    """Dotted names of the functions (or "<module>") that read an attribute
+    named mat."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "mat":
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_finds_mat_readers():
+    source = (
+        "x = op.mat\n"
+        "def f(op):\n    return [m.mat for m in op]\n"
+        "class C:\n    def g(self):\n        return self.mat.shape\n"
+        "def h(op):\n    return op.matrix\n"
+    )
+    assert mat_readers(source) == {"<module>", "f", "C.g"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "opnum"], ids=lambda p: p.name
+)
+def test_only_the_window_store_reads_dense_windows(path):
+    assert mat_readers(path.read_text()) <= MAT_READERS.get(path.stem, set())

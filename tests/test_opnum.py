@@ -318,3 +318,26 @@ def test_weighted_shift_of_ones_is_the_shift():
         assert ws.bandwidth == s.bandwidth == min(1, d)
     ws = weighted_shift([2.0, 3.0])
     assert np.array_equal(ws.mat, [[0, 0, 0], [2.0, 0, 0], [0, 3.0, 0]])
+
+
+def test_power_takes_one_product_per_squaring_and_per_set_bit(monkeypatch):
+    product = TruncOp.__matmul__
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(TruncOp, "__matmul__", counting)
+    z = disc_rep("z", ParamSet(d=12))
+    # results keep binary powering's association: the squares of z for the
+    # set bits of n, lowest first
+    z2 = product(z, z)
+    z4 = product(z2, z2)
+    want = [identity(12), z, z2, product(z, z2), z4, product(z, z4)]
+    for n, (count, expected) in enumerate(zip([0, 0, 1, 2, 2, 3], want)):
+        calls.clear()
+        got = z**n
+        assert len(calls) == count, n
+        assert np.array_equal(got.mat, expected.mat), n
+        assert got.bandwidth == min(n, 12)

@@ -1,0 +1,221 @@
+"""The diagonal store under TruncOp against a dense numpy reference, and the
+memory a window costs.
+
+The reference is plain dense arithmetic on the arrays the operators were
+built from. An entry that is a single product is bitwise the same either
+way when the windows are real (the case the program builds); BLAS forms a
+complex product with fused multiply-adds, and entries with several terms
+are summed in another order, so those are held to 4 ulps of the sum of the
+terms' magnitudes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qglue import DimensionMismatch, TruncOp, identity, inv_sqrt_psd, trace_finite_rank
+from qglue.opnum import weighted_shift
+
+ULPS = 4
+
+entries = st.one_of(
+    st.just(0.0),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def shapes(draw):
+    """(lattice, d, w) of a window on either lattice."""
+    lattice = draw(st.sampled_from(["N", "Z"]))
+    if lattice == "N":
+        return lattice, draw(st.integers(2, 9)), None
+    w = draw(st.integers(1, 4))
+    return lattice, 2 * w + 1, w
+
+
+@st.composite
+def windows(draw, shape=None, real=None):
+    """(TruncOp, dense array) for a random window with a few nonzero
+    diagonals at offsets in [-3, 3]; real or complex entries."""
+    lattice, d, w = draw(shapes()) if shape is None else shape
+    reach = min(3, d - 1)
+    offsets = draw(st.sets(st.integers(-reach, reach), min_size=1, max_size=3))
+    real = draw(st.booleans()) if real is None else real
+    dense = np.zeros((d, d), dtype=np.complex128)
+    for k in offsets:
+        n = d - abs(k)
+        vec = np.array(draw(st.lists(entries, min_size=n, max_size=n)), dtype=np.complex128)
+        if not real:
+            vec += 1j * np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+        rows = np.arange(n) + max(0, -k)
+        dense[rows, rows + k] = vec
+    bandwidth = draw(st.integers(0, 3))
+    return TruncOp(dense, bandwidth, lattice, w), dense
+
+
+@st.composite
+def window_pairs(draw):
+    shape = draw(shapes())
+    return draw(windows(shape)) + draw(windows(shape))
+
+
+def same_window(op: TruncOp, dense: np.ndarray) -> bool:
+    return np.array_equal(op.mat, dense) and op.mat.dtype == np.complex128
+
+
+def assert_product_matches(got: np.ndarray, want: np.ndarray, terms, scale, real):
+    """Bitwise where an entry is at most one real product, else within ULPS
+    ulps of the summed term magnitudes (scale)."""
+    tol = ULPS * np.spacing(scale)
+    assert np.all(np.abs(got.real - want.real) <= tol)
+    assert np.all(np.abs(got.imag - want.imag) <= tol)
+    if real:
+        single = terms <= 1
+        assert np.array_equal(got[single], want[single])
+
+
+def _terms(dense_a, dense_b):
+    return (dense_a != 0).astype(int) @ (dense_b != 0).astype(int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_pairs())
+def test_products_sums_and_adjoints_match_dense(ops):
+    a, dense_a, b, dense_b = ops
+    assert same_window(a, dense_a) and same_window(b, dense_b)
+    real = not np.any(dense_a.imag) and not np.any(dense_b.imag)
+    prod = a @ b
+    scale = np.abs(dense_a) @ np.abs(dense_b)
+    assert_product_matches(prod.mat, dense_a @ dense_b, _terms(dense_a, dense_b), scale, real)
+    assert prod.bandwidth == min(a.bandwidth + b.bandwidth, a.d)
+    assert same_window(a + b, dense_a + dense_b)
+    assert same_window(a - b, dense_a - dense_b)
+    assert same_window(-a, -dense_a)
+    assert same_window(a * 0.75, dense_a * 0.75)
+    assert same_window(a.adjoint(), dense_a.conj().T)
+    assert (a + b).bandwidth == max(a.bandwidth, b.bandwidth)
+    assert (prod.lattice, prod.w) == (a.lattice, a.w)
+
+
+def _dense_power(dense: np.ndarray, n: int) -> np.ndarray:
+    """Binary powering on dense arrays, in the association TruncOp uses."""
+    result, base = np.eye(len(dense), dtype=np.complex128), dense
+    while n:
+        if n & 1:
+            result = result @ base
+        base = base @ base
+        n >>= 1
+    return result
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows(real=True), st.integers(0, 4))
+def test_powers_match_dense(op_dense, n):
+    op, dense = op_dense
+    got = (op**n).mat
+    want = _dense_power(dense, n)
+    if sum(np.any(np.diagonal(dense, k)) for k in range(1 - op.d, op.d)) <= 1:
+        assert np.array_equal(got, want)  # one diagonal: every entry is one product
+    else:
+        scale = _dense_power(np.abs(dense), n).real
+        assert np.all(np.abs(got - want) <= ULPS * np.spacing(scale))
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows(), st.integers(0, 3))
+def test_readers_match_dense(op_dense, guard):
+    op, dense = op_dense
+    lo, hi = op.trusted_range(guard)
+    block = op.trusted_block(guard)
+    assert np.array_equal(block, dense[lo:hi, lo:hi]) and block.shape == (hi - lo, hi - lo)
+    assert op.max_abs() == float(np.max(np.abs(dense)))
+    want = float(np.max(np.abs(dense[lo:hi, lo:hi]))) if hi > lo else 0.0
+    assert op.max_abs(guard) == want
+
+
+def _dense_trace(op: TruncOp, dense: np.ndarray, guard: int):
+    """trace_finite_rank on the dense window: the tail is everything outside
+    the guarded block, read through a boolean mask."""
+    lo, hi = (guard, op.d - guard) if op.lattice == "Z" else op.trusted_range(guard)
+    mask = np.ones(dense.shape, dtype=bool)
+    mask[lo:hi, lo:hi] = False
+    tail_max = float(np.max(np.abs(dense[mask]))) if mask.any() else 0.0
+    return float(complex(np.trace(dense)).real), tail_max == 0.0, tail_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows(), st.integers(0, 2), st.sampled_from([1e-9, 1.0, 10.0]))
+def test_trace_finite_rank_matches_dense(op_dense, guard, tail_tol):
+    op, dense = op_dense
+    lo, hi = (guard, op.d - guard) if op.lattice == "Z" else op.trusted_range(guard)
+    if hi <= lo:
+        with pytest.raises(DimensionMismatch):
+            trace_finite_rank(op, tail_tol, guard)
+        return
+    value, exact, tail_max = _dense_trace(op, dense, guard)
+    if tail_max > tail_tol:
+        with pytest.raises(ValueError, match="not finite-rank"):
+            trace_finite_rank(op, tail_tol, guard)
+        return
+    got = trace_finite_rank(op, tail_tol, guard)
+    assert (got.value, got.exact, got.tail_max) == (value, exact, tail_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.just(1e-13), st.floats(1e-6, 50.0)), min_size=1, max_size=12
+    ),
+    st.integers(0, 3),
+)
+def test_inv_sqrt_psd_of_a_diagonal_matches_eigh(values, bandwidth):
+    dense = np.diag(np.asarray(values, dtype=np.complex128))
+    got = inv_sqrt_psd(TruncOp(dense, bandwidth))
+    eigvals, eigvecs = np.linalg.eigh(dense)
+    inv = np.zeros_like(eigvals)
+    keep = eigvals > 1e-12
+    inv[keep] = eigvals[keep] ** -0.5
+    assert np.array_equal(got.mat, (eigvecs * inv) @ eigvecs.conj().T)
+    assert got.bandwidth == min(bandwidth, len(values))
+
+
+def test_inv_sqrt_psd_rejects_a_negative_diagonal():
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        inv_sqrt_psd(TruncOp(np.diag([1.0, -0.5, 2.0])))
+    with pytest.raises(ValueError, match="self-adjoint"):
+        inv_sqrt_psd(TruncOp(np.diag([1.0, 1.0 + 1.0j])))
+
+
+def test_mat_is_read_only():
+    op = weighted_shift([1.0, 2.0, 3.0])
+    for arr in (op.mat, op.trusted_block(1)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+    assert op.mat[1, 0] == 1.0
+
+
+def test_windows_at_d2048_never_hold_a_dense_window():
+    d = 2048
+    dense_bytes = d * d * np.dtype(np.complex128).itemsize  # 64 MB
+    tracemalloc.start()
+    try:
+        weights = np.linspace(1.0, 2.0, d - 1)
+        s = weighted_shift(np.ones(d - 1))
+        t = weighted_shift(weights)
+        prod = s.adjoint() @ t
+        total = prod + s
+        adj = total.adjoint()
+        largest = adj.max_abs(guard=1)
+        rank_one = identity(d) - s @ s.adjoint()  # the projection onto e_0
+        trace = trace_finite_rank(rank_one)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+    assert largest == weights[d - 4]  # trusted block: rows below d - 3
+    assert (trace.value, trace.exact) == (1.0, True)

@@ -9,8 +9,10 @@ from qglue import (
     CoefPoly,
     NCPoly,
     ONE,
+    P,
     PresentationError,
     Q,
+    S,
     all_presentations,
     disc_presentation,
     dump_presentation,
@@ -88,6 +90,11 @@ def test_poly_parser_exact_values():
     assert terms[()] == CoefPoly.scalar(-2)
     assert terms[("z",)] == ONE - Q
     assert parse_poly_text("0", letters) == {}
+
+
+def test_poly_parser_reads_the_ring_generators():
+    terms = parse_poly_text("q^-2 p s z", {"z"})
+    assert terms == {("z",): Q.inverse_monomial() ** 2 * P * S}
 
 
 def test_poly_parser_merges_repeated_words():
