@@ -371,18 +371,23 @@ def _at_point(params: ParamSet):
 
 def _word_sum(x: NCPoly, ops: Mapping, one, empty, weigh):
     """The one word-evaluation loop, shared with glue.evaluate_raw and
-    glue.iota: each word becomes the product of its letters' images starting
-    from one, is turned into a term by weigh(product, coefficient) and
+    glue.iota: each word becomes the product of its letters' images (one for
+    the empty word), is turned into a term by weigh(product, coefficient) and
     summed onto empty."""
     letters = x.pres.letters
+
+    def image(letter_index):
+        name = letters[letter_index]
+        if name not in ops:
+            raise KeyError(f"assignment misses letter {name!r}")
+        return ops[name]
+
     total = empty
     for word, coef in x.terms().items():
-        factor = one
-        for letter_index in word:
-            name = letters[letter_index]
-            if name not in ops:
-                raise KeyError(f"assignment misses letter {name!r}")
-            factor = factor @ ops[name]
+        images = map(image, word)
+        factor = next(images, one)
+        for op in images:
+            factor = factor @ op
         total = total + weigh(factor, coef)
     return total
 

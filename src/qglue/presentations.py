@@ -15,13 +15,20 @@ Words are compared by the measure (sum of per-letter order weights, length,
 letter sequence). Every rule must strictly decrease it, which makes the
 deterministic reducer terminate; the check can be disabled to build
 deliberately looping systems for guard tests.
+
+The deterministic reducer takes the largest pending word first, so each word
+is expanded once per call, and keeps nothing between calls except a bounded
+memo of whole normal_form calls on each presentation (see normal_form).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from numbers import Rational
+from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .coefficients import CoefPoly, ONE, _accumulate
@@ -29,6 +36,10 @@ from .errors import GradingError, PresentationError, RewriteLimitExceeded
 from .ncpoly import NCPoly, Word
 
 DEFAULT_MAX_STEPS = 1_000_000
+# whole normal_form calls remembered per presentation; a default verify pass
+# makes 833 of them, at most 300 (238 distinct) on one presentation, so every
+# call of a repeated pass is a hit
+NF_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -40,15 +51,12 @@ class Rule:
 
 
 class _Budget:
-    """The rewrite steps one normal_form call has left, and the normal-form
-    caches (pbw and subword-only) it reduces against."""
+    """The rewrite steps one normal_form call has left."""
 
-    __slots__ = ("left", "nf_cache", "nf_cache_subword")
+    __slots__ = ("left",)
 
-    def __init__(self, max_steps: int, nf_cache: dict, nf_cache_subword: dict):
+    def __init__(self, max_steps: int):
         self.left = int(max_steps)
-        self.nf_cache = nf_cache
-        self.nf_cache_subword = nf_cache_subword
 
     def tick(self) -> None:
         self.left -= 1
@@ -117,8 +125,9 @@ class Presentation:
                             f"not decrease the term order at {self._word_str(word)}"
                         )
 
-        self._nf_cache: dict[Word, dict[Word, CoefPoly]] = {}
-        self._nf_cache_subword: dict[Word, dict[Word, CoefPoly]] = {}
+        # input terms -> reduced terms of a whole default normal_form call,
+        # least recently used first
+        self._nf_cache: OrderedDict[frozenset, dict[Word, CoefPoly]] = OrderedDict()
 
     # -- construction helpers ------------------------------------------------
 
@@ -319,55 +328,51 @@ def _expand_once(pres: Presentation, word: Word, budget: _Budget, use_pbw: bool)
     return None
 
 
-def _word_nf(pres: Presentation, start: Word, budget: _Budget, use_pbw: bool):
-    cache = budget.nf_cache if use_pbw else budget.nf_cache_subword
-    hit = cache.get(start)
-    if hit is not None:
-        return hit
-    expansions: dict[Word, list] = {}
-    stack: list[tuple[Word, int]] = [(start, 0)]
-    while stack:
-        word, phase = stack.pop()
-        if phase == 0:
-            if word in cache or word in expansions:
-                continue
-            expansion = _expand_once(pres, word, budget, use_pbw)
-            if expansion is None:
-                cache[word] = {word: ONE}
-                continue
-            expansions[word] = expansion
-            stack.append((word, 1))
-            for child, _ in expansion:
-                if child not in cache and child not in expansions:
-                    stack.append((child, 0))
-        else:
-            acc: dict[Word, CoefPoly] = {}
-            for child, coef in expansions.pop(word):
-                child_nf = cache.get(child)
-                if child_nf is None:
-                    raise RewriteLimitExceeded(
-                        f"{pres.name}: cyclic reduction detected at "
-                        f"{pres._word_str(child)}"
-                    )
-                for w2, c2 in child_nf.items():
-                    _accumulate(acc, w2, coef * c2)
-            cache[word] = acc
-    return cache[start]
-
-
 def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw: bool):
-    acc: dict[Word, CoefPoly] = {}
-    for word, coef in terms.items():
-        for w2, c2 in _word_nf(pres, word, budget, use_pbw).items():
-            _accumulate(acc, w2, coef * c2)
-    return acc
+    """Reduce a sum of terms, largest word first.
+
+    The pending terms sit in a max-heap by the measure. Every rule lowers the
+    measure, so when a word is the largest one pending, every coefficient it
+    will get has been merged into it: it is expanded once, and its children
+    are merged back into the pending terms. A child that was already expanded
+    in this call can only come from a rule system that does not lower the
+    measure, and raises instead of looping until the budget runs out."""
+    weight = pres.order_weights.__getitem__
+
+    def entry(word):
+        return (-sum(map(weight, word)), -len(word), tuple(map(neg, word)), word)
+
+    pending = dict(terms)
+    heap = [entry(word) for word in pending]
+    heapq.heapify(heap)
+    expanded: set[Word] = set()
+    out: dict[Word, CoefPoly] = {}
+    while heap:
+        word = heapq.heappop(heap)[-1]
+        coef = pending.pop(word, None)
+        if coef is None:  # cancelled, or a second heap entry of a merged word
+            continue
+        expansion = _expand_once(pres, word, budget, use_pbw)
+        if expansion is None:
+            _accumulate(out, word, coef)
+            continue
+        expanded.add(word)
+        for child, c in expansion:
+            if child in expanded:
+                raise RewriteLimitExceeded(
+                    f"{pres.name}: cyclic reduction detected at {pres._word_str(child)}"
+                )
+            if child not in pending:
+                heapq.heappush(heap, entry(child))
+            _accumulate(pending, child, coef * c)
+    return out
 
 
 def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
     """Fully randomized reduction: at each step pick uniformly among every
-    applicable (word, rule, position) option. Bypasses the normal-form
-    cache (a pbw step still reduces its cofactor through the subword-only
-    one); used to probe confluence against the deterministic reducer."""
+    applicable (word, rule, position) option (a pbw step still reduces its
+    cofactor with the deterministic subword-only reducer); used to probe
+    confluence against the deterministic reducer."""
     acc = dict(terms)
     while True:
         options = []
@@ -399,28 +404,35 @@ def normal_form(
 ) -> NCPoly:
     """Reduce an element to its normal form.
 
-    Deterministic by default (memoized, leftmost-position first-rule);
-    passing an rng switches to the uncached randomized strategy, which
+    Deterministic by default (largest word first, leftmost-position
+    first-rule); passing an rng switches to the randomized strategy, which
     must agree with the deterministic one exactly when the rule system is
     confluent.
 
     max_steps bounds the rewrite steps (single rule applications) this call
     performs; past it the call raises RewriteLimitExceeded. Without it the
     bound is DEFAULT_MAX_STEPS, a guard against rule systems that do not
-    terminate, and the call reduces against the presentation's shared
-    normal-form caches, so it performs only the steps that earlier calls
-    did not. With it the call reduces against fresh caches of its own, so
-    whether the budget suffices does not depend on what ran before.
+    terminate, and a deterministic call looks its input up in the
+    presentation's memo of the last NF_CACHE_SIZE such calls. With it, or
+    with an rng, the call always reduces from scratch, so whether the budget
+    suffices does not depend on what ran before.
     """
-    pres = x.pres
-    if max_steps is None:
-        budget = _Budget(DEFAULT_MAX_STEPS, pres._nf_cache, pres._nf_cache_subword)
+    pres, terms = x.pres, x.terms()
+    budget = _Budget(DEFAULT_MAX_STEPS if max_steps is None else max_steps)
+    if rng is not None:
+        return NCPoly(pres, _random_reduce(pres, terms, rng, budget))
+    if max_steps is not None:
+        return NCPoly(pres, _reduce_terms(pres, terms, budget, use_pbw=True))
+    memo = pres._nf_cache
+    key = frozenset(terms.items())
+    reduced = memo.get(key)
+    if reduced is None:
+        reduced = _reduce_terms(pres, terms, budget, use_pbw=True)
+        memo[key] = reduced
+        if len(memo) > NF_CACHE_SIZE:
+            memo.popitem(last=False)
     else:
-        budget = _Budget(max_steps, {}, {})
-    if rng is None:
-        reduced = _reduce_terms(pres, x.terms(), budget, use_pbw=True)
-    else:
-        reduced = _random_reduce(pres, x.terms(), rng, budget)
+        memo.move_to_end(key)
     return NCPoly(pres, reduced)
 
 

@@ -117,6 +117,29 @@ def test_evaluate_matches_hand_product():
     assert np.array_equal(y.mat, 2.0 * ops["z"].mat)
 
 
+def test_evaluate_takes_one_product_per_letter_after_the_first(monkeypatch):
+    product = TruncOp.__matmul__
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(TruncOp, "__matmul__", counting)
+    params = ParamSet(d=12)
+    pres = disc_presentation("q")
+    ops = disc_assignment(pres, params, 12)
+    z = pres.gen("z")
+    got = evaluate(z * z * z.star(), ops, params)
+    assert len(calls) == 2
+    assert np.array_equal(got.mat, product(product(ops["z"], ops["z"]), ops["z*"]).mat)
+    # the empty word is the identity, with no product at all
+    calls.clear()
+    got = evaluate(pres.one() * 3, ops, params)
+    assert not calls
+    assert np.array_equal(got.mat, 3.0 * np.eye(12))
+
+
 # -- shift pictures -----------------------------------------------------------
 
 

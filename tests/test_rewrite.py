@@ -1,6 +1,7 @@
 """Rewriting engine: frozen normal forms, homomorphism properties, guards."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from qglue import (
     Q,
     RewriteLimitExceeded,
     all_presentations,
+    build_en,
     disc_assignment,
     disc_presentation,
     evaluate,
@@ -25,6 +27,9 @@ from qglue import (
     su2_presentation,
     verify_identity,
 )
+from qglue import idempotents, presentations
+from qglue.presentations import DEFAULT_MAX_STEPS, NF_CACHE_SIZE
+from reference_reducer import reference_normal_form
 
 QI = Q.inverse_monomial()
 
@@ -145,6 +150,77 @@ def test_nf_agrees_with_faithful_numeric_evaluation():
         assert np.max(np.abs(diff.mat[lo:hi, lo:hi])) < 1e-12
 
 
+# -- the reducer against the recursive reference and without its memo -----------
+
+
+@pytest.mark.parametrize("name", sorted(all_presentations()))
+def test_nf_matches_recursive_reference(name):
+    pres = all_presentations()[name]
+    rng = random.Random(f"ref:{name}")
+    for _ in range(20):
+        x = random_element(pres, rng, n_words=3, max_len=7)
+        expected = reference_normal_form(x)
+        assert normal_form(x) == expected
+        assert normal_form(x) == expected  # now from the memo
+        assert normal_form(x, max_steps=DEFAULT_MAX_STEPS) == expected
+
+
+@pytest.mark.parametrize("N", [-2, -1, 0, 1, 2])
+def test_nf_matches_recursive_reference_on_idempotents(N):
+    _, _, E = build_en(N)
+    for matrix in (E, E @ E):
+        for row in matrix.entries:
+            for entry in row:
+                expected = reference_normal_form(entry)
+                assert normal_form(entry) == expected
+                assert normal_form(entry, max_steps=DEFAULT_MAX_STEPS) == expected
+
+
+def test_nf_memo_keeps_the_most_recently_used_calls(monkeypatch):
+    pres = disc_presentation.__wrapped__("q")
+    z = pres.gen("z")
+    inputs = [z.star() * z * k for k in range(1, NF_CACHE_SIZE + 2)]
+    for x in inputs[:NF_CACHE_SIZE]:
+        normal_form(x)
+    normal_form(inputs[0])
+    normal_form(inputs[-1])  # evicts inputs[1], the least recently used
+    assert len(pres._nf_cache) == NF_CACHE_SIZE
+
+    reduce_terms = presentations._reduce_terms
+    reduced = []
+
+    def counting(pres, terms, budget, use_pbw):
+        reduced.append(terms)
+        return reduce_terms(pres, terms, budget, use_pbw)
+
+    monkeypatch.setattr(presentations, "_reduce_terms", counting)
+    assert normal_form(inputs[0]) == normal_form(inputs[0], max_steps=10)
+    assert len(reduced) == 1  # only the budgeted call reduced
+    normal_form(inputs[1])
+    assert len(reduced) == 2
+    assert len(pres._nf_cache) == NF_CACHE_SIZE
+
+
+def test_cold_idempotency_sweep_keeps_no_per_word_normal_forms(monkeypatch):
+    # the sweep suite_en_symbolic makes at N = 2, on a presentation no other
+    # call has reduced on; normal forms cached per intermediate word took
+    # about 6.4 MB here, the largest-word-first reducer about 0.5 MB
+    fresh = sphere3_presentation.__wrapped__()
+    monkeypatch.setattr(idempotents, "sphere3_presentation", lambda: fresh)
+    _, _, E = build_en(2)
+    assert E.pres is fresh
+    sq = E @ E
+    tracemalloc.start()
+    try:
+        for i in range(E.shape[0]):
+            for j in range(E.shape[1]):
+                assert verify_identity(sq[i, j], E[i, j])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_randomized_reduction_matches_deterministic():
     rng = random.Random("confluence-unit")
     for pres in all_presentations().values():
@@ -175,6 +251,13 @@ def test_cyclic_rules_detected():
     x = pres.gen("u") * pres.gen("v")
     with pytest.raises(RewriteLimitExceeded):
         normal_form(x)
+
+
+def test_cyclic_rules_are_named_before_the_budget_runs_out():
+    pres = _loop_presentation()
+    x = pres.gen("u") * pres.gen("v")
+    with pytest.raises(RewriteLimitExceeded, match="cyclic"):
+        normal_form(x, max_steps=100)
 
 
 def test_budget_exhaustion():
