@@ -135,6 +135,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 cfg.param_values[key] = value
             else:
                 setattr(cfg, key, value)
+    if cfg.nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {cfg.nmax}")
     unknown = [name for name in cfg.suites if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite names: {', '.join(sorted(unknown))}")

@@ -9,8 +9,10 @@ membership rule
 Twist 0 is the glued function algebra itself; twist N is the degree-N
 bimodule over it. chi produces the canonical range projections, psi_iso
 normalizes a twist away (see ORIENTATION), and iota embeds the symbolic
-glued-disc algebra into the doubled picture whose degree parts are
-FibrePairs.
+glued-disc algebra into the doubled picture, a Laurent polynomial in the
+circle letter whose degree-N coefficient is a twist-N FibrePair. The tensor
+picture (iota_kron_assignment) realizes the same gluing map on disc (x)
+circle windows, as TruncOps built by opnum.kron.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from .opnum import (
     evaluate,
     identity,
     inv_sqrt_psd,
+    kron,
     pi_rep,
     shift,
     weighted_shift,
     zero,
-    _at_point,
     _word_sum,
 )
 from .presets import sphere3_presentation
@@ -359,56 +361,27 @@ def s2_leg_assignment(leg: int, params: ParamSet, d: int | None = None) -> dict[
 
 
 class CSfpElement:
-    """Element of the doubled picture: on each leg, a Laurent polynomial in
-    the circle letter whose coefficients are operator-symbol pairs.
+    """Element of the doubled picture: a Laurent polynomial in the circle
+    letter whose degree-k coefficient is a twist-k FibrePair.
 
-    legs[i] maps a circle exponent k to (operator, exact symbol of that
-    operator). Multiplication is convolution in k with operator products and
-    exact symbol products."""
+    terms maps a degree k to its FibrePair. Multiplication is convolution in
+    k; sums, products, scaling and star are those of the FibrePairs."""
 
-    __slots__ = ("legs",)
+    __slots__ = ("terms",)
 
-    def __init__(self, leg0: Mapping[int, tuple], leg1: Mapping[int, tuple]):
-        self.legs = (dict(leg0), dict(leg1))
-        dims = set()
-        for leg in self.legs:
-            for k, (op, sym) in leg.items():
-                if op.lattice != "N":
-                    raise DimensionMismatch("doubled-picture coefficients live on N")
-                dims.add(op.d)
-                leg[k] = (op, _as_exact_symbol(sym))
-        if len(dims) > 1:
-            raise DimensionMismatch(f"mixed dimensions {sorted(dims)}")
-
-    def dim(self) -> int | None:
-        for leg in self.legs:
-            for op, _ in leg.values():
-                return op.d
-        return None
-
-    @staticmethod
-    def _merge(acc: dict, k: int, op: TruncOp, sym: LaurentPoly) -> None:
-        if k in acc:
-            cur_op, cur_sym = acc[k]
-            acc[k] = (cur_op + op, cur_sym + sym)
-        else:
-            acc[k] = (op, sym)
+    def __init__(self, terms: Mapping[int, FibrePair]):
+        self.terms = dict(terms)
 
     def __add__(self, other):
         if not isinstance(other, CSfpElement):
             return NotImplemented
-        out = []
-        for mine, theirs in zip(self.legs, other.legs):
-            acc = dict(mine)
-            for k, (op, sym) in theirs.items():
-                self._merge(acc, k, op, sym)
-            out.append(acc)
-        return CSfpElement(*out)
+        terms = dict(self.terms)
+        for k, pair in other.terms.items():
+            terms[k] = terms[k] + pair if k in terms else pair
+        return CSfpElement(terms)
 
     def __neg__(self):
-        return CSfpElement(
-            *[{k: (-op, -sym) for k, (op, sym) in leg.items()} for leg in self.legs]
-        )
+        return CSfpElement({k: -pair for k, pair in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, CSfpElement):
@@ -418,36 +391,22 @@ class CSfpElement:
     def __matmul__(self, other):
         if not isinstance(other, CSfpElement):
             return NotImplemented
-        out = []
-        for mine, theirs in zip(self.legs, other.legs):
-            acc: dict[int, tuple] = {}
-            for ka, (opa, syma) in mine.items():
-                for kb, (opb, symb) in theirs.items():
-                    self._merge(acc, ka + kb, opa @ opb, syma * symb)
-            out.append(acc)
-        return CSfpElement(*out)
+        out = CSfpElement({})
+        for ka, pa in self.terms.items():
+            out = out + CSfpElement({ka + kb: pa @ pb for kb, pb in other.terms.items()})
+        return out
 
     def scale(self, value, exact) -> "CSfpElement":
-        return CSfpElement(
-            *[
-                {k: (complex(value) * op, sym * exact) for k, (op, sym) in leg.items()}
-                for leg in self.legs
-            ]
-        )
+        return CSfpElement({k: pair.scale(value, exact) for k, pair in self.terms.items()})
 
     def star(self) -> "CSfpElement":
-        return CSfpElement(
-            *[
-                {-k: (op.adjoint(), sym.star()) for k, (op, sym) in leg.items()}
-                for leg in self.legs
-            ]
-        )
+        return CSfpElement({-k: pair.star() for k, pair in self.terms.items()})
 
     def leg_bilaurent(self, leg: int) -> BiLaurent:
         """(symbol x id) of one leg, as an exact two-torus element."""
         out = BiLaurent(mode=EXACT)
-        for k, (_, sym) in self.legs[leg].items():
-            for m, coef in sym.terms.items():
+        for k, pair in self.terms.items():
+            for m, coef in (pair.sym0, pair.sym1)[leg].terms.items():
                 _accumulate(out.terms, (m, k), coef)
         return out
 
@@ -457,63 +416,55 @@ class CSfpElement:
         return w_map(self.leg_bilaurent(0)) == self.leg_bilaurent(1)
 
     def degrees(self) -> list[int]:
-        keys = set(self.legs[0]) | set(self.legs[1])
-        return sorted(keys)
+        return sorted(self.terms)
 
 
 def iota(x: NCPoly, params: ParamSet, d: int | None = None) -> CSfpElement:
     """Embed a symbolic glued-disc element into the doubled picture by the
-    gluing map S3_GLUING, each leg operator paired with its boundary symbol.
+    gluing map S3_GLUING: a letter of grading weight k goes to the twist-k
+    FibrePair of its two leg operators and their boundary symbols.
     Coefficients scale the operators numerically and the symbols exactly."""
     d = params.d if d is None else d
     pres = sphere3_presentation()
     legs = [s3_leg_assignment(leg, params, d) for leg in (0, 1)]
-    images = {
-        letter: CSfpElement(
-            *(
-                {weight: (legs[leg][letter], s3_leg_symbol(pres.gen(letter), leg))}
-                for leg in (0, 1)
-            )
+    images = {}
+    for letter, weight in zip(pres.letters, pres.weights):
+        gen = pres.gen(letter)
+        pair = FibrePair(
+            legs[0][letter],
+            legs[1][letter],
+            s3_leg_symbol(gen, 0),
+            s3_leg_symbol(gen, 1),
+            weight,
         )
-        for letter, weight in zip(pres.letters, pres.weights)
-    }
-    one_op = identity(d)
-    one_sym = LaurentPoly.exact({0: 1})
-    unit = CSfpElement({0: (one_op, one_sym)}, {0: (one_op, one_sym)})
+        images[letter] = CSfpElement({weight: pair})
 
     def weigh(factor: CSfpElement, coef: CoefPoly) -> CSfpElement:
         return factor.scale(coef.evaluate(params.q, params.p, params.s), coef)
 
-    return _word_sum(x, images, unit, CSfpElement({}, {}), weigh)
+    return _word_sum(x, images, CSfpElement({0: unit_pair(d)}), CSfpElement({}), weigh)
 
 
 def extract_degree(element: CSfpElement, N: int) -> FibrePair | None:
-    """The degree-N coefficient of a doubled-picture element, as a twist-N
-    fibre pair; None when the degree is absent. Membership is re-validated
-    at construction."""
-    c0 = element.legs[0].get(N)
-    c1 = element.legs[1].get(N)
-    if c0 is None and c1 is None:
-        return None
-    absent = (zero(element.dim()), LaurentPoly.exact({}))
-    op0, sym0 = c0 if c0 is not None else absent
-    op1, sym1 = c1 if c1 is not None else absent
-    return FibrePair(op0, op1, sym0, sym1, N)
+    """The degree-N coefficient of a doubled-picture element, a twist-N
+    fibre pair; None when the degree is absent."""
+    return element.terms.get(N)
 
 
 def iota_kron_assignment(
     leg: int, params: ParamSet, d: int, w: int
-) -> dict[str, np.ndarray]:
-    """Raw-matrix form of the doubled picture on one leg, with the circle
-    factor realized as the window shift: a -> z (x) U* on leg 0, etc.
-    Matrices act on the tensor of the disc space (dim d) and the window
-    (dim 2w+1); trust the interior kron_interior(d, w, margins) only."""
+) -> dict[str, TruncOp]:
+    """Tensor form of the doubled picture on one leg, with the circle factor
+    realized as the window shift: a -> z (x) U* on leg 0, etc. The operators
+    act on the tensor of the disc space (dim d) and the window (dim 2w+1) and
+    are trusted nowhere by bandwidth: trust the interior
+    kron_interior(d, w, margins) only."""
     pres = sphere3_presentation()
     ops = s3_leg_assignment(leg, params, d)
-    u = pi_rep("+", LaurentPoly.numeric({1: 1}), w).mat
-    circle = {1: u, -1: u.conj().T}
+    u = pi_rep("+", LaurentPoly.numeric({1: 1}), w)
+    circle = {1: u, -1: u.adjoint()}
     return {
-        letter: np.kron(ops[letter].mat, circle[weight])
+        letter: kron(ops[letter], circle[weight])
         for letter, weight in zip(pres.letters, pres.weights)
     }
 
@@ -528,15 +479,6 @@ def kron_interior(d: int, w: int, disc_margin: int, window_margin: int) -> np.nd
         for j in range(window_margin, dw - window_margin):
             keep.append(i * dw + j)
     return np.asarray(keep, dtype=int)
-
-
-def evaluate_raw(x: NCPoly, assignment: Mapping[str, np.ndarray], params: ParamSet) -> np.ndarray:
-    """Evaluate a symbolic element on raw matrices (no trust bookkeeping),
-    with the loop of opnum.evaluate; the matrices are not copied."""
-    n = next(iter(assignment.values())).shape[0]
-    one = np.eye(n, dtype=np.complex128)
-    empty = np.zeros((n, n), dtype=np.complex128)
-    return _word_sum(x, assignment, one, empty, _at_point(params))
 
 
 # -- the equatorial family -------------------------------------------------------
@@ -608,18 +550,18 @@ def en_numeric(
     params: ParamSet,
     assignment: str = "corrected",
     d: int | None = None,
-    cap: int = 4,
 ) -> tuple[list[list[FibrePair]], list[list[LaurentPoly]]]:
     """Numeric idempotent matrix for degree N over the glued algebra.
 
     Entries are built as outer products of the evaluated X and Y legs (which
     is exactly the evaluation of E's entries, reassociated), with exact
-    symbols read off the normal-formed symbolic entries. Returns the matrix
-    of FibrePairs and the matrix of common boundary symbols."""
+    symbols read off the symbolic entries. The leg-symbol map sends every
+    s3pq rule to zero, so unreduced entries give the symbols of their normal
+    forms. Returns the matrix of FibrePairs and the matrix of common boundary
+    symbols."""
     from .idempotents import build_en
-    from .presentations import normal_form
 
-    X, Y, E = build_en(N, assignment, cap)
+    X, Y, E = build_en(N, assignment)
     d = params.d if d is None else d
     n1 = X.shape[0]
     legs = (s3_leg_assignment(0, params, d), s3_leg_assignment(1, params, d))
@@ -631,9 +573,8 @@ def en_numeric(
         prow = []
         srow = []
         for j in range(n1):
-            entry = normal_form(E[i, j])
-            sym0 = s3_leg_symbol(entry, 0)
-            sym1 = s3_leg_symbol(entry, 1)
+            sym0 = s3_leg_symbol(E[i, j], 0)
+            sym1 = s3_leg_symbol(E[i, j], 1)
             fp = FibrePair(
                 xv[0][i] @ yv[0][j], xv[1][i] @ yv[1][j], sym0, sym1, 0
             )

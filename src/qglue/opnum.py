@@ -125,6 +125,18 @@ class TruncOp:
         lo, hi = (0, self.d) if guard is None else self.trusted_range(guard)
         return _max_abs([_segment(k, vec, lo, hi) for k, vec in self._diags.items()])
 
+    def max_abs_on(self, index) -> float:
+        """Largest entry magnitude on the principal submatrix whose rows and
+        columns are the given indices (0.0 for no indices)."""
+        member = np.zeros(self.d, dtype=bool)
+        member[np.asarray(index, dtype=int)] = True
+        parts = []
+        for k, vec in self._diags.items():
+            rows = member[max(0, -k) : self.d - max(0, k)]
+            cols = member[max(0, k) : self.d - max(0, -k)]
+            parts.append(vec[rows & cols])
+        return _max_abs(parts)
+
     def _compat(self, other: "TruncOp") -> None:
         if self.lattice != other.lattice or self.w != other.w or self.d != other.d:
             raise DimensionMismatch(
@@ -266,6 +278,14 @@ def shift(d: int) -> TruncOp:
     return weighted_shift(np.ones(d - 1))
 
 
+def kron(a: TruncOp, b: TruncOp) -> TruncOp:
+    """Kronecker product of two windows, on the natural lattice of dimension
+    a.d * b.d. Its bandwidth is that dimension, so it is trusted nowhere: the
+    caller knows which part of the tensor window to trust."""
+    d = a.d * b.d
+    return TruncOp(np.kron(a.mat, b.mat), d)
+
+
 def disc_base(letter: str, params: ParamSet) -> float:
     """Deformation base of a disc letter (or its star), as presets.DISC_FLAVOURS
     declares it, evaluated at params."""
@@ -360,20 +380,18 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
     for op in ops.values():
         first._compat(op)
     empty = zero(first.d, first.lattice, first.w)
-    return _word_sum(x, ops, identity_like(first), empty, _at_point(params))
 
+    def weigh(factor: TruncOp, coef) -> TruncOp:
+        return coef.evaluate(params.q, params.p, params.s) * factor
 
-def _at_point(params: ParamSet):
-    """The numeric weighting step of _word_sum: the coefficient evaluated at
-    the parameter point, times the word's product."""
-    return lambda factor, coef: coef.evaluate(params.q, params.p, params.s) * factor
+    return _word_sum(x, ops, identity_like(first), empty, weigh)
 
 
 def _word_sum(x: NCPoly, ops: Mapping, one, empty, weigh):
-    """The one word-evaluation loop, shared with glue.evaluate_raw and
-    glue.iota: each word becomes the product of its letters' images (one for
-    the empty word), is turned into a term by weigh(product, coefficient) and
-    summed onto empty."""
+    """The one word-evaluation loop, shared by evaluate (images are
+    TruncOps) and glue.iota (images are doubled-picture elements): each word
+    becomes the product of its letters' images (one for the empty word), is
+    turned into a term by weigh(product, coefficient) and summed onto empty."""
     letters = x.pres.letters
 
     def image(letter_index):

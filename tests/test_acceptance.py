@@ -198,7 +198,7 @@ def test_criterion_4_numeric_relation_residuals():
         idx = kron_interior(kd, kw, 3, 2)
         kregion = np.ix_(idx, idx)
         for leg in (0, 1):
-            mats = iota_kron_assignment(leg, prm, kd, kw)
+            mats = {k: op.mat for k, op in iota_kron_assignment(leg, prm, kd, kw).items()}
             for rule in pres3.rules:
                 worst = max(worst, _rule_residual(pres3, rule, mats, prm, kregion))
         # spectral family legs

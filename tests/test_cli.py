@@ -81,6 +81,23 @@ def test_infinite_tolerance_is_exit_2(capsys):
     assert captured.out == ""
 
 
+def test_negative_nmax_is_exit_2(tmp_path, capsys):
+    # a negative nmax would silently drop every per-degree record
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("nmax = -1\n")
+    for argv in (
+        ["verify", "--suite", "chi", "--nmax", "-1"],
+        ["index", "--nmax", "-1"],
+        ["verify", "--suite", "chi", "--config", str(cfg)],
+    ):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("qglue:")
+        assert "nmax" in captured.err
+        assert captured.out == ""
+
+
 def test_csv_verify_run(capsys):
     code = run(["verify", "--suite", "disc,su2", "--d", "16", "--format", "csv"])
     captured = capsys.readouterr()

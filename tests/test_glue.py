@@ -9,20 +9,23 @@ from qglue import (
     DimensionMismatch,
     FibrePair,
     LaurentPoly,
+    NCPoly,
     ParamSet,
     S,
     SymbolMismatch,
+    build_en,
     chi,
     disc_symbol,
     disc_presentation,
     en_numeric,
-    evaluate_raw,
+    evaluate,
     extract_degree,
     fp_matmul,
     identity,
     iota,
     iota_kron_assignment,
     kron_interior,
+    normal_form,
     pi_rep,
     podles_generators,
     polar_part,
@@ -243,12 +246,11 @@ def test_iota_basic_structure():
     a = pres.gen("a")
     e = iota(a, PARAMS, 12)
     assert e.degrees() == [-1]
-    op0, sym0 = e.legs[0][-1]
-    op1, sym1 = e.legs[1][-1]
-    assert sym0 == LaurentPoly.exact({1: 1})
-    assert sym1 == LaurentPoly.exact({0: 1})
-    assert op0.bandwidth == 1
-    assert np.array_equal(op1.mat.real, np.eye(12))
+    pair = e.terms[-1]
+    assert pair.sym0 == LaurentPoly.exact({1: 1})
+    assert pair.sym1 == LaurentPoly.exact({0: 1})
+    assert pair.t0.bandwidth == 1
+    assert np.array_equal(pair.t1.mat.real, np.eye(12))
     assert e.w_compatible()
 
 
@@ -272,6 +274,23 @@ def test_iota_symbol_side_is_multiplicative():
         for leg in (0, 1):
             assert exy.leg_bilaurent(leg) == ex.leg_bilaurent(leg) * ey.leg_bilaurent(leg)
         assert exy.w_compatible()
+
+
+def test_iota_degrees_are_fibre_pairs_of_that_twist():
+    pres = sphere3_presentation()
+    rng = random.Random(11)
+    for _ in range(8):
+        x = pres.one() * rng.randrange(-2, 3)
+        for _ in range(rng.randrange(1, 4)):
+            word = pres.one()
+            for _ in range(rng.randrange(1, 5)):
+                word = word * pres.gen(rng.choice(pres.letters))
+            x = x + rng.randrange(-3, 4) * word
+        terms = iota(x, PARAMS, 8).terms
+        assert terms
+        for k, pair in terms.items():
+            assert isinstance(pair, FibrePair)
+            assert pair.twist == k
 
 
 def _disc_matrix(params, d):
@@ -304,8 +323,8 @@ def test_kron_legs_satisfy_relations_on_interior():
         def interior_max(mat):
             return np.max(np.abs(mat[np.ix_(idx, idx)]))
 
-        a, astar = ops["a"], ops["a*"]
-        b, bstar = ops["b"], ops["b*"]
+        a, astar = ops["a"].mat, ops["a*"].mat
+        b, bstar = ops["b"].mat, ops["b*"].mat
         assert interior_max(astar @ a - PARAMS.q * (a @ astar) - (1 - PARAMS.q) * eye) < 1e-10
         assert interior_max(bstar @ b - PARAMS.p * (b @ bstar) - (1 - PARAMS.p) * eye) < 1e-10
         assert interior_max(a @ b - b @ a) < 1e-10
@@ -327,26 +346,27 @@ def test_gluing_map_agrees_across_its_uses():
             gen = pres.gen(letter)
             sym = s3_leg_symbol(gen, leg)
             assert list(sym.terms.values()) == [1]
-            image = iota(gen, PARAMS, d).legs[leg]
+            image = iota(gen, PARAMS, d).terms
             assert list(image) == [weight]
-            op, image_sym = image[weight]
+            op = (image[weight].t0, image[weight].t1)[leg]
+            image_sym = (image[weight].sym0, image[weight].sym1)[leg]
             assert np.array_equal(op.mat, ops[letter].mat)
             assert op.bandwidth == ops[letter].bandwidth
             assert image_sym == sym
             circle = pi_rep("+", LaurentPoly.numeric({weight: 1}), w).mat
-            assert np.array_equal(kron[letter], np.kron(ops[letter].mat, circle))
+            assert np.array_equal(kron[letter].mat, np.kron(ops[letter].mat, circle))
             # the leg operator is the unit exactly where the symbol is 1
             (exponent,) = sym.terms
             is_unit = np.array_equal(ops[letter].mat, np.eye(d))
             assert is_unit == (exponent == 0)
 
 
-def test_evaluate_raw_matches_word_product():
+def test_evaluate_on_kron_operators_matches_word_product():
     pres = sphere3_presentation()
     a, b = pres.gen("a"), pres.gen("b")
     ops = iota_kron_assignment(0, PARAMS, 6, 2)
-    got = evaluate_raw(a * b, ops, PARAMS)
-    assert np.max(np.abs(got - ops["a"] @ ops["b"])) < 1e-14
+    got = evaluate(a * b, ops, PARAMS)
+    assert np.max(np.abs(got.mat - ops["a"].mat @ ops["b"].mat)) < 1e-14
 
 
 # -- the equatorial family ---------------------------------------------------------
@@ -416,6 +436,39 @@ def test_en_numeric_idempotent_and_symbol_trace(N):
     for k in range(1, n1):
         trace_sym = trace_sym + syms[k][k]
     assert trace_sym == LaurentPoly.exact({0: 1})
+
+
+def _rule_elements(pres):
+    for rule in pres.rules:
+        element = NCPoly(pres, {rule.redex: 1})
+        for word, coef in rule.rhs:
+            element = element - NCPoly(pres, {word: coef})
+        yield element
+
+
+def test_leg_symbols_vanish_on_every_s3_rule():
+    # so the leg symbols of an element and of its normal form agree
+    pres = sphere3_presentation()
+    elements = list(_rule_elements(pres))
+    assert len(elements) == len(pres.rules) > 0
+    for element in elements:
+        assert not element.is_zero()
+        for leg in (0, 1):
+            assert s3_leg_symbol(element, leg).is_zero()
+
+
+@pytest.mark.parametrize("assignment", ["corrected", "literal"])
+def test_en_numeric_symbols_are_those_of_the_normal_forms(assignment):
+    for N in range(-3, 4):
+        _, _, E = build_en(N, assignment)
+        pairs, syms = en_numeric(N, PARAMS, assignment=assignment, d=8)
+        n1 = abs(N) + 1
+        for i in range(n1):
+            for j in range(n1):
+                entry = normal_form(E[i, j])
+                assert syms[i][j] == s3_leg_symbol(entry, 0)
+                assert pairs[i][j].sym0 == s3_leg_symbol(entry, 0)
+                assert pairs[i][j].sym1 == s3_leg_symbol(entry, 1)
 
 
 def test_en_numeric_literal_defect_shows_up():

@@ -3,8 +3,8 @@
 - No package module imports a name it never uses: a stand-in for a linter's
   unused-import rule. __init__.py is exempt, since its imports are the
   package's re-exports.
-- Only opnum, which stores operator windows, and the dense kron picture
-  (glue.iota_kron_assignment) read a window's dense .mat array.
+- Only opnum, which stores operator windows, reads a window's dense .mat
+  array.
 """
 
 import ast
@@ -43,8 +43,8 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-# module name -> the functions outside opnum allowed to read .mat
-MAT_READERS = {"glue": {"iota_kron_assignment"}}
+# module name -> the functions outside opnum allowed to read .mat (none)
+MAT_READERS = {}
 
 
 def mat_readers(source: str) -> set[str]:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qglue import DimensionMismatch, TruncOp, identity, inv_sqrt_psd, trace_finite_rank
-from qglue.opnum import weighted_shift
+from qglue.opnum import kron, weighted_shift
 
 ULPS = 4
 
@@ -135,6 +135,27 @@ def test_readers_match_dense(op_dense, guard):
     assert op.max_abs() == float(np.max(np.abs(dense)))
     want = float(np.max(np.abs(dense[lo:hi, lo:hi]))) if hi > lo else 0.0
     assert op.max_abs(guard) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows(), st.data())
+def test_interior_reader_matches_dense(op_dense, data):
+    op, dense = op_dense
+    idx = data.draw(st.lists(st.integers(0, op.d - 1), max_size=op.d))
+    want = float(np.max(np.abs(op.mat[np.ix_(idx, idx)]), initial=0.0))
+    assert want == float(np.max(np.abs(dense[np.ix_(idx, idx)]), initial=0.0))
+    assert op.max_abs_on(idx) == want
+    assert op.max_abs_on([]) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows(), windows())
+def test_kron_matches_dense_kron(left, right):
+    (a, dense_a), (b, dense_b) = left, right
+    got = kron(a, b)
+    assert np.array_equal(got.mat, np.kron(a.mat, b.mat))
+    assert np.array_equal(got.mat, np.kron(dense_a, dense_b))
+    assert (got.d, got.lattice, got.bandwidth) == (a.d * b.d, "N", a.d * b.d)
 
 
 def _dense_trace(op: TruncOp, dense: np.ndarray, guard: int):
