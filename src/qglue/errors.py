@@ -17,10 +17,6 @@ class GradingError(QGlueError, ValueError):
     """An element or rule is not homogeneous for the presentation grading."""
 
 
-class ModeMismatch(QGlueError, TypeError):
-    """Exact and numeric circle elements were mixed in one operation."""
-
-
 class DimensionMismatch(QGlueError, ValueError):
     """Operator shapes or lattice windows are incompatible."""
 

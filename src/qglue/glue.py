@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circle import EXACT, BiLaurent, LaurentPoly, w_map
+from .circle import BiLaurent, LaurentPoly
 from .coefficients import CoefPoly, S as S_COEF, _accumulate
 from .errors import DimensionMismatch, SymbolMismatch
 from .ncpoly import NCPoly
@@ -55,14 +54,9 @@ ORIENTATION = (
 )
 
 
-def _as_exact_symbol(sym) -> LaurentPoly:
-    if isinstance(sym, LaurentPoly):
-        if sym.mode not in (None, EXACT):
-            raise SymbolMismatch("fibre-pair symbols must be exact")
-        return sym
-    if isinstance(sym, (CoefPoly, Rational)):
-        return LaurentPoly.exact({0: sym})
-    raise TypeError(f"bad symbol of type {type(sym).__name__}")
+def _as_symbol(sym) -> LaurentPoly:
+    """A leg symbol: a LaurentPoly, or an exact scalar taken as a constant."""
+    return sym if isinstance(sym, LaurentPoly) else LaurentPoly({0: sym})
 
 
 class FibrePair:
@@ -74,8 +68,8 @@ class FibrePair:
         if t0.lattice != "N" or t1.lattice != "N":
             raise DimensionMismatch("fibre-pair legs live on the natural lattice")
         t0._compat(t1)
-        sym0 = _as_exact_symbol(sym0)
-        sym1 = _as_exact_symbol(sym1)
+        sym0 = _as_symbol(sym0)
+        sym1 = _as_symbol(sym1)
         twist = int(twist)
         mismatch = sym0.shift(twist) - sym1
         if mismatch:
@@ -187,13 +181,13 @@ class FibrePair:
 
 def zero_pair(d: int, twist: int = 0) -> FibrePair:
     z = zero(d)
-    empty = LaurentPoly.exact({})
+    empty = LaurentPoly({})
     return FibrePair(z, z, empty, empty, twist)
 
 
 def unit_pair(d: int) -> FibrePair:
     one = identity(d)
-    sym = LaurentPoly.exact({0: 1})
+    sym = LaurentPoly({0: 1})
     return FibrePair(one, one, sym, sym, 0)
 
 
@@ -209,7 +203,7 @@ def chi(N: int, d: int) -> FibrePair:
         raise DimensionMismatch(f"need d > |N|, got d={d}, N={N}")
     proj = diag_op([0.0] * k + [1.0] * (d - k))
     one = identity(d)
-    sym = LaurentPoly.exact({0: 1})
+    sym = LaurentPoly({0: 1})
     if N >= 0:
         return FibrePair(proj, one, sym, sym, 0)
     return FibrePair(one, proj, sym, sym, 0)
@@ -277,7 +271,7 @@ def symbol_map(x: NCPoly, exponents: Mapping[str, int | None]) -> LaurentPoly:
     """Boundary symbol of a symbolic element: each letter contributes the
     given power of U (None kills the word). Exact coefficients throughout."""
     letters = x.pres.letters
-    out = LaurentPoly.exact({})
+    out = LaurentPoly({})
     for word, coef in x.terms().items():
         total = 0
         dead = False
@@ -289,7 +283,7 @@ def symbol_map(x: NCPoly, exponents: Mapping[str, int | None]) -> LaurentPoly:
             total += e
         if dead:
             continue
-        out = out + LaurentPoly.exact({total: coef})
+        out = out + LaurentPoly({total: coef})
     return out
 
 
@@ -404,16 +398,11 @@ class CSfpElement:
 
     def leg_bilaurent(self, leg: int) -> BiLaurent:
         """(symbol x id) of one leg, as an exact two-torus element."""
-        out = BiLaurent(mode=EXACT)
+        out = BiLaurent()
         for k, pair in self.terms.items():
             for m, coef in (pair.sym0, pair.sym1)[leg].terms.items():
                 _accumulate(out.terms, (m, k), coef)
         return out
-
-    def w_compatible(self) -> bool:
-        """The gluing compatibility: the torus twist carries the symbol side
-        of leg 0 onto the symbol side of leg 1, exactly."""
-        return w_map(self.leg_bilaurent(0)) == self.leg_bilaurent(1)
 
     def degrees(self) -> list[int]:
         return sorted(self.terms)
@@ -461,7 +450,7 @@ def iota_kron_assignment(
     kron_interior(d, w, margins) only."""
     pres = sphere3_presentation()
     ops = s3_leg_assignment(leg, params, d)
-    u = pi_rep("+", LaurentPoly.numeric({1: 1}), w)
+    u = pi_rep("+", LaurentPoly({1: 1}), w, params)
     circle = {1: u, -1: u.adjoint()}
     return {
         letter: kron(ops[letter], circle[weight])
@@ -514,8 +503,8 @@ def podles_generators(params: ParamSet, d: int | None = None) -> PodlesPair:
     v = qq ** (np.arange(d - 1) + 1.0)
     eta0 = weighted_shift(s * np.sqrt((1.0 - v) * (1.0 + s**2 * v)))
     eta1 = weighted_shift(np.sqrt((1.0 - v) * (s**2 + v)))
-    empty = LaurentPoly.exact({})
-    s_u = LaurentPoly.exact({1: S_COEF})
+    empty = LaurentPoly({})
+    s_u = LaurentPoly({1: S_COEF})
     zeta = FibrePair(zeta0, zeta1, empty, empty, 0)
     eta = FibrePair(eta0, eta1, s_u, s_u, 0)
     return PodlesPair(zeta=zeta, eta=eta, t=t_op)
@@ -535,7 +524,7 @@ def polar_part(pair: FibrePair) -> FibrePair:
         if len(sym.terms) != 1:
             raise ValueError("polar phase implemented for monomial symbols only")
         (n, coef), = sym.terms.items()
-        return LaurentPoly.exact({n: 1}) if coef else LaurentPoly.exact({})
+        return LaurentPoly({n: 1}) if coef else LaurentPoly({})
 
     return FibrePair(
         leg(pair.t0), leg(pair.t1), phase(pair.sym0), phase(pair.sym1), pair.twist

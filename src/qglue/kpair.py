@@ -36,7 +36,7 @@ GUARD = 2
 class FredholmModule:
     """kind "pr" pairs the two operator legs; kind "pi" pairs the two
     integer-lattice shift pictures of the boundary symbol (needs the window
-    radius w, and params when symbols carry exact coefficients)."""
+    radius w, and params to evaluate the symbol's exact coefficients)."""
 
     kind: str
     params: ParamSet | None = None
@@ -47,6 +47,8 @@ class FredholmModule:
             raise ValueError(f"kind must be 'pr' or 'pi', got {self.kind!r}")
         if self.kind == "pi" and self.w is None:
             raise ValueError("the 'pi' module needs a window radius w")
+        if self.kind == "pi" and self.params is None:
+            raise ValueError("the 'pi' module needs params to evaluate symbols")
 
     def difference(self, pair: FibrePair):
         """(rho_+ - rho_-) applied to one fibre pair."""
@@ -240,7 +242,7 @@ class PairingTable:
             P = chi(N, self.d)
         else:
             P, syms = en_numeric(N, self.params, d=self.d)
-            symbol_trace = sum((row[i] for i, row in enumerate(syms)), LaurentPoly.exact({}))
+            symbol_trace = sum((row[i] for i, row in enumerate(syms)), LaurentPoly({}))
         entries, defect = _checked_idempotent(P)
         results = {m.kind: _trace_pairing(m, entries, defect) for m in self.modules}
         return TableEntry(results, symbol_trace)

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circle import EXACT, LaurentPoly, _params_qps
+from .circle import LaurentPoly, _params_qps
 from .errors import DimensionMismatch, WindowOverflow
 from .ncpoly import NCPoly
 from .presets import DISC_FLAVOURS
@@ -328,7 +328,7 @@ def _trajectory_minus(j: int, n: int) -> int | None:
     return j
 
 
-def pi_rep(sign: str, f: LaurentPoly, w: int, params=None) -> TruncOp:
+def pi_rep(sign: str, f: LaurentPoly, w: int, params: ParamSet) -> TruncOp:
     """Window truncation of the two shift pictures of a circle element.
 
     sign "+": U acts as the full shift j -> j+1 on the integer lattice.
@@ -337,21 +337,22 @@ def pi_rep(sign: str, f: LaurentPoly, w: int, params=None) -> TruncOp:
     projection that kills e_0.
 
     Each monomial is compressed exactly to the window [-w, w]; a monomial
-    whose exponent exceeds w in absolute value raises WindowOverflow.
+    whose exponent exceeds w in absolute value raises WindowOverflow. The
+    exact coefficients are evaluated at params (q, p, s).
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     d = 2 * w + 1
     diags = {}
     bandwidth = 0
-    point = _params_qps(params) if f.mode == EXACT else None
+    point = _params_qps(params)
     for n, coef in f.terms.items():
         if abs(n) > w:
             raise WindowOverflow(
                 f"monomial exponent {n} does not fit in window radius {w}"
             )
         bandwidth = max(bandwidth, abs(n))
-        value = complex(coef if point is None else coef.evaluate(*point))
+        value = complex(coef.evaluate(*point))
         for j in range(-w, w + 1):
             if sign == "+":
                 k = _trajectory_plus(j, n)

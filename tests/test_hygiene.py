@@ -5,12 +5,16 @@
   package's re-exports.
 - Only opnum, which stores operator windows, reads a window's dense .mat
   array.
+- The public surface is exact: every name in qglue.__all__ is bound and
+  listed once, and every name __init__.py imports is listed there.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import qglue
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qglue"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -80,3 +84,21 @@ def test_checker_finds_mat_readers():
 )
 def test_only_the_window_store_reads_dense_windows(path):
     assert mat_readers(path.read_text()) <= MAT_READERS.get(path.stem, set())
+
+
+def test_public_names_are_bound_and_listed_once():
+    missing = [name for name in qglue.__all__ if not hasattr(qglue, name)]
+    assert missing == []
+    repeated = sorted({name for name in qglue.__all__ if qglue.__all__.count(name) > 1})
+    assert repeated == []
+
+
+def test_every_reexport_is_public():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert sorted(imported - set(qglue.__all__)) == []

@@ -34,6 +34,8 @@ def test_module_validation():
         FredholmModule("px")
     with pytest.raises(ValueError):
         FredholmModule("pi")  # needs a window radius
+    with pytest.raises(ValueError, match="params"):
+        FredholmModule("pi", w=4)  # needs params to evaluate symbols
     FredholmModule("pi", params=PARAMS, w=4)
     FredholmModule("pr")
 

@@ -1,6 +1,7 @@
 """Truncated operators: trust bookkeeping, shift pictures, traces."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_evaluate_takes_one_product_per_letter_after_the_first(monkeypatch):
 
 
 def test_pi_plus_frozen_w2():
-    u = pi_rep("+", LaurentPoly.numeric({1: 1.0}), 2)
+    u = pi_rep("+", LaurentPoly({1: 1}), 2, ParamSet())
     expected = np.zeros((5, 5))
     for j in range(4):
         expected[j + 1, j] = 1.0
@@ -153,22 +154,23 @@ def test_pi_plus_frozen_w2():
 
 
 def test_pi_minus_frozen_w2():
-    u = pi_rep("-", LaurentPoly.numeric({1: 1.0}), 2)
+    u = pi_rep("-", LaurentPoly({1: 1}), 2, ParamSet())
     expected = np.zeros((5, 5))
     expected[1, 0] = 1.0  # -2 -> -1
     expected[3, 1] = 1.0  # -1 -> +1, skipping the removed origin
     expected[4, 3] = 1.0  # +1 -> +2
     assert np.array_equal(u.mat.real, expected)
-    unit = pi_rep("-", LaurentPoly.numeric({0: 1.0}), 2)
+    unit = pi_rep("-", LaurentPoly({0: 1}), 2, ParamSet())
     assert np.array_equal(unit.mat.real, np.diag([1.0, 1.0, 0.0, 1.0, 1.0]))
-    down = pi_rep("-", LaurentPoly.numeric({-1: 1.0}), 2)
+    down = pi_rep("-", LaurentPoly({-1: 1}), 2, ParamSet())
     assert np.array_equal(down.mat, u.mat.T)
 
 
 def test_pi_plus_inverse_trajectories():
     w = 4
-    u = pi_rep("+", LaurentPoly.numeric({1: 1.0}), w)
-    ui = pi_rep("+", LaurentPoly.numeric({-1: 1.0}), w)
+    params = ParamSet()
+    u = pi_rep("+", LaurentPoly({1: 1}), w, params)
+    ui = pi_rep("+", LaurentPoly({-1: 1}), w, params)
     assert np.array_equal(ui.mat, u.mat.T)
     # U U* = 1 exactly in the bilateral picture, up to the window corner
     prod = u @ ui
@@ -177,16 +179,18 @@ def test_pi_plus_inverse_trajectories():
 
 def test_pi_rep_window_overflow():
     with pytest.raises(WindowOverflow):
-        pi_rep("+", LaurentPoly.numeric({5: 1.0}), 4)
+        pi_rep("+", LaurentPoly({5: 1}), 4, ParamSet())
     with pytest.raises(ValueError):
-        pi_rep("x", LaurentPoly.numeric({1: 1.0}), 4)
+        pi_rep("x", LaurentPoly({1: 1}), 4, ParamSet())
 
 
 def test_pi_rep_exact_mode_needs_params():
     from qglue import Q
 
-    f = LaurentPoly.exact({1: Q})
+    f = LaurentPoly({1: Q})
     with pytest.raises(ValueError):
+        pi_rep("+", f, 4, None)
+    with pytest.raises(TypeError):
         pi_rep("+", f, 4)
     got = pi_rep("+", f, 4, ParamSet())
     assert abs(got.mat[5, 4] - 0.6) < 1e-15
@@ -195,9 +199,10 @@ def test_pi_rep_exact_mode_needs_params():
 def test_pi_difference_is_local():
     # (pi+ - pi-)(U^N) touches only rows/cols within N+1 of the origin
     w = 8
+    params = ParamSet()
     for N in range(-4, 5):
-        f = LaurentPoly.numeric({N: 1.0})
-        diff = pi_rep("+", f, w) - pi_rep("-", f, w)
+        f = LaurentPoly({N: 1})
+        diff = pi_rep("+", f, w, params) - pi_rep("-", f, w, params)
         nz = np.argwhere(np.abs(diff.mat) > 0)
         if nz.size:
             assert np.max(np.abs(nz - w)) <= abs(N) + 1
@@ -321,7 +326,10 @@ def test_max_abs_reads_whole_window_or_guarded_block():
 
 @pytest.mark.parametrize(
     "x",
-    [2.0 * shift(7) + identity(7), pi_rep("+", LaurentPoly.numeric({1: 2.0, -2: 0.5}), 3)],
+    [
+        2.0 * shift(7) + identity(7),
+        pi_rep("+", LaurentPoly({1: 2, -2: Fraction(1, 2)}), 3, ParamSet()),
+    ],
     ids=["N", "Z"],
 )
 def test_zero_is_the_additive_identity(x):

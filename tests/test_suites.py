@@ -6,6 +6,7 @@ import pytest
 
 import qglue.glue
 from qglue import ParamSet, SUITES, run_suites
+from qglue.cli import run
 
 PARAMS = ParamSet(d=32, w=6)
 
@@ -64,6 +65,25 @@ def test_cheap_suites_pass_at_defaults():
     assert bad == []
     for rec in records:
         assert rec.anchor, f"record {rec.suite}/{rec.check} is missing its anchor"
+
+
+def test_broken_gluing_fails_leg_compatibility(monkeypatch, capsys):
+    # a leg-1 symbol off by one power of U breaks every letter's membership
+    true_symbol = qglue.glue.s3_leg_symbol
+
+    def wrong_symbol(x, leg):
+        sym = true_symbol(x, leg)
+        return sym.shift(1) if leg == 1 else sym
+
+    monkeypatch.setattr(qglue.glue, "s3_leg_symbol", wrong_symbol)
+    records = run_suites(["s3"], PARAMS, 2)
+    legs = [rec for rec in records if rec.check.startswith("leg compatibility")]
+    assert len(legs) == 5
+    for rec in legs:
+        assert rec.status == "fail"
+        assert "membership" in rec.value
+    assert run(["verify", "--suite", "s3", "--d", "16"]) == 1
+    assert " fail" in capsys.readouterr().err
 
 
 def _count_calls(monkeypatch, module, name):
