@@ -235,3 +235,12 @@ def test_uncertifiable_window_is_a_parameter_error(capsys):
     assert captured.err.startswith("qglue:")
     assert "tail" in captured.err
     assert captured.out == ""
+
+
+def test_window_without_a_trusted_block_names_its_operands(capsys):
+    # d = 4 leaves no common trusted block for the podles polar part
+    code = run(["verify", "--d", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("qglue: no common trusted block:")
+    assert "d=4, bandwidth=" in captured.err and "guard 1" in captured.err

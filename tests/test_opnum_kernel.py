@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglue import DimensionMismatch, TruncOp, identity, inv_sqrt_psd, trace_finite_rank
+from qglue import (
+    DimensionMismatch,
+    TruncOp,
+    diag_op,
+    identity,
+    inv_sqrt_psd,
+    shift,
+    trace_finite_rank,
+    trusted_diff_norm,
+)
 from qglue.opnum import kron, weighted_shift
 
 ULPS = 4
@@ -148,6 +157,58 @@ def test_interior_reader_matches_dense(op_dense, data):
     assert op.max_abs_on([]) == 0.0
 
 
+def test_interior_reader_rejects_indices_outside_the_window():
+    op = diag_op(np.arange(6.0))
+    for index in ([-2, -1], [0, -6], [6]):
+        with pytest.raises(IndexError):
+            op.max_abs_on(index)
+
+
+@st.composite
+def diff_pairs(draw):
+    """Two windows on one lattice (on the natural lattice possibly of two
+    sizes): independent, the same window under another bandwidth, or the
+    same window with one diagonal changed."""
+    lattice, d, w = draw(shapes())
+    a, dense_a = draw(windows((lattice, d, w)))
+    kind = draw(st.sampled_from(["independent", "same", "one diagonal"]))
+    if kind == "independent":
+        d_b = draw(st.integers(2, 9)) if lattice == "N" else d
+        return a, draw(windows((lattice, d_b, w)))[0]
+    dense_b = dense_a.copy()
+    if kind == "one diagonal":
+        k = draw(st.integers(1 - d, d - 1))
+        n = d - abs(k)
+        rows = np.arange(n) + max(0, -k)
+        dense_b[rows, rows + k] += np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    return a, TruncOp(dense_b, draw(st.integers(0, 3)), lattice, w)
+
+
+def _common_block(a: TruncOp, b: TruncOp, guard: int):
+    (lo_a, hi_a), (lo_b, hi_b) = a.trusted_range(guard), b.trusted_range(guard)
+    return max(lo_a, lo_b), min(hi_a, hi_b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diff_pairs(), st.integers(0, 3))
+def test_trusted_diff_norm_matches_the_dense_svd(ops, guard):
+    a, b = ops
+    lo, hi = _common_block(a, b, guard)
+    if hi <= lo:
+        with pytest.raises(DimensionMismatch, match=f"d={a.d}, bandwidth={a.bandwidth}"):
+            trusted_diff_norm(a, b, guard)
+        return
+    got = trusted_diff_norm(a, b, guard)
+    block = a._block(lo, hi) - b._block(lo, hi)
+    largest = float(np.max(np.abs(block)))
+    assert abs(got - float(np.linalg.norm(block, 2))) <= ULPS * np.spacing(largest)
+    differing = sum(np.any(np.diagonal(block, k)) for k in range(1 - len(block), len(block)))
+    if differing == 0:
+        assert got == 0.0
+    elif differing == 1:
+        assert got == largest
+
+
 @settings(max_examples=100, deadline=None)
 @given(windows(), windows())
 def test_kron_matches_dense_kron(left, right):
@@ -240,3 +301,18 @@ def test_windows_at_d2048_never_hold_a_dense_window():
     assert peak < dense_bytes
     assert largest == weights[d - 4]  # trusted block: rows below d - 3
     assert (trace.value, trace.exact) == (1.0, True)
+
+
+def test_trusted_diff_norm_at_d2048_never_holds_a_dense_block():
+    d = 2048
+    dense_bytes = d * d * np.dtype(np.complex128).itemsize  # 64 MB
+    weights = np.linspace(1.0, 2.0, d - 1)
+    tracemalloc.start()
+    try:
+        got = trusted_diff_norm(weighted_shift(weights), shift(d), guard=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+    # trusted block: rows and columns below d - 2, so weights[: d - 3]
+    assert got == float(np.max(np.abs(weights[: d - 3] - 1.0)))

@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 import qglue.glue
@@ -118,3 +119,17 @@ def test_index_records_do_not_depend_on_companion_suites():
     together = run_suites(["en-numeric", "chi", "index"], params, 1)
     assert alone
     assert alone == [rec for rec in together if rec.suite == "index"]
+
+
+def test_numeric_suites_at_d512_take_no_dense_svd(monkeypatch):
+    # every trusted-block difference there has at most one nonzero diagonal
+    norm = np.linalg.norm
+    spectral = [0]
+
+    def counted(x, ord=None, *args, **kwargs):
+        spectral[0] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    run_suites(["disc", "podles", "en-numeric", "chi", "index"], ParamSet(d=512), 1)
+    assert spectral[0] == 0
