@@ -12,21 +12,9 @@ w_map / w_inverse / phi_map act on it.
 
 from __future__ import annotations
 
-from numbers import Rational
 from typing import Callable, Mapping
 
 from .coefficients import CoefPoly, _accumulate
-
-
-def _coef(coef) -> CoefPoly:
-    if isinstance(coef, CoefPoly):
-        return coef
-    if isinstance(coef, Rational):
-        return CoefPoly.scalar(coef)
-    raise TypeError(
-        f"circle coefficients are exact (CoefPoly, int or Fraction), "
-        f"got {type(coef).__name__}"
-    )
 
 
 class _Laurent:
@@ -38,7 +26,7 @@ class _Laurent:
         clean = {}
         if terms:
             for key, coef in terms.items():
-                _accumulate(clean, self._norm_key(key), _coef(coef))
+                _accumulate(clean, self._norm_key(key), CoefPoly.coerce(coef))
         self.terms = clean
 
     @staticmethod
@@ -88,7 +76,7 @@ class _Laurent:
                 for kb, cb in other.terms.items():
                     _accumulate(terms, self._add_keys(ka, kb), ca * cb)
             return self._new(terms)
-        value = _coef(other)
+        value = CoefPoly.coerce(other)
         if not value:
             return self._new({})
         return self._new({k: c * value for k, c in self.terms.items()})

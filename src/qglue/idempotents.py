@@ -18,6 +18,10 @@ from .errors import SizeCapExceeded
 from .ncpoly import NCPoly, SymMatrix
 from .presets import sphere3_presentation
 
+# the largest |N| that build_en builds: the exact E^2 = E check of the
+# degree-N idempotent costs about ten times more at |N| = 4 than at |N| = 3
+EN_CAP = 3
+
 
 @lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, which: str = "q") -> CoefPoly:
@@ -40,9 +44,7 @@ def gaussian_binomial(n: int, k: int, which: str = "q") -> CoefPoly:
     )
 
 
-def build_en(
-    N: int, assignment: str = "corrected", cap: int = 4
-) -> tuple[SymMatrix, SymMatrix, SymMatrix]:
+def build_en(N: int, assignment: str = "corrected") -> tuple[SymMatrix, SymMatrix, SymMatrix]:
     """Vectors X, Y and the idempotent E = X Y^T for degree N.
 
     For n = |N| the vectors have n+1 entries. With A = 1 - aa*, B = 1 - bb*:
@@ -57,13 +59,13 @@ def build_en(
     (q-binomials with B, p-binomials with A); already at N = 1 that leaves
     the nonzero witness (q - p)(1 - bb*).
 
-    Raises SizeCapExceeded when |N| > cap.
+    Raises SizeCapExceeded when |N| > EN_CAP.
     """
     if assignment not in ("corrected", "literal"):
         raise ValueError(f"unknown assignment {assignment!r}")
     n = abs(N)
-    if n > cap:
-        raise SizeCapExceeded(f"|N| = {n} exceeds the size cap {cap}")
+    if n > EN_CAP:
+        raise SizeCapExceeded(f"|N| = {n} exceeds the size cap {EN_CAP}")
     pres = sphere3_presentation()
     a, astar, b, bstar = (pres.gen(x) for x in ("a", "a*", "b", "b*"))
     one = pres.one()

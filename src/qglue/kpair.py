@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 from .circle import LaurentPoly
 from .errors import DimensionMismatch, SymbolMismatch
 from .glue import FibrePair, chi, en_numeric, fp_matmul
-from .opnum import ParamSet, TraceResult, pi_rep, trace_finite_rank
+from .idempotents import EN_CAP
+from .opnum import GUARD, TAIL_TOL, ParamSet, TraceResult, pi_rep, trace_finite_rank
 
 ORIENTATION_SIGN = -1
 
-# default certification thresholds of a pairing
+# the largest trusted-block idempotent defect a pairing accepts
 IDEM_TOL = 1e-8
-TAIL_TOL = 1e-9
-GUARD = 2
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,13 @@ def _as_matrix(P) -> list[list[FibrePair]]:
     return rows
 
 
-def _idem_defect(entries: list[list[FibrePair]], guard: int) -> float:
+def _idem_defect(entries: list[list[FibrePair]]) -> float:
     square = fp_matmul(entries, entries)
     worst = 0.0
     for row_sq, row in zip(square, entries):
         for a, b in zip(row_sq, row):
             diff = a - b
-            worst = max(worst, diff.t0.max_abs(guard), diff.t1.max_abs(guard))
+            worst = max(worst, diff.t0.max_abs(GUARD), diff.t1.max_abs(GUARD))
             if not (diff.sym0.is_zero() and diff.sym1.is_zero()):
                 raise SymbolMismatch(
                     "symbol matrix is not exactly idempotent; refusing to pair"
@@ -100,7 +99,7 @@ def _idem_defect(entries: list[list[FibrePair]], guard: int) -> float:
     return worst
 
 
-def _checked_idempotent(P, idem_tol: float = IDEM_TOL, guard: int = GUARD):
+def _checked_idempotent(P):
     """First step of pair(): check its preconditions, then return P as a
     square matrix of entries together with its trusted-block defect."""
     entries = _as_matrix(P)
@@ -108,22 +107,22 @@ def _checked_idempotent(P, idem_tol: float = IDEM_TOL, guard: int = GUARD):
         for entry in row:
             if entry.twist != 0:
                 raise SymbolMismatch("pairing needs twist-0 idempotents")
-    defect = _idem_defect(entries, guard)
-    if defect > idem_tol:
+    defect = _idem_defect(entries)
+    if defect > IDEM_TOL:
         raise ValueError(
             f"not an idempotent within tolerance: trusted-block defect "
-            f"{defect:.3e} exceeds {idem_tol:.3e}"
+            f"{defect:.3e} exceeds {IDEM_TOL:.3e}"
         )
     return entries, defect
 
 
-def _trace_pairing(module, entries, defect, tail_tol=TAIL_TOL, guard=GUARD) -> PairingResult:
+def _trace_pairing(module, entries, defect, tail_tol=TAIL_TOL) -> PairingResult:
     """Second step of a pairing: the sum of the diagonal traces of
     (rho_+ - rho_-) over a checked idempotent."""
     traces: list[TraceResult] = []
     for i in range(len(entries)):
         diff = module.difference(entries[i][i])
-        traces.append(trace_finite_rank(diff, tail_tol, guard))
+        traces.append(trace_finite_rank(diff, tail_tol, GUARD))
     value = float(sum(t.value for t in traces))
     rounded = int(round(value))
     residual = abs(value - rounded)
@@ -140,23 +139,19 @@ def _trace_pairing(module, entries, defect, tail_tol=TAIL_TOL, guard=GUARD) -> P
     )
 
 
-def pair(
-    module: FredholmModule,
-    P,
-    idem_tol: float = IDEM_TOL,
-    tail_tol: float = TAIL_TOL,
-    guard: int = GUARD,
-) -> PairingResult:
+def pair(module: FredholmModule, P, tail_tol: float = TAIL_TOL) -> PairingResult:
     """Index pairing of a module with an idempotent (FibrePair or square
     matrix of twist-0 FibrePairs).
 
     Preconditions enforced: every entry has twist 0, the exact symbol matrix
     is exactly idempotent, and the operator legs are idempotent on their
-    trusted blocks within idem_tol. The value is the sum of the diagonal
-    traces of (rho_+ - rho_-); `exact` means every trace had a machine-zero
-    tail, in which case the residual cannot move with the window size."""
-    entries, defect = _checked_idempotent(P, idem_tol, guard)
-    return _trace_pairing(module, entries, defect, tail_tol, guard)
+    trusted blocks within IDEM_TOL. The value is the sum of the diagonal
+    traces of (rho_+ - rho_-), each certified with a tail of at most
+    tail_tol outside its GUARD-guarded block; `exact` means every trace had
+    a machine-zero tail, in which case the residual cannot move with the
+    window size."""
+    entries, defect = _checked_idempotent(P)
+    return _trace_pairing(module, entries, defect, tail_tol)
 
 
 # -- expected values and interpretation ------------------------------------------
@@ -197,7 +192,6 @@ class IndexRow:
 
 CHI_RESIDUAL_TOL = 1e-12
 EN_RESIDUAL_TOL = 1e-3
-EN_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -217,15 +211,15 @@ class PairingTable:
 
     Filling an entry builds the idempotent once, checks its defect once and
     traces it against both modules; the operators are dropped afterwards,
-    so the table holds results only. The window size d and the "pi" window
-    radius w default to the run's parameters."""
+    so the table holds results only. The window size is params.d and the
+    "pi" window radius params.w. The table is the one place a pairing is
+    classified (see rows), for every suite that reports one."""
 
-    def __init__(self, params: ParamSet, d: int | None = None, w: int | None = None):
+    def __init__(self, params: ParamSet):
         self.params = params
-        self.d = params.d if d is None else d
         self.modules = (
             FredholmModule("pr"),
-            FredholmModule("pi", params=params, w=params.w if w is None else w),
+            FredholmModule("pi", params=params, w=params.w),
         )
         self._entries: dict[tuple[str, int], TableEntry] = {}
 
@@ -239,21 +233,29 @@ class PairingTable:
     def _fill(self, representative: str, N: int) -> TableEntry:
         symbol_trace = None
         if representative == "chi":
-            P = chi(N, self.d)
+            P = chi(N, self.params.d)
         else:
-            P, syms = en_numeric(N, self.params, d=self.d)
+            P, syms = en_numeric(N, self.params)
             symbol_trace = sum((row[i] for i, row in enumerate(syms)), LaurentPoly({}))
         entries, defect = _checked_idempotent(P)
         results = {m.kind: _trace_pairing(m, entries, defect) for m in self.modules}
         return TableEntry(results, symbol_trace)
 
     def rows(self, representative: str, N: int) -> list[IndexRow]:
-        """The (representative, N) pairings classified, one row per module."""
-        tol = CHI_RESIDUAL_TOL if representative == "chi" else EN_RESIDUAL_TOL
+        """The (representative, N) pairings classified, one row per module. A
+        row passes when the pairing rounds to its expected value within the
+        representative's residual tolerance; a chi(N) row also needs an
+        exact pairing, one whose value cannot move with the window."""
+        is_chi = representative == "chi"
+        tol = CHI_RESIDUAL_TOL if is_chi else EN_RESIDUAL_TOL
         rows = []
         for kind, result in self.entry(representative, N).results.items():
             expected = expected_pairing(kind, representative, N)
-            ok = result.rounded == expected and result.residual <= tol
+            ok = (
+                result.rounded == expected
+                and result.residual <= tol
+                and (result.exact or not is_chi)
+            )
             rows.append(
                 IndexRow(
                     N=N,
@@ -267,23 +269,10 @@ class PairingTable:
             )
         return rows
 
-    def index_rows(self, nmax: int, include_en: bool = True) -> list[IndexRow]:
-        """Rows for chi(N), |N| <= nmax, then (unless include_en is false)
-        for the degree-N idempotents, |N| <= min(nmax, EN_CAP)."""
+    def index_rows(self, nmax: int) -> list[IndexRow]:
+        """Rows for chi(N), |N| <= nmax, then for the degree-N idempotents,
+        |N| <= min(nmax, EN_CAP)."""
         rows = [row for N in range(-nmax, nmax + 1) for row in self.rows("chi", N)]
-        if include_en:
-            cap = min(nmax, EN_CAP)
-            rows += [row for N in range(-cap, cap + 1) for row in self.rows("en", N)]
-        return rows
+        cap = min(nmax, EN_CAP)
+        return rows + [row for N in range(-cap, cap + 1) for row in self.rows("en", N)]
 
-
-def index_table(
-    params: ParamSet,
-    nmax: int = 5,
-    d: int | None = None,
-    w: int | None = None,
-    include_en: bool = True,
-) -> list[IndexRow]:
-    """Pair chi(N) for |N| <= nmax (and the degree-N idempotents for
-    |N| <= min(nmax, 3)) against both modules and classify each row."""
-    return PairingTable(params, d, w).index_rows(nmax, include_en)

@@ -417,6 +417,11 @@ def _word_sum(x: NCPoly, ops: Mapping, one, empty, weigh):
 
 # -- traces and norms ----------------------------------------------------------
 
+# the default tail tolerance and guard width of trace_finite_rank; kpair
+# certifies its pairings against them
+TAIL_TOL = 1e-9
+GUARD = 2
+
 
 @dataclass(frozen=True)
 class TraceResult:
@@ -432,7 +437,9 @@ class TraceResult:
     tail_max: float
 
 
-def trace_finite_rank(op: TruncOp, tail_tol: float = 1e-9, guard: int = 2) -> TraceResult:
+def trace_finite_rank(
+    op: TruncOp, tail_tol: float = TAIL_TOL, guard: int = GUARD
+) -> TraceResult:
     """On the natural lattice the tail region is the guarded untrusted
     corner; on the integer lattice it is the guard band at the two window
     edges (the shift-picture differences are exact compressions whose edge

@@ -27,7 +27,6 @@ import heapq
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from numbers import Rational
 from operator import neg
 from typing import Iterable, Mapping, Sequence
 
@@ -64,14 +63,6 @@ class _Budget:
             raise RewriteLimitExceeded(
                 "rewrite step budget exhausted; the rule system may not terminate"
             )
-
-
-def _coerce_coef(value) -> CoefPoly:
-    if isinstance(value, CoefPoly):
-        return value
-    if isinstance(value, Rational):
-        return CoefPoly.scalar(value)
-    raise TypeError(f"bad rule coefficient of type {type(value).__name__}")
 
 
 class Presentation:
@@ -138,7 +129,7 @@ class Presentation:
                 partner, scale = spec, ONE
             else:
                 partner, scale = spec
-                scale = _coerce_coef(scale)
+                scale = CoefPoly.coerce(scale)
             i, j = self._index[src], self._index[partner]
             table[i] = (j, scale)
             if j not in table or j == i:
@@ -168,7 +159,9 @@ class Presentation:
         if not redex:
             raise PresentationError(f"{self.name}: empty redex")
         rhs = tuple(
-            (self.word(w), _coerce_coef(c)) for w, c in rhs_spec.items() if _coerce_coef(c)
+            (self.word(w), CoefPoly.coerce(c))
+            for w, c in rhs_spec.items()
+            if CoefPoly.coerce(c)
         )
         counts = self._counts(redex) if pbw else ()
         if pbw and tuple(sorted(redex)) != redex:
@@ -196,7 +189,7 @@ class Presentation:
         return NCPoly.scalar(self, 1)
 
     def element(self, terms: Mapping[str, object]) -> NCPoly:
-        return NCPoly(self, {self.word(w): _coerce_coef(c) for w, c in terms.items()})
+        return NCPoly(self, {self.word(w): CoefPoly.coerce(c) for w, c in terms.items()})
 
     def measure(self, word: Word):
         return (sum(self.order_weights[i] for i in word), len(word), word)

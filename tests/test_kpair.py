@@ -1,6 +1,6 @@
 """Index pairings: the two Fredholm modules against projections and bundles."""
 
-from fractions import Fraction
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +18,13 @@ from qglue import (
     chi,
     en_numeric,
     expected_pairing,
-    index_table,
     pair,
     psi_inverse,
     unit_pair,
     winding_interpretation,
     zero_pair,
 )
+from qglue.kpair import PairingTable
 
 PARAMS = ParamSet()
 
@@ -129,8 +129,8 @@ def test_expected_pairing_table():
     assert "orientation" in winding_interpretation("en", "pr", 2)
 
 
-def test_index_table_full_battery():
-    rows = index_table(PARAMS, nmax=5)
+def test_index_rows_full_battery():
+    rows = PairingTable(PARAMS).index_rows(5)
     assert len(rows) == 36
     assert all(row.status == "pass" for row in rows)
     chi_rows = [row for row in rows if row.representative == "chi"]
@@ -146,7 +146,9 @@ def test_index_table_full_battery():
     assert ns == list(range(-3, 4))
 
 
-def test_index_table_without_en():
-    rows = index_table(PARAMS, nmax=2, d=32, w=6, include_en=False)
+def test_chi_rows_at_a_smaller_window():
+    table = PairingTable(replace(PARAMS, d=32, w=6))
+    rows = [row for N in range(-2, 3) for row in table.rows("chi", N)]
     assert len(rows) == 10
     assert {row.representative for row in rows} == {"chi"}
+    assert all(row.status == "pass" and row.result.exact for row in rows)

@@ -11,7 +11,6 @@ from qglue import (
     CoefPoly,
     NCPoly,
     ONE,
-    P,
     ParamSet,
     Presentation,
     PresentationError,

@@ -1,13 +1,16 @@
 """Verification suite registry: naming, determinism, subset reproducibility."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qglue.glue
+import qglue.kpair
 from qglue import ParamSet, SUITES, run_suites
 from qglue.cli import run
+from qglue.report import FAIL, PASS
 
 PARAMS = ParamSet(d=32, w=6)
 
@@ -119,6 +122,26 @@ def test_index_records_do_not_depend_on_companion_suites():
     together = run_suites(["en-numeric", "chi", "index"], params, 1)
     assert alone
     assert alone == [rec for rec in together if rec.suite == "index"]
+
+
+def test_chi_rows_need_an_exact_pairing_in_every_suite(monkeypatch):
+    # every trace keeps its value but loses its exactness certificate
+    trace = qglue.kpair.trace_finite_rank
+
+    def inexact(*args, **kwargs):
+        return replace(trace(*args, **kwargs), exact=False)
+
+    monkeypatch.setattr(qglue.kpair, "trace_finite_rank", inexact)
+    records = run_suites(["chi", "index"], ParamSet(), 1)
+    prefix = {"chi": "pairing N=", "index": "chi N="}
+    chi_rows = [rec for rec in records if rec.check.startswith(prefix[rec.suite])]
+    # chi(N) for N = -1, 0, 1 against both modules, in each suite
+    assert len(chi_rows) == 12
+    assert {rec.status for rec in chi_rows} == {FAIL}
+    # an E_N row needs no exact pairing
+    en_rows = [rec for rec in records if rec.check.startswith("en N=")]
+    assert len(en_rows) == 6
+    assert {rec.status for rec in en_rows} == {PASS}
 
 
 def test_numeric_suites_at_d512_take_no_dense_svd(monkeypatch):
