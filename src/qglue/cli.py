@@ -156,8 +156,10 @@ def run(argv) -> int:
         print(f"qglue: {exc}", file=sys.stderr)
         return 2
 
-    # guard failures (window too small to certify a trace, idempotent defect
-    # over tolerance, ...) are parameter problems, not mathematical fails
+    # a pairing that cannot be certified (trace tail or idempotent defect
+    # over tolerance) is already a fail record of its module; any other guard
+    # failure (no trusted block, chi(N) wider than the window, ...) is a
+    # parameter problem, not a mathematical fail
     names = cfg.suites if args.command == "verify" else ("index",)
     try:
         records = run_suites(names, params, cfg.nmax, cfg.seed)

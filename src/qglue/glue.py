@@ -10,9 +10,10 @@ Twist 0 is the glued function algebra itself; twist N is the degree-N
 bimodule over it. chi produces the canonical range projections, psi_iso
 normalizes a twist away (see ORIENTATION), and iota embeds the symbolic
 glued-disc algebra into the doubled picture, a Laurent polynomial in the
-circle letter whose degree-N coefficient is a twist-N FibrePair. The tensor
-picture (iota_kron_assignment) realizes the same gluing map on disc (x)
-circle windows, as TruncOps built by opnum.kron.
+circle letter whose degree-N coefficient is a twist-N FibrePair; en_numeric
+builds the degree-N line-bundle idempotents through it. The tensor picture
+(iota_kron_assignment) realizes the same gluing map on disc (x) circle
+windows, as TruncOps built by opnum.kron.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .opnum import (
     diag_op,
     disc_base,
     disc_rep,
-    evaluate,
     identity,
     inv_sqrt_psd,
     kron,
@@ -413,6 +413,12 @@ def iota(x: NCPoly, params: ParamSet, d: int | None = None) -> CSfpElement:
     gluing map S3_GLUING: a letter of grading weight k goes to the twist-k
     FibrePair of its two leg operators and their boundary symbols.
     Coefficients scale the operators numerically and the symbols exactly."""
+    return _gluing_map(params, d)(x)
+
+
+def _gluing_map(params: ParamSet, d: int | None):
+    """iota at one parameter point and window, as a function of the element:
+    the letter images are built once, for every element it embeds."""
     d = params.d if d is None else d
     pres = sphere3_presentation()
     legs = [s3_leg_assignment(leg, params, d) for leg in (0, 1)]
@@ -427,17 +433,12 @@ def iota(x: NCPoly, params: ParamSet, d: int | None = None) -> CSfpElement:
             weight,
         )
         images[letter] = CSfpElement({weight: pair})
+    one = CSfpElement({0: unit_pair(d)})
 
     def weigh(factor: CSfpElement, coef: CoefPoly) -> CSfpElement:
         return factor.scale(coef.evaluate(params.q, params.p, params.s), coef)
 
-    return _word_sum(x, images, CSfpElement({0: unit_pair(d)}), CSfpElement({}), weigh)
-
-
-def extract_degree(element: CSfpElement, N: int) -> FibrePair | None:
-    """The degree-N coefficient of a doubled-picture element, a twist-N
-    fibre pair; None when the degree is absent."""
-    return element.terms.get(N)
+    return lambda x: _word_sum(x, images, one, CSfpElement({}), weigh)
 
 
 def iota_kron_assignment(
@@ -539,36 +540,18 @@ def en_numeric(
     params: ParamSet,
     assignment: str = "corrected",
     d: int | None = None,
-) -> tuple[list[list[FibrePair]], list[list[LaurentPoly]]]:
+) -> list[list[FibrePair]]:
     """Numeric idempotent matrix for degree N over the glued algebra.
 
-    Entries are built as outer products of the evaluated X and Y legs (which
-    is exactly the evaluation of E's entries, reassociated), with exact
-    symbols read off the symbolic entries. The leg-symbol map sends every
-    s3pq rule to zero, so unreduced entries give the symbols of their normal
-    forms. Returns the matrix of FibrePairs and the matrix of common boundary
-    symbols."""
+    Entry (i, j) is the degree-0 part of iota(X[i]) @ iota(Y[j]): the
+    evaluation of E's entry reassociated as a product of the embedded X and
+    Y vectors, with the exact leg symbols carried along by the gluing map.
+    The leg-symbol map sends every s3pq rule to zero, so these are the
+    symbols of the normal forms of E's entries."""
     from .idempotents import build_en
 
-    X, Y, E = build_en(N, assignment)
-    d = params.d if d is None else d
-    n1 = X.shape[0]
-    legs = (s3_leg_assignment(0, params, d), s3_leg_assignment(1, params, d))
-    xv = [[evaluate(X[k, 0], legs[leg], params) for k in range(n1)] for leg in (0, 1)]
-    yv = [[evaluate(Y[k, 0], legs[leg], params) for k in range(n1)] for leg in (0, 1)]
-    pairs: list[list[FibrePair]] = []
-    syms: list[list[LaurentPoly]] = []
-    for i in range(n1):
-        prow = []
-        srow = []
-        for j in range(n1):
-            sym0 = s3_leg_symbol(E[i, j], 0)
-            sym1 = s3_leg_symbol(E[i, j], 1)
-            fp = FibrePair(
-                xv[0][i] @ yv[0][j], xv[1][i] @ yv[1][j], sym0, sym1, 0
-            )
-            prow.append(fp)
-            srow.append(sym0)
-        pairs.append(prow)
-        syms.append(srow)
-    return pairs, syms
+    X, Y, _ = build_en(N, assignment)
+    embed = _gluing_map(params, d)
+    xs = [embed(X[k, 0]) for k in range(X.shape[0])]
+    ys = [embed(Y[k, 0]) for k in range(Y.shape[0])]
+    return [[(x @ y).terms[0] for y in ys] for x in xs]

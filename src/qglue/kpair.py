@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circle import LaurentPoly
-from .errors import DimensionMismatch, SymbolMismatch
+from .errors import DimensionMismatch, QGlueError, SymbolMismatch
 from .glue import FibrePair, chi, en_numeric, fp_matmul
 from .idempotents import EN_CAP
 from .opnum import GUARD, TAIL_TOL, ParamSet, TraceResult, pi_rep, trace_finite_rank
@@ -64,11 +64,19 @@ class FredholmModule:
 
 @dataclass(frozen=True)
 class PairingResult:
-    value: float
-    rounded: int
+    """A certified pairing; or, made by failed(), one that could not be
+    certified, whose value is the reason and whose rounded value and
+    residual are None."""
+
+    value: float | str
+    rounded: int | None
     exact: bool
-    residual: float
+    residual: float | None
     meta: dict = field(compare=False, default_factory=dict)
+
+    @classmethod
+    def failed(cls, exc: Exception) -> "PairingResult":
+        return cls(value=str(exc), rounded=None, exact=False, residual=None)
 
 
 def _as_matrix(P) -> list[list[FibrePair]]:
@@ -231,21 +239,34 @@ class PairingTable:
         return self._entries[key]
 
     def _fill(self, representative: str, N: int) -> TableEntry:
+        """Build, check and trace one idempotent. A pairing that cannot be
+        certified (its idempotent check or its trace raises) keeps the
+        reason as a failed result; the other module's pairing stands."""
         symbol_trace = None
         if representative == "chi":
             P = chi(N, self.params.d)
         else:
-            P, syms = en_numeric(N, self.params)
-            symbol_trace = sum((row[i] for i, row in enumerate(syms)), LaurentPoly({}))
-        entries, defect = _checked_idempotent(P)
-        results = {m.kind: _trace_pairing(m, entries, defect) for m in self.modules}
+            P = en_numeric(N, self.params)
+            symbol_trace = sum((row[i].sym0 for i, row in enumerate(P)), LaurentPoly({}))
+        try:
+            entries, defect = _checked_idempotent(P)
+        except (QGlueError, ValueError) as exc:
+            failure = PairingResult.failed(exc)
+            return TableEntry({m.kind: failure for m in self.modules}, symbol_trace)
+        results = {}
+        for m in self.modules:
+            try:
+                results[m.kind] = _trace_pairing(m, entries, defect)
+            except (QGlueError, ValueError) as exc:
+                results[m.kind] = PairingResult.failed(exc)
         return TableEntry(results, symbol_trace)
 
     def rows(self, representative: str, N: int) -> list[IndexRow]:
         """The (representative, N) pairings classified, one row per module. A
         row passes when the pairing rounds to its expected value within the
         representative's residual tolerance; a chi(N) row also needs an
-        exact pairing, one whose value cannot move with the window."""
+        exact pairing, one whose value cannot move with the window. A failed
+        pairing rounds to None, so its row fails."""
         is_chi = representative == "chi"
         tol = CHI_RESIDUAL_TOL if is_chi else EN_RESIDUAL_TOL
         rows = []

@@ -316,22 +316,6 @@ def disc_assignment(pres, params: ParamSet, d: int | None = None) -> dict[str, T
 # -- integer-lattice shift pictures -------------------------------------------
 
 
-def _trajectory_plus(j: int, n: int) -> int | None:
-    return j + n
-
-
-def _trajectory_minus(j: int, n: int) -> int | None:
-    """n-th successor of j in the integer lattice with 0 removed."""
-    if j == 0:
-        return None
-    step = 1 if n >= 0 else -1
-    for _ in range(abs(n)):
-        j = j + step
-        if j == 0:
-            j = j + step
-    return j
-
-
 def pi_rep(sign: str, f: LaurentPoly, w: int, params: ParamSet) -> TruncOp:
     """Window truncation of the two shift pictures of a circle element.
 
@@ -340,13 +324,17 @@ def pi_rep(sign: str, f: LaurentPoly, w: int, params: ParamSet) -> TruncOp:
     (j -> j+1, but -1 -> 1 and e_0 is annihilated); the unit acts as the
     projection that kills e_0.
 
-    Each monomial is compressed exactly to the window [-w, w]; a monomial
-    whose exponent exceeds w in absolute value raises WindowOverflow. The
-    exact coefficients are evaluated at params (q, p, s).
+    Both are one formula on the window's sites (all of [-w, w] for "+",
+    those without 0 for "-"): U^n sends the i-th site to the (i+n)-th. Each
+    monomial is compressed exactly to the window; a monomial whose exponent
+    exceeds w in absolute value raises WindowOverflow. The exact
+    coefficients are evaluated at params (q, p, s).
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     d = 2 * w + 1
+    sites = np.arange(d) if sign == "+" else np.delete(np.arange(d), w)
+    m = sites.size
     diags = {}
     bandwidth = 0
     point = _params_qps(params)
@@ -357,18 +345,14 @@ def pi_rep(sign: str, f: LaurentPoly, w: int, params: ParamSet) -> TruncOp:
             )
         bandwidth = max(bandwidth, abs(n))
         value = complex(coef.evaluate(*point))
-        for j in range(-w, w + 1):
-            if sign == "+":
-                k = _trajectory_plus(j, n)
-            else:
-                k = _trajectory_minus(j, n)
-            if k is None or abs(k) > w:
-                continue
-            row, col = k + w, j + w
-            offset = col - row
+        cols = sites[max(0, -n) : m - max(0, n)]
+        rows = sites[max(0, n) : m - max(0, -n)]
+        offsets = cols - rows
+        for offset in set(offsets.tolist()):
+            at = offsets == offset
             if offset not in diags:
                 diags[offset] = np.zeros(d - abs(offset), dtype=np.complex128)
-            diags[offset][min(row, col)] += value
+            diags[offset][np.minimum(rows[at], cols[at])] += value
     return TruncOp._new(diags, d, bandwidth, "Z", w)
 
 

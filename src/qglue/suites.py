@@ -43,7 +43,6 @@ from .glue import (
     psi_iso,
     s2_leg_assignment,
     s3_leg_assignment,
-    unit_pair,
 )
 from .idempotents import EN_CAP, build_en
 from .kpair import FredholmModule, IndexRow, PairingTable, pair
@@ -569,8 +568,8 @@ def suite_chi(
                     f"<[{row.module}], [chi_{N}]> = {row.expected}, exactly at finite window",
                 )
             )
-    unit = unit_pair(d)
-    result = pair(pr, unit)
+    # chi(0) is the unit
+    result = pairings.entry("chi", 0).results["pr"]
     recs.append(
         _flag(
             "chi",
@@ -707,7 +706,7 @@ def suite_convergence(
         dims = tuple(d for d in (8, 16, 32, 64) if d >= 8 * N)
         residuals = []
         for d in dims:
-            pairs, _ = en_numeric(N, params, d=d)
+            pairs = en_numeric(N, params, d=d)
             result = pair(pr, pairs, tail_tol=np.inf)
             residuals.append(result.residual)
         for (d1, r1), (d2, r2) in zip(zip(dims, residuals), zip(dims[1:], residuals[1:])):

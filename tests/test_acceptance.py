@@ -97,7 +97,7 @@ def test_criterion_2_en_pairings_converge():
     for N in range(-3, 4):
         values = {}
         for d in (64, 128):
-            pairs, _ = en_numeric(N, params, d=d)
+            pairs = en_numeric(N, params, d=d)
             values[d] = pair(pr, pairs).value
         r64 = abs(values[64] - (-N))
         r128 = abs(values[128] - (-N))

@@ -226,15 +226,20 @@ def test_index_subcommand_matches_verify_index_suite(capsys):
     assert index_out == verify_out
 
 
-def test_uncertifiable_window_is_a_parameter_error(capsys):
-    # a window too small for the tail guard must exit 2 with a clean
-    # message, never a traceback and never a mathematical "fail" record
-    code = run(["index", "--nmax", "1", "--d", "32", "--w", "6"])
+def test_uncertifiable_pairing_is_a_fail_record(capsys):
+    # at d = 32 the tail of one E_N trace exceeds the tail guard: that
+    # pairing is a fail record carrying the reason, and the other 11
+    # pairings of the table still certify
+    code = run(["index", "--d", "32", "--nmax", "1", "--format", "csv"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("qglue:")
-    assert "tail" in captured.err
-    assert captured.out == ""
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert len(rows) == 12
+    failed = [row for row in rows if row["status"] == "fail"]
+    assert [row["check"] for row in failed] == ["en N=-1 [pr]"]
+    assert failed[0]["value"].startswith("operator is not finite-rank within the window: tail")
+    assert failed[0]["residual"] == ""
+    assert "11 pass, 1 fail" in captured.err
 
 
 def test_window_without_a_trusted_block_names_its_operands(capsys):

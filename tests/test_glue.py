@@ -19,7 +19,6 @@ from qglue import (
     disc_presentation,
     en_numeric,
     evaluate,
-    extract_degree,
     fp_matmul,
     identity,
     iota,
@@ -309,10 +308,10 @@ def test_extract_degree_builds_twisted_pairs():
     pres = sphere3_presentation()
     a = pres.gen("a")
     e = iota(a, PARAMS, 12)
-    fp = extract_degree(e, -1)
+    fp = e.terms.get(-1)
     assert fp is not None and fp.twist == -1
     assert fp.sym0 == LaurentPoly({1: 1})
-    assert extract_degree(e, 5) is None
+    assert e.terms.get(5) is None
     assert np.max(np.abs(fp.t0.mat - _disc_matrix(PARAMS, 12))) < 1e-15
 
 
@@ -426,18 +425,18 @@ def test_polar_part_rejects_fat_symbols():
 @pytest.mark.parametrize("N", [1, -1, 2])
 def test_en_numeric_idempotent_and_symbol_trace(N):
     d = 24
-    pairs, syms = en_numeric(N, PARAMS, d=d)
+    pairs = en_numeric(N, PARAMS, d=d)
     n1 = abs(N) + 1
-    assert len(pairs) == n1 and len(syms) == n1
+    assert len(pairs) == n1
     square = fp_matmul(pairs, pairs)
     for i in range(n1):
         for j in range(n1):
             assert trusted_diff_norm(square[i][j].t0, pairs[i][j].t0, guard=1) < 1e-10
             assert trusted_diff_norm(square[i][j].t1, pairs[i][j].t1, guard=1) < 1e-10
             assert pairs[i][j].twist == 0
-    trace_sym = syms[0][0]
+    trace_sym = pairs[0][0].sym0
     for k in range(1, n1):
-        trace_sym = trace_sym + syms[k][k]
+        trace_sym = trace_sym + pairs[k][k].sym0
     assert trace_sym == LaurentPoly({0: 1})
 
 
@@ -464,19 +463,40 @@ def test_leg_symbols_vanish_on_every_s3_rule():
 def test_en_numeric_symbols_are_those_of_the_normal_forms(assignment):
     for N in range(-3, 4):
         _, _, E = build_en(N, assignment)
-        pairs, syms = en_numeric(N, PARAMS, assignment=assignment, d=8)
+        pairs = en_numeric(N, PARAMS, assignment=assignment, d=8)
         n1 = abs(N) + 1
         for i in range(n1):
             for j in range(n1):
                 entry = normal_form(E[i, j])
-                assert syms[i][j] == s3_leg_symbol(entry, 0)
                 assert pairs[i][j].sym0 == s3_leg_symbol(entry, 0)
                 assert pairs[i][j].sym1 == s3_leg_symbol(entry, 1)
 
 
+@pytest.mark.parametrize("assignment", ["corrected", "literal"])
+def test_en_numeric_entries_evaluate_the_unreduced_entries(assignment):
+    # iota(X[i]) @ iota(Y[j]) reassociates E[i, j] = X[i] Y[j]: on each leg
+    # it is the evaluation of the unreduced entry, up to rounding relative to
+    # the matrix's largest entry (some entries vanish on one leg, where both
+    # routes leave only rounding residue)
+    d = 24
+    for N in range(-3, 4):
+        _, _, E = build_en(N, assignment)
+        pairs = en_numeric(N, PARAMS, assignment=assignment, d=d)
+        n1 = E.shape[0]
+        assert [len(row) for row in pairs] == [n1] * n1
+        for leg in (0, 1):
+            ops = s3_leg_assignment(leg, PARAMS, d)
+            want = [[evaluate(E[i, j], ops, PARAMS) for j in range(n1)] for i in range(n1)]
+            scale = max(op.max_abs() for row in want for op in row)
+            for i in range(n1):
+                for j in range(n1):
+                    got = (pairs[i][j].t0, pairs[i][j].t1)[leg]
+                    assert (got - want[i][j]).max_abs() <= 1e-12 * scale, (N, i, j, leg)
+
+
 def test_en_numeric_literal_defect_shows_up():
     # the literal base assignment leaves an order (q - p) failure of E^2 = E
-    pairs, _ = en_numeric(1, PARAMS, assignment="literal", d=24)
+    pairs = en_numeric(1, PARAMS, assignment="literal", d=24)
     square = fp_matmul(pairs, pairs)
     defect = max(
         trusted_diff_norm(square[i][j].t1, pairs[i][j].t1, guard=1)

@@ -87,7 +87,7 @@ def test_direct_sum_adds_pairings():
 
 @pytest.mark.parametrize("N", [1, -2])
 def test_en_pairings(N):
-    pairs, _ = en_numeric(N, PARAMS)
+    pairs = en_numeric(N, PARAMS)
     res = pair(FredholmModule("pr"), pairs)
     assert res.rounded == ORIENTATION_SIGN * N
     assert res.residual < 1e-6

@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qglue import (
     DimensionMismatch,
     LaurentPoly,
+    P,
     ParamSet,
+    Q,
+    S,
     TruncOp,
     WindowOverflow,
     diag_op,
@@ -175,6 +180,53 @@ def test_pi_plus_inverse_trajectories():
     # U U* = 1 exactly in the bilateral picture, up to the window corner
     prod = u @ ui
     assert trusted_diff_norm(prod, identity(2 * w + 1, "Z", w), guard=0) == 0.0
+
+
+def _pi_rep_by_site(sign, f, w, params):
+    """pi_rep one lattice site at a time, as a dense window: U^n walks each
+    site n steps, stepping over the origin (which it annihilates) in the
+    "-" picture; monomials accumulate in f.terms order."""
+    mat = np.zeros((2 * w + 1, 2 * w + 1), dtype=np.complex128)
+    for n, coef in f.terms.items():
+        value = complex(coef.evaluate(params.q, params.p, params.s))
+        step = 1 if n >= 0 else -1
+        for j in range(-w, w + 1):
+            if sign == "-" and j == 0:
+                continue
+            k = j
+            for _ in range(abs(n)):
+                k += step
+                if sign == "-" and k == 0:
+                    k += step
+            if abs(k) <= w:
+                mat[k + w, j + w] += value
+    return mat
+
+
+@st.composite
+def circle_elements(draw):
+    w = draw(st.integers(min_value=1, max_value=8))
+    coefs = st.one_of(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.sampled_from([Q, P * S, Q - P, 1 - Q * P]),
+    )
+    exponents = st.integers(min_value=-w, max_value=w)
+    terms = draw(st.dictionaries(exponents, coefs, max_size=5))
+    return w, LaurentPoly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from("+-"), circle_elements(), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+def test_pi_rep_matches_the_per_site_walk(sign, element, q, p):
+    w, f = element
+    params = ParamSet(q=q, p=p, s=0.7, w=w)
+    got = pi_rep(sign, f, w, params)
+    want = _pi_rep_by_site(sign, f, w, params)
+    assert np.array_equal(got.mat, want)
+    assert got.bandwidth == max((abs(n) for n in f.terms), default=0)
+    nonzero = {k for k in range(-2 * w, 2 * w + 1) if np.diagonal(want, k).any()}
+    assert set(got._diags) == nonzero
+    assert got.lattice == "Z" and got.w == w
 
 
 def test_pi_rep_window_overflow():

@@ -112,8 +112,9 @@ def test_pairing_suites_share_one_pairing_per_representative(monkeypatch):
     run_suites(["en-numeric", "chi", "index"], ParamSet(), nmax=1)
     # E_N for N = -1, 0, 1 once each
     assert builds[0] == 3
-    # chi(N) and E_N for N = -1, 0, 1, plus chi's unit class and point defect
-    assert squares[0] == 8
+    # chi(N) and E_N for N = -1, 0, 1, plus chi's point defect (its unit
+    # class is chi(0), read from the table)
+    assert squares[0] == 7
 
 
 def test_index_records_do_not_depend_on_companion_suites():
