@@ -324,30 +324,28 @@ def s2_leg_symbol(x: NCPoly) -> LaurentPoly:
 # -- leg assignments -------------------------------------------------------------
 
 
-def s3_leg_assignment(leg: int, params: ParamSet, d: int | None = None) -> dict[str, TruncOp]:
+def s3_leg_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:
     """Operators for one leg of the glued-disc picture, read off S3_GLUING:
     the a-copy acts as the q-disc and b is scalar on leg 0; mirrored on leg 1."""
     if leg not in (0, 1):
         raise ValueError("leg must be 0 or 1")
-    d = params.d if d is None else d
-    one = identity(d)
+    one = identity(params.d)
     return {
-        letter: one if discs[leg] is None else disc_rep(discs[leg], params, d)
+        letter: one if discs[leg] is None else disc_rep(discs[leg], params)
         for letter, discs in S3_GLUING.items()
     }
 
 
-def s2_leg_assignment(leg: int, params: ParamSet, d: int | None = None) -> dict[str, TruncOp]:
+def s2_leg_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:
     """Operators for one leg of the quotient sphere: R acts as the z-disc on
     leg 0 and the y-disc on leg 1; A and B are the two defect projections
     diag(base^n), only one of which survives on each leg."""
     if leg not in (0, 1):
         raise ValueError("leg must be 0 or 1")
-    d = params.d if d is None else d
     disc = ("z", "y")[leg]
-    r = disc_rep(disc, params, d)
-    defects = [zero(d), zero(d)]
-    defects[leg] = diag_op(disc_base(disc, params) ** np.arange(d))
+    r = disc_rep(disc, params)
+    defects = [zero(params.d), zero(params.d)]
+    defects[leg] = diag_op(disc_base(disc, params) ** np.arange(params.d))
     return {"A": defects[0], "B": defects[1], "R": r, "R*": r.adjoint()}
 
 
@@ -408,20 +406,19 @@ class CSfpElement:
         return sorted(self.terms)
 
 
-def iota(x: NCPoly, params: ParamSet, d: int | None = None) -> CSfpElement:
+def iota(x: NCPoly, params: ParamSet) -> CSfpElement:
     """Embed a symbolic glued-disc element into the doubled picture by the
     gluing map S3_GLUING: a letter of grading weight k goes to the twist-k
     FibrePair of its two leg operators and their boundary symbols.
     Coefficients scale the operators numerically and the symbols exactly."""
-    return _gluing_map(params, d)(x)
+    return _gluing_map(params)(x)
 
 
-def _gluing_map(params: ParamSet, d: int | None):
+def _gluing_map(params: ParamSet):
     """iota at one parameter point and window, as a function of the element:
     the letter images are built once, for every element it embeds."""
-    d = params.d if d is None else d
     pres = sphere3_presentation()
-    legs = [s3_leg_assignment(leg, params, d) for leg in (0, 1)]
+    legs = [s3_leg_assignment(leg, params) for leg in (0, 1)]
     images = {}
     for letter, weight in zip(pres.letters, pres.weights):
         gen = pres.gen(letter)
@@ -433,7 +430,7 @@ def _gluing_map(params: ParamSet, d: int | None):
             weight,
         )
         images[letter] = CSfpElement({weight: pair})
-    one = CSfpElement({0: unit_pair(d)})
+    one = CSfpElement({0: unit_pair(params.d)})
 
     def weigh(factor: CSfpElement, coef: CoefPoly) -> CSfpElement:
         return factor.scale(coef.evaluate(params.q, params.p, params.s), coef)
@@ -441,17 +438,15 @@ def _gluing_map(params: ParamSet, d: int | None):
     return lambda x: _word_sum(x, images, one, CSfpElement({}), weigh)
 
 
-def iota_kron_assignment(
-    leg: int, params: ParamSet, d: int, w: int
-) -> dict[str, TruncOp]:
+def iota_kron_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:
     """Tensor form of the doubled picture on one leg, with the circle factor
     realized as the window shift: a -> z (x) U* on leg 0, etc. The operators
-    act on the tensor of the disc space (dim d) and the window (dim 2w+1) and
-    are trusted nowhere by bandwidth: trust the interior
-    kron_interior(d, w, margins) only."""
+    act on the tensor of the disc space (dim params.d) and the window (dim
+    2 params.w + 1) and are trusted nowhere by bandwidth: trust the interior
+    kron_interior(params.d, params.w, margins) only."""
     pres = sphere3_presentation()
-    ops = s3_leg_assignment(leg, params, d)
-    u = pi_rep("+", LaurentPoly({1: 1}), w, params)
+    ops = s3_leg_assignment(leg, params)
+    u = pi_rep("+", LaurentPoly({1: 1}), params)
     circle = {1: u, -1: u.adjoint()}
     return {
         letter: kron(ops[letter], circle[weight])
@@ -484,7 +479,7 @@ class PodlesPair:
     t: TruncOp
 
 
-def podles_generators(params: ParamSet, d: int | None = None) -> PodlesPair:
+def podles_generators(params: ParamSet) -> PodlesPair:
     """Operator legs for the family generators:
 
         zeta -> (-s^2 q^2 t, q^2 t)
@@ -493,7 +488,7 @@ def podles_generators(params: ParamSet, d: int | None = None) -> PodlesPair:
                 f1 at q^{2(n+1)}:   sqrt((1 - v)(s^2 + v))
 
     Both eta legs have exact boundary symbol s U; zeta has symbol 0."""
-    d = params.d if d is None else d
+    d = params.d
     qq = disc_base("x", params)
     s = params.s
     n = np.arange(d)
@@ -536,10 +531,7 @@ def polar_part(pair: FibrePair) -> FibrePair:
 
 
 def en_numeric(
-    N: int,
-    params: ParamSet,
-    assignment: str = "corrected",
-    d: int | None = None,
+    N: int, params: ParamSet, assignment: str = "corrected"
 ) -> list[list[FibrePair]]:
     """Numeric idempotent matrix for degree N over the glued algebra.
 
@@ -551,7 +543,7 @@ def en_numeric(
     from .idempotents import build_en
 
     X, Y, _ = build_en(N, assignment)
-    embed = _gluing_map(params, d)
+    embed = _gluing_map(params)
     xs = [embed(X[k, 0]) for k in range(X.shape[0])]
     ys = [embed(Y[k, 0]) for k in range(Y.shape[0])]
     return [[(x @ y).terms[0] for y in ys] for x in xs]

@@ -24,6 +24,7 @@ from .errors import DimensionMismatch, QGlueError, SymbolMismatch
 from .glue import FibrePair, chi, en_numeric, fp_matmul
 from .idempotents import EN_CAP
 from .opnum import GUARD, TAIL_TOL, ParamSet, TraceResult, pi_rep, trace_finite_rank
+from .report import FAIL, PASS
 
 ORIENTATION_SIGN = -1
 
@@ -34,18 +35,16 @@ IDEM_TOL = 1e-8
 @dataclass(frozen=True)
 class FredholmModule:
     """kind "pr" pairs the two operator legs; kind "pi" pairs the two
-    integer-lattice shift pictures of the boundary symbol (needs the window
-    radius w, and params to evaluate the symbol's exact coefficients)."""
+    integer-lattice shift pictures of the boundary symbol (needs params, to
+    evaluate the symbol's exact coefficients on the window of radius
+    params.w)."""
 
     kind: str
     params: ParamSet | None = None
-    w: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("pr", "pi"):
             raise ValueError(f"kind must be 'pr' or 'pi', got {self.kind!r}")
-        if self.kind == "pi" and self.w is None:
-            raise ValueError("the 'pi' module needs a window radius w")
         if self.kind == "pi" and self.params is None:
             raise ValueError("the 'pi' module needs params to evaluate symbols")
 
@@ -57,8 +56,8 @@ class FredholmModule:
             raise SymbolMismatch(
                 "the 'pi' module needs twist 0 with equal leg symbols"
             )
-        plus = pi_rep("+", pair.sym0, self.w, self.params)
-        minus = pi_rep("-", pair.sym0, self.w, self.params)
+        plus = pi_rep("+", pair.sym0, self.params)
+        minus = pi_rep("-", pair.sym0, self.params)
         return plus - minus
 
 
@@ -227,7 +226,7 @@ class PairingTable:
         self.params = params
         self.modules = (
             FredholmModule("pr"),
-            FredholmModule("pi", params=params, w=params.w),
+            FredholmModule("pi", params=params),
         )
         self._entries: dict[tuple[str, int], TableEntry] = {}
 
@@ -285,7 +284,7 @@ class PairingTable:
                     result=result,
                     expected=expected,
                     interpretation=winding_interpretation(representative, kind, N),
-                    status="pass" if ok else "fail",
+                    status=PASS if ok else FAIL,
                 )
             )
         return rows

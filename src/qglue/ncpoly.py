@@ -246,32 +246,6 @@ class SymMatrix:
             out.append(row)
         return SymMatrix(self.pres, out)
 
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        if not isinstance(other, SymMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return SymMatrix(
-            self.pres,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        if not isinstance(other, SymMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} - {other.shape}")
-        return SymMatrix(
-            self.pres,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
     def __repr__(self) -> str:
         rows, cols = self.shape
         return f"SymMatrix<{self.pres.name}>({rows}x{cols})"

@@ -21,9 +21,19 @@ from .ncpoly import NCPoly
 from .presets import DISC_FLAVOURS
 
 
+# the largest window dimension d and radius w a ParamSet accepts
+WINDOW_MAX = 512
+
+
 @dataclass(frozen=True)
 class ParamSet:
-    """Deformation parameters and window sizes used on the numeric side."""
+    """Deformation parameters and window sizes used on the numeric side.
+
+    This is the one source of window sizes: every function that takes a
+    ParamSet builds its windows at dimension d (natural lattice) and radius w
+    (integer lattice, dimension 2w + 1), and takes no size of its own. A
+    caller that needs another window passes dataclasses.replace(params, d=...,
+    w=...), which goes through the same checks."""
 
     q: float = 0.6
     p: float = 0.4
@@ -39,10 +49,10 @@ class ParamSet:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
         if not (0.0 < self.s <= 1.0):
             raise ValueError(f"s must lie in (0, 1], got {self.s}")
-        if not (4 <= self.d <= 512):
-            raise ValueError(f"d must lie in [4, 512], got {self.d}")
-        if not (1 <= self.w <= 512):
-            raise ValueError(f"w must lie in [1, 512], got {self.w}")
+        if not (4 <= self.d <= WINDOW_MAX):
+            raise ValueError(f"d must lie in [4, {WINDOW_MAX}], got {self.d}")
+        if not (1 <= self.w <= WINDOW_MAX):
+            raise ValueError(f"w must lie in [1, {WINDOW_MAX}], got {self.w}")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
@@ -57,26 +67,26 @@ class TruncOp:
     takes a dense square array; .mat builds the dense window on each read.
     """
 
-    __slots__ = ("_diags", "d", "bandwidth", "lattice", "w")
+    __slots__ = ("_diags", "d", "bandwidth", "lattice")
 
-    def __init__(self, mat, bandwidth: int = 0, lattice: str = "N", w: int | None = None):
+    def __init__(self, mat, bandwidth: int = 0, lattice: str = "N"):
         arr = np.asarray(mat, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"operator must be square, got shape {arr.shape}")
         d = arr.shape[0]
-        w = _checked_window(d, lattice, w)
         diags = {k: np.diagonal(arr, k).copy() for k in range(1 - d, d)}
-        self._store(diags, d, bandwidth, lattice, w)
+        self._store(diags, d, bandwidth, lattice)
 
     @classmethod
-    def _new(cls, diags, d, bandwidth, lattice, w) -> "TruncOp":
+    def _new(cls, diags, d, bandwidth, lattice) -> "TruncOp":
         """An operator from {offset: diagonal vector}; the vectors are taken
         over, not copied."""
         op = object.__new__(cls)
-        op._store(diags, d, bandwidth, lattice, w)
+        op._store(diags, d, bandwidth, lattice)
         return op
 
-    def _store(self, diags, d, bandwidth, lattice, w) -> None:
+    def _store(self, diags, d, bandwidth, lattice) -> None:
+        _check_window(d, lattice)
         self._diags = {}
         for k in sorted(diags):
             vec = diags[k]
@@ -86,10 +96,14 @@ class TruncOp:
         self.d = d
         self.bandwidth = min(max(int(bandwidth), 0), d)
         self.lattice = lattice
-        self.w = w
+
+    @property
+    def w(self) -> int | None:
+        """The window radius on the integer lattice (d = 2w + 1), else None."""
+        return (self.d - 1) // 2 if self.lattice == "Z" else None
 
     def _like(self, diags, bandwidth: int) -> "TruncOp":
-        return TruncOp._new(diags, self.d, bandwidth, self.lattice, self.w)
+        return TruncOp._new(diags, self.d, bandwidth, self.lattice)
 
     def _block(self, lo: int, hi: int) -> np.ndarray:
         """The dense block of rows and columns [lo, hi), read-only."""
@@ -142,7 +156,7 @@ class TruncOp:
         return _max_abs(parts)
 
     def _compat(self, other: "TruncOp") -> None:
-        if self.lattice != other.lattice or self.w != other.w or self.d != other.d:
+        if self.lattice != other.lattice or self.d != other.d:
             raise DimensionMismatch(
                 f"incompatible operators: ({self.lattice},{self.d},{self.w}) "
                 f"vs ({other.lattice},{other.d},{other.w})"
@@ -221,16 +235,13 @@ class TruncOp:
         return f"TruncOp({self.d}x{self.d}, bw={self.bandwidth}, lattice={tag})"
 
 
-def _checked_window(d: int, lattice: str, w: int | None) -> int | None:
-    """The window radius to store: w on the integer lattice, where the
-    dimension must be 2w + 1, else None."""
+def _check_window(d: int, lattice: str) -> None:
+    """An integer-lattice window is centred on the origin, so its dimension
+    is odd: 2w + 1 for the radius w."""
     if lattice not in ("N", "Z"):
         raise ValueError(f"lattice must be 'N' or 'Z', got {lattice!r}")
-    if lattice == "N":
-        return None
-    if w is None or d != 2 * w + 1:
+    if lattice == "Z" and d % 2 == 0:
         raise DimensionMismatch("integer-lattice window of radius w needs dimension 2w+1")
-    return w
 
 
 def _segment(k: int, vec: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -249,32 +260,30 @@ def _max_abs(parts) -> float:
 # -- constructors -------------------------------------------------------------
 
 
-def identity(d: int, lattice: str = "N", w: int | None = None) -> TruncOp:
-    w = _checked_window(d, lattice, w)
-    return TruncOp._new({0: np.ones(d, dtype=np.complex128)}, d, 0, lattice, w)
+def identity(d: int, lattice: str = "N") -> TruncOp:
+    return TruncOp._new({0: np.ones(d, dtype=np.complex128)}, d, 0, lattice)
 
 
 def identity_like(op: TruncOp) -> TruncOp:
-    return identity(op.d, op.lattice, op.w)
+    return identity(op.d, op.lattice)
 
 
-def zero(d: int, lattice: str = "N", w: int | None = None) -> TruncOp:
-    return TruncOp._new({}, d, 0, lattice, _checked_window(d, lattice, w))
+def zero(d: int, lattice: str = "N") -> TruncOp:
+    return TruncOp._new({}, d, 0, lattice)
 
 
-def diag_op(values, lattice: str = "N", w: int | None = None) -> TruncOp:
+def diag_op(values, lattice: str = "N") -> TruncOp:
     vec = np.array(values, dtype=np.complex128)
     if vec.ndim != 1:
         raise DimensionMismatch(f"diagonal values must be a vector, got shape {vec.shape}")
-    d = vec.size
-    return TruncOp._new({0: vec}, d, 0, lattice, _checked_window(d, lattice, w))
+    return TruncOp._new({0: vec}, vec.size, 0, lattice)
 
 
 def weighted_shift(weights) -> TruncOp:
     """Weighted unilateral shift e_n -> weights[n] e_{n+1} on the window of
     size len(weights) + 1; bandwidth 1."""
     vec = np.array(weights, dtype=np.complex128)
-    return TruncOp._new({-1: vec}, vec.size + 1, 1, "N", None)
+    return TruncOp._new({-1: vec}, vec.size + 1, 1, "N")
 
 
 def shift(d: int) -> TruncOp:
@@ -299,25 +308,26 @@ def disc_base(letter: str, params: ParamSet) -> float:
     raise ValueError(f"not a disc letter: {letter!r}")
 
 
-def disc_rep(letter: str, params: ParamSet, d: int | None = None) -> TruncOp:
-    """Standard weighted-shift picture of a disc letter: the letter acts as
-    e_n -> sqrt(1 - base^{n+1}) e_{n+1}, its star as the adjoint."""
+def disc_rep(letter: str, params: ParamSet) -> TruncOp:
+    """Standard weighted-shift picture of a disc letter on the window of
+    size params.d: the letter acts as e_n -> sqrt(1 - base^{n+1}) e_{n+1},
+    its star as the adjoint."""
     base = disc_base(letter, params)
-    d = params.d if d is None else d
-    op = weighted_shift(np.sqrt(1.0 - base ** (np.arange(d - 1) + 1.0)))
+    op = weighted_shift(np.sqrt(1.0 - base ** (np.arange(params.d - 1) + 1.0)))
     return op.adjoint() if letter.endswith("*") else op
 
 
-def disc_assignment(pres, params: ParamSet, d: int | None = None) -> dict[str, TruncOp]:
+def disc_assignment(pres, params: ParamSet) -> dict[str, TruncOp]:
     """Letter -> operator map for a disc presentation."""
-    return {letter: disc_rep(letter, params, d) for letter in pres.letters}
+    return {letter: disc_rep(letter, params) for letter in pres.letters}
 
 
 # -- integer-lattice shift pictures -------------------------------------------
 
 
-def pi_rep(sign: str, f: LaurentPoly, w: int, params: ParamSet) -> TruncOp:
-    """Window truncation of the two shift pictures of a circle element.
+def pi_rep(sign: str, f: LaurentPoly, params: ParamSet) -> TruncOp:
+    """Window truncation of the two shift pictures of a circle element, on
+    the integer-lattice window of radius params.w.
 
     sign "+": U acts as the full shift j -> j+1 on the integer lattice.
     sign "-": U acts as the shift on the lattice with the origin removed
@@ -332,12 +342,13 @@ def pi_rep(sign: str, f: LaurentPoly, w: int, params: ParamSet) -> TruncOp:
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    point = _params_qps(params)
+    w = params.w
     d = 2 * w + 1
     sites = np.arange(d) if sign == "+" else np.delete(np.arange(d), w)
     m = sites.size
     diags = {}
     bandwidth = 0
-    point = _params_qps(params)
     for n, coef in f.terms.items():
         if abs(n) > w:
             raise WindowOverflow(
@@ -353,7 +364,7 @@ def pi_rep(sign: str, f: LaurentPoly, w: int, params: ParamSet) -> TruncOp:
             if offset not in diags:
                 diags[offset] = np.zeros(d - abs(offset), dtype=np.complex128)
             diags[offset][np.minimum(rows[at], cols[at])] += value
-    return TruncOp._new(diags, d, bandwidth, "Z", w)
+    return TruncOp._new(diags, d, bandwidth, "Z")
 
 
 # -- evaluation of symbolic elements -------------------------------------------
@@ -368,7 +379,7 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
     first = next(iter(ops.values()))
     for op in ops.values():
         first._compat(op)
-    empty = zero(first.d, first.lattice, first.w)
+    empty = zero(first.d, first.lattice)
 
     def weigh(factor: TruncOp, coef) -> TruncOp:
         return coef.evaluate(params.q, params.p, params.s) * factor
@@ -480,7 +491,7 @@ def trusted_diff_norm(a: TruncOp, b: TruncOp, guard: int = 0) -> float:
             segs[k] = seg
     if len(segs) <= 1:
         return _max_abs(segs.values())
-    diff = TruncOp._new(segs, hi - lo, 0, "N", None)
+    diff = TruncOp._new(segs, hi - lo, 0, "N")
     return float(np.linalg.norm(diff.mat, 2))
 
 
@@ -509,4 +520,4 @@ def inv_sqrt_psd(op: TruncOp, floor: float = 1e-12) -> TruncOp:
     inv[keep] = eigvals[keep] ** -0.5
     if diagonal:
         return op._like({0: inv.astype(np.complex128)}, op.bandwidth)
-    return TruncOp((eigvecs * inv) @ eigvecs.conj().T, op.d - 1, op.lattice, op.w)
+    return TruncOp((eigvecs * inv) @ eigvecs.conj().T, op.d - 1, op.lattice)

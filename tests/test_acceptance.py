@@ -11,6 +11,7 @@ them to make a failing build green.
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +64,7 @@ def _verdict(n: int, statement: str, ok: bool, detail: str = "") -> bool:
 def test_criterion_1_chi_pairings():
     params = ParamSet(d=64, w=8)
     pr = FredholmModule("pr")
-    pi = FredholmModule("pi", params=params, w=8)
+    pi = FredholmModule("pi", params=replace(params, w=8))
     start = time.monotonic()
     ok = True
     count = 0
@@ -97,7 +98,7 @@ def test_criterion_2_en_pairings_converge():
     for N in range(-3, 4):
         values = {}
         for d in (64, 128):
-            pairs = en_numeric(N, params, d=d)
+            pairs = en_numeric(N, replace(params, d=d))
             values[d] = pair(pr, pairs).value
         r64 = abs(values[64] - (-N))
         r128 = abs(values[128] - (-N))
@@ -180,17 +181,17 @@ def test_criterion_4_numeric_relation_residuals():
     for prm in grid:
         for which in ("q", "p", "q2"):
             pres = disc_presentation(which)
-            mats = {k: op.mat for k, op in disc_assignment(pres, prm, d).items()}
+            mats = {k: op.mat for k, op in disc_assignment(pres, replace(prm, d=d)).items()}
             for rule in pres.rules:
                 worst = max(worst, _rule_residual(pres, rule, mats, prm, inner))
         pres3 = sphere3_presentation()
         for leg in (0, 1):
-            mats = {k: op.mat for k, op in s3_leg_assignment(leg, prm, d).items()}
+            mats = {k: op.mat for k, op in s3_leg_assignment(leg, replace(prm, d=d)).items()}
             for rule in pres3.rules:
                 worst = max(worst, _rule_residual(pres3, rule, mats, prm, inner))
         pres2 = sphere2_presentation()
         for leg in (0, 1):
-            mats = {k: op.mat for k, op in s2_leg_assignment(leg, prm, d).items()}
+            mats = {k: op.mat for k, op in s2_leg_assignment(leg, replace(prm, d=d)).items()}
             for rule in pres2.rules:
                 worst = max(worst, _rule_residual(pres2, rule, mats, prm, inner))
         # doubled picture on the tensor window, interior only
@@ -198,11 +199,11 @@ def test_criterion_4_numeric_relation_residuals():
         idx = kron_interior(kd, kw, 3, 2)
         kregion = np.ix_(idx, idx)
         for leg in (0, 1):
-            mats = {k: op.mat for k, op in iota_kron_assignment(leg, prm, kd, kw).items()}
+            mats = {k: op.mat for k, op in iota_kron_assignment(leg, replace(prm, d=kd, w=kw)).items()}
             for rule in pres3.rules:
                 worst = max(worst, _rule_residual(pres3, rule, mats, prm, kregion))
         # spectral family legs
-        pod = podles_generators(prm, d)
+        pod = podles_generators(replace(prm, d=d))
         qq, ss = prm.q**2, prm.s**2
         eye = np.eye(d)
         for z_op, e_op in (
@@ -263,7 +264,7 @@ def test_criterion_6_winding_product_identity():
     params = ParamSet()
     d = 64
     pres = disc_presentation("q")
-    ops = disc_assignment(pres, params, d)
+    ops = disc_assignment(pres, replace(params, d=d))
     z = ops["z"]
     t = identity(d) - z @ z.adjoint()
     ok = True
@@ -356,8 +357,8 @@ def test_criterion_7_property_battery():
     pres = disc_presentation("q")
     zsym = pres.gen("z")
     elem = zsym * zsym.star() * zsym * zsym + zsym.star() * zsym - 3 * zsym
-    small = evaluate(elem, disc_assignment(pres, params, 48), params)
-    big = evaluate(elem, disc_assignment(pres, params, 96), params)
+    small = evaluate(elem, disc_assignment(pres, replace(params, d=48)), params)
+    big = evaluate(elem, disc_assignment(pres, replace(params, d=96)), params)
     keep = 48 - small.bandwidth
     if not np.array_equal(small.mat[:keep, :keep], big.mat[:keep, :keep]):
         failures.append("truncation windows disagree bitwise on the stable block")

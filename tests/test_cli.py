@@ -242,6 +242,24 @@ def test_uncertifiable_pairing_is_a_fail_record(capsys):
     assert "11 pass, 1 fail" in captured.err
 
 
+def test_untwisting_round_trip_without_a_trusted_block_is_a_fail_record(capsys):
+    # at d = 16 the round trips at N = +4 and +5 leave no common trusted
+    # block: each is a fail record carrying the reason, and every other chi
+    # check still reports
+    code = run(["verify", "--suite", "chi", "--d", "16", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    failed = [row for row in rows if row["status"] == "fail"]
+    assert [row["check"] for row in failed] == [
+        "untwisting round trip N=+4",
+        "untwisting round trip N=+5",
+    ]
+    for row in failed:
+        assert row["value"].startswith("no common trusted block: d=16")
+        assert row["residual"] == ""
+
+
 def test_window_without_a_trusted_block_names_its_operands(capsys):
     # d = 4 leaves no common trusted block for the podles polar part
     code = run(["verify", "--d", "4"])

@@ -1,6 +1,7 @@
 """Fibre pairs over the circle: membership, twists, embeddings, bundles."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def _numeric_residual(ops, q, d, letter):
 def test_s3_leg_relations():
     d = PARAMS.d
     for leg in (0, 1):
-        ops = s3_leg_assignment(leg, PARAMS, d)
+        ops = s3_leg_assignment(leg, PARAMS)
         assert _numeric_residual(ops, PARAMS.q, d, "a") < 1e-13
         assert _numeric_residual(ops, PARAMS.p, d, "b") < 1e-13
         swap = ops["a"].mat @ ops["b"].mat - ops["b"].mat @ ops["a"].mat
@@ -230,7 +231,7 @@ def test_s3_leg_relations():
 def test_s2_leg_relations():
     d = PARAMS.d
     for leg in (0, 1):
-        ops = s2_leg_assignment(leg, PARAMS, d)
+        ops = s2_leg_assignment(leg, PARAMS)
         R, Rs = ops["R"].mat, ops["R*"].mat
         A, B = ops["A"].mat, ops["B"].mat
         eye = np.eye(d)
@@ -246,7 +247,7 @@ def test_s2_leg_relations():
 def test_iota_basic_structure():
     pres = sphere3_presentation()
     a = pres.gen("a")
-    e = iota(a, PARAMS, 12)
+    e = iota(a, replace(PARAMS, d=12))
     assert e.degrees() == [-1]
     pair = e.terms[-1]
     assert pair.sym0 == LaurentPoly({1: 1})
@@ -272,7 +273,8 @@ def test_iota_symbol_side_is_multiplicative():
 
     for _ in range(5):
         x, y = rand_elem(), rand_elem()
-        ex, ey, exy = iota(x, PARAMS, 8), iota(y, PARAMS, 8), iota(x * y, PARAMS, 8)
+        small = replace(PARAMS, d=8)
+        ex, ey, exy = iota(x, small), iota(y, small), iota(x * y, small)
         for leg in (0, 1):
             assert exy.leg_bilaurent(leg) == ex.leg_bilaurent(leg) * ey.leg_bilaurent(leg)
         assert w_map(exy.leg_bilaurent(0)) == exy.leg_bilaurent(1)
@@ -288,7 +290,7 @@ def test_iota_degrees_are_fibre_pairs_of_that_twist():
             for _ in range(rng.randrange(1, 5)):
                 word = word * pres.gen(rng.choice(pres.letters))
             x = x + rng.randrange(-3, 4) * word
-        terms = iota(x, PARAMS, 8).terms
+        terms = iota(x, replace(PARAMS, d=8)).terms
         assert terms
         for k, pair in terms.items():
             assert isinstance(pair, FibrePair)
@@ -307,7 +309,7 @@ def _disc_matrix(params, d):
 def test_extract_degree_builds_twisted_pairs():
     pres = sphere3_presentation()
     a = pres.gen("a")
-    e = iota(a, PARAMS, 12)
+    e = iota(a, replace(PARAMS, d=12))
     fp = e.terms.get(-1)
     assert fp is not None and fp.twist == -1
     assert fp.sym0 == LaurentPoly({1: 1})
@@ -318,7 +320,7 @@ def test_extract_degree_builds_twisted_pairs():
 def test_kron_legs_satisfy_relations_on_interior():
     d, w = 20, 6
     for leg in (0, 1):
-        ops = iota_kron_assignment(leg, PARAMS, d, w)
+        ops = iota_kron_assignment(leg, replace(PARAMS, d=d, w=w))
         idx = kron_interior(d, w, 2, 2)
         eye = np.eye(d * (2 * w + 1))
 
@@ -341,21 +343,22 @@ def test_gluing_map_agrees_across_its_uses():
     # and that operator's symbol is U to the leg-symbol exponent
     pres = sphere3_presentation()
     d, w = 10, 3
+    prm = replace(PARAMS, d=d, w=w)
     for leg in (0, 1):
-        ops = s3_leg_assignment(leg, PARAMS, d)
-        kron = iota_kron_assignment(leg, PARAMS, d, w)
+        ops = s3_leg_assignment(leg, prm)
+        kron = iota_kron_assignment(leg, prm)
         for letter, weight in zip(pres.letters, pres.weights):
             gen = pres.gen(letter)
             sym = s3_leg_symbol(gen, leg)
             assert list(sym.terms.values()) == [1]
-            image = iota(gen, PARAMS, d).terms
+            image = iota(gen, prm).terms
             assert list(image) == [weight]
             op = (image[weight].t0, image[weight].t1)[leg]
             image_sym = (image[weight].sym0, image[weight].sym1)[leg]
             assert np.array_equal(op.mat, ops[letter].mat)
             assert op.bandwidth == ops[letter].bandwidth
             assert image_sym == sym
-            circle = pi_rep("+", LaurentPoly({weight: 1}), w, PARAMS).mat
+            circle = pi_rep("+", LaurentPoly({weight: 1}), prm).mat
             assert np.array_equal(kron[letter].mat, np.kron(ops[letter].mat, circle))
             # the leg operator is the unit exactly where the symbol is 1
             (exponent,) = sym.terms
@@ -366,7 +369,7 @@ def test_gluing_map_agrees_across_its_uses():
 def test_evaluate_on_kron_operators_matches_word_product():
     pres = sphere3_presentation()
     a, b = pres.gen("a"), pres.gen("b")
-    ops = iota_kron_assignment(0, PARAMS, 6, 2)
+    ops = iota_kron_assignment(0, replace(PARAMS, d=6, w=2))
     got = evaluate(a * b, ops, PARAMS)
     assert np.max(np.abs(got.mat - ops["a"].mat @ ops["b"].mat)) < 1e-14
 
@@ -375,7 +378,7 @@ def test_evaluate_on_kron_operators_matches_word_product():
 
 
 def test_podles_symbols_and_membership():
-    pp = podles_generators(PARAMS, 20)
+    pp = podles_generators(replace(PARAMS, d=20))
     assert pp.zeta.symbols_zero()
     assert pp.eta.sym0 == LaurentPoly({1: S})
     assert pp.eta.sym1 == LaurentPoly({1: S})
@@ -386,7 +389,7 @@ def test_podles_symbols_and_membership():
 
 def test_podles_spectral_relations():
     d = 20
-    pp = podles_generators(PARAMS, d)
+    pp = podles_generators(replace(PARAMS, d=d))
     s2 = PARAMS.s**2
     qi2 = PARAMS.q**-2
     eye = np.eye(d)
@@ -403,7 +406,7 @@ def test_podles_spectral_relations():
 
 
 def test_polar_part_of_eta_is_shiftlike():
-    pp = podles_generators(PARAMS, 24)
+    pp = podles_generators(replace(PARAMS, d=24))
     polar = polar_part(pp.eta)
     assert polar.sym0 == LaurentPoly({1: 1})
     assert polar.sym1 == LaurentPoly({1: 1})
@@ -425,7 +428,7 @@ def test_polar_part_rejects_fat_symbols():
 @pytest.mark.parametrize("N", [1, -1, 2])
 def test_en_numeric_idempotent_and_symbol_trace(N):
     d = 24
-    pairs = en_numeric(N, PARAMS, d=d)
+    pairs = en_numeric(N, replace(PARAMS, d=d))
     n1 = abs(N) + 1
     assert len(pairs) == n1
     square = fp_matmul(pairs, pairs)
@@ -463,7 +466,7 @@ def test_leg_symbols_vanish_on_every_s3_rule():
 def test_en_numeric_symbols_are_those_of_the_normal_forms(assignment):
     for N in range(-3, 4):
         _, _, E = build_en(N, assignment)
-        pairs = en_numeric(N, PARAMS, assignment=assignment, d=8)
+        pairs = en_numeric(N, replace(PARAMS, d=8), assignment=assignment)
         n1 = abs(N) + 1
         for i in range(n1):
             for j in range(n1):
@@ -481,11 +484,11 @@ def test_en_numeric_entries_evaluate_the_unreduced_entries(assignment):
     d = 24
     for N in range(-3, 4):
         _, _, E = build_en(N, assignment)
-        pairs = en_numeric(N, PARAMS, assignment=assignment, d=d)
+        pairs = en_numeric(N, replace(PARAMS, d=d), assignment=assignment)
         n1 = E.shape[0]
         assert [len(row) for row in pairs] == [n1] * n1
         for leg in (0, 1):
-            ops = s3_leg_assignment(leg, PARAMS, d)
+            ops = s3_leg_assignment(leg, replace(PARAMS, d=d))
             want = [[evaluate(E[i, j], ops, PARAMS) for j in range(n1)] for i in range(n1)]
             scale = max(op.max_abs() for row in want for op in row)
             for i in range(n1):
@@ -496,7 +499,7 @@ def test_en_numeric_entries_evaluate_the_unreduced_entries(assignment):
 
 def test_en_numeric_literal_defect_shows_up():
     # the literal base assignment leaves an order (q - p) failure of E^2 = E
-    pairs = en_numeric(1, PARAMS, assignment="literal", d=24)
+    pairs = en_numeric(1, replace(PARAMS, d=24), assignment="literal")
     square = fp_matmul(pairs, pairs)
     defect = max(
         trusted_diff_norm(square[i][j].t1, pairs[i][j].t1, guard=1)

@@ -7,6 +7,10 @@
   array.
 - The public surface is exact: every name in qglue.__all__ is bound and
   listed once, and every name __init__.py imports is listed there.
+- Windows are sized by the ParamSet alone: no function (or dataclass) in
+  the package that takes params also takes a window size d or w, and the
+  window constructors TruncOp, identity, zero and diag_op take no radius w
+  (an integer-lattice window's radius is read off its dimension).
 """
 
 import ast
@@ -108,3 +112,64 @@ def test_every_reexport_is_public():
         for alias in node.names
     }
     assert sorted(imported - set(qglue.__all__)) == []
+
+
+def signatures(source: str) -> dict[str, set[str]]:
+    """Dotted name -> parameter names of every function of a module, nested
+    ones and methods included; a class maps to its annotated fields, which
+    are its __init__ parameters when it is a dataclass."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.ClassDef):
+                found[name] = {
+                    stmt.target.id
+                    for stmt in child.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                }
+            else:
+                args = child.args
+                found[name] = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def window_knobs(source: str) -> list[str]:
+    """The functions and dataclasses that take a ParamSet (params) and a
+    window size (d or w) of their own."""
+    return sorted(
+        name for name, args in signatures(source).items() if "params" in args and args & {"d", "w"}
+    )
+
+
+def test_checker_finds_window_knobs():
+    source = (
+        "def f(x, params, d=None):\n    pass\n"
+        "def g(params, *, w):\n    pass\n"
+        "def h(d, w):\n    pass\n"
+        "class M:\n    params: object = None\n    w: int = 0\n"
+        "    def k(self, params):\n        def inner(params, d):\n            pass\n"
+        "class ParamSet:\n    d: int = 64\n    w: int = 8\n"
+    )
+    assert window_knobs(source) == ["M", "M.k.inner", "f", "g"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_windows_are_sized_by_the_paramset(path):
+    assert window_knobs(path.read_text()) == []
+
+
+# the window constructors: an integer-lattice window's radius is read off its
+# dimension 2w + 1, so none of them takes one
+WINDOW_CONSTRUCTORS = ("TruncOp.__init__", "TruncOp._new", "identity", "zero", "diag_op")
+
+
+def test_window_constructors_take_no_radius():
+    found = signatures((PACKAGE / "opnum.py").read_text())
+    assert [name for name in WINDOW_CONSTRUCTORS if "w" in found[name]] == []

@@ -32,16 +32,14 @@ PARAMS = ParamSet()
 def test_module_validation():
     with pytest.raises(ValueError):
         FredholmModule("px")
-    with pytest.raises(ValueError):
-        FredholmModule("pi")  # needs a window radius
     with pytest.raises(ValueError, match="params"):
-        FredholmModule("pi", w=4)  # needs params to evaluate symbols
-    FredholmModule("pi", params=PARAMS, w=4)
+        FredholmModule("pi")  # needs params to evaluate symbols
+    FredholmModule("pi", params=replace(PARAMS, w=4))
     FredholmModule("pr")
 
 
 def test_pi_difference_needs_twist_zero():
-    module = FredholmModule("pi", params=PARAMS, w=4)
+    module = FredholmModule("pi", params=replace(PARAMS, w=4))
     twisted = psi_inverse(unit_pair(8), 1)
     with pytest.raises(SymbolMismatch):
         module.difference(twisted)
@@ -57,7 +55,7 @@ def test_chi_pairings_are_exact(N):
     assert pr.rounded == N
     assert pr.residual == 0.0
     assert pr.exact
-    pi = pair(FredholmModule("pi", params=PARAMS, w=w), cN)
+    pi = pair(FredholmModule("pi", params=replace(PARAMS, w=w)), cN)
     assert pi.rounded == 1
     assert pi.residual == 0.0
     assert pi.exact
@@ -65,7 +63,7 @@ def test_chi_pairings_are_exact(N):
 
 def test_unit_and_zero_pair_values():
     pr = FredholmModule("pr")
-    pi = FredholmModule("pi", params=PARAMS, w=6)
+    pi = FredholmModule("pi", params=replace(PARAMS, w=6))
     assert pair(pr, unit_pair(16)).rounded == 0
     assert pair(pi, unit_pair(16)).rounded == 1
     assert pair(pr, zero_pair(16)).rounded == 0
@@ -80,7 +78,7 @@ def test_direct_sum_adds_pairings():
     ]
     res = pair(FredholmModule("pr"), block)
     assert res.rounded == 2 and res.exact
-    res_pi = pair(FredholmModule("pi", params=PARAMS, w=6), block)
+    res_pi = pair(FredholmModule("pi", params=replace(PARAMS, w=6)), block)
     assert res_pi.rounded == 2
     assert res.meta["size"] == 2
 
@@ -91,7 +89,7 @@ def test_en_pairings(N):
     res = pair(FredholmModule("pr"), pairs)
     assert res.rounded == ORIENTATION_SIGN * N
     assert res.residual < 1e-6
-    res_pi = pair(FredholmModule("pi", params=PARAMS, w=PARAMS.w), pairs)
+    res_pi = pair(FredholmModule("pi", params=PARAMS), pairs)
     assert res_pi.rounded == 1
     assert res_pi.residual < 1e-6
 

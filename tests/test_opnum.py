@@ -1,6 +1,7 @@
 """Truncated operators: trust bookkeeping, shift pictures, traces."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -77,8 +78,9 @@ def test_truncop_basic_bookkeeping():
 
 def test_z_lattice_needs_odd_window():
     with pytest.raises(DimensionMismatch):
-        TruncOp(np.eye(6), 0, "Z", 3)
-    op = TruncOp(np.eye(7), 1, "Z", 3)
+        TruncOp(np.eye(6), 0, "Z")
+    op = TruncOp(np.eye(7), 1, "Z")
+    assert op.w == 3
     assert op.trusted_range(0) == (1, 6)
     with pytest.raises(DimensionMismatch):
         op + identity(7)  # N lattice vs Z lattice
@@ -87,15 +89,15 @@ def test_z_lattice_needs_odd_window():
 def test_disc_rep_matches_direct_construction():
     params = ParamSet()
     d = 16
-    z = disc_rep("z", params, d)
+    z = disc_rep("z", replace(params, d=d))
     direct = np.zeros((d, d), dtype=complex)
     for n in range(d - 1):
         direct[n + 1, n] = math.sqrt(1.0 - params.q ** (n + 1))
     assert np.max(np.abs(z.mat - direct)) < 1e-15
     assert z.bandwidth == 1
-    y = disc_rep("y", params, d)
+    y = disc_rep("y", replace(params, d=d))
     assert abs(y.mat[1, 0] - np.sqrt(1.0 - params.p)) < 1e-15
-    x = disc_rep("x", params, d)
+    x = disc_rep("x", replace(params, d=d))
     assert abs(x.mat[1, 0] - np.sqrt(1.0 - params.q**2)) < 1e-15
 
 
@@ -112,7 +114,7 @@ def test_disc_relation_residual():
 def test_evaluate_matches_hand_product():
     params = ParamSet(d=12)
     pres = disc_presentation("q")
-    ops = disc_assignment(pres, params, 12)
+    ops = disc_assignment(pres, params)
     z = pres.gen("z")
     # z z z* is already a normal word, so evaluation is a plain matrix product
     got = evaluate(z * z * z.star(), ops, params)
@@ -134,7 +136,7 @@ def test_evaluate_takes_one_product_per_letter_after_the_first(monkeypatch):
     monkeypatch.setattr(TruncOp, "__matmul__", counting)
     params = ParamSet(d=12)
     pres = disc_presentation("q")
-    ops = disc_assignment(pres, params, 12)
+    ops = disc_assignment(pres, params)
     z = pres.gen("z")
     got = evaluate(z * z * z.star(), ops, params)
     assert len(calls) == 2
@@ -150,7 +152,7 @@ def test_evaluate_takes_one_product_per_letter_after_the_first(monkeypatch):
 
 
 def test_pi_plus_frozen_w2():
-    u = pi_rep("+", LaurentPoly({1: 1}), 2, ParamSet())
+    u = pi_rep("+", LaurentPoly({1: 1}), ParamSet(w=2))
     expected = np.zeros((5, 5))
     for j in range(4):
         expected[j + 1, j] = 1.0
@@ -159,27 +161,27 @@ def test_pi_plus_frozen_w2():
 
 
 def test_pi_minus_frozen_w2():
-    u = pi_rep("-", LaurentPoly({1: 1}), 2, ParamSet())
+    u = pi_rep("-", LaurentPoly({1: 1}), ParamSet(w=2))
     expected = np.zeros((5, 5))
     expected[1, 0] = 1.0  # -2 -> -1
     expected[3, 1] = 1.0  # -1 -> +1, skipping the removed origin
     expected[4, 3] = 1.0  # +1 -> +2
     assert np.array_equal(u.mat.real, expected)
-    unit = pi_rep("-", LaurentPoly({0: 1}), 2, ParamSet())
+    unit = pi_rep("-", LaurentPoly({0: 1}), ParamSet(w=2))
     assert np.array_equal(unit.mat.real, np.diag([1.0, 1.0, 0.0, 1.0, 1.0]))
-    down = pi_rep("-", LaurentPoly({-1: 1}), 2, ParamSet())
+    down = pi_rep("-", LaurentPoly({-1: 1}), ParamSet(w=2))
     assert np.array_equal(down.mat, u.mat.T)
 
 
 def test_pi_plus_inverse_trajectories():
     w = 4
-    params = ParamSet()
-    u = pi_rep("+", LaurentPoly({1: 1}), w, params)
-    ui = pi_rep("+", LaurentPoly({-1: 1}), w, params)
+    params = ParamSet(w=w)
+    u = pi_rep("+", LaurentPoly({1: 1}), params)
+    ui = pi_rep("+", LaurentPoly({-1: 1}), params)
     assert np.array_equal(ui.mat, u.mat.T)
     # U U* = 1 exactly in the bilateral picture, up to the window corner
     prod = u @ ui
-    assert trusted_diff_norm(prod, identity(2 * w + 1, "Z", w), guard=0) == 0.0
+    assert trusted_diff_norm(prod, identity(2 * w + 1, "Z"), guard=0) == 0.0
 
 
 def _pi_rep_by_site(sign, f, w, params):
@@ -220,7 +222,7 @@ def circle_elements(draw):
 def test_pi_rep_matches_the_per_site_walk(sign, element, q, p):
     w, f = element
     params = ParamSet(q=q, p=p, s=0.7, w=w)
-    got = pi_rep(sign, f, w, params)
+    got = pi_rep(sign, f, params)
     want = _pi_rep_by_site(sign, f, w, params)
     assert np.array_equal(got.mat, want)
     assert got.bandwidth == max((abs(n) for n in f.terms), default=0)
@@ -231,9 +233,9 @@ def test_pi_rep_matches_the_per_site_walk(sign, element, q, p):
 
 def test_pi_rep_window_overflow():
     with pytest.raises(WindowOverflow):
-        pi_rep("+", LaurentPoly({5: 1}), 4, ParamSet())
+        pi_rep("+", LaurentPoly({5: 1}), ParamSet(w=4))
     with pytest.raises(ValueError):
-        pi_rep("x", LaurentPoly({1: 1}), 4, ParamSet())
+        pi_rep("x", LaurentPoly({1: 1}), ParamSet(w=4))
 
 
 def test_pi_rep_exact_mode_needs_params():
@@ -241,20 +243,20 @@ def test_pi_rep_exact_mode_needs_params():
 
     f = LaurentPoly({1: Q})
     with pytest.raises(ValueError):
-        pi_rep("+", f, 4, None)
+        pi_rep("+", f, None)
     with pytest.raises(TypeError):
-        pi_rep("+", f, 4)
-    got = pi_rep("+", f, 4, ParamSet())
+        pi_rep("+", f)
+    got = pi_rep("+", f, ParamSet(w=4))
     assert abs(got.mat[5, 4] - 0.6) < 1e-15
 
 
 def test_pi_difference_is_local():
     # (pi+ - pi-)(U^N) touches only rows/cols within N+1 of the origin
     w = 8
-    params = ParamSet()
+    params = ParamSet(w=w)
     for N in range(-4, 5):
         f = LaurentPoly({N: 1})
-        diff = pi_rep("+", f, w, params) - pi_rep("-", f, w, params)
+        diff = pi_rep("+", f, params) - pi_rep("-", f, params)
         nz = np.argwhere(np.abs(diff.mat) > 0)
         if nz.size:
             assert np.max(np.abs(nz - w)) <= abs(N) + 1
@@ -287,13 +289,13 @@ def test_trace_z_lattice_guard_band():
     d = 2 * w + 1
     mat = np.zeros((d, d))
     mat[w, w] = 1.0
-    res = trace_finite_rank(TruncOp(mat, 0, "Z", w), guard=2)
+    res = trace_finite_rank(TruncOp(mat, 0, "Z"), guard=2)
     assert res.value == 1.0 and res.exact
 
     mat2 = np.zeros((d, d))
     mat2[0, 0] = 1.0  # sits in the guard band at the window edge
     with pytest.raises(ValueError):
-        trace_finite_rank(TruncOp(mat2, 0, "Z", w), guard=2)
+        trace_finite_rank(TruncOp(mat2, 0, "Z"), guard=2)
 
 
 def test_trace_guard_too_large():
@@ -347,8 +349,8 @@ def test_truncation_stability_bitwise():
     pres = disc_presentation("q")
     z = pres.gen("z")
     x = z * z.star() * z * z + z.star() * z - 3 * z
-    small = evaluate(x, disc_assignment(pres, params, 32), params)
-    big = evaluate(x, disc_assignment(pres, params, 64), params)
+    small = evaluate(x, disc_assignment(pres, replace(params, d=32)), params)
+    big = evaluate(x, disc_assignment(pres, replace(params, d=64)), params)
     keep = 32 - small.bandwidth
     assert np.array_equal(small.mat[:keep, :keep], big.mat[:keep, :keep])
 
@@ -370,7 +372,7 @@ def test_max_abs_reads_whole_window_or_guarded_block():
     op = TruncOp(mat, 1)
     assert op.max_abs() == 3.0
     assert op.max_abs(0) == 0.0
-    corner = TruncOp(np.diag([0.5, 0, 0, 0, 2.0]), 0, "Z", 2)
+    corner = TruncOp(np.diag([0.5, 0, 0, 0, 2.0]), 0, "Z")
     assert corner.max_abs() == 2.0
     assert corner.max_abs(1) == 0.0  # the centered block drops both ends
     assert op.max_abs(5) == 0.0  # empty guarded block
@@ -380,12 +382,12 @@ def test_max_abs_reads_whole_window_or_guarded_block():
     "x",
     [
         2.0 * shift(7) + identity(7),
-        pi_rep("+", LaurentPoly({1: 2, -2: Fraction(1, 2)}), 3, ParamSet()),
+        pi_rep("+", LaurentPoly({1: 2, -2: Fraction(1, 2)}), ParamSet(w=3)),
     ],
     ids=["N", "Z"],
 )
 def test_zero_is_the_additive_identity(x):
-    z = zero(x.d, x.lattice, x.w)
+    z = zero(x.d, x.lattice)
     assert z.bandwidth == 0
     assert (z.lattice, z.w) == (x.lattice, x.w)
     for total in (x + z, z + x):

@@ -38,19 +38,18 @@ entries = st.one_of(
 
 @st.composite
 def shapes(draw):
-    """(lattice, d, w) of a window on either lattice."""
+    """(lattice, d) of a window on either lattice."""
     lattice = draw(st.sampled_from(["N", "Z"]))
     if lattice == "N":
-        return lattice, draw(st.integers(2, 9)), None
-    w = draw(st.integers(1, 4))
-    return lattice, 2 * w + 1, w
+        return lattice, draw(st.integers(2, 9))
+    return lattice, 2 * draw(st.integers(1, 4)) + 1
 
 
 @st.composite
 def windows(draw, shape=None, real=None):
     """(TruncOp, dense array) for a random window with a few nonzero
     diagonals at offsets in [-3, 3]; real or complex entries."""
-    lattice, d, w = draw(shapes()) if shape is None else shape
+    lattice, d = draw(shapes()) if shape is None else shape
     reach = min(3, d - 1)
     offsets = draw(st.sets(st.integers(-reach, reach), min_size=1, max_size=3))
     real = draw(st.booleans()) if real is None else real
@@ -63,7 +62,7 @@ def windows(draw, shape=None, real=None):
         rows = np.arange(n) + max(0, -k)
         dense[rows, rows + k] = vec
     bandwidth = draw(st.integers(0, 3))
-    return TruncOp(dense, bandwidth, lattice, w), dense
+    return TruncOp(dense, bandwidth, lattice), dense
 
 
 @st.composite
@@ -169,19 +168,19 @@ def diff_pairs(draw):
     """Two windows on one lattice (on the natural lattice possibly of two
     sizes): independent, the same window under another bandwidth, or the
     same window with one diagonal changed."""
-    lattice, d, w = draw(shapes())
-    a, dense_a = draw(windows((lattice, d, w)))
+    lattice, d = draw(shapes())
+    a, dense_a = draw(windows((lattice, d)))
     kind = draw(st.sampled_from(["independent", "same", "one diagonal"]))
     if kind == "independent":
         d_b = draw(st.integers(2, 9)) if lattice == "N" else d
-        return a, draw(windows((lattice, d_b, w)))[0]
+        return a, draw(windows((lattice, d_b)))[0]
     dense_b = dense_a.copy()
     if kind == "one diagonal":
         k = draw(st.integers(1 - d, d - 1))
         n = d - abs(k)
         rows = np.arange(n) + max(0, -k)
         dense_b[rows, rows + k] += np.array(draw(st.lists(entries, min_size=n, max_size=n)))
-    return a, TruncOp(dense_b, draw(st.integers(0, 3)), lattice, w)
+    return a, TruncOp(dense_b, draw(st.integers(0, 3)), lattice)
 
 
 def _common_block(a: TruncOp, b: TruncOp, guard: int):

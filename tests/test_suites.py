@@ -9,6 +9,7 @@ import pytest
 import qglue.glue
 import qglue.kpair
 from qglue import ParamSet, SUITES, run_suites
+from qglue.opnum import WINDOW_MAX
 from qglue.cli import run
 from qglue.report import FAIL, PASS
 
@@ -157,3 +158,11 @@ def test_numeric_suites_at_d512_take_no_dense_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     run_suites(["disc", "podles", "en-numeric", "chi", "index"], ParamSet(d=512), 1)
     assert spectral[0] == 0
+
+
+def test_pairing_stability_in_w_holds_at_the_window_cap():
+    # a shift window 4 wider would pass the cap there, so the check pairs
+    # on one 4 narrower
+    records = run_suites(["convergence"], replace(PARAMS, w=WINDOW_MAX), 2)
+    [record] = [rec for rec in records if rec.check == "pairing stability in w"]
+    assert record.status == PASS
