@@ -1,119 +1,34 @@
 """Laurent-polynomial model of the circle algebra and of the two-torus.
 
-Coefficients are exact: they lie in the rational ring CoefPoly, ints and
-Fractions are coerced into it, and a float or complex coefficient raises
-TypeError. Floats enter only when an element is evaluated at a parameter
-point (q, p, s): on a truncated window by opnum.pi_rep, or at a point of the
-circle by eval_point.
-
-BiLaurent is the two-variable version (the torus); the torus twist maps
-w_map / w_inverse / phi_map act on it.
+LaurentPoly and BiLaurent are coefficients.TermSum sums over the powers of
+U (int keys, unit 0) and over pairs of powers (m, n) on the torus (added
+elementwise, unit (0, 0)); the torus twist maps w_map / w_inverse / phi_map
+act on BiLaurent. Coefficients are exact: they lie in the rational ring
+CoefPoly, ints and Fractions are coerced into it, and a float or complex
+coefficient raises TypeError. Floats enter only when an element is evaluated
+at a parameter point (q, p, s): on a truncated window by opnum.pi_rep, or at
+a point of the circle by eval_point.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
-
-from .coefficients import CoefPoly, _accumulate
+from .coefficients import CoefPoly, TermSum, _accumulate
 
 
-class _Laurent:
-    """Shared machinery for the one- and two-variable cases."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping | None = None):
-        clean = {}
-        if terms:
-            for key, coef in terms.items():
-                _accumulate(clean, self._norm_key(key), CoefPoly.coerce(coef))
-        self.terms = clean
-
-    @staticmethod
-    def _norm_key(key):
-        raise NotImplementedError
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((type(self).__name__, frozenset(self.terms.items())))
-
-    @classmethod
-    def _new(cls, terms):
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, coef in other.terms.items():
-            _accumulate(terms, key, coef)
-        return self._new(terms)
-
-    def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            terms = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    _accumulate(terms, self._add_keys(ka, kb), ca * cb)
-            return self._new(terms)
-        value = CoefPoly.coerce(other)
-        if not value:
-            return self._new({})
-        return self._new({k: c * value for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _add_keys(ka, kb):
-        raise NotImplementedError
-
-    def map_exponents(self, fn: Callable) -> "_Laurent":
-        """Relabel exponents through fn, merging collisions."""
-        terms = {}
-        for key, coef in self.terms.items():
-            _accumulate(terms, self._norm_key(fn(key)), coef)
-        return self._new(terms)
-
-
-class LaurentPoly(_Laurent):
+class LaurentPoly(TermSum):
     """Laurent polynomial in the unitary circle letter U."""
 
     __slots__ = ()
 
-    @staticmethod
-    def _norm_key(key):
-        return int(key)
-
-    @staticmethod
-    def _add_keys(ka, kb):
-        return ka + kb
+    _norm_key = staticmethod(int)
+    _unit = 0
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by U^n."""
-        return self._new({k + n: c for k, c in self.terms.items()})
+        return self._like({k + n: c for k, c in self.terms.items()})
 
     def star(self) -> "LaurentPoly":
-        return self._new({-k: c.conjugate() for k, c in self.terms.items()})
+        return self._like({-k: c.conjugate() for k, c in self.terms.items()})
 
     def support(self) -> list[int]:
         return sorted(self.terms)
@@ -136,10 +51,12 @@ class LaurentPoly(_Laurent):
         return f"LaurentPoly({self})"
 
 
-class BiLaurent(_Laurent):
+class BiLaurent(TermSum):
     """Laurent polynomial on the two-torus, exponents (m, n)."""
 
     __slots__ = ()
+
+    _unit = (0, 0)
 
     @staticmethod
     def _norm_key(key):
@@ -147,11 +64,11 @@ class BiLaurent(_Laurent):
         return (int(m), int(n))
 
     @staticmethod
-    def _add_keys(ka, kb):
+    def _join(ka, kb):
         return (ka[0] + kb[0], ka[1] + kb[1])
 
     def star(self) -> "BiLaurent":
-        return self._new({(-m, -n): c.conjugate() for (m, n), c in self.terms.items()})
+        return self._like({(-m, -n): c.conjugate() for (m, n), c in self.terms.items()})
 
     def collapse(self, which: int) -> LaurentPoly:
         """Apply the counit to one tensor leg (0 = left, 1 = right)."""
@@ -160,7 +77,7 @@ class BiLaurent(_Laurent):
         terms = {}
         for (m, n), coef in self.terms.items():
             _accumulate(terms, n if which == 0 else m, coef)
-        return LaurentPoly._new(terms)
+        return LaurentPoly(terms)
 
     def __repr__(self) -> str:
         body = " + ".join(
@@ -174,7 +91,7 @@ class BiLaurent(_Laurent):
 
 def hopf_coproduct(f: LaurentPoly) -> BiLaurent:
     """Coproduct of the circle Hopf algebra: U^N -> U^N x U^N."""
-    return BiLaurent._new({(n, n): c for n, c in f.terms.items()})
+    return BiLaurent({(n, n): c for n, c in f.terms.items()})
 
 
 def hopf_counit(f: LaurentPoly) -> CoefPoly:
@@ -184,7 +101,7 @@ def hopf_counit(f: LaurentPoly) -> CoefPoly:
 
 def hopf_antipode(f: LaurentPoly) -> LaurentPoly:
     """Antipode: U^N -> U^{-N} (the inverse, forced by the Hopf axioms)."""
-    return f.map_exponents(lambda n: -n)
+    return f.map_keys(lambda n: -n)
 
 
 def pointwise_product(F: BiLaurent) -> LaurentPoly:
@@ -192,7 +109,7 @@ def pointwise_product(F: BiLaurent) -> LaurentPoly:
     terms = {}
     for (m, n), coef in F.terms.items():
         _accumulate(terms, m + n, coef)
-    return LaurentPoly._new(terms)
+    return LaurentPoly(terms)
 
 
 # -- torus twist maps ---------------------------------------------------------
@@ -200,12 +117,12 @@ def pointwise_product(F: BiLaurent) -> LaurentPoly:
 
 def w_map(F: BiLaurent) -> BiLaurent:
     """Torus twist U^m x U^n -> U^{m+n} x U^n; a linear bijection."""
-    return F.map_exponents(lambda k: (k[0] + k[1], k[1]))
+    return F.map_keys(lambda k: (k[0] + k[1], k[1]))
 
 
 def w_inverse(F: BiLaurent) -> BiLaurent:
     """Inverse twist U^m x U^n -> U^{m-n} x U^n."""
-    return F.map_exponents(lambda k: (k[0] - k[1], k[1]))
+    return F.map_keys(lambda k: (k[0] - k[1], k[1]))
 
 
 # The gluing algebra map. It acts on monomials exactly as w_map does, but

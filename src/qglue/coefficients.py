@@ -7,14 +7,18 @@ operator-theoretic checks involve floats. A rational coefficient is stored
 as an int while it is integral and as a Fraction only once a denominator
 appears; every shipped rule has integer coefficients, and int arithmetic
 is many times cheaper than Fraction arithmetic.
+
+TermSum is the arithmetic of a sparse sum with coefficients in this ring,
+shared by the free-algebra elements (ncpoly) and the circle and torus
+elements (circle).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from operator import index
-from typing import Iterator, Mapping, Tuple, Union
+from operator import add, index
+from typing import Callable, Iterator, Mapping, Tuple, Union
 
 Expo = Tuple[int, int, int]
 ScalarLike = Union[int, Fraction, "CoefPoly"]
@@ -58,6 +62,20 @@ def _accumulate(terms: dict, key, coef) -> None:
         terms[key] = acc
     else:
         terms.pop(key, None)
+
+
+def _power(base, n: int):
+    """base ** n for n >= 1 by binary powering: the product of the squares of
+    base for the set bits of n, lowest first. It takes one product per
+    squaring and per set bit after the first, and none with a unit."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 class CoefPoly:
@@ -200,14 +218,7 @@ class CoefPoly:
             if isinstance(n, int) and self.is_monomial():
                 return self.inverse_monomial() ** (-n)
             raise ValueError("only nonnegative integer powers (or monomial inverses)")
-        result = CoefPoly.scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else ONE
 
     def inverse_monomial(self) -> "CoefPoly":
         """Inverse of a single-term element with no s factor."""
@@ -260,6 +271,135 @@ class CoefPoly:
                 factors.append("s" if es == 1 else f"s^{es}")
             parts.append(" ".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class TermSum:
+    """A sparse sum {key: CoefPoly} over a monoid of keys, with no zero
+    coefficient: the one arithmetic of NCPoly (words), LaurentPoly (powers
+    of U) and BiLaurent (pairs of powers on the torus).
+
+    A subclass gives its key normaliser _norm_key, its key product _join
+    (ka + kb unless it says otherwise) and its unit key _unit. A rational or
+    CoefPoly scalar sits at the unit key, so x + 1 and x == 1 read it there;
+    a float or complex scalar is no operand. terms is the stored dict:
+    callers read it and never mutate it.
+    """
+
+    __slots__ = ("terms",)
+
+    _norm_key: Callable
+    _join: Callable = staticmethod(add)
+    _unit: object
+
+    def __init__(self, terms: Mapping | None = None):
+        clean: dict = {}
+        if terms:
+            norm = self._norm_key
+            for key, coef in terms.items():
+                _accumulate(clean, norm(key), CoefPoly.coerce(coef))
+        self.terms = clean
+
+    def _like(self, terms: dict) -> "TermSum":
+        """An element of self's algebra holding terms as they are."""
+        cls = type(self)
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    def _same_algebra(self, other: "TermSum") -> bool:
+        """Whether other, of self's type, lies in the same algebra."""
+        return True
+
+    def _operand(self, other) -> "TermSum | None":
+        """other as an element of self's algebra (a scalar at the unit key),
+        or None when it is not one; elements of another algebra of the same
+        type raise ValueError."""
+        if isinstance(other, type(self)):
+            if not self._same_algebra(other):
+                raise ValueError("operands belong to different algebras")
+            return other
+        if isinstance(other, (CoefPoly, Rational)):
+            value = CoefPoly.coerce(other)
+            return self._like({self._unit: value} if value else {})
+        return None
+
+    # -- queries -----------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)) and not self._same_algebra(other):
+            return False
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, coef in other.terms.items():
+            _accumulate(terms, key, coef)
+        return self._like(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        join, accumulate = self._join, _accumulate
+        terms: dict = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                accumulate(terms, join(ka, kb), ca * cb)
+        return self._like(terms)
+
+    # only a scalar, which commutes with every element, reaches a reflected
+    # product
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers")
+        return _power(self, n) if n else self._like({self._unit: ONE})
+
+    def map_keys(self, fn: Callable):
+        """Relabel keys through fn, merging collisions."""
+        norm = self._norm_key
+        terms: dict = {}
+        for key, coef in self.terms.items():
+            _accumulate(terms, norm(fn(key)), coef)
+        return self._like(terms)
 
 
 ZERO = CoefPoly()

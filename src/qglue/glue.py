@@ -272,7 +272,7 @@ def symbol_map(x: NCPoly, exponents: Mapping[str, int | None]) -> LaurentPoly:
     given power of U (None kills the word). Exact coefficients throughout."""
     letters = x.pres.letters
     out = LaurentPoly({})
-    for word, coef in x.terms().items():
+    for word, coef in x.terms.items():
         total = 0
         dead = False
         for i in word:

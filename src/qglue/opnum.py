@@ -401,7 +401,7 @@ def _word_sum(x: NCPoly, ops: Mapping, one, empty, weigh):
         return ops[name]
 
     total = empty
-    for word, coef in x.terms().items():
+    for word, coef in x.terms.items():
         images = map(image, word)
         factor = next(images, one)
         for op in images:
@@ -495,9 +495,13 @@ def trusted_diff_norm(a: TruncOp, b: TruncOp, guard: int = 0) -> float:
     return float(np.linalg.norm(diff.mat, 2))
 
 
-def inv_sqrt_psd(op: TruncOp, floor: float = 1e-12) -> TruncOp:
+# inv_sqrt_psd counts an eigenvalue in [-PSD_FLOOR, PSD_FLOOR] as zero
+PSD_FLOOR = 1e-12
+
+
+def inv_sqrt_psd(op: TruncOp) -> TruncOp:
     """Pseudo-inverse square root of a positive semidefinite operator.
-    Eigenvalues at or below the floor map to zero (a truncated positive
+    Eigenvalues at or below PSD_FLOOR map to zero (a truncated positive
     operator always picks up a zero at the boundary); genuinely negative
     eigenvalues raise. A diagonal operator, the case arising here, is
     handled entrywise and keeps its bandwidth; any other goes through an
@@ -511,12 +515,12 @@ def inv_sqrt_psd(op: TruncOp, floor: float = 1e-12) -> TruncOp:
         eigvals = mat.real
     else:
         eigvals, eigvecs = np.linalg.eigh(mat)
-    if float(eigvals.min()) < -max(floor, 1e-12):
+    if float(eigvals.min()) < -PSD_FLOOR:
         raise ValueError(
             f"operator is not positive semidefinite: min eig {float(eigvals.min()):.3e}"
         )
     inv = np.zeros_like(eigvals)
-    keep = eigvals > floor
+    keep = eigvals > PSD_FLOOR
     inv[keep] = eigvals[keep] ** -0.5
     if diagonal:
         return op._like({0: inv.astype(np.complex128)}, op.bandwidth)

@@ -410,7 +410,7 @@ def normal_form(
     with an rng, the call always reduces from scratch, so whether the budget
     suffices does not depend on what ran before.
     """
-    pres, terms = x.pres, x.terms()
+    pres, terms = x.pres, x.terms
     budget = _Budget(DEFAULT_MAX_STEPS if max_steps is None else max_steps)
     if rng is not None:
         return NCPoly(pres, _random_reduce(pres, terms, rng, budget))
@@ -434,7 +434,7 @@ def normal_form(
 
 def degree(x: NCPoly) -> int:
     """Grading degree of a homogeneous element (0 for the zero element)."""
-    degrees = {x.pres.word_degree(w) for w in x.terms()}
+    degrees = {x.pres.word_degree(w) for w in x.terms}
     if not degrees:
         return 0
     if len(degrees) > 1:
@@ -444,7 +444,7 @@ def degree(x: NCPoly) -> int:
 
 def homogeneous_component(x: NCPoly, n: int) -> NCPoly:
     return NCPoly(
-        x.pres, {w: c for w, c in x.terms().items() if x.pres.word_degree(w) == n}
+        x.pres, {w: c for w, c in x.terms.items() if x.pres.word_degree(w) == n}
     )
 
 

@@ -16,7 +16,7 @@ from qglue.presentations import _apply_subword, _pbw_options, _subword_options
 def reference_normal_form(x: NCPoly) -> NCPoly:
     pres = x.pres
     caches = {True: {}, False: {}}
-    return NCPoly(pres, _reduce_terms(pres, x.terms(), caches, use_pbw=True))
+    return NCPoly(pres, _reduce_terms(pres, x.terms, caches, use_pbw=True))
 
 
 def _reduce_terms(pres, terms, caches, use_pbw):

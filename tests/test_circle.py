@@ -140,8 +140,8 @@ def test_antipode_axiom(f):
     cf = hopf_coproduct(f)
     eps = hopf_counit(f)
     unit = LaurentPoly({0: eps})
-    left = pointwise_product(cf.map_exponents(lambda k: (-k[0], k[1])))
-    right = pointwise_product(cf.map_exponents(lambda k: (k[0], -k[1])))
+    left = pointwise_product(cf.map_keys(lambda k: (-k[0], k[1])))
+    right = pointwise_product(cf.map_keys(lambda k: (k[0], -k[1])))
     assert left == unit
     assert right == unit
 

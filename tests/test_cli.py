@@ -260,6 +260,28 @@ def test_untwisting_round_trip_without_a_trusted_block_is_a_fail_record(capsys):
         assert row["residual"] == ""
 
 
+def test_multiplicative_checks_past_the_shift_window_are_fail_records(capsys):
+    # at w = 3 the product f g of the chi multiplicative checks reaches U^4,
+    # past the shift window: both checks of each sign are fail records
+    # carrying the reason, and every other chi check still reports
+    code = run(["verify", "--suite", "chi", "--w", "3", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    failed = [row for row in rows if row["status"] == "fail"]
+    assert [row["check"] for row in failed] == [
+        "same-sign multiplicative [+]",
+        "mixed-sign multiplicative [+]",
+        "same-sign multiplicative [-]",
+        "mixed-sign multiplicative [-]",
+    ]
+    for row in failed:
+        assert row["value"] == "monomial exponent 4 does not fit in window radius 3"
+        assert row["residual"] == ""
+        where = "whole window" if row["check"].startswith("same") else "interior"
+        assert row["anchor"].endswith(f"g) on the {where}")
+
+
 def test_window_without_a_trusted_block_names_its_operands(capsys):
     # d = 4 leaves no common trusted block for the podles polar part
     code = run(["verify", "--d", "4"])

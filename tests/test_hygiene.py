@@ -11,6 +11,9 @@
   the package that takes params also takes a window size d or w, and the
   window constructors TruncOp, identity, zero and diag_op take no radius w
   (an integer-lattice window's radius is read off its dimension).
+- Arithmetic is written once per kind of element: only CoefPoly, TermSum
+  (the sparse term sums NCPoly, LaurentPoly and BiLaurent share), TruncOp,
+  FibrePair and CSfpElement define __add__, __mul__ or __pow__.
 """
 
 import ast
@@ -173,3 +176,43 @@ WINDOW_CONSTRUCTORS = ("TruncOp.__init__", "TruncOp._new", "identity", "zero", "
 def test_window_constructors_take_no_radius():
     found = signatures((PACKAGE / "opnum.py").read_text())
     assert [name for name in WINDOW_CONSTRUCTORS if "w" in found[name]] == []
+
+
+# the classes that own an arithmetic: the exact ring, the sparse term sums
+# over it, operator windows and the two fibre-product pictures
+ARITHMETIC_OWNERS = {"CoefPoly", "TermSum", "TruncOp", "FibrePair", "CSfpElement"}
+ARITHMETIC_DUNDERS = {"__add__", "__mul__", "__pow__"}
+
+
+def arithmetic_classes(source: str) -> set[str]:
+    """Names of the classes that define (or assign) __add__, __mul__ or
+    __pow__ in their body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, ast.Assign):
+                names = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            if names & ARITHMETIC_DUNDERS:
+                found.add(node.name)
+    return found
+
+
+def test_checker_finds_arithmetic_classes():
+    source = (
+        "class A:\n    def __add__(self, other):\n        pass\n"
+        "class B(A):\n    __mul__ = A.__add__\n"
+        "class C:\n    __radd__ = None\n    def __matmul__(self, other):\n        pass\n"
+        "def f():\n    class D:\n        def __pow__(self, n):\n            pass\n"
+    )
+    assert arithmetic_classes(source) == {"A", "B", "D"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_arithmetic_lives_in_its_owners(path):
+    assert arithmetic_classes(path.read_text()) <= ARITHMETIC_OWNERS

@@ -59,7 +59,7 @@ def test_literal_assignment_witness_at_degree_one():
     X, Y, E = build_en(1, assignment="literal")
     defect = normal_form((Y.transpose() @ X)[0, 0] - one)
     assert defect == normal_form((Q - P) * (one - b * bstar))
-    assert defect.terms()
+    assert defect.terms
 
 
 def test_literal_assignment_negative_degree_witness():
@@ -92,7 +92,7 @@ def test_binomial_weights_in_y():
     # the k-th entry of Y for N = 3 carries binom(3, k)_p p^(3-k)
     X, Y, E = build_en(3)
     lead = Y[1, 0]
-    coefs = set(lead.terms().values())
+    coefs = set(lead.terms.values())
     expected = gaussian_binomial(3, 1, "p") * P**2
     assert expected in coefs or -expected in coefs
 

@@ -1,5 +1,7 @@
 """Shipped presentations and the grading/identity helpers."""
 
+import operator
+
 import pytest
 
 from qglue import (
@@ -101,11 +103,15 @@ def test_presentation_identity_guard():
     p2 = su2_presentation()
     with pytest.raises((PresentationError, ValueError)):
         p1.gen("z") + p2.gen("a")
+    for combine in (operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            combine(p1.gen("z"), p2.gen("a"))
+    assert p1.one() != p2.one()
 
 
 def test_element_builder_and_word_roundtrip():
     pres = all_presentations()["s3pq"]
     x = pres.element({"a a* b": Q, "1": ONE})
-    words = set(x.terms())
+    words = set(x.terms)
     assert pres.word("a a* b") in words and () in words
     assert NCPoly.scalar(pres, 1) == pres.one()

@@ -130,7 +130,7 @@ def test_nf_preserves_grading(name):
         w = random_word(pres, rng)
         deg = pres.word_degree(w)
         nf = normal_form(NCPoly(pres, {w: ONE}))
-        for word in nf.terms():
+        for word in nf.terms:
             assert pres.word_degree(word) == deg
 
 

@@ -77,9 +77,9 @@ def test_round_trip(name):
     rng = random.Random(f"roundtrip:{name}")
     for _ in range(10):
         w = tuple(rng.randrange(len(pres.letters)) for _ in range(rng.randint(1, 5)))
-        assert normal_form(NCPoly(pres, {w: ONE})).terms() == normal_form(
+        assert normal_form(NCPoly(pres, {w: ONE})).terms == normal_form(
             NCPoly(back, {w: ONE})
-        ).terms()
+        ).terms
 
 
 def test_poly_parser_exact_values():
