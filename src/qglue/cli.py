@@ -8,7 +8,10 @@ Two subcommands share one parameter surface:
 Values resolve as defaults < config file < explicit flags. The config file
 is `key = value` lines with # comments, keys matching the long flag names
 (suites as a comma-separated list). Exit code 0 means every check passed,
-1 means at least one fail record, 2 means the invocation itself was bad.
+1 means at least one fail record, 2 means the invocation itself was bad
+(arguments, config file or parameters). A check that cannot be carried out
+at the given parameters is a fail record with the reason as its value (see
+suites.run_check), so any exception that escapes a run is a qglue bug.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
-from .errors import QGlueError
 from .opnum import ParamSet
 from .report import Report, timestamp_now
 from .suites import SUITES, run_suites
@@ -156,16 +158,8 @@ def run(argv) -> int:
         print(f"qglue: {exc}", file=sys.stderr)
         return 2
 
-    # a pairing that cannot be certified (trace tail or idempotent defect
-    # over tolerance) is already a fail record of its module; any other guard
-    # failure (no trusted block, chi(N) wider than the window, ...) is a
-    # parameter problem, not a mathematical fail
     names = cfg.suites if args.command == "verify" else ("index",)
-    try:
-        records = run_suites(names, params, cfg.nmax, cfg.seed)
-    except (QGlueError, ValueError) as exc:
-        print(f"qglue: {exc}", file=sys.stderr)
-        return 2
+    records = run_suites(names, params, cfg.nmax, cfg.seed)
 
     report = Report(
         meta={

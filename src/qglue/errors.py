@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A QGlueError means a computation could not be carried out at the given
+parameters: a window too small, a certificate over its tolerance, a rewrite
+budget spent, ... A check that raises one becomes a fail record
+(suites.run_check), a pairing that raises one a failed result
+(kpair.PairingTable). Any other exception that escapes a run is a bug.
+"""
 
 
 class QGlueError(Exception):
@@ -31,3 +38,16 @@ class SymbolMismatch(QGlueError, ValueError):
 
 class SizeCapExceeded(QGlueError, ValueError):
     """A symbolic construction exceeded its safety cap."""
+
+
+class CertificationError(QGlueError, ValueError):
+    """A numeric certificate is over its tolerance: a trace tail, an
+    idempotent defect, or a self-adjointness or positivity defect."""
+
+
+def attempt(compute):
+    """(compute(), None), or (None, exc) when compute raises a QGlueError."""
+    try:
+        return compute(), None
+    except QGlueError as exc:
+        return None, exc

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circle import LaurentPoly
-from .errors import DimensionMismatch, QGlueError, SymbolMismatch
+from .errors import CertificationError, DimensionMismatch, QGlueError, SymbolMismatch, attempt
 from .glue import FibrePair, chi, en_numeric, fp_matmul
 from .idempotents import EN_CAP
 from .opnum import GUARD, TAIL_TOL, ParamSet, TraceResult, pi_rep, trace_finite_rank
@@ -116,7 +116,7 @@ def _checked_idempotent(P):
                 raise SymbolMismatch("pairing needs twist-0 idempotents")
     defect = _idem_defect(entries)
     if defect > IDEM_TOL:
-        raise ValueError(
+        raise CertificationError(
             f"not an idempotent within tolerance: trusted-block defect "
             f"{defect:.3e} exceeds {IDEM_TOL:.3e}"
         )
@@ -205,7 +205,7 @@ EN_RESIDUAL_TOL = 1e-3
 class TableEntry:
     """What a PairingTable keeps of one (representative, N): the pairing with
     each module by kind ("pr", then "pi"), and for the degree-N idempotent
-    the exact trace of its symbol matrix."""
+    the exact trace of its symbol matrix (None if it could not be built)."""
 
     results: dict[str, PairingResult]
     symbol_trace: LaurentPoly | None
@@ -238,26 +238,26 @@ class PairingTable:
         return self._entries[key]
 
     def _fill(self, representative: str, N: int) -> TableEntry:
-        """Build, check and trace one idempotent. A pairing that cannot be
-        certified (its idempotent check or its trace raises) keeps the
-        reason as a failed result; the other module's pairing stands."""
+        """Build, check and trace one idempotent. A QGlueError keeps its
+        reason as a failed result: of both modules when the idempotent
+        cannot be built or checked (the symbol trace of an E_N that cannot
+        be built is None), else of the module whose trace raised, the other
+        module's pairing standing."""
         symbol_trace = None
-        if representative == "chi":
-            P = chi(N, self.params.d)
-        else:
-            P = en_numeric(N, self.params)
-            symbol_trace = sum((row[i].sym0 for i, row in enumerate(P)), LaurentPoly({}))
         try:
+            if representative == "chi":
+                P = chi(N, self.params.d)
+            else:
+                P = en_numeric(N, self.params)
+                symbol_trace = sum((row[i].sym0 for i, row in enumerate(P)), LaurentPoly({}))
             entries, defect = _checked_idempotent(P)
-        except (QGlueError, ValueError) as exc:
+        except QGlueError as exc:
             failure = PairingResult.failed(exc)
             return TableEntry({m.kind: failure for m in self.modules}, symbol_trace)
         results = {}
         for m in self.modules:
-            try:
-                results[m.kind] = _trace_pairing(m, entries, defect)
-            except (QGlueError, ValueError) as exc:
-                results[m.kind] = PairingResult.failed(exc)
+            result, error = attempt(lambda: _trace_pairing(m, entries, defect))
+            results[m.kind] = result if error is None else PairingResult.failed(error)
         return TableEntry(results, symbol_trace)
 
     def rows(self, representative: str, N: int) -> list[IndexRow]:

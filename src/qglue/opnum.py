@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .circle import LaurentPoly, _params_qps
-from .errors import DimensionMismatch, WindowOverflow
+from .errors import CertificationError, DimensionMismatch, WindowOverflow
 from .ncpoly import NCPoly
 from .presets import DISC_FLAVOURS
 
@@ -451,7 +451,7 @@ def trace_finite_rank(
         tail += [vec[:lo], vec[inside_end:]]
     tail_max = _max_abs(tail)
     if tail_max > tail_tol:
-        raise ValueError(
+        raise CertificationError(
             f"operator is not finite-rank within the window: tail {tail_max:.3e} "
             f"exceeds {tail_tol:.3e}"
         )
@@ -510,13 +510,13 @@ def inv_sqrt_psd(op: TruncOp) -> TruncOp:
     mat = op._diags.get(0, np.zeros(op.d, dtype=np.complex128)) if diagonal else op.mat
     herm = float(np.linalg.norm(mat - mat.conj().T))
     if herm > 1e-12 * max(1.0, float(np.linalg.norm(mat))):
-        raise ValueError(f"operator is not self-adjoint (defect {herm:.3e})")
+        raise CertificationError(f"operator is not self-adjoint (defect {herm:.3e})")
     if diagonal:
         eigvals = mat.real
     else:
         eigvals, eigvecs = np.linalg.eigh(mat)
     if float(eigvals.min()) < -PSD_FLOOR:
-        raise ValueError(
+        raise CertificationError(
             f"operator is not positive semidefinite: min eig {float(eigvals.min()):.3e}"
         )
     inv = np.zeros_like(eigvals)

@@ -1,12 +1,19 @@
 """Named verification suites.
 
-Each suite is a function (params, nmax, rng, pairings) -> list[CheckRecord]
-and is registered in SUITES under a stable name. Suites never raise on a
-failed check; they return fail records. run_suites seeds one rng per suite
-from (seed, suite name), so a subset run reproduces exactly the records the
-full run would have produced for those suites. The chi, en-numeric, index
-and convergence suites read the chi(N) and E_N pairings from the run's one
-PairingTable, so each is computed once per run whichever of them ask for it.
+A suite is a generator function (params, nmax, rng, pairings) that yields
+its checks as (check name, anchor, compute) triples. SUITES registers it
+under a stable name as a function (params, nmax, rng, pairings) ->
+list[CheckRecord] that hands each check to run_check, the one place a
+record is built and a check's failure is caught: a check that cannot be
+carried out at the given parameters becomes a fail record, so a suite never
+raises for one. run_check calls compute before the suite resumes, so a
+compute may read the suite's loop variables.
+
+run_suites seeds one rng per suite from (seed, suite name), so a subset run
+reproduces exactly the records the full run would have produced for those
+suites. The chi, en-numeric, index and convergence suites read the chi(N)
+and E_N pairings from the run's one PairingTable, so each is computed once
+per run whichever of them ask for it.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,7 +38,7 @@ from .circle import (
     w_map,
 )
 from .coefficients import CoefPoly, ONE, P, Q, S, _accumulate
-from .errors import DimensionMismatch, SymbolMismatch, WindowOverflow
+from .errors import attempt
 from .glue import (
     FibrePair,
     chi,
@@ -74,54 +82,82 @@ from .presets import (
 )
 from .report import CheckRecord, FAIL, PASS, WARN
 
-# -- small helpers -----------------------------------------------------------------
+# -- the check runner -------------------------------------------------------------
 
 
-def _res(suite, check, residual, tol, anchor) -> CheckRecord:
-    return CheckRecord(
-        suite=suite,
-        check=check,
-        status=PASS if residual <= tol else FAIL,
-        residual=float(residual),
-        anchor=anchor,
-    )
+class Outcome(NamedTuple):
+    """What a check computes: its verdict (True to pass, False to fail, or a
+    report status) and its value, expected and residual cells. A note is
+    appended to the check's anchor."""
+
+    verdict: bool | str
+    value: object = None
+    expected: object = None
+    residual: float | None = None
+    note: str = ""
 
 
-def _relation_records(suite, check, pres, residual, tol, note="") -> list[CheckRecord]:
-    """One record per rule of pres: residual(rule element) against tol."""
-    return [
-        _res(suite, check, residual(pres.rule_element(rule)), tol, pres.rule_text(rule) + note)
-        for rule in pres.rules
-    ]
+# what a suite yields: (check name, anchor, compute)
+Checks = Iterator[tuple[str, str, Callable[[], Outcome]]]
+
+
+def run_check(suite, check, anchor, compute) -> CheckRecord:
+    """Run one check and build its record. compute() returns the check's
+    Outcome. A QGlueError it raises means the check could not be carried
+    out at these parameters: it becomes a fail record with the reason as
+    its value and empty expected and residual cells. Any other exception
+    propagates."""
+    outcome, error = attempt(compute)
+    if error is not None:
+        outcome = Outcome(False, str(error))
+    verdict, value, expected, residual, note = outcome
+    if not isinstance(verdict, str):
+        verdict = PASS if verdict else FAIL
+    return CheckRecord(suite, check, verdict, value, expected, residual, anchor + note)
+
+
+def _within(residual, tol) -> Outcome:
+    """A residual against its bound."""
+    return Outcome(residual <= tol, residual=float(residual))
+
+
+def _identity(lhs, rhs=None) -> Outcome:
+    """lhs = rhs (or lhs = 0) exactly; a failure keeps the normal form of
+    the difference as its value."""
+    holds, witness = verify_identity(lhs, rhs)
+    return Outcome(holds, None if holds else str(witness))
+
+
+def _completes(compute, *args) -> Outcome:
+    """Passes when compute(*args) returns; a QGlueError it raises fails the
+    check with the reason as its value."""
+    compute(*args)
+    return Outcome(True)
+
+
+def _pairing(row: IndexRow) -> Outcome:
+    """A pairing as the run's table classified it."""
+    return Outcome(row.status, row.result.value, row.expected, row.result.residual)
+
+
+def _exact_pairing(result, expected: int) -> Outcome:
+    """A pairing that must round to expected with a machine-zero tail."""
+    return Outcome(result.rounded == expected and result.exact, result.value, expected)
+
+
+def _relations(check, pres, residual, tol, note="") -> Checks:
+    """One check per rule of pres: residual(rule element) against tol."""
+    for rule in pres.rules:
+        yield (
+            check,
+            pres.rule_text(rule) + note,
+            lambda: _within(residual(pres.rule_element(rule)), tol),
+        )
 
 
 def _window_residual(ops, params: ParamSet):
     """The largest entry of an element evaluated on truncated operators."""
     return lambda x: evaluate(x, ops, params).max_abs(guard=0)
-
-
-def _flag(suite, check, ok, anchor, value=None, expected=None) -> CheckRecord:
-    return CheckRecord(
-        suite=suite,
-        check=check,
-        status=PASS if ok else FAIL,
-        value=value,
-        expected=expected,
-        anchor=anchor,
-    )
-
-
-def _pairing_record(suite, check, row: IndexRow, anchor) -> CheckRecord:
-    """Record of one pairing as the run's table classified it."""
-    return CheckRecord(
-        suite=suite,
-        check=check,
-        status=row.status,
-        value=row.result.value,
-        expected=row.expected,
-        residual=row.result.residual,
-        anchor=anchor,
-    )
 
 
 def _random_word(pres, rng: random.Random, max_len: int) -> tuple[int, ...]:
@@ -156,44 +192,39 @@ def confluence_sample(pres, n_words: int, max_len: int, rng: random.Random) -> i
 
 def suite_disc(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
+    def defect_diagonal():
+        res = (identity(params.d) - z @ z.adjoint() - diag_op(t)).max_abs(guard=0)
+        return _within(res, params.tol)
+
+    # product identity behind the winding count, N up to 5
+    def power_product():
+        lhs = (z.adjoint() ** N) @ (z**N)
+        v = np.ones(params.d)
+        for k in range(1, N + 1):
+            v = v * (1.0 - base**k * t)
+        return _within((lhs - diag_op(v)).max_abs(guard=0), 1e-12)
+
     for which, (letter, _) in DISC_FLAVOURS.items():
         pres = disc_presentation(which)
         base = disc_base(letter, params)
         ops = disc_assignment(pres, params)
-        recs += _relation_records(
-            "disc", f"relation [{which}]", pres, _window_residual(ops, params), params.tol
+        yield from _relations(
+            f"relation [{which}]", pres, _window_residual(ops, params), params.tol
         )
         z = ops[letter]
         t = base ** np.arange(params.d)
-        res = (identity(params.d) - z @ z.adjoint() - diag_op(t)).max_abs(guard=0)
-        recs.append(
-            _res(
-                "disc",
-                f"defect diagonal [{which}]",
-                res,
-                params.tol,
-                f"1 - {letter} {letter}* = diag(base^n)",
-            )
+        yield (
+            f"defect diagonal [{which}]",
+            f"1 - {letter} {letter}* = diag(base^n)",
+            defect_diagonal,
         )
-        # product identity behind the winding count, N up to 5
         for N in range(1, min(nmax, 5) + 1):
-            lhs = (z.adjoint() ** N) @ (z**N)
-            v = np.ones(params.d)
-            for k in range(1, N + 1):
-                v = v * (1.0 - base**k * t)
-            res = (lhs - diag_op(v)).max_abs(guard=0)
-            recs.append(
-                _res(
-                    "disc",
-                    f"power product [{which}] N={N}",
-                    res,
-                    1e-12,
-                    f"{letter}*^N {letter}^N = prod_k=1..N (1 - base^k (1 - {letter} {letter}*))",
-                )
+            yield (
+                f"power product [{which}] N={N}",
+                f"{letter}*^N {letter}^N = prod_k=1..N (1 - base^k (1 - {letter} {letter}*))",
+                power_product,
             )
-    return recs
 
 
 # -- glued pair of discs ------------------------------------------------------------
@@ -201,21 +232,19 @@ def suite_disc(
 
 def suite_s3(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
     pres = sphere3_presentation()
     for leg in (0, 1):
         ops = s3_leg_assignment(leg, params)
-        recs += _relation_records(
-            "s3", f"relation [leg {leg}]", pres, _window_residual(ops, params), params.tol
+        yield from _relations(
+            f"relation [leg {leg}]", pres, _window_residual(ops, params), params.tol
         )
     # honest tensor picture: same relations on kron operators, interior only
     tensor = replace(params, d=24, w=6)
     interior = kron_interior(tensor.d, tensor.w, 5, 5)
     for leg in (0, 1):
         ops = iota_kron_assignment(leg, tensor)
-        recs += _relation_records(
-            "s3",
+        yield from _relations(
             f"kron relation [leg {leg}]",
             pres,
             lambda x: evaluate(x, ops, params).max_abs_on(interior),
@@ -227,22 +256,11 @@ def suite_s3(
     small = replace(params, d=8)
     for trial in range(5):
         x = _random_element(pres, rng, n_words=2, max_len=4)
-        try:
-            iota(x, small)
-        except SymbolMismatch as exc:
-            ok, witness = False, str(exc)
-        else:
-            ok, witness = True, None
-        recs.append(
-            _flag(
-                "s3",
-                f"leg compatibility [{trial}]",
-                ok,
-                "W (sigma x id) leg0 = (sigma x id) leg1 on the doubled picture",
-                value=witness,
-            )
+        yield (
+            f"leg compatibility [{trial}]",
+            "W (sigma x id) leg0 = (sigma x id) leg1 on the doubled picture",
+            lambda: _completes(iota, x, small),
         )
-    return recs
 
 
 # -- quotient sphere ----------------------------------------------------------------
@@ -250,15 +268,13 @@ def suite_s3(
 
 def suite_s2(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
     pres = sphere2_presentation()
     for leg in (0, 1):
         ops = s2_leg_assignment(leg, params)
-        recs += _relation_records(
-            "s2", f"relation [leg {leg}]", pres, _window_residual(ops, params), params.tol
+        yield from _relations(
+            f"relation [leg {leg}]", pres, _window_residual(ops, params), params.tol
         )
-    return recs
 
 
 # -- quantum SU(2) ------------------------------------------------------------------
@@ -266,33 +282,27 @@ def suite_s2(
 
 def suite_su2(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
     pres = su2_presentation()
-    try:
-        pres.validate()
-        recs.append(
-            _flag("su2", "presentation valid", True, "rules are graded and star-closed")
-        )
-    except Exception as exc:  # pragma: no cover - guards a shipped preset
-        recs.append(_flag("su2", "presentation valid", False, repr(exc)))
-    a, d, b, c = (pres.gen(n) for n in ("a", "d", "b", "c"))
-    holds, witness = verify_identity(a * d - d * a, (Q - Q**-1) * b * c)
-    recs.append(
-        _flag(
-            "su2",
-            "commutator identity",
-            holds,
-            "a d - d a = (q - q^-1) b c",
-            value=str(witness) if not holds else None,
-        )
+    yield (
+        "presentation valid",
+        "rules are graded and star-closed",
+        lambda: _completes(pres.validate),
     )
-    holds, _ = verify_identity((b * c).star(), c.star() * b.star())
-    recs.append(_flag("su2", "star antihomomorphism", holds, "(b c)* = c* b*"))
+    a, d, b, c = (pres.gen(n) for n in ("a", "d", "b", "c"))
+    yield (
+        "commutator identity",
+        "a d - d a = (q - q^-1) b c",
+        lambda: _identity(a * d - d * a, (Q - Q**-1) * b * c),
+    )
+    yield (
+        "star antihomomorphism",
+        "(b c)* = c* b*",
+        lambda: _identity((b * c).star(), c.star() * b.star()),
+    )
     zeta, eta = podles_zeta_eta()
-    recs.append(_flag("su2", "zeta degree", degree(zeta) == 0, "deg zeta = 0"))
-    recs.append(_flag("su2", "eta degree", degree(eta) == -2, "deg eta = -2"))
-    return recs
+    yield "zeta degree", "deg zeta = 0", lambda: Outcome(degree(zeta) == 0)
+    yield "eta degree", "deg eta = -2", lambda: Outcome(degree(eta) == -2)
 
 
 # -- equatorial family -------------------------------------------------------------
@@ -330,23 +340,18 @@ PODLES_RELATIONS = (
 
 def suite_podles(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
+    def symbolic():
+        one = zeta.pres.one()
+        return _identity(relation(zeta, eta, one, operator.mul, NCPoly.star, S * S, Q * Q, Q**-2))
+
+    def numeric():
+        op = relation(z, e, u, operator.matmul, TruncOp.adjoint, params.s**2, qq, 1.0 / qq)
+        return _within(op.max_abs(guard=0), params.tol)
+
     zeta, eta = podles_zeta_eta()
     for check, anchor, relation in PODLES_RELATIONS:
-        element = relation(
-            zeta, eta, zeta.pres.one(), operator.mul, NCPoly.star, S * S, Q * Q, Q**-2
-        )
-        holds, witness = verify_identity(element)
-        recs.append(
-            _flag(
-                "podles",
-                f"symbolic {check}",
-                holds,
-                anchor + " (exact normal form)",
-                value=None if holds else str(witness),
-            )
-        )
+        yield f"symbolic {check}", anchor + " (exact normal form)", symbolic
     pod = podles_generators(params)
     qq = params.q**2
     u = identity(params.d)
@@ -354,42 +359,26 @@ def suite_podles(
         z = (pod.zeta.t0, pod.zeta.t1)[leg]
         e = (pod.eta.t0, pod.eta.t1)[leg]
         for check, anchor, relation in PODLES_RELATIONS:
-            op = relation(
-                z, e, u, operator.matmul, TruncOp.adjoint, params.s**2, qq, 1.0 / qq
-            )
-            res = op.max_abs(guard=0)
-            recs.append(_res("podles", f"numeric {check} [leg {leg}]", res, params.tol, anchor))
+            yield f"numeric {check} [leg {leg}]", anchor, numeric
     s_u = LaurentPoly({1: S})
-    recs.append(
-        _flag(
-            "podles",
-            "eta symbol",
-            pod.eta.sym0 == s_u and pod.eta.sym1 == s_u,
-            "sigma(eta) = s U on both legs",
-        )
+    yield (
+        "eta symbol",
+        "sigma(eta) = s U on both legs",
+        lambda: Outcome(pod.eta.sym0 == s_u and pod.eta.sym1 == s_u),
     )
-    recs.append(
-        _flag(
-            "podles",
-            "zeta symbol",
-            pod.zeta.sym0.is_zero() and pod.zeta.sym1.is_zero(),
-            "sigma(zeta) = 0 on both legs",
-        )
+    yield (
+        "zeta symbol",
+        "sigma(zeta) = 0 on both legs",
+        lambda: Outcome(pod.zeta.sym0.is_zero() and pod.zeta.sym1.is_zero()),
     )
     w = polar_part(pod.eta)
     sh = shift(params.d)
-    for leg in (0, 1):
-        op = (w.t0, w.t1)[leg]
-        recs.append(
-            _res(
-                "podles",
-                f"polar part [leg {leg}]",
-                trusted_diff_norm(op, sh, guard=1),
-                1e-10,
-                "polar part of eta is the unilateral shift on the trusted block",
-            )
+    for leg, op in enumerate((w.t0, w.t1)):
+        yield (
+            f"polar part [leg {leg}]",
+            "polar part of eta is the unilateral shift on the trusted block",
+            lambda: _within(trusted_diff_norm(op, sh, guard=1), 1e-10),
         )
-    return recs
 
 
 # -- circle Hopf structure -----------------------------------------------------------
@@ -407,8 +396,7 @@ def _random_exact(cls, rng: random.Random, draw_key, n_terms: int = 3):
 
 def suite_hopf(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
     span = min(max(nmax, 1), 10)
 
     def exponent():
@@ -437,32 +425,21 @@ def suite_hopf(
             morphism_ok = False
         if hopf_coproduct(f * g) != hopf_coproduct(f) * hopf_coproduct(g):
             morphism_ok = False
-    recs.append(
-        _flag("hopf", "counit axiom", counit_ok, "(eps x id) delta = id = (id x eps) delta")
+    yield "counit axiom", "(eps x id) delta = id = (id x eps) delta", lambda: Outcome(counit_ok)
+    yield (
+        "coassociativity",
+        "(delta x id) delta = (id x delta) delta",
+        lambda: Outcome(coassoc_ok),
     )
-    recs.append(
-        _flag(
-            "hopf",
-            "coassociativity",
-            coassoc_ok,
-            "(delta x id) delta = (id x delta) delta",
-        )
+    yield (
+        "antipode axiom",
+        "m (kappa x id) delta = eps(.) 1 = m (id x kappa) delta; kappa^2 = id",
+        lambda: Outcome(antipode_ok),
     )
-    recs.append(
-        _flag(
-            "hopf",
-            "antipode axiom",
-            antipode_ok,
-            "m (kappa x id) delta = eps(.) 1 = m (id x kappa) delta; kappa^2 = id",
-        )
-    )
-    recs.append(
-        _flag(
-            "hopf",
-            "morphism properties",
-            morphism_ok,
-            "delta, eps, kappa respect the product",
-        )
+    yield (
+        "morphism properties",
+        "delta, eps, kappa respect the product",
+        lambda: Outcome(morphism_ok),
     )
     w_ok = phi_ok = True
     for _ in range(25):
@@ -471,11 +448,8 @@ def suite_hopf(
             w_ok = False
         if phi_map(F) != w_map(F):
             phi_ok = False
-    recs.append(
-        _flag("hopf", "W bijective", w_ok, "W (m, n) -> (m + n, n) inverts exactly")
-    )
-    recs.append(_flag("hopf", "phi matches W", phi_ok, "phi acts as the gluing map W"))
-    return recs
+    yield "W bijective", "W (m, n) -> (m + n, n) inverts exactly", lambda: Outcome(w_ok)
+    yield "phi matches W", "phi acts as the gluing map W", lambda: Outcome(phi_ok)
 
 
 # -- line-bundle idempotents ----------------------------------------------------------
@@ -483,73 +457,60 @@ def suite_hopf(
 
 def suite_en_symbolic(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
     pres = sphere3_presentation()
+
+    def dual_pairing():
+        pairing = normal_form((Y.transpose() @ X)[0, 0])
+        holds = pairing == pres.one()
+        return Outcome(holds, None if holds else str(pairing))
+
+    def idempotency():
+        sq = E @ E
+        return Outcome(
+            all(
+                verify_identity(sq[i, j], E[i, j])[0]
+                for i in range(E.shape[0])
+                for j in range(E.shape[1])
+            )
+        )
+
+    def literal_weights():
+        Xl, Yl, _ = build_en(1, assignment="literal")
+        witness = normal_form((Yl.transpose() @ Xl)[0, 0] - pres.one())
+        b = pres.gen("b")
+        expected = normal_form((Q - P) * (pres.one() - b * b.star()))
+        return Outcome(witness == expected, str(witness), str(expected))
+
     cap = min(nmax, EN_CAP)
     for N in range(-cap, cap + 1):
         X, Y, E = build_en(N)
-        pairing = normal_form((Y.transpose() @ X)[0, 0])
-        recs.append(
-            _flag(
-                "en-symbolic",
-                f"dual pairing N={N:+d}",
-                pairing == pres.one(),
-                "Y^T X = 1 exactly",
-                value=None if pairing == pres.one() else str(pairing),
-            )
-        )
-        sq = E @ E
-        ok = all(
-            verify_identity(sq[i, j], E[i, j])[0]
-            for i in range(E.shape[0])
-            for j in range(E.shape[1])
-        )
-        recs.append(
-            _flag("en-symbolic", f"idempotency N={N:+d}", ok, "E^2 = E entrywise, exactly")
-        )
-    Xl, Yl, _ = build_en(1, assignment="literal")
-    witness = normal_form((Yl.transpose() @ Xl)[0, 0] - pres.one())
-    b = pres.gen("b")
-    expected = normal_form((Q - P) * (pres.one() - b * b.star()))
-    recs.append(
-        _flag(
-            "en-symbolic",
-            "literal weights fail at N=+1",
-            witness == expected,
-            "uncorrected binomial base leaves Y^T X - 1 = (q - p)(1 - b b*)",
-            value=str(witness),
-            expected=str(expected),
-        )
+        yield f"dual pairing N={N:+d}", "Y^T X = 1 exactly", dual_pairing
+        yield f"idempotency N={N:+d}", "E^2 = E entrywise, exactly", idempotency
+    yield (
+        "literal weights fail at N=+1",
+        "uncorrected binomial base leaves Y^T X - 1 = (q - p)(1 - b b*)",
+        literal_weights,
     )
-    return recs
 
 
 def suite_en_numeric(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
     one_sym = LaurentPoly({0: 1})
     cap = min(nmax, EN_CAP)
     for N in range(-cap, cap + 1):
-        recs.append(
-            _flag(
-                "en-numeric",
-                f"symbol trace N={N:+d}",
-                pairings.entry("en", N).symbol_trace == one_sym,
-                "tr sigma(E) = 1 exactly",
-            )
+        yield (
+            f"symbol trace N={N:+d}",
+            "tr sigma(E) = 1 exactly",
+            lambda: Outcome(pairings.entry("en", N).symbol_trace == one_sym),
         )
         for row in pairings.rows("en", N):
-            recs.append(
-                _pairing_record(
-                    "en-numeric",
-                    f"pairing N={N:+d} [{row.module}]",
-                    row,
-                    f"<[{row.module}], [E_{N}]> = {row.expected}",
-                )
+            yield (
+                f"pairing N={N:+d} [{row.module}]",
+                f"<[{row.module}], [E_{N}]> = {row.expected}",
+                lambda: _pairing(row),
             )
-    return recs
 
 
 # -- boundary classes and the index table ---------------------------------------------
@@ -557,46 +518,45 @@ def suite_en_numeric(
 
 def suite_chi(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
     d = params.d
     pr = FredholmModule("pr")
     for N in range(-nmax, nmax + 1):
         for row in pairings.rows("chi", N):
-            recs.append(
-                _pairing_record(
-                    "chi",
-                    f"pairing N={N:+d} [{row.module}]",
-                    row,
-                    f"<[{row.module}], [chi_{N}]> = {row.expected}, exactly at finite window",
-                )
+            yield (
+                f"pairing N={N:+d} [{row.module}]",
+                f"<[{row.module}], [chi_{N}]> = {row.expected}, exactly at finite window",
+                lambda: _pairing(row),
             )
     # chi(0) is the unit
-    result = pairings.entry("chi", 0).results["pr"]
-    recs.append(
-        _flag(
-            "chi",
-            "unit class",
-            result.rounded == 0 and result.exact,
-            "<[pr], [1]> = 0",
-            value=result.value,
-            expected=0,
-        )
+    yield (
+        "unit class",
+        "<[pr], [1]> = 0",
+        lambda: _exact_pairing(pairings.entry("chi", 0).results["pr"], 0),
     )
     sh = shift(d)
     empty = LaurentPoly({})
     point = FibrePair(zero(d), identity(d) - sh @ sh.adjoint(), empty, empty, 0)
-    result = pair(pr, point)
-    recs.append(
-        _flag(
-            "chi",
-            "point defect",
-            result.rounded == 1 and result.exact,
-            "<[pr], [e_00]> = 1 (single boundary mode)",
-            value=result.value,
-            expected=1,
-        )
+    yield (
+        "point defect",
+        "<[pr], [e_00]> = 1 (single boundary mode)",
+        lambda: _exact_pairing(pair(pr, point), 1),
     )
+
+    def lands():
+        prod = img @ chi(-N, d)
+        return _within(max((prod.t0 - img.t0).max_abs(), (prod.t1 - img.t1).max_abs()), 1e-14)
+
+    def round_trip():
+        back = psi_inverse(img, N)
+        # the round trip's bandwidth plus the guard can cover a small window
+        res = max(
+            trusted_diff_norm(back.t0, gen.t0, guard=abs(N)),
+            trusted_diff_norm(back.t1, gen.t1, guard=abs(N)),
+        )
+        ok = back.twist == N and back.sym0 == gen.sym0 and back.sym1 == gen.sym1
+        return _within(res if ok else 1.0, 1e-12)
+
     one_sym = LaurentPoly({0: 1})
     for N in [k for k in range(-nmax, nmax + 1) if k]:
         if N > 0:
@@ -604,32 +564,16 @@ def suite_chi(
         else:
             gen = FibrePair(identity(d), sh.adjoint() ** (-N), one_sym, LaurentPoly({N: 1}), N)
         img = psi_iso(gen)
-        cN = chi(-N, d)
-        prod = img @ cN
-        res = max((prod.t0 - img.t0).max_abs(), (prod.t1 - img.t1).max_abs())
-        recs.append(
-            _res(
-                "chi",
-                f"untwisting lands on chi({-N:+d})",
-                res,
-                1e-14,
-                "psi maps the twist-N generator onto the chi(-N) corner",
-            )
+        yield (
+            f"untwisting lands on chi({-N:+d})",
+            "psi maps the twist-N generator onto the chi(-N) corner",
+            lands,
         )
-        back = psi_inverse(img, N)
-        check = f"untwisting round trip N={N:+d}"
-        anchor = "psi_inverse . psi = id on the trusted block"
-        # the round trip's bandwidth plus the guard can cover a small window
-        try:
-            res = max(
-                trusted_diff_norm(back.t0, gen.t0, guard=abs(N)),
-                trusted_diff_norm(back.t1, gen.t1, guard=abs(N)),
-            )
-        except DimensionMismatch as exc:
-            recs.append(_flag("chi", check, False, anchor, value=str(exc)))
-        else:
-            ok = back.twist == N and back.sym0 == gen.sym0 and back.sym1 == gen.sym1
-            recs.append(_res("chi", check, res if ok else 1.0, 1e-12, anchor))
+        yield (
+            f"untwisting round trip N={N:+d}",
+            "psi_inverse . psi = id on the trusted block",
+            round_trip,
+        )
     # window compressions compose exactly while no trajectory can leave and
     # re-enter: exponents of one sign multiply on the whole window, mixed
     # signs clip at the edge rows (in both shift pictures)
@@ -638,52 +582,39 @@ def suite_chi(
     g = LaurentPoly({2: Fraction(-3, 4), 0: 1})
     f2 = LaurentPoly({-1: 1, fw: Fraction(1, 2)})
     g2 = LaurentPoly({1: 1})
+
+    def rep(x):
+        return pi_rep(sign, x, params)
+
+    def mixed():
+        whole, factors = rep(f2 * g2), rep(f2) @ rep(g2)
+        res_int = trusted_diff_norm(whole, factors, guard=1)
+        res_full = (whole - factors).max_abs()
+        if res_int <= 1e-12 and res_full > 1e-12:
+            return Outcome(WARN, res_full, residual=res_int, note="; window-edge rows clip")
+        return _within(res_int, 1e-12)
+
     for sign in ("+", "-"):
-        same = f"same-sign multiplicative [{sign}]"
-        mixed = f"mixed-sign multiplicative [{sign}]"
         law = f"pi{sign}(f g) = pi{sign}(f) pi{sign}(g) on the"
         # f g reaches U^(fw + 2), past the shift window when w <= 3
-        try:
-            whole = pi_rep(sign, f * g, params)
-            factors = pi_rep(sign, f, params) @ pi_rep(sign, g, params)
-            whole2 = pi_rep(sign, f2 * g2, params)
-            factors2 = pi_rep(sign, f2, params) @ pi_rep(sign, g2, params)
-        except WindowOverflow as exc:
-            recs.append(_flag("chi", same, False, f"{law} whole window", value=str(exc)))
-            recs.append(_flag("chi", mixed, False, f"{law} interior", value=str(exc)))
-            continue
-        recs.append(_res("chi", same, (whole - factors).max_abs(), 1e-12, f"{law} whole window"))
-        res_int = trusted_diff_norm(whole2, factors2, guard=1)
-        res_full = (whole2 - factors2).max_abs()
-        if res_int <= 1e-12 and res_full > 1e-12:
-            recs.append(
-                CheckRecord(
-                    suite="chi",
-                    check=mixed,
-                    status=WARN,
-                    value=res_full,
-                    residual=res_int,
-                    anchor=f"{law} interior; window-edge rows clip",
-                )
-            )
-        else:
-            recs.append(_res("chi", mixed, res_int, 1e-12, f"{law} interior"))
-    return recs
+        yield (
+            f"same-sign multiplicative [{sign}]",
+            f"{law} whole window",
+            lambda: _within((rep(f * g) - rep(f) @ rep(g)).max_abs(), 1e-12),
+        )
+        yield f"mixed-sign multiplicative [{sign}]", f"{law} interior", mixed
 
 
 def suite_index(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    return [
-        _pairing_record(
-            "index",
+) -> Checks:
+    for row in pairings.index_rows(nmax):
+        yield (
             f"{row.representative} N={row.N:+d} [{row.module}]",
-            row,
             f"<[{row.module}], [{row.representative}_{row.N}]> = "
             f"{row.expected}; {row.interpretation}",
+            lambda: _pairing(row),
         )
-        for row in pairings.index_rows(nmax)
-    ]
 
 
 # -- convergence and stability ---------------------------------------------------------
@@ -691,92 +622,65 @@ def suite_index(
 
 def suite_convergence(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
+) -> Checks:
     pr = FredholmModule("pr")
     for N in (1, 2):
         # the entry bandwidth grows like 4N, so the window must stay ahead of it
         dims = tuple(d for d in (8, 16, 32, 64) if d >= 8 * N)
-        residuals = []
-        for d in dims:
-            pairs = en_numeric(N, replace(params, d=d))
-            result = pair(pr, pairs, tail_tol=np.inf)
-            residuals.append(result.residual)
+        residuals = [
+            pair(pr, en_numeric(N, replace(params, d=d)), tail_tol=np.inf).residual for d in dims
+        ]
         for (d1, r1), (d2, r2) in zip(zip(dims, residuals), zip(dims[1:], residuals[1:])):
-            ok = r2 <= r1 / 10.0 + 1e-12
-            recs.append(
-                CheckRecord(
-                    suite="convergence",
-                    check=f"pairing residual N={N} d={d1}->{d2}",
-                    status=PASS if ok else FAIL,
-                    value=r2,
-                    expected=f"<= {r1 / 10.0:.3e} + 1e-12",
-                    residual=r2,
-                    anchor="pairing residual shrinks 10x per doubling until the float floor",
-                )
+            yield (
+                f"pairing residual N={N} d={d1}->{d2}",
+                "pairing residual shrinks 10x per doubling until the float floor",
+                lambda: Outcome(r2 <= r1 / 10.0 + 1e-12, r2, f"<= {r1 / 10.0:.3e} + 1e-12", r2),
             )
-    pres = disc_presentation("q")
-    z = pres.gen("z")
-    x = z * z.star() * z + z.star()
-    small = evaluate(x, disc_assignment(pres, replace(params, d=32)), params)
-    big = evaluate(x, disc_assignment(pres, replace(params, d=64)), params)
-    block = small.trusted_block()
-    keep = len(block)
-    stable = bool(np.array_equal(block, big.trusted_block()[:keep, :keep]))
-    recs.append(
-        _flag(
-            "convergence",
-            "truncation stability",
-            stable,
-            "trusted block is bitwise stable under window growth d -> 2d",
-        )
+
+    def truncation_stability():
+        pres = disc_presentation("q")
+        z = pres.gen("z")
+        x = z * z.star() * z + z.star()
+        small = evaluate(x, disc_assignment(pres, replace(params, d=32)), params)
+        big = evaluate(x, disc_assignment(pres, replace(params, d=64)), params)
+        block = small.trusted_block()
+        keep = len(block)
+        return Outcome(bool(np.array_equal(block, big.trusted_block()[:keep, :keep])))
+
+    def stability_in_d():
+        r32 = pair(pr, chi(3, 32))
+        r64 = pair(pr, chi(3, 64))
+        return Outcome(r32.value == r64.value and r32.exact and r64.exact, r64.value, r32.value)
+
+    def stability_in_w():
+        # a shift window 4 wider than the run's, or 4 narrower at the cap
+        step = 4 if params.w + 4 <= WINDOW_MAX else -4
+        pi_other = FredholmModule("pi", params=replace(params, w=params.w + step))
+        rs = pairings.entry("chi", 2).results["pi"]
+        rl = pair(pi_other, chi(2, params.d))
+        return Outcome(rs.value == rl.value and rs.exact and rl.exact, rl.value, rs.value)
+
+    yield (
+        "truncation stability",
+        "trusted block is bitwise stable under window growth d -> 2d",
+        truncation_stability,
     )
-    r32 = pair(pr, chi(3, 32))
-    r64 = pair(pr, chi(3, 64))
-    recs.append(
-        _flag(
-            "convergence",
-            "pairing stability in d",
-            r32.value == r64.value and r32.exact and r64.exact,
-            "<[pr], [chi_3]> does not move with the window",
-            value=r64.value,
-            expected=r32.value,
-        )
+    yield "pairing stability in d", "<[pr], [chi_3]> does not move with the window", stability_in_d
+    yield (
+        "pairing stability in w",
+        "<[pi], [chi_2]> does not move with the shift window",
+        stability_in_w,
     )
-    # a shift window 4 wider than the run's, or 4 narrower at the cap
-    step = 4 if params.w + 4 <= WINDOW_MAX else -4
-    pi_other = FredholmModule("pi", params=replace(params, w=params.w + step))
-    rs = pairings.entry("chi", 2).results["pi"]
-    rl = pair(pi_other, chi(2, params.d))
-    recs.append(
-        _flag(
-            "convergence",
-            "pairing stability in w",
-            rs.value == rl.value and rs.exact and rl.exact,
-            "<[pi], [chi_2]> does not move with the shift window",
-            value=rl.value,
-            expected=rs.value,
-        )
-    )
-    return recs
 
 
 def suite_confluence(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
-) -> list[CheckRecord]:
-    recs = []
-    for name, pres in all_presentations().items():
+) -> Checks:
+    def agreement():
         bad = confluence_sample(pres, n_words=50, max_len=8, rng=rng)
-        recs.append(
-            _flag(
-                "confluence",
-                f"random order agreement [{name}]",
-                bad == 0,
-                "randomized reduction order reproduces the deterministic normal form",
-                value=bad,
-                expected=0,
-            )
-        )
+        return Outcome(bad == 0, bad, 0)
+
+    def homomorphism():
         ok = True
         for _ in range(10):
             x = _random_element(pres, rng, n_words=2, max_len=5)
@@ -788,33 +692,51 @@ def suite_confluence(
                 ok = False
             if normal_form(x.star()) != normal_form(normal_form(x).star()):
                 ok = False
-        recs.append(
-            _flag(
-                "confluence",
-                f"reduction is a homomorphism [{name}]",
-                ok,
-                "NF(x y) = NF(NF(x) NF(y)), NF idempotent, NF commutes with star",
-            )
+        return Outcome(ok)
+
+    for name, pres in all_presentations().items():
+        yield (
+            f"random order agreement [{name}]",
+            "randomized reduction order reproduces the deterministic normal form",
+            agreement,
         )
-    return recs
+        yield (
+            f"reduction is a homomorphism [{name}]",
+            "NF(x y) = NF(NF(x) NF(y)), NF idempotent, NF commutes with star",
+            homomorphism,
+        )
 
 
 # -- registry ---------------------------------------------------------------------
 
 
+def _recorded(suite: str, checks: Callable[..., Checks]):
+    """The suite as SUITES registers it: a function that runs each check
+    the suite yields through run_check, in order, and returns the records,
+    so one call of a SUITES entry is one whole suite."""
+
+    def run(params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable):
+        return [run_check(suite, *check) for check in checks(params, nmax, rng, pairings)]
+
+    return run
+
+
 SUITES = {
-    "disc": suite_disc,
-    "s3": suite_s3,
-    "s2": suite_s2,
-    "su2": suite_su2,
-    "podles": suite_podles,
-    "hopf": suite_hopf,
-    "en-symbolic": suite_en_symbolic,
-    "en-numeric": suite_en_numeric,
-    "chi": suite_chi,
-    "index": suite_index,
-    "convergence": suite_convergence,
-    "confluence": suite_confluence,
+    name: _recorded(name, checks)
+    for name, checks in (
+        ("disc", suite_disc),
+        ("s3", suite_s3),
+        ("s2", suite_s2),
+        ("su2", suite_su2),
+        ("podles", suite_podles),
+        ("hopf", suite_hopf),
+        ("en-symbolic", suite_en_symbolic),
+        ("en-numeric", suite_en_numeric),
+        ("chi", suite_chi),
+        ("index", suite_index),
+        ("convergence", suite_convergence),
+        ("confluence", suite_confluence),
+    )
 }
 
 

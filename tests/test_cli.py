@@ -4,9 +4,13 @@ import csv
 import io
 import json
 
+import pytest
+
 import qglue
 from qglue.cli import load_config_file, run
+from qglue.errors import DimensionMismatch
 from qglue.report import CSV_COLUMNS
+from qglue.suites import SUITES
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -261,9 +265,10 @@ def test_untwisting_round_trip_without_a_trusted_block_is_a_fail_record(capsys):
 
 
 def test_multiplicative_checks_past_the_shift_window_are_fail_records(capsys):
-    # at w = 3 the product f g of the chi multiplicative checks reaches U^4,
-    # past the shift window: both checks of each sign are fail records
-    # carrying the reason, and every other chi check still reports
+    # at w = 3 the product f g of the same-sign checks reaches U^4, past the
+    # shift window; the mixed-sign product f2 g2 fits it, but leaves no
+    # trusted block at guard 1. Each check is a fail record carrying its own
+    # reason, and every other chi check still reports
     code = run(["verify", "--suite", "chi", "--w", "3", "--format", "csv"])
     captured = capsys.readouterr()
     assert code == 1
@@ -275,17 +280,54 @@ def test_multiplicative_checks_past_the_shift_window_are_fail_records(capsys):
         "same-sign multiplicative [-]",
         "mixed-sign multiplicative [-]",
     ]
+    reasons = {
+        "same": "monomial exponent 4 does not fit in window radius 3",
+        "mixed": "no common trusted block: d=7, bandwidth=3 vs d=7, bandwidth=3 at guard 1",
+    }
     for row in failed:
-        assert row["value"] == "monomial exponent 4 does not fit in window radius 3"
+        kind = row["check"].split("-")[0]
+        assert row["value"] == reasons[kind]
         assert row["residual"] == ""
-        where = "whole window" if row["check"].startswith("same") else "interior"
+        where = "whole window" if kind == "same" else "interior"
         assert row["anchor"].endswith(f"g) on the {where}")
 
 
 def test_window_without_a_trusted_block_names_its_operands(capsys):
-    # d = 4 leaves no common trusted block for the podles polar part
-    code = run(["verify", "--d", "4"])
+    # d = 4 leaves no common trusted block for the podles polar part: both
+    # legs are fail records naming the operands, and every check reports
+    code = run(["verify", "--d", "4", "--format", "csv"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("qglue: no common trusted block:")
-    assert "d=4, bandwidth=" in captured.err and "guard 1" in captured.err
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert len(rows) == 235  # as many records as at the default window
+    polar = [row for row in rows if row["check"].startswith("polar part")]
+    assert [(row["suite"], row["check"]) for row in polar] == [
+        ("podles", "polar part [leg 0]"),
+        ("podles", "polar part [leg 1]"),
+    ]
+    for row in polar:
+        assert row["status"] == "fail"
+        assert row["value"].startswith("no common trusted block:")
+        assert "d=4, bandwidth=" in row["value"] and "guard 1" in row["value"]
+        assert row["residual"] == ""
+
+
+@pytest.mark.parametrize("window", [("--d", "4"), ("--w", "1")], ids=["d4", "w1"])
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_each_suite_reports_at_the_smallest_windows(suite, window, capsys):
+    code = run(["verify", "--suite", suite, *window, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert rows and {row["suite"] for row in rows} == {suite}
+    assert captured.err.startswith("qglue verify:")
+
+
+def test_an_error_outside_every_check_is_a_bug_not_exit_2(monkeypatch):
+    # a suite's own setup is not a check: what it raises reaches the caller
+    def broken(params, nmax, rng, pairings):
+        raise DimensionMismatch("raised outside every check")
+
+    monkeypatch.setitem(SUITES, "su2", broken)
+    with pytest.raises(DimensionMismatch, match="outside every check"):
+        run(["verify", "--suite", "su2"])

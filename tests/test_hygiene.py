@@ -14,6 +14,8 @@
 - Arithmetic is written once per kind of element: only CoefPoly, TermSum
   (the sparse term sums NCPoly, LaurentPoly and BiLaurent share), TruncOp,
   FibrePair and CSfpElement define __add__, __mul__ or __pow__.
+- The suites build every record through their one check runner: suites.py
+  has no try statement and constructs CheckRecord once.
 """
 
 import ast
@@ -216,3 +218,30 @@ def test_checker_finds_arithmetic_classes():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_arithmetic_lives_in_its_owners(path):
     assert arithmetic_classes(path.read_text()) <= ARITHMETIC_OWNERS
+
+
+def record_sites(source: str) -> tuple[int, int]:
+    """(try statements, CheckRecord constructions) of a module."""
+    tries = records = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Try, getattr(ast, "TryStar", ast.Try))):
+            tries += 1
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            records += name == "CheckRecord"
+    return tries, records
+
+
+def test_checker_finds_tries_and_record_constructions():
+    source = (
+        "def f(x):\n    try:\n        return CheckRecord(x)\n"
+        "    except ValueError:\n        return report.CheckRecord(None)\n"
+        "def g():\n    try:\n        pass\n    finally:\n        CheckRecords()\n"
+        "r = CheckRecord\n"
+    )
+    assert record_sites(source) == (2, 2)
+
+
+def test_suites_build_every_record_in_their_runner():
+    assert record_sites((PACKAGE / "suites.py").read_text()) == (0, 1)

@@ -9,9 +9,11 @@ import pytest
 import qglue.glue
 import qglue.kpair
 from qglue import ParamSet, SUITES, run_suites
+from qglue.errors import SizeCapExceeded, WindowOverflow
 from qglue.opnum import WINDOW_MAX
 from qglue.cli import run
-from qglue.report import FAIL, PASS
+from qglue.report import FAIL, PASS, WARN, CheckRecord
+from qglue.suites import Outcome, run_check
 
 PARAMS = ParamSet(d=32, w=6)
 
@@ -166,3 +168,54 @@ def test_pairing_stability_in_w_holds_at_the_window_cap():
     records = run_suites(["convergence"], replace(PARAMS, w=WINDOW_MAX), 2)
     [record] = [rec for rec in records if rec.check == "pairing stability in w"]
     assert record.status == PASS
+
+
+def test_runner_builds_the_record_from_the_outcome():
+    assert run_check("s", "c", "a = b", lambda: Outcome(True)) == CheckRecord(
+        "s", "c", PASS, anchor="a = b"
+    )
+    record = run_check("s", "c", "a = b", lambda: Outcome(False, 3, 2, 0.5))
+    assert record == CheckRecord("s", "c", FAIL, 3, 2, 0.5, "a = b")
+    record = run_check("s", "c", "a = b", lambda: Outcome(WARN, note="; edge"))
+    assert (record.status, record.anchor) == (WARN, "a = b; edge")
+
+
+def test_runner_turns_a_qglue_error_into_one_fail_record():
+    def overflow():
+        raise WindowOverflow("exponent 4 does not fit")
+
+    record = run_check("s", "c", "a = b", overflow)
+    assert record == CheckRecord("s", "c", FAIL, "exponent 4 does not fit", anchor="a = b")
+    assert record.expected is None and record.residual is None
+
+
+def test_runner_lets_any_other_exception_through():
+    def bug():
+        raise TypeError("not a check failure")
+
+    with pytest.raises(TypeError, match="not a check failure"):
+        run_check("s", "c", "a = b", bug)
+
+
+def test_an_idempotent_that_cannot_be_built_fails_its_rows(monkeypatch):
+    build = qglue.kpair.en_numeric
+    calls = []
+
+    def no_e1(N, params):
+        calls.append(N)
+        if N == 1:
+            raise SizeCapExceeded("E_1 refused")
+        return build(N, params)
+
+    monkeypatch.setattr(qglue.kpair, "en_numeric", no_e1)
+    records = run_suites(["en-numeric"], ParamSet(), 1)
+    failed = [rec for rec in records if rec.status == FAIL]
+    assert [rec.check for rec in failed] == [
+        "symbol trace N=+1",
+        "pairing N=+1 [pr]",
+        "pairing N=+1 [pi]",
+    ]
+    assert [rec.value for rec in failed[1:]] == ["E_1 refused"] * 2
+    # the failed build is kept for both modules, not tried again
+    assert calls == [-1, 0, 1]
+    assert len(records) == 9
