@@ -1,7 +1,7 @@
 """qglue: a symbolic and numeric workbench for glued quantum-disc algebras.
 
 The package has three layers. The symbolic layer (coefficients, ncpoly,
-presentations, presets, idempotents, textformat) rewrites elements of
+presentations, presets, idempotents) rewrites elements of
 finitely presented *-algebras to exact normal forms over the Laurent ring
 in q, p and the family parameter s; circle holds the exact Laurent
 elements of the boundary circle. The numeric layer (opnum) evaluates both
@@ -15,11 +15,9 @@ modules; suites, report and cli package the whole battery of checks.
 from .circle import (
     BiLaurent,
     LaurentPoly,
-    eval_point,
     hopf_antipode,
     hopf_coproduct,
     hopf_counit,
-    phi_map,
     pointwise_product,
     w_inverse,
     w_map,
@@ -40,9 +38,7 @@ from .glue import (
     ORIENTATION,
     CSfpElement,
     FibrePair,
-    PodlesPair,
     chi,
-    disc_symbol,
     en_numeric,
     fp_matmul,
     iota,
@@ -53,12 +49,9 @@ from .glue import (
     psi_inverse,
     psi_iso,
     s2_leg_assignment,
-    s2_leg_symbol,
     s3_leg_assignment,
     s3_leg_symbol,
-    symbol_map,
     unit_pair,
-    zero_pair,
 )
 from .idempotents import build_en, gaussian_binomial
 from .kpair import (
@@ -66,16 +59,14 @@ from .kpair import (
     EN_RESIDUAL_TOL,
     ORIENTATION_SIGN,
     FredholmModule,
-    IndexRow,
     PairingResult,
     expected_pairing,
     pair,
     winding_interpretation,
 )
-from .ncpoly import NCPoly, SymMatrix
+from .ncpoly import NCPoly
 from .opnum import (
     ParamSet,
-    TraceResult,
     TruncOp,
     diag_op,
     disc_assignment,
@@ -92,13 +83,11 @@ from .opnum import (
 from .presentations import (
     Presentation,
     degree,
-    homogeneous_component,
     normal_form,
     verify_identity,
 )
 from .presets import (
     all_presentations,
-    circle_presentation,
     disc_presentation,
     podles_zeta_eta,
     sphere2_presentation,
@@ -106,8 +95,7 @@ from .presets import (
     su2_presentation,
 )
 from .report import CSV_COLUMNS, CheckRecord, Report, timestamp_now
-from .suites import SUITES, confluence_sample, run_suites
-from .textformat import dump_presentation, load_presentation
+from .suites import SUITES, run_suites
 
 # the one version string: pyproject.toml and the CLI read it from here
 __version__ = "0.1.0"
@@ -125,7 +113,6 @@ __all__ = [
     "FibrePair",
     "FredholmModule",
     "GradingError",
-    "IndexRow",
     "LaurentPoly",
     "NCPoly",
     "ONE",
@@ -134,7 +121,6 @@ __all__ = [
     "P",
     "PairingResult",
     "ParamSet",
-    "PodlesPair",
     "Presentation",
     "PresentationError",
     "Q",
@@ -144,31 +130,23 @@ __all__ = [
     "S",
     "SUITES",
     "SizeCapExceeded",
-    "SymMatrix",
     "SymbolMismatch",
-    "TraceResult",
     "TruncOp",
     "WindowOverflow",
     "ZERO",
     "all_presentations",
     "build_en",
     "chi",
-    "circle_presentation",
-    "confluence_sample",
     "degree",
     "diag_op",
     "disc_assignment",
     "disc_presentation",
     "disc_rep",
-    "disc_symbol",
-    "dump_presentation",
     "en_numeric",
-    "eval_point",
     "evaluate",
     "expected_pairing",
     "fp_matmul",
     "gaussian_binomial",
-    "homogeneous_component",
     "hopf_antipode",
     "hopf_coproduct",
     "hopf_counit",
@@ -178,10 +156,8 @@ __all__ = [
     "iota_kron_assignment",
     "kron",
     "kron_interior",
-    "load_presentation",
     "normal_form",
     "pair",
-    "phi_map",
     "pi_rep",
     "podles_generators",
     "podles_zeta_eta",
@@ -191,14 +167,12 @@ __all__ = [
     "psi_iso",
     "run_suites",
     "s2_leg_assignment",
-    "s2_leg_symbol",
     "s3_leg_assignment",
     "s3_leg_symbol",
     "shift",
     "sphere2_presentation",
     "sphere3_presentation",
     "su2_presentation",
-    "symbol_map",
     "timestamp_now",
     "trace_finite_rank",
     "trusted_diff_norm",
@@ -207,5 +181,4 @@ __all__ = [
     "w_inverse",
     "w_map",
     "winding_interpretation",
-    "zero_pair",
 ]

@@ -2,12 +2,11 @@
 
 LaurentPoly and BiLaurent are coefficients.TermSum sums over the powers of
 U (int keys, unit 0) and over pairs of powers (m, n) on the torus (added
-elementwise, unit (0, 0)); the torus twist maps w_map / w_inverse / phi_map
-act on BiLaurent. Coefficients are exact: they lie in the rational ring
-CoefPoly, ints and Fractions are coerced into it, and a float or complex
-coefficient raises TypeError. Floats enter only when an element is evaluated
-at a parameter point (q, p, s): on a truncated window by opnum.pi_rep, or at
-a point of the circle by eval_point.
+elementwise, unit (0, 0)); the torus twist maps w_map / w_inverse act on
+BiLaurent. Coefficients are exact: they lie in the rational ring CoefPoly,
+ints and Fractions are coerced into it, and a float or complex coefficient
+raises TypeError. Floats enter only when an element is evaluated on a
+truncated window at a parameter point (q, p, s), by opnum.pi_rep.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ class LaurentPoly(TermSum):
 
     def star(self) -> "LaurentPoly":
         return self._like({-k: c.conjugate() for k, c in self.terms.items()})
-
-    def support(self) -> list[int]:
-        return sorted(self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -124,27 +120,3 @@ def w_inverse(F: BiLaurent) -> BiLaurent:
     """Inverse twist U^m x U^n -> U^{m-n} x U^n."""
     return F.map_keys(lambda k: (k[0] - k[1], k[1]))
 
-
-# The gluing algebra map. It acts on monomials exactly as w_map does, but
-# plays a different role: phi_map transports one gluing chart to the other,
-# while w_map is the comparison bijection W of the torus.
-phi_map = w_map
-
-
-# -- evaluation ---------------------------------------------------------------
-
-
-def _params_qps(params) -> tuple[float, float, float]:
-    if params is None:
-        raise ValueError("circle coefficients need params (q, p, s) to evaluate")
-    return float(params.q), float(params.p), float(params.s)
-
-
-def eval_point(f: LaurentPoly, u: complex, params) -> complex:
-    """Evaluate at a point u of the unit circle (|u| checked to 1e-12), with
-    the coefficients evaluated at params."""
-    u = complex(u)
-    if abs(abs(u) - 1.0) > 1e-12:
-        raise ValueError(f"evaluation point must lie on the unit circle, got |u|={abs(u)}")
-    q, p, s = _params_qps(params)
-    return sum((c.evaluate(q, p, s) * u**n for n, c in f.terms.items()), 0j)

@@ -179,12 +179,6 @@ class FibrePair:
         )
 
 
-def zero_pair(d: int, twist: int = 0) -> FibrePair:
-    z = zero(d)
-    empty = LaurentPoly({})
-    return FibrePair(z, z, empty, empty, twist)
-
-
 def unit_pair(d: int) -> FibrePair:
     one = identity(d)
     sym = LaurentPoly({0: 1})
@@ -267,34 +261,6 @@ def fp_matmul(
 # -- symbol maps ----------------------------------------------------------------
 
 
-def symbol_map(x: NCPoly, exponents: Mapping[str, int | None]) -> LaurentPoly:
-    """Boundary symbol of a symbolic element: each letter contributes the
-    given power of U (None kills the word). Exact coefficients throughout."""
-    letters = x.pres.letters
-    out = LaurentPoly({})
-    for word, coef in x.terms.items():
-        total = 0
-        dead = False
-        for i in word:
-            e = exponents[letters[i]]
-            if e is None:
-                dead = True
-                break
-            total += e
-        if dead:
-            continue
-        out = out + LaurentPoly({total: coef})
-    return out
-
-
-def disc_symbol(x: NCPoly) -> LaurentPoly:
-    """Symbol of a disc element: the letter goes to U, its star to U^{-1}."""
-    letters = x.pres.letters
-    if len(letters) != 2:
-        raise ValueError("disc_symbol expects a one-disc presentation")
-    return symbol_map(x, {letters[0]: 1, letters[1]: -1})
-
-
 # The gluing map: each s3pq letter as the disc letter it acts as on leg 0
 # and on leg 1 (None: the unit), tensored with U^(its grading weight), so
 #     a -> (z (x) U*, 1 (x) U*)      b -> (1 (x) U, y (x) U)
@@ -308,17 +274,17 @@ S3_GLUING = {
 
 def s3_leg_symbol(x: NCPoly, leg: int) -> LaurentPoly:
     """Boundary symbol of a glued-disc element on one leg (a-side or b-side):
-    the leg's disc letter goes to U, its star to U^{-1}, the unit to 1."""
-    exponents = {}
+    the leg's disc letter goes to U, its star to U^{-1}, the unit to 1.
+    Exact coefficients throughout."""
+    exponent = {}
     for letter, discs in S3_GLUING.items():
         disc = discs[leg]
-        exponents[letter] = 0 if disc is None else (-1 if disc.endswith("*") else 1)
-    return symbol_map(x, exponents)
-
-
-def s2_leg_symbol(x: NCPoly) -> LaurentPoly:
-    """Boundary symbol of a quotient-sphere element (same on both legs)."""
-    return symbol_map(x, {"A": None, "B": None, "R": 1, "R*": -1})
+        exponent[letter] = 0 if disc is None else (-1 if disc.endswith("*") else 1)
+    letters = x.pres.letters
+    terms = {}
+    for word, coef in x.terms.items():
+        _accumulate(terms, sum(exponent[letters[i]] for i in word), coef)
+    return LaurentPoly(terms)
 
 
 # -- leg assignments -------------------------------------------------------------
@@ -396,14 +362,11 @@ class CSfpElement:
 
     def leg_bilaurent(self, leg: int) -> BiLaurent:
         """(symbol x id) of one leg, as an exact two-torus element."""
-        out = BiLaurent()
+        terms = {}
         for k, pair in self.terms.items():
             for m, coef in (pair.sym0, pair.sym1)[leg].terms.items():
-                _accumulate(out.terms, (m, k), coef)
-        return out
-
-    def degrees(self) -> list[int]:
-        return sorted(self.terms)
+                _accumulate(terms, (m, k), coef)
+        return BiLaurent(terms)
 
 
 def iota(x: NCPoly, params: ParamSet) -> CSfpElement:

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circle import LaurentPoly, _params_qps
+from .circle import LaurentPoly
 from .errors import CertificationError, DimensionMismatch, WindowOverflow
 from .ncpoly import NCPoly
 from .presets import DISC_FLAVOURS
@@ -342,7 +342,9 @@ def pi_rep(sign: str, f: LaurentPoly, params: ParamSet) -> TruncOp:
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    point = _params_qps(params)
+    if params is None:
+        raise ValueError("circle coefficients need params (q, p, s) to evaluate")
+    point = (float(params.q), float(params.p), float(params.s))
     w = params.w
     d = 2 * w + 1
     sites = np.arange(d) if sign == "+" else np.delete(np.arange(d), w)

@@ -442,12 +442,6 @@ def degree(x: NCPoly) -> int:
     return degrees.pop()
 
 
-def homogeneous_component(x: NCPoly, n: int) -> NCPoly:
-    return NCPoly(
-        x.pres, {w: c for w, c in x.terms.items() if x.pres.word_degree(w) == n}
-    )
-
-
 def verify_identity(lhs: NCPoly, rhs=None, *, max_steps: int | None = None):
     """Check lhs = rhs in the algebra; returns (holds, witness) where the
     witness is the normal form of the difference."""

@@ -11,14 +11,10 @@ from qglue import (
     BiLaurent,
     CoefPoly,
     LaurentPoly,
-    ParamSet,
     Q,
-    S,
-    eval_point,
     hopf_antipode,
     hopf_coproduct,
     hopf_counit,
-    phi_map,
     pointwise_product,
     w_inverse,
     w_map,
@@ -60,7 +56,6 @@ def test_exact_arithmetic():
     assert f + f == LaurentPoly({1: 1, -2: 2})
     assert (f - f).is_zero()
     assert f.shift(2) == f * g
-    assert f.support() == [-2, 1]
 
 
 def test_star_reverses_and_conjugates():
@@ -95,21 +90,6 @@ def test_float_or_complex_coefficients_raise(coef):
         LaurentPoly({1: 1}) * coef
     with pytest.raises(TypeError):
         coef * BiLaurent({(1, 0): 1})
-
-
-def test_eval_point():
-    params = ParamSet()
-    f = LaurentPoly({2: 1, -1: 2})
-    u = complex(0.6, 0.8)
-    expected = u**2 + 2.0 * u**-1
-    assert abs(eval_point(f, u, params) - expected) < 1e-12
-    g = LaurentPoly({1: Q, 0: S})
-    val = eval_point(g, 1.0, params)
-    assert abs(val - (params.q + params.s)) < 1e-12
-    with pytest.raises(ValueError):
-        eval_point(f, 0.5 + 0.1j, params)
-    with pytest.raises(ValueError):
-        eval_point(g, 1.0, None)
 
 
 # -- Hopf axioms ---------------------------------------------------------------
@@ -170,7 +150,6 @@ def test_antipode_frozen():
 def test_w_bijective(F):
     assert w_inverse(w_map(F)) == F
     assert w_map(w_inverse(F)) == F
-    assert phi_map(F) == w_map(F)
 
 
 def test_w_action_frozen():

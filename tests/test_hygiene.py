@@ -7,6 +7,9 @@
   array.
 - The public surface is exact: every name in qglue.__all__ is bound and
   listed once, and every name __init__.py imports is listed there.
+- The public surface is used: every name in qglue.__all__ is imported from
+  qglue by a test file or named in backticks in README.md. A name nothing
+  uses stays importable from its submodule.
 - Windows are sized by the ParamSet alone: no function (or dataclass) in
   the package that takes params also takes a window size d or w, and the
   window constructors TruncOp, identity, zero and diag_op take no radius w
@@ -19,6 +22,7 @@
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,7 @@ import qglue
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qglue"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+README = PACKAGE.parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -117,6 +122,35 @@ def test_every_reexport_is_public():
         for alias in node.names
     }
     assert sorted(imported - set(qglue.__all__)) == []
+
+
+def unused_public_names(public, test_sources, readme: str) -> list[str]:
+    """The names of public that no test source imports from qglue and that
+    no backtick span of readme names (as a whole or as a dotted part)."""
+    imported = {
+        alias.name
+        for source in test_sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "qglue"
+        for alias in node.names
+    }
+    named = {
+        word
+        for span in re.findall(r"`([^`]*)`", readme)
+        for word in re.findall(r"[A-Za-z_]\w*", span)
+    }
+    return sorted(set(public) - imported - named)
+
+
+def test_checker_finds_unused_public_names():
+    tests = ["from qglue import a, b\n", "import qglue\nfrom qglue.glue import c\nqglue.d\n"]
+    readme = "Use `e` or `qglue.kpair.f(x)`; g is plain text, and `gg` is not g.\n"
+    assert unused_public_names(list("abcdefg"), tests, readme) == ["c", "d", "g"]
+
+
+def test_every_public_name_is_used():
+    tests = [path.read_text() for path in TESTS]
+    assert unused_public_names(qglue.__all__, tests, README.read_text()) == []
 
 
 def signatures(source: str) -> dict[str, set[str]]:

@@ -22,11 +22,16 @@ from qglue import (
     psi_inverse,
     unit_pair,
     winding_interpretation,
-    zero_pair,
 )
 from qglue.kpair import PairingTable
+from qglue.opnum import zero
 
 PARAMS = ParamSet()
+
+
+def zero_pair(d):
+    z = zero(d)
+    return FibrePair(z, z, 0, 0)
 
 
 def test_module_validation():

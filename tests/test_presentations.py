@@ -14,7 +14,7 @@ from qglue import (
     S,
     all_presentations,
     degree,
-    homogeneous_component,
+    disc_presentation,
     normal_form,
     podles_zeta_eta,
     su2_presentation,
@@ -77,9 +77,6 @@ def test_degree_and_components():
     mixed = a + b
     with pytest.raises(GradingError):
         degree(mixed)
-    assert homogeneous_component(mixed, 1) == a
-    assert homogeneous_component(mixed, -1) == b
-    assert homogeneous_component(mixed, 5).is_zero()
 
 
 def test_verify_identity_witness():
@@ -115,3 +112,12 @@ def test_element_builder_and_word_roundtrip():
     words = set(x.terms)
     assert pres.word("a a* b") in words and () in words
     assert NCPoly.scalar(pres, 1) == pres.one()
+
+
+def test_rule_text_renders_the_empty_word_as_nothing():
+    (rule,) = disc_presentation("q").rules
+    assert disc_presentation("q").rule_text(rule) == "z* z -> (q) z z* + (1 - 1 q)"
+    (rule,) = disc_presentation("q2").rules
+    assert disc_presentation("q2").rule_text(rule) == "x* x -> (q^2) x x* + (1 - 1 q^2)"
+    zero_rule = all_presentations()["s2pq"].rules[0]
+    assert all_presentations()["s2pq"].rule_text(zero_rule) == "A B -> 0"

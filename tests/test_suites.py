@@ -8,12 +8,13 @@ import pytest
 
 import qglue.glue
 import qglue.kpair
-from qglue import ParamSet, SUITES, run_suites
-from qglue.errors import SizeCapExceeded, WindowOverflow
+import qglue.suites
+from qglue import CSfpElement, FibrePair, ParamSet, SUITES, run_suites
+from qglue.errors import DimensionMismatch, SizeCapExceeded, WindowOverflow
 from qglue.opnum import WINDOW_MAX
 from qglue.cli import run
 from qglue.report import FAIL, PASS, WARN, CheckRecord
-from qglue.suites import Outcome, run_check
+from qglue.suites import Outcome, _recorded, run_check
 
 PARAMS = ParamSet(d=32, w=6)
 
@@ -219,3 +220,56 @@ def test_an_idempotent_that_cannot_be_built_fails_its_rows(monkeypatch):
     # the failed build is kept for both modules, not tried again
     assert calls == [-1, 0, 1]
     assert len(records) == 9
+
+
+def test_each_check_runs_before_its_suite_resumes():
+    # the compute reads the loop variable when it runs, not when it is built
+    def toy(params, nmax, rng, pairings):
+        for n in range(3):
+            yield f"check {n}", f"n = {n}", lambda: Outcome(True, n)
+
+    records = _recorded("toy", toy)(PARAMS, 0, None, None)
+    assert [(rec.check, rec.value) for rec in records] == [
+        ("check 0", 0),
+        ("check 1", 1),
+        ("check 2", 2),
+    ]
+
+
+def test_a_pairing_residual_that_cannot_be_computed_fails_its_rows(monkeypatch):
+    build = qglue.suites.en_numeric
+
+    def no_d32(N, params):
+        if params.d == 32:
+            raise DimensionMismatch("no window d=32")
+        return build(N, params)
+
+    monkeypatch.setattr(qglue.suites, "en_numeric", no_d32)
+    records = run_suites(["convergence"], ParamSet(), 2)
+    failed = [rec for rec in records if rec.status == FAIL]
+    assert [rec.check for rec in failed] == [
+        "pairing residual N=1 d=16->32",
+        "pairing residual N=1 d=32->64",
+        "pairing residual N=2 d=16->32",
+        "pairing residual N=2 d=32->64",
+    ]
+    assert {(rec.value, rec.residual) for rec in failed} == {("no window d=32", None)}
+    assert [rec.status for rec in records if rec.status != FAIL] == [PASS] * 4
+
+
+def test_a_gluing_that_breaks_w_fails_phi_matches_w(monkeypatch):
+    glue = qglue.suites.iota
+
+    def legs_swapped(x, params):
+        # each degree's legs trade places: still a fibre pair, of the opposite twist
+        return CSfpElement(
+            {
+                k: FibrePair(pair.t1, pair.t0, pair.sym1, pair.sym0, -pair.twist)
+                for k, pair in glue(x, params).terms.items()
+            }
+        )
+
+    monkeypatch.setattr(qglue.suites, "iota", legs_swapped)
+    records = run_suites(["hopf"], PARAMS, 2)
+    [record] = [rec for rec in records if rec.check == "phi matches W"]
+    assert record.status == FAIL
