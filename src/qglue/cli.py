@@ -9,8 +9,9 @@ Values resolve as defaults < config file < explicit flags. The config file
 is `key = value` lines with # comments, keys matching the long flag names
 (suites as a comma-separated list). Exit code 0 means every check passed,
 1 means at least one fail record, 2 means the invocation itself was bad
-(arguments, config file or parameters). A check that cannot be carried out
-at the given parameters is a fail record with the reason as its value (see
+(arguments, config file or parameters, an unknown suite name or an empty
+suite selection). A check that cannot be carried out at the given
+parameters is a fail record with the reason as its value (see
 suites.run_check), so any exception that escapes a run is a qglue bug.
 """
 
@@ -139,6 +140,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, value)
     if cfg.nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {cfg.nmax}")
+    if not cfg.suites:
+        raise ValueError("no suite selected: name at least one suite")
     unknown = [name for name in cfg.suites if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite names: {', '.join(sorted(unknown))}")

@@ -10,15 +10,19 @@ is many times cheaper than Fraction arithmetic.
 
 TermSum is the arithmetic of a sparse sum with coefficients in this ring,
 shared by the free-algebra elements (ncpoly) and the circle and torus
-elements (circle).
+elements (circle). _power and _matrix_product are the package's one
+binary-powering loop and one entry-matrix loop, given the product they use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from numbers import Rational
-from operator import add, index
+from operator import add, index, mul
 from typing import Callable, Iterator, Mapping, Tuple, Union
+
+from .errors import DimensionMismatch
 
 Expo = Tuple[int, int, int]
 ScalarLike = Union[int, Fraction, "CoefPoly"]
@@ -64,18 +68,27 @@ def _accumulate(terms: dict, key, coef) -> None:
         terms.pop(key, None)
 
 
-def _power(base, n: int):
-    """base ** n for n >= 1 by binary powering: the product of the squares of
-    base for the set bits of n, lowest first. It takes one product per
-    squaring and per set bit after the first, and none with a unit."""
+def _power(base, n: int, product: Callable):
+    """base ** n for n >= 1 by binary powering with product (mul, or matmul
+    for operator windows): the squares of base for the set bits of n, lowest
+    first, one product per squaring and per set bit after the first."""
     result = None
     while True:
         if n & 1:
-            result = base if result is None else result * base
+            result = base if result is None else product(result, base)
         n >>= 1
         if not n:
             return result
-        base = base * base
+        base = product(base, base)
+
+
+def _matrix_product(A, B, product: Callable) -> list[list]:
+    """The matrix product of two nested sequences of entries, each entry
+    summed left to right from product(A[i][t], B[t][j])."""
+    if len(A[0]) != len(B):
+        raise DimensionMismatch(f"shape mismatch: {len(A)}x{len(A[0])} @ {len(B)}x{len(B[0])}")
+    columns = list(zip(*B))
+    return [[reduce(add, map(product, row, col)) for col in columns] for row in A]
 
 
 class CoefPoly:
@@ -218,7 +231,7 @@ class CoefPoly:
             if isinstance(n, int) and self.is_monomial():
                 return self.inverse_monomial() ** (-n)
             raise ValueError("only nonnegative integer powers (or monomial inverses)")
-        return _power(self, n) if n else ONE
+        return _power(self, n, mul) if n else ONE
 
     def inverse_monomial(self) -> "CoefPoly":
         """Inverse of a single-term element with no s factor."""
@@ -391,7 +404,7 @@ class TermSum:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        return _power(self, n) if n else self._like({self._unit: ONE})
+        return _power(self, n, mul) if n else self._like({self._unit: ONE})
 
     def map_keys(self, fn: Callable):
         """Relabel keys through fn, merging collisions."""

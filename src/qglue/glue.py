@@ -7,8 +7,10 @@ membership rule
     U^N * sym0 == sym1        (checked exactly at construction).
 
 Twist 0 is the glued function algebra itself; twist N is the degree-N
-bimodule over it. chi produces the canonical range projections, psi_iso
-normalizes a twist away (see ORIENTATION), and iota embeds the symbolic
+bimodule over it, and scale(value, exact) scales an element by a number and
+its exact value. chi produces the canonical range projections (chi(0) is the
+unit), psi_iso normalizes a twist away and psi_inverse puts it back, both by
+one leg shift (see ORIENTATION), and iota embeds the symbolic
 glued-disc algebra into the doubled picture, a Laurent polynomial in the
 circle letter whose degree-N coefficient is a twist-N FibrePair; en_numeric
 builds the degree-N line-bundle idempotents through it. The tensor picture
@@ -19,13 +21,13 @@ windows, as TruncOps built by opnum.kron.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import matmul
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .circle import BiLaurent, LaurentPoly
-from .coefficients import CoefPoly, S as S_COEF, _accumulate
+from .coefficients import CoefPoly, S as S_COEF, _accumulate, _matrix_product
 from .errors import DimensionMismatch, SymbolMismatch
 from .ncpoly import NCPoly
 from .opnum import (
@@ -134,18 +136,9 @@ class FibrePair:
             self.twist + other.twist,
         )
 
-    def scale(self, value, exact=None) -> "FibrePair":
-        """Scale both legs by a number; `exact` must supply the matching
-        exact scalar unless the symbols are zero."""
-        if exact is None:
-            if isinstance(value, (int, Fraction)):
-                exact = value
-            elif not self.symbols_zero():
-                raise SymbolMismatch(
-                    "scaling nonzero symbols needs the exact scalar as well"
-                )
-            else:
-                exact = 0
+    def scale(self, value, exact) -> "FibrePair":
+        """Scale both legs by the number value and both symbols by exact, the
+        same scalar held exactly."""
         return FibrePair(
             complex(value) * self.t0,
             complex(value) * self.t1,
@@ -154,35 +147,11 @@ class FibrePair:
             self.twist,
         )
 
-    def __mul__(self, value):
-        if isinstance(value, FibrePair):
-            return NotImplemented
-        if isinstance(value, (int, Fraction)):
-            return self.scale(value, value)
-        return self.scale(value)
-
-    __rmul__ = __mul__
-
-    def star(self) -> "FibrePair":
-        return FibrePair(
-            self.t0.adjoint(),
-            self.t1.adjoint(),
-            self.sym0.star(),
-            self.sym1.star(),
-            -self.twist,
-        )
-
     def __repr__(self):
         return (
             f"FibrePair(d={self.d}, twist={self.twist}, "
             f"sym0={self.sym0}, sym1={self.sym1})"
         )
-
-
-def unit_pair(d: int) -> FibrePair:
-    one = identity(d)
-    sym = LaurentPoly({0: 1})
-    return FibrePair(one, one, sym, sym, 0)
 
 
 # -- canonical projections and the twist normalization -------------------------
@@ -203,21 +172,29 @@ def chi(N: int, d: int) -> FibrePair:
     return FibrePair(one, proj, sym, sym, 0)
 
 
+def unit_pair(d: int) -> FibrePair:
+    """The unit of the glued algebra: chi(0), both legs the identity."""
+    return chi(0, d)
+
+
+def _shift_leg(pair: FibrePair, N: int, twist: int) -> FibrePair:
+    """pair moved to twist, one of pair.twist and twist being N and the other
+    0: the leg that carries U^N (see ORIENTATION) is multiplied by S^|N| to
+    add the twist or by S*^|N| to remove it, and its symbol moves with it."""
+    power = shift(pair.d) ** abs(N)
+    if twist == 0:
+        power = power.adjoint()
+    step = twist - pair.twist
+    if N > 0:
+        return FibrePair(pair.t0, pair.t1 @ power, pair.sym0, pair.sym1.shift(step), twist)
+    return FibrePair(pair.t0 @ power, pair.t1, pair.sym0.shift(-step), pair.sym1, twist)
+
+
 def psi_iso(pair: FibrePair) -> FibrePair:
     """Normalize the twist to zero by shifting the leg whose symbol carries
     the U^N factor (see ORIENTATION). The image of the twist-N module is
     supported on chi(-N)."""
-    N = pair.twist
-    if N == 0:
-        return pair
-    k = abs(N)
-    back = shift(pair.d) ** k
-    back = back.adjoint()
-    if N > 0:
-        return FibrePair(
-            pair.t0, pair.t1 @ back, pair.sym0, pair.sym1.shift(-N), 0
-        )
-    return FibrePair(pair.t0 @ back, pair.t1, pair.sym0.shift(N), pair.sym1, 0)
+    return pair if pair.twist == 0 else _shift_leg(pair, pair.twist, 0)
 
 
 def psi_inverse(pair: FibrePair, N: int) -> FibrePair:
@@ -227,13 +204,7 @@ def psi_inverse(pair: FibrePair, N: int) -> FibrePair:
     if pair.twist != 0:
         raise SymbolMismatch("psi_inverse expects a twist-0 element")
     N = int(N)
-    if N == 0:
-        return pair
-    k = abs(N)
-    fwd = shift(pair.d) ** k
-    if N > 0:
-        return FibrePair(pair.t0, pair.t1 @ fwd, pair.sym0, pair.sym1.shift(N), N)
-    return FibrePair(pair.t0 @ fwd, pair.t1, pair.sym0.shift(-N), pair.sym1, N)
+    return pair if N == 0 else _shift_leg(pair, N, N)
 
 
 # -- matrices of fibre pairs ----------------------------------------------------
@@ -242,20 +213,8 @@ def psi_inverse(pair: FibrePair, N: int) -> FibrePair:
 def fp_matmul(
     A: Sequence[Sequence[FibrePair]], B: Sequence[Sequence[FibrePair]]
 ) -> list[list[FibrePair]]:
-    n, k = len(A), len(A[0])
-    k2, m = len(B), len(B[0])
-    if k != k2:
-        raise DimensionMismatch(f"shape mismatch: {n}x{k} @ {k2}x{m}")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] @ B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] @ B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """The matrix product of two matrices of fibre pairs."""
+    return _matrix_product(A, B, matmul)
 
 
 # -- symbol maps ----------------------------------------------------------------
@@ -322,8 +281,10 @@ class CSfpElement:
     """Element of the doubled picture: a Laurent polynomial in the circle
     letter whose degree-k coefficient is a twist-k FibrePair.
 
-    terms maps a degree k to its FibrePair. Multiplication is convolution in
-    k; sums, products, scaling and star are those of the FibrePairs."""
+    terms maps a degree k to its FibrePair. It carries what iota builds an
+    image with: sums, products (convolution in k) and scale(value, exact),
+    each taken degree by degree on the FibrePairs, and leg_bilaurent reads
+    its exact symbols."""
 
     __slots__ = ("terms",)
 
@@ -338,14 +299,6 @@ class CSfpElement:
             terms[k] = terms[k] + pair if k in terms else pair
         return CSfpElement(terms)
 
-    def __neg__(self):
-        return CSfpElement({k: -pair for k, pair in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, CSfpElement):
-            return NotImplemented
-        return self + (-other)
-
     def __matmul__(self, other):
         if not isinstance(other, CSfpElement):
             return NotImplemented
@@ -356,9 +309,6 @@ class CSfpElement:
 
     def scale(self, value, exact) -> "CSfpElement":
         return CSfpElement({k: pair.scale(value, exact) for k, pair in self.terms.items()})
-
-    def star(self) -> "CSfpElement":
-        return CSfpElement({-k: pair.star() for k, pair in self.terms.items()})
 
     def leg_bilaurent(self, leg: int) -> BiLaurent:
         """(symbol x id) of one leg, as an exact two-torus element."""

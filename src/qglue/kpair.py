@@ -12,7 +12,7 @@ Two one-summable modules are provided:
 Degree-N line-bundle idempotents pair with the "pr" module to
 ORIENTATION_SIGN * N: the twist normalization lands the degree-N module on
 chi(-N) (see glue.ORIENTATION), so the sign is a recorded orientation
-convention, not a free choice per run.
+convention, not a free choice per run, written once in expected_pairing.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class PairingResult:
 
 
 def _as_matrix(P) -> list[list[FibrePair]]:
+    """P as a square matrix of twist-0 FibrePairs."""
     if isinstance(P, FibrePair):
         return [[P]]
     rows = [list(row) for row in P]
@@ -89,6 +90,8 @@ def _as_matrix(P) -> list[list[FibrePair]]:
         for entry in row:
             if not isinstance(entry, FibrePair):
                 raise TypeError("matrix entries must be FibrePair")
+            if entry.twist != 0:
+                raise SymbolMismatch("pairing needs twist-0 idempotents")
     return rows
 
 
@@ -99,7 +102,7 @@ def _idem_defect(entries: list[list[FibrePair]]) -> float:
         for a, b in zip(row_sq, row):
             diff = a - b
             worst = max(worst, diff.t0.max_abs(GUARD), diff.t1.max_abs(GUARD))
-            if not (diff.sym0.is_zero() and diff.sym1.is_zero()):
+            if not diff.symbols_zero():
                 raise SymbolMismatch(
                     "symbol matrix is not exactly idempotent; refusing to pair"
                 )
@@ -110,10 +113,6 @@ def _checked_idempotent(P):
     """First step of pair(): check its preconditions, then return P as a
     square matrix of entries together with its trusted-block defect."""
     entries = _as_matrix(P)
-    for row in entries:
-        for entry in row:
-            if entry.twist != 0:
-                raise SymbolMismatch("pairing needs twist-0 idempotents")
     defect = _idem_defect(entries)
     if defect > IDEM_TOL:
         raise CertificationError(
@@ -179,11 +178,13 @@ def expected_pairing(module_kind: str, representative: str, N: int) -> int:
 
 
 def winding_interpretation(representative: str, module_kind: str, N: int) -> str:
+    """What expected_pairing's integer counts, as the index table prints it."""
+    value = expected_pairing(module_kind, representative, N)
     if module_kind == "pi":
-        return "rank = 1"
+        return f"rank = {value}"
     if representative == "chi":
-        return f"winding = {int(N)}"
-    return f"winding = {ORIENTATION_SIGN * int(N)} (orientation sign {ORIENTATION_SIGN})"
+        return f"winding = {value}"
+    return f"winding = {value} (orientation sign {ORIENTATION_SIGN})"
 
 
 @dataclass(frozen=True)

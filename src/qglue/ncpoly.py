@@ -11,9 +11,10 @@ separate, explicit step (see presentations.normal_form).
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Mapping, Sequence, Tuple
 
-from .coefficients import CoefPoly, TermSum, _accumulate
+from .coefficients import CoefPoly, TermSum, _accumulate, _matrix_product
 
 Word = Tuple[int, ...]
 
@@ -123,20 +124,7 @@ class SymMatrix:
             return NotImplemented
         if self.pres is not other.pres:
             raise ValueError("operands belong to different presentations")
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = NCPoly(self.pres)
-                for t in range(k):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
-        return SymMatrix(self.pres, out)
+        return SymMatrix(self.pres, _matrix_product(self.entries, other.entries, mul))
 
     def __repr__(self) -> str:
         rows, cols = self.shape

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import matmul
 from typing import Mapping
 
 import numpy as np
 
 from .circle import LaurentPoly
+from .coefficients import _power
 from .errors import CertificationError, DimensionMismatch, WindowOverflow
 from .ncpoly import NCPoly
 from .presets import DISC_FLAVOURS
@@ -211,21 +213,10 @@ class TruncOp:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """Binary powering: the result takes the squares of self for the set
-        bits of n, lowest first."""
+        """Binary powering: coefficients._power with @ as its product."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        if n == 0:
-            return identity_like(self)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result @ base
-            n >>= 1
-            if not n:
-                return result
-            base = base @ base
+        return _power(self, n, matmul) if n else identity_like(self)
 
     def adjoint(self) -> "TruncOp":
         return self._like({-k: vec.conj() for k, vec in self._diags.items()}, self.bandwidth)

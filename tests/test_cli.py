@@ -39,6 +39,26 @@ def test_unknown_suite_is_exit_2(capsys):
     assert "bogus" in err and err.startswith("qglue:")
 
 
+def test_empty_suite_flag_is_exit_2(capsys):
+    # a selection that names no suite would report nothing and exit 0
+    assert run(["verify", "--suite", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("qglue:") and "no suite" in captured.err
+    assert captured.out == ""
+
+
+def test_empty_suite_config_line_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("suites =\n")
+    assert run(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("qglue:") and "no suite" in captured.err
+    assert captured.out == ""
+    # a flag that names a suite still overrides the empty config line
+    assert run(["verify", "--config", str(cfg), "--suite", "su2"]) == 0
+    capsys.readouterr()
+
+
 def test_bad_parameter_is_exit_2(capsys):
     assert run(["verify", "--suite", "chi", "--q", "1.5"]) == 2
     assert "q" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,25 +94,17 @@ def test_twist_join_rules():
 
 
 def test_scale_rules():
+    # the legs take the number, the symbols the same scalar held exactly
     u = unit_pair(8)
-    doubled = 2 * u
+    doubled = u.scale(2, 2)
     assert np.array_equal(doubled.t0.mat, 2.0 * np.eye(8))
     assert doubled.sym0 == LaurentPoly({0: 2})
-    with pytest.raises(SymbolMismatch):
-        u.scale(0.5)
-    from fractions import Fraction
-
     half = u.scale(0.5, Fraction(1, 2))
-    assert half.sym0 == LaurentPoly({0: Fraction(1, 2)})
-    assert zero_pair(8).scale(0.5).symbols_zero()
-
-
-def test_star_negates_twist():
-    p = psi_inverse(unit_pair(8), 2)
-    q = p.star()
-    assert q.twist == -2
-    assert q.sym1 == LaurentPoly({-2: 1})
-    assert np.array_equal(q.t1.mat, p.t1.mat.conj().T)
+    assert np.array_equal(half.t1.mat, 0.5 * np.eye(8))
+    assert half.sym0 == half.sym1 == LaurentPoly({0: Fraction(1, 2)})
+    assert zero_pair(8).scale(0.5, Fraction(1, 2)).symbols_zero()
+    with pytest.raises(TypeError):
+        2 * u
 
 
 def test_matmul_adds_twists():
@@ -132,6 +125,10 @@ def test_chi_projection_shapes():
     assert np.array_equal(neg.t0.mat.real, np.eye(16))
     assert np.array_equal(neg.t1.mat.real, np.diag([0.0] * 2 + [1.0] * 14))
     assert chi(0, 8).twist == 0
+    # the unit is chi(0): both legs the identity, both symbols 1
+    unit = unit_pair(8)
+    assert np.array_equal(unit.t0.mat, np.eye(8)) and np.array_equal(unit.t1.mat, np.eye(8))
+    assert unit.sym0 == unit.sym1 == LaurentPoly({0: 1}) and unit.twist == 0
     with pytest.raises(DimensionMismatch):
         chi(8, 8)
 

@@ -19,9 +19,12 @@
   FibrePair and CSfpElement define __add__, __mul__ or __pow__.
 - The suites build every record through their one check runner: suites.py
   has no try statement and constructs CheckRecord once.
+- Every name perfbench/tracer.py wraps resolves on the package, so a rename
+  shows here and not first in a traced benchmark run.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -33,6 +36,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qglue"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 README = PACKAGE.parent.parent / "README.md"
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -279,3 +283,52 @@ def test_checker_finds_tries_and_record_constructions():
 
 def test_suites_build_every_record_in_their_runner():
     assert record_sites((PACKAGE / "suites.py").read_text()) == (0, 1)
+
+
+def tracer_targets() -> list[tuple[str, str]]:
+    """The (module, attribute) names tracer.py wraps: its SPAN_TARGETS and
+    AGGREGATE_TARGETS keys. The file is read and run in a fresh namespace,
+    so nothing is imported from or written next to it."""
+    namespace = {"__name__": "tracer"}
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    return [*namespace["SPAN_TARGETS"], *namespace["AGGREGATE_TARGETS"]]
+
+
+def unresolved(targets) -> list[str]:
+    """The targets the tracer could not wrap: a Class.method missing from
+    the class __dict__ (an inherited method does not count), or a plain
+    name that is no module attribute."""
+    missing = []
+    for module_name, attr in targets:
+        module = importlib.import_module(module_name)
+        owner, _, name = attr.rpartition(".")
+        if owner:
+            cls = getattr(module, owner, None)
+            found = cls is not None and name in vars(cls)
+        else:
+            found = hasattr(module, name)
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    return missing
+
+
+def test_checker_finds_unresolved_tracer_targets():
+    targets = [
+        ("qglue.glue", "fp_matmul"),
+        ("qglue.glue", "nope"),
+        ("qglue.ncpoly", "SymMatrix.__matmul__"),
+        ("qglue.ncpoly", "NCPoly.__mul__"),
+        ("qglue.ncpoly", "Nope.__mul__"),
+    ]
+    assert unresolved(targets) == [
+        "qglue.glue.nope",
+        "qglue.ncpoly.NCPoly.__mul__",
+        "qglue.ncpoly.Nope.__mul__",
+    ]
+
+
+def test_tracer_targets_resolve_on_the_package():
+    targets = tracer_targets()
+    assert ("qglue.glue", "fp_matmul") in targets
+    assert ("qglue.opnum", "TruncOp.__matmul__") in targets
+    assert unresolved(targets) == []

@@ -10,7 +10,7 @@ import qglue.glue
 import qglue.kpair
 import qglue.suites
 from qglue import CSfpElement, FibrePair, ParamSet, SUITES, run_suites
-from qglue.errors import DimensionMismatch, SizeCapExceeded, WindowOverflow
+from qglue.errors import CertificationError, DimensionMismatch, SizeCapExceeded, WindowOverflow
 from qglue.opnum import WINDOW_MAX
 from qglue.cli import run
 from qglue.report import FAIL, PASS, WARN, CheckRecord
@@ -238,9 +238,11 @@ def test_each_check_runs_before_its_suite_resumes():
 
 def test_a_pairing_residual_that_cannot_be_computed_fails_its_rows(monkeypatch):
     build = qglue.suites.en_numeric
+    tried = []
 
     def no_d32(N, params):
         if params.d == 32:
+            tried.append(N)
             raise DimensionMismatch("no window d=32")
         return build(N, params)
 
@@ -255,6 +257,20 @@ def test_a_pairing_residual_that_cannot_be_computed_fails_its_rows(monkeypatch):
     ]
     assert {(rec.value, rec.residual) for rec in failed} == {("no window d=32", None)}
     assert [rec.status for rec in records if rec.status != FAIL] == [PASS] * 4
+    # each window that cannot be paired is tried once, for both rows that read it
+    assert tried == [1, 2]
+
+
+def test_a_polar_part_that_cannot_be_computed_fails_its_rows(monkeypatch):
+    def uncertified(pair):
+        raise CertificationError("no polar part")
+
+    monkeypatch.setattr(qglue.suites, "polar_part", uncertified)
+    records = run_suites(["podles"], PARAMS, 2)
+    failed = [rec for rec in records if rec.status == FAIL]
+    assert [rec.check for rec in failed] == ["polar part [leg 0]", "polar part [leg 1]"]
+    assert {rec.value for rec in failed} == {"no polar part"}
+    assert len(records) > len(failed)
 
 
 def test_a_gluing_that_breaks_w_fails_phi_matches_w(monkeypatch):
