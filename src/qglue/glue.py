@@ -21,7 +21,7 @@ windows, as TruncOps built by opnum.kron.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import matmul
+from operator import index, matmul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -72,7 +72,7 @@ class FibrePair:
         t0._compat(t1)
         sym0 = _as_symbol(sym0)
         sym1 = _as_symbol(sym1)
-        twist = int(twist)
+        twist = index(twist)
         mismatch = sym0.shift(twist) - sym1
         if mismatch:
             k = sorted(mismatch.terms)[0]
@@ -161,7 +161,8 @@ def chi(N: int, d: int) -> FibrePair:
     """Range projection of the twist-N module inside the glued algebra:
     one leg is the shift-range projection S^{|N|} S*^{|N|}, the other the
     unit; both symbols are 1."""
-    k = abs(int(N))
+    N = index(N)
+    k = abs(N)
     if k >= d:
         raise DimensionMismatch(f"need d > |N|, got d={d}, N={N}")
     proj = diag_op([0.0] * k + [1.0] * (d - k))
@@ -203,7 +204,7 @@ def psi_inverse(pair: FibrePair, N: int) -> FibrePair:
     block only, since S*^k S^k is the unit minus a boundary defect."""
     if pair.twist != 0:
         raise SymbolMismatch("psi_inverse expects a twist-0 element")
-    N = int(N)
+    N = index(N)
     return pair if N == 0 else _shift_leg(pair, N, N)
 
 

@@ -19,7 +19,8 @@ from .ncpoly import NCPoly, SymMatrix
 from .presets import sphere3_presentation
 
 # the largest |N| that build_en builds: the exact E^2 = E check of the
-# degree-N idempotent costs about ten times more at |N| = 4 than at |N| = 3
+# degree-N idempotent (squaring the normal form of E) costs about six times
+# more at |N| = 4 than at |N| = 3, about 1.0-1.5 s against 0.2 s
 EN_CAP = 3
 
 

@@ -36,8 +36,8 @@ from .ncpoly import NCPoly, Word
 
 DEFAULT_MAX_STEPS = 1_000_000
 # whole normal_form calls remembered per presentation; a default verify pass
-# makes 833 of them, at most 300 (238 distinct) on one presentation, so every
-# call of a repeated pass is a hit
+# makes 790 of them, at most 257 (238 distinct) on one presentation (s3pq), so
+# every call of a repeated pass is a hit
 NF_CACHE_SIZE = 1024
 
 

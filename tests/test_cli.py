@@ -154,12 +154,20 @@ def test_json_runs_are_deterministic_modulo_timestamp(capsys):
 
 def test_repeated_runs_in_one_process_write_identical_reports(tmp_path, capsys):
     # the second run reduces against normal-form caches the first one filled
+    cache = qglue.sphere3_presentation()._nf_cache
     paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    filled = []
     for path in paths:
         argv = ["verify", "--suite", "en-symbolic", "--format", "csv", "--out", str(path)]
         assert run(argv) == 0
+        filled.append(dict(cache))
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    # every normal form of the second run is a hit: it adds no entry (a miss
+    # stores a new reduced dict, even where it evicts the same key)
+    first, second = filled
+    assert second.keys() == first.keys()
+    assert all(second[key] is first[key] for key in second)
 
 
 def test_config_file_precedence(tmp_path, capsys):

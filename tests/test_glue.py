@@ -163,6 +163,25 @@ def test_psi_inverse_needs_twist_zero():
     assert psi_inverse(unit_pair(8), 0).twist == 0
 
 
+def test_fibre_pair_rejects_a_non_integer_twist():
+    one = identity(8)
+    with pytest.raises(TypeError):
+        FibrePair(one, one, 1, 1, 0.7)
+    assert FibrePair(one, one, 1, 1, np.int64(0)).twist == 0
+
+
+def test_chi_rejects_a_non_integer_degree():
+    with pytest.raises(TypeError):
+        chi(1.9, 8)
+    assert np.array_equal(chi(np.int64(-2), 8).t1.mat, chi(-2, 8).t1.mat)
+
+
+def test_psi_inverse_rejects_a_non_integer_degree():
+    with pytest.raises(TypeError):
+        psi_inverse(unit_pair(8), 1.5)
+    assert psi_inverse(unit_pair(8), np.int64(1)).twist == 1
+
+
 def test_fp_matmul_shape_check():
     u = unit_pair(8)
     with pytest.raises(DimensionMismatch):

@@ -14,6 +14,7 @@ from qglue import (
     verify_identity,
 )
 from qglue.idempotents import EN_CAP
+from qglue.ncpoly import SymMatrix
 
 
 def _matrix_identical(a, b):
@@ -41,6 +42,36 @@ def test_dual_pairing_is_one(N):
 def test_idempotent_square(N):
     X, Y, E = build_en(N)
     assert _matrix_identical(E @ E, E)
+
+
+def _square_verdicts(M):
+    # M M against M in the quotient, entry by entry
+    sq = M @ M
+    rows, cols = M.shape
+    return [[verify_identity(sq[i, j], M[i, j])[0] for j in range(cols)] for i in range(rows)]
+
+
+def _normal_form_verdicts(E):
+    # the en-symbolic suite's route: F = NF(E) entrywise, then F F against F
+    F = SymMatrix(E.pres, [[normal_form(e) for e in row] for row in E.entries])
+    return _square_verdicts(F)
+
+
+@pytest.mark.parametrize("N", range(-2, 3))
+def test_normal_form_route_agrees_with_the_raw_square(N):
+    _, _, E = build_en(N)
+    verdicts = _normal_form_verdicts(E)
+    assert verdicts == _square_verdicts(E)
+    assert all(all(row) for row in verdicts)
+
+
+@pytest.mark.parametrize("N", [-2, -1, 1, 2])
+def test_normal_form_route_agrees_on_the_literal_assignment(N):
+    # the literal weights break E^2 = E in every entry, on both routes
+    _, _, E = build_en(N, assignment="literal")
+    verdicts = _normal_form_verdicts(E)
+    assert verdicts == _square_verdicts(E)
+    assert not any(any(row) for row in verdicts)
 
 
 @pytest.mark.parametrize("N", range(-3, 4))

@@ -289,3 +289,22 @@ def test_a_gluing_that_breaks_w_fails_phi_matches_w(monkeypatch):
     records = run_suites(["hopf"], PARAMS, 2)
     [record] = [rec for rec in records if rec.check == "phi matches W"]
     assert record.status == FAIL
+
+
+def test_a_literal_weight_idempotent_fails_idempotency(monkeypatch):
+    build = qglue.suites.build_en
+
+    def literal(N, assignment="corrected"):
+        # the uncorrected binomial bases: E^2 - E lies outside the ideal for N != 0
+        return build(N, assignment="literal")
+
+    monkeypatch.setattr(qglue.suites, "build_en", literal)
+    records = run_suites(["en-symbolic"], PARAMS, 2)
+    status = {rec.check: rec.status for rec in records if rec.check.startswith("idempotency")}
+    assert status == {
+        "idempotency N=-2": FAIL,
+        "idempotency N=-1": FAIL,
+        "idempotency N=+0": PASS,
+        "idempotency N=+1": FAIL,
+        "idempotency N=+2": FAIL,
+    }
