@@ -10,6 +10,7 @@ operator. Sums take the larger bandwidth, products add bandwidths.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import matmul
 from typing import Mapping
@@ -25,6 +26,10 @@ from .presets import DISC_FLAVOURS
 
 # the largest window dimension d and radius w a ParamSet accepts
 WINDOW_MAX = 512
+
+# the smallest q, p and s a ParamSet accepts: their squares are still normal
+# floats, so q**2 and the like neither underflow to 0.0 nor lose precision
+PARAM_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -45,12 +50,12 @@ class ParamSet:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if not (0.0 < self.s <= 1.0):
-            raise ValueError(f"s must lie in (0, 1], got {self.s}")
+        if not (PARAM_MIN <= self.q < 1.0):
+            raise ValueError(f"q must lie in [{PARAM_MIN:.3g}, 1), got {self.q}")
+        if not (PARAM_MIN <= self.p < 1.0):
+            raise ValueError(f"p must lie in [{PARAM_MIN:.3g}, 1), got {self.p}")
+        if not (PARAM_MIN <= self.s <= 1.0):
+            raise ValueError(f"s must lie in [{PARAM_MIN:.3g}, 1], got {self.s}")
         if not (4 <= self.d <= WINDOW_MAX):
             raise ValueError(f"d must lie in [4, {WINDOW_MAX}], got {self.d}")
         if not (1 <= self.w <= WINDOW_MAX):

@@ -55,7 +55,7 @@ from .glue import (
 )
 from .idempotents import EN_CAP, build_en
 from .kpair import FredholmModule, IndexRow, PairingTable, pair
-from .ncpoly import NCPoly, SymMatrix
+from .ncpoly import NCPoly
 from .opnum import (
     WINDOW_MAX,
     ParamSet,
@@ -472,24 +472,22 @@ def suite_en_symbolic(
         return Outcome(holds, None if holds else str(pairing))
 
     def idempotency():
-        """E^2 = E, checked on F = NF(E) entrywise: NF(F F - F) = 0.
+        """E^2 = E, checked through E = X Y^T and one 1x1 reduction.
 
-        Every rewrite step subtracts an element of the relation ideal I (a
-        pbw step too, its replacement comes from C (redex - rhs) in I), so
-        F = E + i with i in I, and F F - F = (E E - E) + (an element of I).
-        A zero normal form of F F - F thus proves E E - E in I, the same
-        statement as reducing the raw square, on far shorter products. As
-        on the raw route, a nonzero normal form is a conclusive fail only
-        for a confluent rule system."""
-        F = SymMatrix(pres, [[normal_form(e) for e in row] for row in E.entries])
-        sq = F @ F
-        return Outcome(
-            all(
-                verify_identity(sq[i, j], F[i, j])[0]
-                for i in range(F.shape[0])
-                for j in range(F.shape[1])
-            )
-        )
+        In the matrix algebra over the free algebra, associativity gives
+
+            E E - E = X (Y^T X) Y^T - X Y^T = X (Y^T X - 1) Y^T
+
+        whenever E = X Y^T. So the check compares E with X Y^T entrywise in
+        the free algebra, with no reduction, and reduces Y^T X - 1: a zero
+        normal form puts Y^T X - 1 in the relation ideal I (every rewrite
+        step subtracts an element of I), hence E E - E in M(I), the
+        statement the reduction of the raw square proves. A nonzero normal
+        form of Y^T X - 1 leaves E^2 = E unproven on this route, and the
+        row fails; it is a conclusive fail only for a confluent rule
+        system."""
+        holds = (X @ Y.transpose()).entries == E.entries
+        return Outcome(holds and normal_form((Y.transpose() @ X)[0, 0]) == pres.one())
 
     def literal_weights():
         Xl, Yl, _ = build_en(1, assignment="literal")

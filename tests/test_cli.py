@@ -64,6 +64,16 @@ def test_bad_parameter_is_exit_2(capsys):
     assert "q" in capsys.readouterr().err
 
 
+def test_a_parameter_whose_square_underflows_is_exit_2(capsys):
+    # q**2 = 0.0 would end the podles suite in a ZeroDivisionError
+    code = run(["verify", "--q", "1e-300", "--p", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("qglue:")
+    assert "q must lie in" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_config_is_exit_2(tmp_path, capsys):
     assert run(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
     capsys.readouterr()

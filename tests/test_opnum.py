@@ -1,6 +1,7 @@
 """Truncated operators: trust bookkeeping, shift pictures, traces."""
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from qglue import (
     trace_finite_rank,
     trusted_diff_norm,
 )
-from qglue.opnum import weighted_shift, zero
+from qglue.opnum import PARAM_MIN, weighted_shift, zero
 
 
 def test_paramset_validation():
@@ -41,6 +42,10 @@ def test_paramset_validation():
         {"p": -0.1},
         {"s": 0.0},
         {"s": 1.1},
+        # squares that underflow to 0.0 or to a subnormal float
+        {"q": 1e-300},
+        {"p": 1e-160},
+        {"s": 1e-300},
         {"d": 3},
         {"d": 1024},
         {"w": 0},
@@ -49,6 +54,9 @@ def test_paramset_validation():
         with pytest.raises(ValueError):
             ParamSet(**kwargs)
     assert ParamSet(s=1.0).s == 1.0
+    # parameters at the floor and just above it are accepted
+    assert ParamSet(q=1e-150, p=1e-150).q ** 2 == 1e-300
+    assert ParamSet(q=PARAM_MIN, p=PARAM_MIN, s=PARAM_MIN).s ** 2 == sys.float_info.min
 
 
 @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])

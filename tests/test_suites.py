@@ -11,6 +11,7 @@ import qglue.kpair
 import qglue.suites
 from qglue import CSfpElement, FibrePair, ParamSet, SUITES, run_suites
 from qglue.errors import CertificationError, DimensionMismatch, SizeCapExceeded, WindowOverflow
+from qglue.ncpoly import SymMatrix
 from qglue.opnum import WINDOW_MAX
 from qglue.cli import run
 from qglue.report import FAIL, PASS, WARN, CheckRecord
@@ -308,3 +309,39 @@ def test_a_literal_weight_idempotent_fails_idempotency(monkeypatch):
         "idempotency N=+1": FAIL,
         "idempotency N=+2": FAIL,
     }
+
+
+def test_an_idempotent_that_is_not_x_yt_fails_idempotency(monkeypatch):
+    build = qglue.suites.build_en
+
+    def one_entry_negated(N, assignment="corrected"):
+        # X and Y stay true, so Y^T X = 1 still holds, but E is not X Y^T
+        X, Y, E = build(N, assignment)
+        entries = [list(row) for row in E.entries]
+        entries[0][-1] = -entries[0][-1]
+        return X, Y, SymMatrix(E.pres, entries)
+
+    monkeypatch.setattr(qglue.suites, "build_en", one_entry_negated)
+    records = run_suites(["en-symbolic"], PARAMS, 2)
+    status = {rec.check: rec.status for rec in records}
+    for N in range(-2, 3):
+        assert status[f"dual pairing N={N:+d}"] == PASS
+        # E_0 = (1): negating its one entry gives -1, which is not X Y^T either
+        assert status[f"idempotency N={N:+d}"] == FAIL
+
+
+def test_a_doubled_numeric_idempotent_fails_its_pairings(monkeypatch):
+    build = qglue.kpair.en_numeric
+
+    def doubled(N, params):
+        # 2 E is no idempotent: its exact symbol matrix squares to 4 sigma(E)
+        return [[entry.scale(2.0, 2) for entry in row] for row in build(N, params)]
+
+    monkeypatch.setattr(qglue.kpair, "en_numeric", doubled)
+    records = run_suites(["en-numeric"], ParamSet(), 2)
+    assert len(records) == 15
+    assert {rec.status for rec in records} == {FAIL}
+    for N in range(-2, 3):
+        pairings = [rec for rec in records if rec.check.startswith(f"pairing N={N:+d} ")]
+        assert [rec.check[-4:] for rec in pairings] == ["[pr]", "[pi]"]
+        assert all("not exactly idempotent" in rec.value for rec in pairings)
