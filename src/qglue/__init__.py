@@ -36,7 +36,6 @@ from .errors import (
 )
 from .glue import (
     ORIENTATION,
-    CSfpElement,
     FibrePair,
     chi,
     en_numeric,
@@ -51,7 +50,6 @@ from .glue import (
     s2_leg_assignment,
     s3_leg_assignment,
     s3_leg_symbol,
-    unit_pair,
 )
 from .idempotents import build_en, gaussian_binomial
 from .kpair import (
@@ -104,7 +102,6 @@ __all__ = [
     "BiLaurent",
     "CHI_RESIDUAL_TOL",
     "CSV_COLUMNS",
-    "CSfpElement",
     "CertificationError",
     "CheckRecord",
     "CoefPoly",
@@ -176,7 +173,6 @@ __all__ = [
     "timestamp_now",
     "trace_finite_rank",
     "trusted_diff_norm",
-    "unit_pair",
     "verify_identity",
     "w_inverse",
     "w_map",

@@ -7,13 +7,13 @@ membership rule
     U^N * sym0 == sym1        (checked exactly at construction).
 
 Twist 0 is the glued function algebra itself; twist N is the degree-N
-bimodule over it, and scale(value, exact) scales an element by a number and
-its exact value. chi produces the canonical range projections (chi(0) is the
-unit), psi_iso normalizes a twist away and psi_inverse puts it back, both by
-one leg shift (see ORIENTATION), and iota embeds the symbolic
-glued-disc algebra into the doubled picture, a Laurent polynomial in the
-circle letter whose degree-N coefficient is a twist-N FibrePair; en_numeric
-builds the degree-N line-bundle idempotents through it. The tensor picture
+bimodule over it. chi produces the canonical range projections (chi(0) is
+the unit), psi_iso normalizes a twist away and psi_inverse puts it back,
+both by one leg shift (see ORIENTATION). iota embeds the symbolic
+glued-disc algebra into the doubled picture, a map degree k -> twist-k
+FibrePair whose legs opnum.evaluate builds from the leg assignments and
+whose symbols s3_leg_symbol reads off; en_numeric builds the degree-N
+line-bundle idempotents through it. The tensor picture
 (iota_kron_assignment) realizes the same gluing map on disc (x) circle
 windows, as TruncOps built by opnum.kron.
 """
@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circle import BiLaurent, LaurentPoly
-from .coefficients import CoefPoly, S as S_COEF, _accumulate, _matrix_product
+from .coefficients import S as S_COEF, _accumulate, _matrix_product
 from .errors import DimensionMismatch, SymbolMismatch
 from .ncpoly import NCPoly
 from .opnum import (
@@ -36,6 +36,7 @@ from .opnum import (
     diag_op,
     disc_base,
     disc_rep,
+    evaluate,
     identity,
     inv_sqrt_psd,
     kron,
@@ -43,7 +44,6 @@ from .opnum import (
     shift,
     weighted_shift,
     zero,
-    _word_sum,
 )
 from .presets import sphere3_presentation
 
@@ -136,17 +136,6 @@ class FibrePair:
             self.twist + other.twist,
         )
 
-    def scale(self, value, exact) -> "FibrePair":
-        """Scale both legs by the number value and both symbols by exact, the
-        same scalar held exactly."""
-        return FibrePair(
-            complex(value) * self.t0,
-            complex(value) * self.t1,
-            self.sym0 * exact,
-            self.sym1 * exact,
-            self.twist,
-        )
-
     def __repr__(self):
         return (
             f"FibrePair(d={self.d}, twist={self.twist}, "
@@ -171,11 +160,6 @@ def chi(N: int, d: int) -> FibrePair:
     if N >= 0:
         return FibrePair(proj, one, sym, sym, 0)
     return FibrePair(one, proj, sym, sym, 0)
-
-
-def unit_pair(d: int) -> FibrePair:
-    """The unit of the glued algebra: chi(0), both legs the identity."""
-    return chi(0, d)
 
 
 def _shift_leg(pair: FibrePair, N: int, twist: int) -> FibrePair:
@@ -278,78 +262,37 @@ def s2_leg_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:
 # -- the doubled picture ----------------------------------------------------------
 
 
-class CSfpElement:
-    """Element of the doubled picture: a Laurent polynomial in the circle
-    letter whose degree-k coefficient is a twist-k FibrePair.
-
-    terms maps a degree k to its FibrePair. It carries what iota builds an
-    image with: sums, products (convolution in k) and scale(value, exact),
-    each taken degree by degree on the FibrePairs, and leg_bilaurent reads
-    its exact symbols."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, FibrePair]):
-        self.terms = dict(terms)
-
-    def __add__(self, other):
-        if not isinstance(other, CSfpElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, pair in other.terms.items():
-            terms[k] = terms[k] + pair if k in terms else pair
-        return CSfpElement(terms)
-
-    def __matmul__(self, other):
-        if not isinstance(other, CSfpElement):
-            return NotImplemented
-        out = CSfpElement({})
-        for ka, pa in self.terms.items():
-            out = out + CSfpElement({ka + kb: pa @ pb for kb, pb in other.terms.items()})
-        return out
-
-    def scale(self, value, exact) -> "CSfpElement":
-        return CSfpElement({k: pair.scale(value, exact) for k, pair in self.terms.items()})
-
-    def leg_bilaurent(self, leg: int) -> BiLaurent:
-        """(symbol x id) of one leg, as an exact two-torus element."""
-        terms = {}
-        for k, pair in self.terms.items():
-            for m, coef in (pair.sym0, pair.sym1)[leg].terms.items():
-                _accumulate(terms, (m, k), coef)
-        return BiLaurent(terms)
-
-
-def iota(x: NCPoly, params: ParamSet) -> CSfpElement:
+def iota(x: NCPoly, params: ParamSet) -> dict[int, FibrePair]:
     """Embed a symbolic glued-disc element into the doubled picture by the
-    gluing map S3_GLUING: a letter of grading weight k goes to the twist-k
-    FibrePair of its two leg operators and their boundary symbols.
-    Coefficients scale the operators numerically and the symbols exactly."""
-    return _gluing_map(params)(x)
-
-
-def _gluing_map(params: ParamSet):
-    """iota at one parameter point and window, as a function of the element:
-    the letter images are built once, for every element it embeds."""
-    pres = sphere3_presentation()
+    gluing map S3_GLUING: degree k -> the twist-k FibrePair of the degree-k
+    part of x, its legs evaluated on the leg assignments and its exact
+    symbols read off by s3_leg_symbol. A degree whose legs break the
+    membership rule raises SymbolMismatch."""
+    parts: dict[int, dict] = {}
+    for word, coef in x.terms.items():
+        parts.setdefault(x.pres.word_degree(word), {})[word] = coef
     legs = [s3_leg_assignment(leg, params) for leg in (0, 1)]
-    images = {}
-    for letter, weight in zip(pres.letters, pres.weights):
-        gen = pres.gen(letter)
-        pair = FibrePair(
-            legs[0][letter],
-            legs[1][letter],
-            s3_leg_symbol(gen, 0),
-            s3_leg_symbol(gen, 1),
-            weight,
+    image = {}
+    for k, terms in parts.items():
+        part = NCPoly(x.pres, terms)
+        image[k] = FibrePair(
+            evaluate(part, legs[0], params),
+            evaluate(part, legs[1], params),
+            s3_leg_symbol(part, 0),
+            s3_leg_symbol(part, 1),
+            k,
         )
-        images[letter] = CSfpElement({weight: pair})
-    one = CSfpElement({0: unit_pair(params.d)})
+    return image
 
-    def weigh(factor: CSfpElement, coef: CoefPoly) -> CSfpElement:
-        return factor.scale(coef.evaluate(params.q, params.p, params.s), coef)
 
-    return lambda x: _word_sum(x, images, one, CSfpElement({}), weigh)
+def leg_bilaurent(image: Mapping[int, FibrePair], leg: int) -> BiLaurent:
+    """(symbol x id) of one leg of a doubled-picture image, as an exact
+    two-torus element: U^m in degree k goes to the monomial (m, k)."""
+    terms = {}
+    for k, pair in image.items():
+        for m, coef in (pair.sym0, pair.sym1)[leg].terms.items():
+            _accumulate(terms, (m, k), coef)
+    return BiLaurent(terms)
 
 
 def iota_kron_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:
@@ -449,15 +392,19 @@ def en_numeric(
 ) -> list[list[FibrePair]]:
     """Numeric idempotent matrix for degree N over the glued algebra.
 
-    Entry (i, j) is the degree-0 part of iota(X[i]) @ iota(Y[j]): the
-    evaluation of E's entry reassociated as a product of the embedded X and
-    Y vectors, with the exact leg symbols carried along by the gluing map.
+    Entry (i, j) is x @ y for the single fibre pairs x and y that iota maps
+    the homogeneous X[i] and Y[j] to: the evaluation of E's entry
+    reassociated as a product of the embedded X and Y vectors, with the
+    exact leg symbols carried along by the gluing map.
     The leg-symbol map sends every s3pq rule to zero, so these are the
     symbols of the normal forms of E's entries."""
     from .idempotents import build_en
 
+    def single_pair(v: NCPoly) -> FibrePair:
+        (pair,) = iota(v, params).values()
+        return pair
+
     X, Y, _ = build_en(N, assignment)
-    embed = _gluing_map(params)
-    xs = [embed(X[k, 0]) for k in range(X.shape[0])]
-    ys = [embed(Y[k, 0]) for k in range(Y.shape[0])]
-    return [[(x @ y).terms[0] for y in ys] for x in xs]
+    xs = [single_pair(X[k, 0]) for k in range(X.shape[0])]
+    ys = [single_pair(Y[k, 0]) for k in range(Y.shape[0])]
+    return [[x @ y for y in ys] for x in xs]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circle import LaurentPoly
 from .coefficients import _power
-from .errors import CertificationError, DimensionMismatch, WindowOverflow
+from .errors import CertificationError, DimensionMismatch, QGlueError, WindowOverflow
 from .ncpoly import NCPoly
 from .presets import DISC_FLAVOURS
 
@@ -370,26 +370,16 @@ def pi_rep(sign: str, f: LaurentPoly, params: ParamSet) -> TruncOp:
 
 def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> TruncOp:
     """Evaluate a symbolic element with letters sent to operators and
-    coefficients evaluated at the parameter point."""
+    coefficients evaluated at the parameter point: the one word-evaluation
+    loop. Each word becomes the product of its letters' operators (the
+    identity for the empty word), scaled by its coefficient and summed.
+    glue.iota runs it on each leg of each degree of the doubled picture."""
     ops = dict(assignment)
     if not ops:
         raise ValueError("empty assignment")
     first = next(iter(ops.values()))
     for op in ops.values():
         first._compat(op)
-    empty = zero(first.d, first.lattice)
-
-    def weigh(factor: TruncOp, coef) -> TruncOp:
-        return coef.evaluate(params.q, params.p, params.s) * factor
-
-    return _word_sum(x, ops, identity_like(first), empty, weigh)
-
-
-def _word_sum(x: NCPoly, ops: Mapping, one, empty, weigh):
-    """The one word-evaluation loop, shared by evaluate (images are
-    TruncOps) and glue.iota (images are doubled-picture elements): each word
-    becomes the product of its letters' images (one for the empty word), is
-    turned into a term by weigh(product, coefficient) and summed onto empty."""
     letters = x.pres.letters
 
     def image(letter_index):
@@ -398,13 +388,14 @@ def _word_sum(x: NCPoly, ops: Mapping, one, empty, weigh):
             raise KeyError(f"assignment misses letter {name!r}")
         return ops[name]
 
-    total = empty
+    one = identity_like(first)
+    total = zero(first.d, first.lattice)
     for word, coef in x.terms.items():
         images = map(image, word)
         factor = next(images, one)
         for op in images:
             factor = factor @ op
-        total = total + weigh(factor, coef)
+        total = total + coef.evaluate(params.q, params.p, params.s) * factor
     return total
 
 
@@ -498,21 +489,19 @@ PSD_FLOOR = 1e-12
 
 
 def inv_sqrt_psd(op: TruncOp) -> TruncOp:
-    """Pseudo-inverse square root of a positive semidefinite operator.
-    Eigenvalues at or below PSD_FLOOR map to zero (a truncated positive
-    operator always picks up a zero at the boundary); genuinely negative
-    eigenvalues raise. A diagonal operator, the case arising here, is
-    handled entrywise and keeps its bandwidth; any other goes through an
-    eigendecomposition and is trusted nowhere."""
-    diagonal = op._diags.keys() <= {0}
-    mat = op._diags.get(0, np.zeros(op.d, dtype=np.complex128)) if diagonal else op.mat
-    herm = float(np.linalg.norm(mat - mat.conj().T))
-    if herm > 1e-12 * max(1.0, float(np.linalg.norm(mat))):
+    """Pseudo-inverse square root of a diagonal positive semidefinite
+    operator, taken entrywise; it keeps the bandwidth. Entries at or below
+    PSD_FLOOR map to zero (a truncated positive operator always picks up a
+    zero at the boundary); genuinely negative entries raise. A non-diagonal
+    operator raises QGlueError: the one caller, glue.polar_part, passes t*t
+    for a weighted shift t, which is diagonal."""
+    if not op._diags.keys() <= {0}:
+        raise QGlueError("inv_sqrt_psd is implemented for diagonal operators only")
+    diag = op._diags.get(0, np.zeros(op.d, dtype=np.complex128))
+    herm = float(np.linalg.norm(diag - diag.conj()))
+    if herm > 1e-12 * max(1.0, float(np.linalg.norm(diag))):
         raise CertificationError(f"operator is not self-adjoint (defect {herm:.3e})")
-    if diagonal:
-        eigvals = mat.real
-    else:
-        eigvals, eigvecs = np.linalg.eigh(mat)
+    eigvals = diag.real
     if float(eigvals.min()) < -PSD_FLOOR:
         raise CertificationError(
             f"operator is not positive semidefinite: min eig {float(eigvals.min()):.3e}"
@@ -520,6 +509,4 @@ def inv_sqrt_psd(op: TruncOp) -> TruncOp:
     inv = np.zeros_like(eigvals)
     keep = eigvals > PSD_FLOOR
     inv[keep] = eigvals[keep] ** -0.5
-    if diagonal:
-        return op._like({0: inv.astype(np.complex128)}, op.bandwidth)
-    return TruncOp((eigvecs * inv) @ eigvecs.conj().T, op.d - 1, op.lattice)
+    return op._like({0: inv.astype(np.complex128)}, op.bandwidth)

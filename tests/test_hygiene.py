@@ -15,8 +15,8 @@
   window constructors TruncOp, identity, zero and diag_op take no radius w
   (an integer-lattice window's radius is read off its dimension).
 - Arithmetic is written once per kind of element: only CoefPoly, TermSum
-  (the sparse term sums NCPoly, LaurentPoly and BiLaurent share), TruncOp,
-  FibrePair and CSfpElement define __add__, __mul__ or __pow__.
+  (the sparse term sums NCPoly, LaurentPoly and BiLaurent share), TruncOp
+  and FibrePair define __add__, __mul__ or __pow__.
 - The suites build every record through their one check runner: suites.py
   has no try statement and constructs CheckRecord once.
 - Every name perfbench/tracer.py wraps resolves on the package, so a rename
@@ -219,8 +219,8 @@ def test_window_constructors_take_no_radius():
 
 
 # the classes that own an arithmetic: the exact ring, the sparse term sums
-# over it, operator windows and the two fibre-product pictures
-ARITHMETIC_OWNERS = {"CoefPoly", "TermSum", "TruncOp", "FibrePair", "CSfpElement"}
+# over it, operator windows and fibre pairs
+ARITHMETIC_OWNERS = {"CoefPoly", "TermSum", "TruncOp", "FibrePair"}
 ARITHMETIC_DUNDERS = {"__add__", "__mul__", "__pow__"}
 
 

@@ -20,7 +20,6 @@ from qglue import (
     expected_pairing,
     pair,
     psi_inverse,
-    unit_pair,
     winding_interpretation,
 )
 from qglue.kpair import PairingTable
@@ -45,7 +44,7 @@ def test_module_validation():
 
 def test_pi_difference_needs_twist_zero():
     module = FredholmModule("pi", params=replace(PARAMS, w=4))
-    twisted = psi_inverse(unit_pair(8), 1)
+    twisted = psi_inverse(chi(0, 8), 1)
     with pytest.raises(SymbolMismatch):
         module.difference(twisted)
     with pytest.raises(SymbolMismatch):
@@ -69,8 +68,8 @@ def test_chi_pairings_are_exact(N):
 def test_unit_and_zero_pair_values():
     pr = FredholmModule("pr")
     pi = FredholmModule("pi", params=replace(PARAMS, w=6))
-    assert pair(pr, unit_pair(16)).rounded == 0
-    assert pair(pi, unit_pair(16)).rounded == 1
+    assert pair(pr, chi(0, 16)).rounded == 0
+    assert pair(pi, chi(0, 16)).rounded == 1
     assert pair(pr, zero_pair(16)).rounded == 0
     assert pair(pi, zero_pair(16)).rounded == 0
 
@@ -113,7 +112,7 @@ def test_pair_rejects_non_idempotent_symbols():
 
 
 def test_pair_matrix_shape_guards():
-    u = unit_pair(8)
+    u = chi(0, 8)
     with pytest.raises(DimensionMismatch):
         pair(FredholmModule("pr"), [[u, u]])
     with pytest.raises(TypeError):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from qglue import (
     DimensionMismatch,
+    QGlueError,
     TruncOp,
     diag_op,
     identity,
@@ -269,6 +270,13 @@ def test_inv_sqrt_psd_rejects_a_negative_diagonal():
         inv_sqrt_psd(TruncOp(np.diag([1.0, -0.5, 2.0])))
     with pytest.raises(ValueError, match="self-adjoint"):
         inv_sqrt_psd(TruncOp(np.diag([1.0, 1.0 + 1.0j])))
+
+
+def test_inv_sqrt_psd_rejects_a_non_diagonal_operator():
+    # a positive operator with an off-diagonal entry: refused, not decomposed
+    op = TruncOp(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(QGlueError, match="diagonal operators only"):
+        inv_sqrt_psd(op)
 
 
 def test_mat_is_read_only():

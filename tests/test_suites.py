@@ -9,10 +9,10 @@ import pytest
 import qglue.glue
 import qglue.kpair
 import qglue.suites
-from qglue import CSfpElement, FibrePair, ParamSet, SUITES, run_suites
+from qglue import FibrePair, ParamSet, SUITES, run_suites
 from qglue.errors import CertificationError, DimensionMismatch, SizeCapExceeded, WindowOverflow
 from qglue.ncpoly import SymMatrix
-from qglue.opnum import WINDOW_MAX
+from qglue.opnum import WINDOW_MAX, diag_op, disc_base
 from qglue.cli import run
 from qglue.report import FAIL, PASS, WARN, CheckRecord
 from qglue.suites import Outcome, _recorded, run_check
@@ -93,6 +93,46 @@ def test_broken_gluing_fails_leg_compatibility(monkeypatch, capsys):
         assert "membership" in rec.value
     assert run(["verify", "--suite", "s3", "--d", "16"]) == 1
     assert " fail" in capsys.readouterr().err
+
+
+def test_a_perturbed_disc_base_fails_that_discs_defect_rows(monkeypatch):
+    # the suite's own copy of the z-disc base off by 1%: the operators keep the
+    # true base, so the relations hold and only the rows that read the base fail
+    true_base = qglue.suites.disc_base
+
+    def perturbed(letter, params):
+        return true_base(letter, params) * (1.01 if letter == "z" else 1.0)
+
+    monkeypatch.setattr(qglue.suites, "disc_base", perturbed)
+    records = run_suites(["disc"], PARAMS, 2)
+    failed = [rec.check for rec in records if rec.status == FAIL]
+    assert failed == [
+        "defect diagonal [q]",
+        "power product [q] N=1",
+        "power product [q] N=2",
+    ]
+    assert len(records) == 12
+
+
+def test_a_shifted_s2_defect_projection_fails_the_defect_relations(monkeypatch):
+    # A on leg 0 as diag(base^(n+1)) instead of diag(base^n): it still
+    # commutes with R as before, but R R* and R* R no longer add up to 1
+    true_legs = qglue.suites.s2_leg_assignment
+
+    def shifted(leg, params):
+        ops = true_legs(leg, params)
+        if leg == 0:
+            ops["A"] = diag_op(disc_base("z", params) ** (np.arange(params.d) + 1.0))
+        return ops
+
+    monkeypatch.setattr(qglue.suites, "s2_leg_assignment", shifted)
+    records = run_suites(["s2"], PARAMS, 2)
+    failed = [(rec.check, rec.anchor) for rec in records if rec.status == FAIL]
+    assert failed == [
+        ("relation [leg 0]", "R* R -> (1) + (-1 q) A + (-1 p) B"),
+        ("relation [leg 0]", "R R* -> (1) + (-1) A + (-1) B"),
+    ]
+    assert len(records) == 16
 
 
 def _count_calls(monkeypatch, module, name):
@@ -279,12 +319,10 @@ def test_a_gluing_that_breaks_w_fails_phi_matches_w(monkeypatch):
 
     def legs_swapped(x, params):
         # each degree's legs trade places: still a fibre pair, of the opposite twist
-        return CSfpElement(
-            {
-                k: FibrePair(pair.t1, pair.t0, pair.sym1, pair.sym0, -pair.twist)
-                for k, pair in glue(x, params).terms.items()
-            }
-        )
+        return {
+            k: FibrePair(pair.t1, pair.t0, pair.sym1, pair.sym0, -pair.twist)
+            for k, pair in glue(x, params).items()
+        }
 
     monkeypatch.setattr(qglue.suites, "iota", legs_swapped)
     records = run_suites(["hopf"], PARAMS, 2)
@@ -335,7 +373,10 @@ def test_a_doubled_numeric_idempotent_fails_its_pairings(monkeypatch):
 
     def doubled(N, params):
         # 2 E is no idempotent: its exact symbol matrix squares to 4 sigma(E)
-        return [[entry.scale(2.0, 2) for entry in row] for row in build(N, params)]
+        return [
+            [FibrePair(2 * e.t0, 2 * e.t1, 2 * e.sym0, 2 * e.sym1, e.twist) for e in row]
+            for row in build(N, params)
+        ]
 
     monkeypatch.setattr(qglue.kpair, "en_numeric", doubled)
     records = run_suites(["en-numeric"], ParamSet(), 2)
