@@ -32,6 +32,7 @@ from .errors import (
     RewriteLimitExceeded,
     SizeCapExceeded,
     SymbolMismatch,
+    UnsupportedSymbol,
     WindowOverflow,
 )
 from .glue import (
@@ -129,6 +130,7 @@ __all__ = [
     "SizeCapExceeded",
     "SymbolMismatch",
     "TruncOp",
+    "UnsupportedSymbol",
     "WindowOverflow",
     "ZERO",
     "all_presentations",

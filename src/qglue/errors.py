@@ -36,6 +36,11 @@ class SymbolMismatch(QGlueError, ValueError):
     """Fibre-product membership U^N sigma(t0) = sigma(t1) failed."""
 
 
+class UnsupportedSymbol(QGlueError, ValueError):
+    """A construction is not implemented for this boundary symbol (the
+    polar phase of a symbol with more than one monomial)."""
+
+
 class SizeCapExceeded(QGlueError, ValueError):
     """A symbolic construction exceeded its safety cap."""
 

@@ -13,7 +13,8 @@ both by one leg shift (see ORIENTATION). iota embeds the symbolic
 glued-disc algebra into the doubled picture, a map degree k -> twist-k
 FibrePair whose legs opnum.evaluate builds from the leg assignments and
 whose symbols s3_leg_symbol reads off; en_numeric builds the degree-N
-line-bundle idempotents through it. The tensor picture
+line-bundle idempotents through it. The leg assignments are built once
+per (leg, ParamSet) and shared read-only. The tensor picture
 (iota_kron_assignment) realizes the same gluing map on disc (x) circle
 windows, as TruncOps built by opnum.kron.
 """
@@ -21,14 +22,16 @@ windows, as TruncOps built by opnum.kron.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index, matmul
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .circle import BiLaurent, LaurentPoly
 from .coefficients import S as S_COEF, _accumulate, _matrix_product
-from .errors import DimensionMismatch, SymbolMismatch
+from .errors import DimensionMismatch, SymbolMismatch, UnsupportedSymbol
 from .ncpoly import NCPoly
 from .opnum import (
     ParamSet,
@@ -234,16 +237,23 @@ def s3_leg_symbol(x: NCPoly, leg: int) -> LaurentPoly:
 # -- leg assignments -------------------------------------------------------------
 
 
-def s3_leg_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:
+# bounded, since each ParamSet is a new key; a default verify pass builds 10
+# (both legs at five ParamSets)
+@lru_cache(maxsize=32)
+def s3_leg_assignment(leg: int, params: ParamSet) -> Mapping[str, TruncOp]:
     """Operators for one leg of the glued-disc picture, read off S3_GLUING:
-    the a-copy acts as the q-disc and b is scalar on leg 0; mirrored on leg 1."""
+    the a-copy acts as the q-disc and b is scalar on leg 0; mirrored on leg 1.
+
+    Built once per (leg, params) and shared by every caller: a read-only
+    mapping of operators, whose diagonals are read-only like every
+    TruncOp's."""
     if leg not in (0, 1):
         raise ValueError("leg must be 0 or 1")
     one = identity(params.d)
-    return {
+    return MappingProxyType({
         letter: one if discs[leg] is None else disc_rep(discs[leg], params)
         for letter, discs in S3_GLUING.items()
-    }
+    })
 
 
 def s2_leg_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:
@@ -366,7 +376,7 @@ def podles_generators(params: ParamSet) -> PodlesPair:
 def polar_part(pair: FibrePair) -> FibrePair:
     """Isometry part of the polar decomposition, leg by leg; the symbol is
     the phase of the original symbol (implemented for the single-monomial
-    symbols arising here)."""
+    symbols arising here; another symbol raises UnsupportedSymbol)."""
 
     def leg(op: TruncOp) -> TruncOp:
         return op @ inv_sqrt_psd(op.adjoint() @ op)
@@ -375,7 +385,7 @@ def polar_part(pair: FibrePair) -> FibrePair:
         if sym.is_zero():
             return sym
         if len(sym.terms) != 1:
-            raise ValueError("polar phase implemented for monomial symbols only")
+            raise UnsupportedSymbol("polar phase implemented for monomial symbols only")
         (n, coef), = sym.terms.items()
         return LaurentPoly({n: 1}) if coef else LaurentPoly({})
 

@@ -6,7 +6,8 @@ class encodes the degree. The deformed binomial weights in Y come from
 reordering the two disc copies; `assignment` selects which deformation base
 feeds which side ("corrected" is the convention that actually satisfies
 Y^T X = 1, "literal" keeps the transposed reading so its failure witness can
-be inspected).
+be inspected). build_en checks its degree cap on every call and builds each
+(presentation, N, assignment) once per process.
 """
 
 from __future__ import annotations
@@ -62,14 +63,23 @@ def build_en(N: int, assignment: str = "corrected") -> tuple[SymMatrix, SymMatri
     (q-binomials with B, p-binomials with A); already at N = 1 that leaves
     the nonzero witness (q - p)(1 - bb*).
 
-    Raises SizeCapExceeded when |N| > EN_CAP.
+    Raises SizeCapExceeded when |N| > EN_CAP. The cap is checked on every
+    call; past it the vectors are built once per presentation, degree and
+    assignment and shared (SymMatrix entries are tuples).
     """
     if assignment not in ("corrected", "literal"):
         raise ValueError(f"unknown assignment {assignment!r}")
     n = abs(N)
     if n > EN_CAP:
         raise SizeCapExceeded(f"|N| = {n} exceeds the size cap {EN_CAP}")
-    pres = sphere3_presentation()
+    return _build_en(sphere3_presentation(), N, assignment)
+
+
+# room for every degree up to a cap of 8, on both assignments
+@lru_cache(maxsize=34)
+def _build_en(pres, N: int, assignment: str) -> tuple[SymMatrix, SymMatrix, SymMatrix]:
+    """build_en past its checks, once per (presentation, N, assignment)."""
+    n = abs(N)
     a, astar, b, bstar = (pres.gen(x) for x in ("a", "a*", "b", "b*"))
     one = pres.one()
     A = one - a * astar

@@ -5,6 +5,10 @@ bandwidth records how far boundary corruption can have crept in: entries of
 the top-left (d - bandwidth) block (natural lattice), or of the centered
 block with margin bandwidth (integer lattice), agree with the infinite
 operator. Sums take the larger bandwidth, products add bandwidths.
+
+Every operation works on the stored diagonals; kron, too, builds the
+Kronecker product diagonal by diagonal, so no dense window is formed except
+where a caller reads .mat.
 """
 
 from __future__ import annotations
@@ -287,12 +291,36 @@ def shift(d: int) -> TruncOp:
     return weighted_shift(np.ones(d - 1))
 
 
+def _padded(k: int, vec: np.ndarray, d: int) -> np.ndarray:
+    """Diagonal k of a d x d window as a vector indexed by row: the entry
+    (i, i + k) at i, zero at the rows where that column leaves the window."""
+    out = np.zeros(d, dtype=np.complex128)
+    out[max(0, -k) : d - max(0, k)] = vec
+    return out
+
+
 def kron(a: TruncOp, b: TruncOp) -> TruncOp:
     """Kronecker product of two windows, on the natural lattice of dimension
     a.d * b.d. Its bandwidth is that dimension, so it is trusted nowhere: the
-    caller knows which part of the tensor window to trust."""
+    caller knows which part of the tensor window to trust.
+
+    Built diagonal by diagonal, with no dense window: entry (i, i + ka) of a
+    times entry (j, j + kb) of b lands at row i * b.d + j of offset
+    c = ka * b.d + kb. So the outer product of the two zero-padded
+    diagonals, flattened, is diagonal c indexed by row, and the window keeps
+    its rows [max(0, -c), d - max(0, c)). Two pairs (ka, kb) that share an
+    offset fill disjoint rows, so their sum is exact: every entry is the one
+    product np.kron forms."""
     d = a.d * b.d
-    return TruncOp(np.kron(a.mat, b.mat), d)
+    b_rows = [(kb, _padded(kb, vb, b.d)) for kb, vb in b._diags.items()]
+    diags = {}
+    for ka, va in a._diags.items():
+        a_row = _padded(ka, va, a.d)
+        for kb, b_row in b_rows:
+            c = ka * b.d + kb
+            vec = (a_row[:, None] * b_row).reshape(-1)[max(0, -c) : d - max(0, c)]
+            diags[c] = vec if c not in diags else diags[c] + vec
+    return TruncOp._new(diags, d, d, "N")
 
 
 def disc_base(letter: str, params: ParamSet) -> float:

@@ -18,11 +18,14 @@ deliberately looping systems for guard tests.
 
 The deterministic reducer takes the largest pending word first, so each word
 is expanded once per call, and keeps nothing between calls except a bounded
-memo of whole normal_form calls on each presentation (see normal_form).
+memo of whole normal_form calls on each presentation (see normal_form). The
+randomized probe finds each word's rewrite options once, when the word enters
+the sum, and draws among them in sorted word order.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from collections import OrderedDict
@@ -365,28 +368,52 @@ def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
     """Fully randomized reduction: at each step pick uniformly among every
     applicable (word, rule, position) option (a pbw step still reduces its
     cofactor with the deterministic subword-only reducer); used to probe
-    confluence against the deterministic reducer."""
+    confluence against the deterministic reducer.
+
+    The options are listed word by word in sorted word order. Each word's
+    options are found once, when it enters the sum; the reducible words are
+    kept sorted, and the draw rng.randrange(total) is located by walking
+    their option counts."""
     acc = dict(terms)
-    while True:
-        options = []
-        for word in sorted(acc):
-            subs = list(_subword_options(pres, word))
-            for rule, pos in subs:
-                options.append((word, rule, pos))
-            if not subs:
-                for rule in _pbw_options(pres, word):
-                    options.append((word, rule, None))
-        if not options:
-            return acc
-        word, rule, pos = options[rng.randrange(len(options))]
+    options = {}
+    reducible: list[Word] = []
+
+    def enter(word):
+        # the subword options, or if there are none the pbw rules
+        found = list(_subword_options(pres, word))
+        found = found or [(rule, None) for rule in _pbw_options(pres, word)]
+        if found:
+            options[word] = found
+            bisect.insort(reducible, word)
+
+    def leave(word):
+        if options.pop(word, None) is not None:
+            del reducible[bisect.bisect_left(reducible, word)]
+
+    for word in acc:
+        enter(word)
+    while reducible:
+        pick = rng.randrange(sum(map(len, options.values())))
+        for word in reducible:
+            if pick < len(options[word]):
+                break
+            pick -= len(options[word])
+        rule, pos = options[word][pick]
         budget.tick()
         if pos is None:
             expansion = _apply_pbw(pres, word, rule, budget)
         else:
             expansion = _apply_subword(word, rule, pos)
         coef = acc.pop(word)
+        leave(word)
         for w2, c2 in expansion:
+            present = w2 in acc
             _accumulate(acc, w2, coef * c2)
+            if present and w2 not in acc:
+                leave(w2)
+            elif w2 in acc and not present:
+                enter(w2)
+    return acc
 
 
 def normal_form(

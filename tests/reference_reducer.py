@@ -6,11 +6,22 @@ normal forms and kept in a cache of its own for the duration of one call
 cofactors). It shares only the single-step helpers with
 qglue.presentations, so a test can compare the largest-word-first reducer
 against an independent composition of the same rewrite steps.
+
+reference_random_reduce is the earlier randomized probe, which lists every
+option of every word afresh before each step; a test pins the probe's draw
+order to it.
 """
 
 from qglue import ONE, NCPoly, PresentationError
 from qglue.coefficients import _accumulate
-from qglue.presentations import _apply_subword, _pbw_options, _subword_options
+from qglue.presentations import (
+    DEFAULT_MAX_STEPS,
+    _Budget,
+    _apply_subword,
+    _pbw_options,
+    _subword_options,
+)
+from qglue.presentations import _apply_pbw as _apply_pbw_reducing
 
 
 def reference_normal_form(x: NCPoly) -> NCPoly:
@@ -77,3 +88,30 @@ def _apply_pbw(pres, word, rule, caches):
         raise PresentationError(f"{pres.name}: no invertible leading coefficient")
     lam_inv = lam.inverse_monomial()
     return [(w2, -(lam_inv * c2)) for w2, c2 in full.items()]
+
+
+def reference_random_reduce(pres, terms, rng):
+    """Randomized reduction that sorts the sum and finds every word's
+    options again before each step, then draws one uniformly."""
+    budget = _Budget(DEFAULT_MAX_STEPS)
+    acc = dict(terms)
+    while True:
+        options = []
+        for word in sorted(acc):
+            subs = list(_subword_options(pres, word))
+            for rule, pos in subs:
+                options.append((word, rule, pos))
+            if not subs:
+                for rule in _pbw_options(pres, word):
+                    options.append((word, rule, None))
+        if not options:
+            return acc
+        word, rule, pos = options[rng.randrange(len(options))]
+        budget.tick()
+        if pos is None:
+            expansion = _apply_pbw_reducing(pres, word, rule, budget)
+        else:
+            expansion = _apply_subword(word, rule, pos)
+        coef = acc.pop(word)
+        for w2, c2 in expansion:
+            _accumulate(acc, w2, coef * c2)

@@ -14,6 +14,7 @@ from qglue import (
     ParamSet,
     S,
     SymbolMismatch,
+    UnsupportedSymbol,
     build_en,
     chi,
     en_numeric,
@@ -39,6 +40,8 @@ from qglue import (
 )
 from qglue.glue import leg_bilaurent
 from qglue.opnum import zero
+from qglue.report import FAIL
+from qglue.suites import run_check
 
 PARAMS = ParamSet(d=24)
 
@@ -214,6 +217,18 @@ def test_s3_leg_relations():
         assert np.max(np.abs(swap)) == 0.0
     with pytest.raises(ValueError):
         s3_leg_assignment(2, PARAMS)
+
+
+def test_cached_leg_operators_reject_writes():
+    ops = s3_leg_assignment(0, PARAMS)
+    assert s3_leg_assignment(0, PARAMS) is ops
+    with pytest.raises(TypeError):
+        ops["a"] = identity(PARAMS.d)
+    for op in ops.values():
+        for vec in op._diags.values():
+            with pytest.raises(ValueError, match="read-only"):
+                vec[0] = 7.0
+    assert _numeric_residual(ops, PARAMS.q, PARAMS.d, "a") < 1e-13
 
 
 def test_s2_leg_relations():
@@ -406,8 +421,14 @@ def test_polar_part_rejects_fat_symbols():
     one = identity(8)
     sym = LaurentPoly({0: 1, 1: 1})
     fp = FibrePair(one, one, sym, sym, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedSymbol):
         polar_part(fp)
+    # a QGlueError, so a check that meets it is a fail record, not a crash
+    record = run_check("podles", "polar part", "w = polar part of 1 + U", lambda: polar_part(fp))
+    assert (record.status, record.value) == (
+        FAIL,
+        "polar phase implemented for monomial symbols only",
+    )
 
 
 # -- numeric line bundles -----------------------------------------------------------

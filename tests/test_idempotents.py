@@ -13,6 +13,7 @@ from qglue import (
     sphere3_presentation,
     verify_identity,
 )
+from qglue import idempotents
 from qglue.idempotents import EN_CAP
 from qglue.ncpoly import SymMatrix
 
@@ -111,6 +112,17 @@ def test_size_cap():
     assert E.shape == (EN_CAP + 1, EN_CAP + 1)
     with pytest.raises(ValueError):
         build_en(1, assignment="swapped")
+
+
+def test_size_cap_holds_after_a_build_under_a_raised_cap(monkeypatch):
+    # the degree built while the cap was raised stays cached, but the cap is
+    # checked before the cache is read
+    with monkeypatch.context() as raised:
+        raised.setattr(idempotents, "EN_CAP", EN_CAP + 1)
+        X, _, _ = build_en(EN_CAP + 1)
+        assert X.shape == (EN_CAP + 2, 1)
+    with pytest.raises(SizeCapExceeded):
+        build_en(EN_CAP + 1)
 
 
 def test_degree_zero_bundle_is_the_unit():

@@ -29,7 +29,7 @@ from qglue import (
 )
 from qglue import idempotents, presentations
 from qglue.presentations import DEFAULT_MAX_STEPS, NF_CACHE_SIZE, _apply_subword
-from reference_reducer import reference_normal_form
+from reference_reducer import reference_normal_form, reference_random_reduce
 
 QI = Q.inverse_monomial()
 
@@ -266,6 +266,34 @@ def test_randomized_reduction_matches_deterministic():
         for _ in range(25):
             x = NCPoly(pres, {random_word(pres, rng, 7): ONE})
             assert normal_form(x) == normal_form(x, rng=rng)
+
+
+@pytest.mark.parametrize("name", sorted(all_presentations()))
+def test_random_probe_draws_as_the_rescanning_reference(name, monkeypatch):
+    # the probe finds each word's options once; the reference lists them all
+    # again before every step. The same draws give the same terms and leave
+    # the generator in the same state.
+    pbw_steps = []
+    apply_pbw = presentations._apply_pbw
+
+    def counted(*args):
+        pbw_steps.append(args[1])
+        return apply_pbw(*args)
+
+    monkeypatch.setattr(presentations, "_apply_pbw", counted)
+    pres = all_presentations()[name]
+    rng = random.Random(f"probe:{name}")
+    for seed in range(120):
+        x = random_element(pres, rng, n_words=3, max_len=7)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = presentations._random_reduce(
+            pres, x.terms, ours, presentations._Budget(DEFAULT_MAX_STEPS)
+        )
+        want = reference_random_reduce(pres, x.terms, theirs)
+        assert list(got.items()) == list(want.items())
+        assert ours.getstate() == theirs.getstate()
+    # s3pq is the one preset with a pbw rule, and the sample reaches it
+    assert bool(pbw_steps) == (name == "s3pq")
 
 
 # -- guards ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import qglue.suites
 from qglue import FibrePair, ParamSet, SUITES, run_suites
 from qglue.errors import CertificationError, DimensionMismatch, SizeCapExceeded, WindowOverflow
 from qglue.ncpoly import SymMatrix
-from qglue.opnum import WINDOW_MAX, diag_op, disc_base
+from qglue.opnum import WINDOW_MAX, TruncOp, diag_op, disc_base
 from qglue.cli import run
 from qglue.report import FAIL, PASS, WARN, CheckRecord
 from qglue.suites import Outcome, _recorded, run_check
@@ -202,6 +202,18 @@ def test_numeric_suites_at_d512_take_no_dense_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     run_suites(["disc", "podles", "en-numeric", "chi", "index"], ParamSet(d=512), 1)
     assert spectral[0] == 0
+
+
+def test_a_default_run_builds_no_operator_from_a_dense_array(monkeypatch):
+    # every operator comes from a constructor on the diagonal store; the leg
+    # cache is emptied so that the legs, too, are built in this run
+    def dense(*args):
+        raise AssertionError("TruncOp built from a dense array")
+
+    monkeypatch.setattr(TruncOp, "__init__", dense)
+    qglue.glue.s3_leg_assignment.cache_clear()
+    records = run_suites(list(SUITES), ParamSet(), 5)
+    assert FAIL not in {rec.status for rec in records}
 
 
 def test_pairing_stability_in_w_holds_at_the_window_cap():
