@@ -38,6 +38,7 @@ from .errors import (
 from .glue import (
     ORIENTATION,
     FibrePair,
+    OuterProduct,
     chi,
     en_numeric,
     fp_matmul,
@@ -116,6 +117,7 @@ __all__ = [
     "ONE",
     "ORIENTATION",
     "ORIENTATION_SIGN",
+    "OuterProduct",
     "P",
     "PairingResult",
     "ParamSet",

@@ -13,19 +13,20 @@ both by one leg shift (see ORIENTATION). iota embeds the symbolic
 glued-disc algebra into the doubled picture, a map degree k -> twist-k
 FibrePair whose legs opnum.evaluate builds from the leg assignments and
 whose symbols s3_leg_symbol reads off; en_numeric builds the degree-N
-line-bundle idempotents through it. The leg assignments are built once
-per (leg, ParamSet) and shared read-only. The tensor picture
-(iota_kron_assignment) realizes the same gluing map on disc (x) circle
-windows, as TruncOps built by opnum.kron.
+line-bundle idempotents through it, as the OuterProduct X Y^T of the
+embedded column and row, which keeps its factors for the square. The leg
+assignments are built once per (leg, ParamSet) and shared read-only. The
+tensor picture (iota_kron_assignment) realizes the same gluing map on disc
+(x) circle windows, as TruncOps built by opnum.kron.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index, matmul
+from operator import add, index, matmul, sub
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -76,8 +77,8 @@ class FibrePair:
         sym0 = _as_symbol(sym0)
         sym1 = _as_symbol(sym1)
         twist = index(twist)
-        mismatch = sym0.shift(twist) - sym1
-        if mismatch:
+        if sym0.shift(twist).terms != sym1.terms:
+            mismatch = sym0.shift(twist) - sym1
             k = sorted(mismatch.terms)[0]
             raise SymbolMismatch(
                 f"twist-{twist} membership U^{twist} sym0 == sym1 fails first "
@@ -108,22 +109,24 @@ class FibrePair:
             "nonzero symbols"
         )
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
+        """Sum or difference: op on each leg and on each symbol."""
         if not isinstance(other, FibrePair):
             return NotImplemented
         twist = self._join_twist(other)
         return FibrePair(
-            self.t0 + other.t0,
-            self.t1 + other.t1,
-            self.sym0 + other.sym0,
-            self.sym1 + other.sym1,
+            op(self.t0, other.t0),
+            op(self.t1, other.t1),
+            op(self.sym0, other.sym0),
+            op(self.sym1, other.sym1),
             twist,
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, add)
+
     def __sub__(self, other):
-        if not isinstance(other, FibrePair):
-            return NotImplemented
-        return self + (-other)
+        return self._entrywise(other, sub)
 
     def __neg__(self):
         return FibrePair(-self.t0, -self.t1, -self.sym0, -self.sym1, self.twist)
@@ -203,6 +206,32 @@ def fp_matmul(
 ) -> list[list[FibrePair]]:
     """The matrix product of two matrices of fibre pairs."""
     return _matrix_product(A, B, matmul)
+
+
+class OuterProduct(Sequence):
+    """The square matrix X Y^T of a column X and a row Y^T of fibre pairs,
+    read as the sequence of its rows: entry (i, j) is X[i] @ Y[j]. It keeps
+    its factors, so its square can be formed as X (Y^T X) Y^T (square)."""
+
+    __slots__ = ("column", "row", "entries")
+
+    def __init__(self, column: Sequence[FibrePair], row: Sequence[FibrePair]):
+        self.column = tuple(column)
+        self.row = tuple(row)
+        self.entries = [[x @ y for y in self.row] for x in self.column]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    def square(self) -> list[list[FibrePair]]:
+        """The matrix square, as X (Y^T X) Y^T: n^2 + 2n fibre-pair products
+        for n entries per row, against n^3 for the entrywise square."""
+        x = [[v] for v in self.column]
+        yt = [list(self.row)]
+        return fp_matmul(fp_matmul(x, fp_matmul(yt, x)), yt)
 
 
 # -- symbol maps ----------------------------------------------------------------
@@ -397,10 +426,9 @@ def polar_part(pair: FibrePair) -> FibrePair:
 # -- numeric line-bundle idempotents ----------------------------------------------
 
 
-def en_numeric(
-    N: int, params: ParamSet, assignment: str = "corrected"
-) -> list[list[FibrePair]]:
-    """Numeric idempotent matrix for degree N over the glued algebra.
+def en_numeric(N: int, params: ParamSet, assignment: str = "corrected") -> OuterProduct:
+    """Numeric idempotent matrix for degree N over the glued algebra, as
+    the OuterProduct of the embedded X and Y.
 
     Entry (i, j) is x @ y for the single fibre pairs x and y that iota maps
     the homogeneous X[i] and Y[j] to: the evaluation of E's entry
@@ -417,4 +445,4 @@ def en_numeric(
     X, Y, _ = build_en(N, assignment)
     xs = [single_pair(X[k, 0]) for k in range(X.shape[0])]
     ys = [single_pair(Y[k, 0]) for k in range(Y.shape[0])]
-    return [[x @ y for y in ys] for x in xs]
+    return OuterProduct(xs, ys)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .circle import LaurentPoly
 from .errors import CertificationError, DimensionMismatch, QGlueError, SymbolMismatch, attempt
-from .glue import FibrePair, chi, en_numeric, fp_matmul
+from .glue import FibrePair, OuterProduct, chi, en_numeric, fp_matmul
 from .idempotents import EN_CAP
 from .opnum import GUARD, TAIL_TOL, ParamSet, TraceResult, pi_rep, trace_finite_rank
 from .report import FAIL, PASS
@@ -95,8 +95,11 @@ def _as_matrix(P) -> list[list[FibrePair]]:
     return rows
 
 
-def _idem_defect(entries: list[list[FibrePair]]) -> float:
-    square = fp_matmul(entries, entries)
+def _idem_defect(P, entries: list[list[FibrePair]]) -> float:
+    """The largest trusted-block entry of P P - P over both legs. An
+    OuterProduct X Y^T is squared as X (Y^T X) Y^T, any other matrix entry by
+    entry; either way the exact symbol matrix must square to itself."""
+    square = P.square() if isinstance(P, OuterProduct) else fp_matmul(entries, entries)
     worst = 0.0
     for row_sq, row in zip(square, entries):
         for a, b in zip(row_sq, row):
@@ -113,7 +116,7 @@ def _checked_idempotent(P):
     """First step of pair(): check its preconditions, then return P as a
     square matrix of entries together with its trusted-block defect."""
     entries = _as_matrix(P)
-    defect = _idem_defect(entries)
+    defect = _idem_defect(P, entries)
     if defect > IDEM_TOL:
         raise CertificationError(
             f"not an idempotent within tolerance: trusted-block defect "

@@ -60,7 +60,8 @@ class NCPoly(TermSum):
             for letter in reversed(word):
                 partner, scale = table[letter]
                 out_word.append(partner)
-                out_coef = out_coef * scale
+                if not scale.is_one():
+                    out_coef = out_coef * scale
             _accumulate(terms, tuple(out_word), out_coef)
         return self._like(terms)
 

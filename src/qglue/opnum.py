@@ -101,7 +101,7 @@ class TruncOp:
         self._diags = {}
         for k in sorted(diags):
             vec = diags[k]
-            if vec.any():
+            if np.count_nonzero(vec):
                 vec.setflags(write=False)
                 self._diags[k] = vec
         self.d = d
@@ -401,6 +401,9 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
     coefficients evaluated at the parameter point: the one word-evaluation
     loop. Each word becomes the product of its letters' operators (the
     identity for the empty word), scaled by its coefficient and summed.
+    The scaled diagonals go into one {offset: vector} sum and one TruncOp is
+    built at the end; every entry is the sum a running TruncOp total
+    started from the zero operator has there, bitwise.
     glue.iota runs it on each leg of each degree of the doubled picture."""
     ops = dict(assignment)
     if not ops:
@@ -417,14 +420,24 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
         return ops[name]
 
     one = identity_like(first)
-    total = zero(first.d, first.lattice)
+    total: dict[int, np.ndarray] = {}
+    bandwidth = 0
     for word, coef in x.terms.items():
         images = map(image, word)
         factor = next(images, one)
         for op in images:
             factor = factor @ op
-        total = total + coef.evaluate(params.q, params.p, params.s) * factor
-    return total
+        c = complex(coef.evaluate(params.q, params.p, params.s))
+        for k, vec in factor._diags.items():
+            scaled = vec * c
+            if k in total:
+                total[k] += scaled
+            else:
+                # 0.0 + scaled, as a sum started from the zero operator has
+                # it: no entry of the sum is ever -0.0
+                total[k] = np.add(scaled, 0.0, out=scaled)
+        bandwidth = max(bandwidth, factor.bandwidth)
+    return first._like(total, bandwidth)
 
 
 # -- traces and norms ----------------------------------------------------------

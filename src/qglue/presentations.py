@@ -440,9 +440,9 @@ def normal_form(
     pres, terms = x.pres, x.terms
     budget = _Budget(DEFAULT_MAX_STEPS if max_steps is None else max_steps)
     if rng is not None:
-        return NCPoly(pres, _random_reduce(pres, terms, rng, budget))
+        return x._like(_random_reduce(pres, terms, rng, budget))
     if max_steps is not None:
-        return NCPoly(pres, _reduce_terms(pres, terms, budget, use_pbw=True))
+        return x._like(_reduce_terms(pres, terms, budget, use_pbw=True))
     memo = pres._nf_cache
     key = frozenset(terms.items())
     reduced = memo.get(key)
@@ -453,7 +453,7 @@ def normal_form(
             memo.popitem(last=False)
     else:
         memo.move_to_end(key)
-    return NCPoly(pres, reduced)
+    return x._like(reduced)
 
 
 # -- grading helpers ----------------------------------------------------------

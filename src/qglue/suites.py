@@ -430,8 +430,9 @@ def suite_hopf(
         return left == eps and right == eps and hopf_antipode(hopf_antipode(f)) == f
 
     def morphism(f, g):
+        fg = f * g
         maps = (hopf_antipode, hopf_counit, hopf_coproduct)
-        return all(hopf_map(f * g) == hopf_map(f) * hopf_map(g) for hopf_map in maps)
+        return all(hopf_map(fg) == hopf_map(f) * hopf_map(g) for hopf_map in maps)
 
     def w_bijective():
         return Outcome(all(w_inverse(w_map(F)) == F and w_map(w_inverse(F)) == F for F in tori))
@@ -641,9 +642,15 @@ def suite_convergence(
     pr = FredholmModule("pr")
 
     # each window's pairing serves both doublings it takes part in; one that
-    # raised is kept as its error and raised again, not attempted again
+    # raised is kept as its error and raised again, not attempted again. At
+    # the run's window the table holds it already (the same E_N and trace,
+    # under the table's tail tolerance); only where that failed is it made here
     @functools.cache
     def attempted(N, d):
+        if d == params.d:
+            result = pairings.entry("en", N).results["pr"]
+            if result.residual is not None:
+                return result, None
         return attempt(lambda: pair(pr, en_numeric(N, replace(params, d=d)), tail_tol=np.inf))
 
     def residual(N, d):

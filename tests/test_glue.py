@@ -452,6 +452,21 @@ def test_en_numeric_idempotent_and_symbol_trace(N):
     assert trace_sym == LaurentPoly({0: 1})
 
 
+@pytest.mark.parametrize("N", [-2, 0, 3])
+def test_en_numeric_squares_through_its_factors(N):
+    # X (Y^T X) Y^T is the entrywise square reassociated: exact symbols, the
+    # same bandwidths and the same legs up to rounding
+    pairs = en_numeric(N, replace(PARAMS, d=24))
+    assert [len(pairs.column), len(pairs.row)] == [abs(N) + 1] * 2
+    factored, entrywise = pairs.square(), fp_matmul(pairs, pairs)
+    for row_f, row_e in zip(factored, entrywise, strict=True):
+        for f, e in zip(row_f, row_e, strict=True):
+            assert (f.sym0, f.sym1, f.twist) == (e.sym0, e.sym1, e.twist)
+            for leg_f, leg_e in ((f.t0, e.t0), (f.t1, e.t1)):
+                assert leg_f.bandwidth == leg_e.bandwidth
+                assert (leg_f - leg_e).max_abs() <= 1e-14
+
+
 def _rule_elements(pres):
     for rule in pres.rules:
         element = NCPoly(pres, {rule.redex: 1})

@@ -7,11 +7,13 @@ import pytest
 
 from qglue import (
     CHI_RESIDUAL_TOL,
+    CertificationError,
     EN_RESIDUAL_TOL,
     DimensionMismatch,
     FibrePair,
     FredholmModule,
     ORIENTATION_SIGN,
+    OuterProduct,
     ParamSet,
     SymbolMismatch,
     TruncOp,
@@ -96,6 +98,17 @@ def test_en_pairings(N):
     res_pi = pair(FredholmModule("pi", params=PARAMS), pairs)
     assert res_pi.rounded == 1
     assert res_pi.residual < 1e-6
+
+
+def test_pair_reads_an_outer_products_defect_off_its_factors():
+    # Y[0]'s legs doubled, its symbols kept: the symbol matrix is still an
+    # idempotent, so the trusted-block defect of X (Y^T X) Y^T decides
+    pairs = en_numeric(1, PARAMS)
+    y = pairs.row[0]
+    legs_doubled = FibrePair(2 * y.t0, 2 * y.t1, y.sym0, y.sym1, y.twist)
+    sloppy = OuterProduct(pairs.column, [legs_doubled, *pairs.row[1:]])
+    with pytest.raises(CertificationError, match="defect"):
+        pair(FredholmModule("pr"), sloppy)
 
 
 def test_pair_rejects_sloppy_idempotents():

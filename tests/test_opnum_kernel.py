@@ -18,16 +18,21 @@ from hypothesis import strategies as st
 
 from qglue import (
     DimensionMismatch,
+    NCPoly,
+    ParamSet,
+    Q,
     QGlueError,
     TruncOp,
     diag_op,
+    disc_presentation,
+    evaluate,
     identity,
     inv_sqrt_psd,
     shift,
     trace_finite_rank,
     trusted_diff_norm,
 )
-from qglue.opnum import kron, weighted_shift
+from qglue.opnum import kron, weighted_shift, zero
 
 ULPS = 4
 
@@ -224,6 +229,49 @@ def test_kron_matches_dense_kron(left, right):
     assert np.array_equal(got.mat, np.kron(a.mat, b.mat))
     assert np.array_equal(got.mat, np.kron(dense_a, dense_b))
     assert (got.d, got.lattice, got.bandwidth) == (a.d * b.d, "N", a.d * b.d)
+
+
+def _word_by_word(x, ops, params):
+    """evaluate as a sum of operators: each word's product, scaled, added to
+    a running TruncOp total that starts at the zero operator."""
+    first = next(iter(ops.values()))
+    total = zero(first.d, first.lattice)
+    for word, coef in x.terms.items():
+        images = [ops[x.pres.letters[i]] for i in word]
+        factor = images[0] if images else identity(first.d, first.lattice)
+        for op in images[1:]:
+            factor = factor @ op
+        total = total + coef.evaluate(params.q, params.p, params.s) * factor
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(["z", "z*"]), max_size=3),
+            st.integers(-3, 3).filter(bool),
+        ),
+        max_size=5,
+    ),
+)
+def test_evaluate_is_bitwise_the_sum_of_its_scaled_words(data, words):
+    # zero entries times a negative coefficient make -0.0, which a sum
+    # started from the zero operator never holds: the signs of zeros match too
+    shape = data.draw(shapes())
+    (z, _), (z_star, _) = data.draw(windows(shape, real=True)), data.draw(windows(shape))
+    pres = disc_presentation("q")
+    x = NCPoly(pres, {})
+    for letters, coef in words:
+        x = x + NCPoly(pres, {tuple(pres.letters.index(a) for a in letters): coef * Q})
+    ops = {"z": z, "z*": z_star}
+    params = ParamSet()
+    got, want = evaluate(x, ops, params), _word_by_word(x, ops, params)
+    assert (got.d, got.lattice, got.bandwidth) == (want.d, want.lattice, want.bandwidth)
+    assert got._diags.keys() == want._diags.keys()
+    for k, vec in want._diags.items():
+        assert got._diags[k].tobytes() == vec.tobytes()
 
 
 def _dense_trace(op: TruncOp, dense: np.ndarray, guard: int):

@@ -9,8 +9,18 @@ import pytest
 import qglue.glue
 import qglue.kpair
 import qglue.suites
-from qglue import FibrePair, ParamSet, SUITES, run_suites
+from qglue import (
+    FibrePair,
+    FredholmModule,
+    OuterProduct,
+    ParamSet,
+    SUITES,
+    en_numeric,
+    pair,
+    run_suites,
+)
 from qglue.errors import CertificationError, DimensionMismatch, SizeCapExceeded, WindowOverflow
+from qglue.kpair import PairingTable
 from qglue.ncpoly import SymMatrix
 from qglue.opnum import WINDOW_MAX, TruncOp, diag_op, disc_base
 from qglue.cli import run
@@ -135,31 +145,50 @@ def test_a_shifted_s2_defect_projection_fails_the_defect_relations(monkeypatch):
     assert len(records) == 16
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count calls of module.name through every qglue namespace binding it."""
+def _recorded_calls(monkeypatch, module, name):
+    """Record the positional arguments of each call of module.name, through
+    every qglue namespace binding it."""
     original = getattr(module, name)
-    calls = [0]
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
+    def recorded(*args, **kwargs):
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("qglue") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
+            monkeypatch.setattr(mod, name, recorded)
     return calls
 
 
 def test_pairing_suites_share_one_pairing_per_representative(monkeypatch):
-    builds = _count_calls(monkeypatch, qglue.glue, "en_numeric")
-    # every idempotent check squares the idempotent once
-    squares = _count_calls(monkeypatch, qglue.glue, "fp_matmul")
-    run_suites(["en-numeric", "chi", "index"], ParamSet(), nmax=1)
-    # E_N for N = -1, 0, 1 once each
-    assert builds[0] == 3
-    # chi(N) and E_N for N = -1, 0, 1, plus chi's point defect (its unit
-    # class is chi(0), read from the table)
-    assert squares[0] == 7
+    builds = _recorded_calls(monkeypatch, qglue.glue, "en_numeric")
+    checks = _recorded_calls(monkeypatch, qglue.kpair, "_idem_defect")
+    square, squared = OuterProduct.square, []
+    monkeypatch.setattr(OuterProduct, "square", lambda P: squared.append(P) or square(P))
+    run_suites(["en-numeric", "chi", "index", "convergence"], ParamSet(), nmax=2)
+    # E_N for |N| <= 2 once each at the run's window d = 64, where
+    # convergence reads the table too, and E_1, E_2 at its smaller windows
+    assert sorted((N, params.d) for N, params in builds) == [
+        (-2, 64),
+        (-1, 64),
+        (0, 64),
+        (1, 8),
+        (1, 16),
+        (1, 32),
+        (1, 64),
+        (2, 16),
+        (2, 32),
+        (2, 64),
+    ]
+    # one idempotency check per idempotent: each E_N built, squared through
+    # its factors, and chi(N) for |N| <= 2, chi's point defect (its unit
+    # class is chi(0), read from the table) and convergence's three chi
+    # stability pairings
+    factored = [P for P, _ in checks if isinstance(P, OuterProduct)]
+    assert len(factored) == len(builds)
+    assert squared == factored
+    assert len(checks) - len(factored) == 5 + 1 + 3
 
 
 def test_index_records_do_not_depend_on_companion_suites():
@@ -380,15 +409,19 @@ def test_an_idempotent_that_is_not_x_yt_fails_idempotency(monkeypatch):
         assert status[f"idempotency N={N:+d}"] == FAIL
 
 
+def _scaled(pair, c):
+    """c times a fibre pair: both legs and both symbols."""
+    return FibrePair(c * pair.t0, c * pair.t1, c * pair.sym0, c * pair.sym1, pair.twist)
+
+
 def test_a_doubled_numeric_idempotent_fails_its_pairings(monkeypatch):
     build = qglue.kpair.en_numeric
 
     def doubled(N, params):
-        # 2 E is no idempotent: its exact symbol matrix squares to 4 sigma(E)
-        return [
-            [FibrePair(2 * e.t0, 2 * e.t1, 2 * e.sym0, 2 * e.sym1, e.twist) for e in row]
-            for row in build(N, params)
-        ]
+        # 2 E = (2 X) Y^T is no idempotent: its exact symbol matrix squares
+        # to 4 sigma(E)
+        E = build(N, params)
+        return OuterProduct([_scaled(x, 2) for x in E.column], E.row)
 
     monkeypatch.setattr(qglue.kpair, "en_numeric", doubled)
     records = run_suites(["en-numeric"], ParamSet(), 2)
@@ -398,3 +431,49 @@ def test_a_doubled_numeric_idempotent_fails_its_pairings(monkeypatch):
         pairings = [rec for rec in records if rec.check.startswith(f"pairing N={N:+d} ")]
         assert [rec.check[-4:] for rec in pairings] == ["[pr]", "[pi]"]
         assert all("not exactly idempotent" in rec.value for rec in pairings)
+
+
+def test_one_scaled_factor_entry_fails_every_row_of_its_idempotent(monkeypatch):
+    build = qglue.kpair.en_numeric
+
+    def last_y_doubled(N, params):
+        # X Y^T with the last Y entry, the one with a nonzero symbol on leg
+        # 0, doubled: Y^T X is no longer 1, so neither the symbol trace nor
+        # the factored square E^2 = E holds
+        E = build(N, params)
+        if N != 2:
+            return E
+        return OuterProduct(E.column, [*E.row[:-1], _scaled(E.row[-1], 2)])
+
+    monkeypatch.setattr(qglue.kpair, "en_numeric", last_y_doubled)
+    records = run_suites(["en-numeric"], ParamSet(), 2)
+    failed = [rec.check for rec in records if rec.status == FAIL]
+    assert failed == ["symbol trace N=+2", "pairing N=+2 [pr]", "pairing N=+2 [pi]"]
+
+
+@pytest.mark.parametrize("q, p, table_fails", [(0.6, 0.4, False), (0.95, 0.9, True)])
+def test_convergence_rows_equal_a_direct_computation(q, p, table_fails):
+    # at the run's window d = 64 convergence reads the table's pairing, and
+    # pairs with no tail tolerance of its own where that pairing failed (at
+    # q = 0.95, p = 0.9 its tail exceeds the table's tolerance)
+    params = ParamSet(q=q, p=p)
+    table = PairingTable(params)
+    for N in (1, 2):
+        assert (table.entry("en", N).results["pr"].residual is None) == table_fails
+    pr = FredholmModule("pr")
+
+    def residual(N, d):
+        return pair(pr, en_numeric(N, replace(params, d=d)), tail_tol=np.inf).residual
+
+    want = []
+    for N, dims in ((1, (8, 16, 32, 64)), (2, (16, 32, 64))):
+        for d1, d2 in zip(dims, dims[1:]):
+            r1, r2 = residual(N, d1), residual(N, d2)
+            want.append((f"pairing residual N={N} d={d1}->{d2}", r2, f"<= {r1 / 10.0:.3e} + 1e-12", r2))
+    records = run_suites(["convergence"], params, 2)
+    got = [
+        (rec.check, rec.value, rec.expected, rec.residual)
+        for rec in records
+        if rec.check.startswith("pairing residual")
+    ]
+    assert got == want
