@@ -9,8 +9,9 @@ Values resolve as defaults < config file < explicit flags. The config file
 is `key = value` lines with # comments, keys matching the long flag names
 (suites as a comma-separated list). Exit code 0 means every check passed,
 1 means at least one fail record, 2 means the invocation itself was bad
-(arguments, config file or parameters, an unknown suite name or an empty
-suite selection). A check that cannot be carried out at the given
+(arguments, config file or parameters, an unknown suite name, an empty
+suite selection, or an --out file that cannot be opened, which is tried
+before any suite runs). A check that cannot be carried out at the given
 parameters is a fail record with the reason as its value (see
 suites.run_check), so any exception that escapes a run is a qglue bug.
 """
@@ -18,6 +19,7 @@ suites.run_check), so any exception that escapes a run is a qglue bug.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
@@ -66,7 +68,14 @@ def load_config_file(path: str) -> dict:
             if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in _NUMBER_TYPES:
-                values[key] = _NUMBER_TYPES[key](value)
+                number = _NUMBER_TYPES[key]
+                try:
+                    values[key] = number(value)
+                except ValueError:
+                    kind = "an integer" if number is int else "a number"
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} must be {kind}, got {value!r}"
+                    ) from None
             elif key == "suites":
                 values["suites"] = tuple(
                     name.strip() for name in value.split(",") if name.strip()
@@ -76,6 +85,8 @@ def load_config_file(path: str) -> dict:
                     f"{path}:{lineno}: format must be one of {', '.join(FORMATS)}, "
                     f"got {value!r}"
                 )
+            elif key == "out" and not value:
+                raise ValueError(f"{path}:{lineno}: out needs a file name")
             else:
                 values[key] = value
     return values
@@ -160,29 +171,31 @@ def run(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"qglue: {exc}", file=sys.stderr)
         return 2
+    out = contextlib.nullcontext(sys.stdout)
+    if cfg.out is not None:
+        try:
+            out = open(cfg.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"qglue: {cfg.out}: {exc.strerror}", file=sys.stderr)
+            return 2
 
-    names = cfg.suites if args.command == "verify" else ("index",)
-    records = run_suites(names, params, cfg.nmax, cfg.seed)
+    with out as stream:
+        names = cfg.suites if args.command == "verify" else ("index",)
+        records = run_suites(names, params, cfg.nmax, cfg.seed)
 
-    report = Report(
-        meta={
-            "command": args.command,
-            "version": __version__,
-            "params": asdict(params),
-            "nmax": cfg.nmax,
-            "seed": cfg.seed,
-            "suites": [n for n in SUITES if n in set(names)],
-            "timestamp": timestamp_now(),
-        }
-    )
-    report.extend(records)
-
-    text = report.to_json() if cfg.format == "json" else report.to_csv()
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        report = Report(
+            meta={
+                "command": args.command,
+                "version": __version__,
+                "params": asdict(params),
+                "nmax": cfg.nmax,
+                "seed": cfg.seed,
+                "suites": [n for n in SUITES if n in set(names)],
+                "timestamp": timestamp_now(),
+            }
+        )
+        report.extend(records)
+        stream.write(report.to_json() if cfg.format == "json" else report.to_csv())
     counts = report.counts()
     print(
         f"qglue {args.command}: {counts['pass']} pass, {counts['fail']} fail, "

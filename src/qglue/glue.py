@@ -97,29 +97,19 @@ class FibrePair:
     def symbols_zero(self) -> bool:
         return self.sym0.is_zero() and self.sym1.is_zero()
 
-    def _join_twist(self, other: "FibrePair") -> int:
-        if self.twist == other.twist:
-            return self.twist
-        if self.symbols_zero():
-            return other.twist
-        if other.symbols_zero():
-            return self.twist
-        raise SymbolMismatch(
-            f"cannot add twist {self.twist} to twist {other.twist} with "
-            "nonzero symbols"
-        )
-
     def _entrywise(self, other, op):
-        """Sum or difference: op on each leg and on each symbol."""
+        """Sum or difference of two pairs of one twist: op on each leg and
+        on each symbol."""
         if not isinstance(other, FibrePair):
             return NotImplemented
-        twist = self._join_twist(other)
+        if self.twist != other.twist:
+            raise SymbolMismatch(f"cannot add twist {self.twist} to twist {other.twist}")
         return FibrePair(
             op(self.t0, other.t0),
             op(self.t1, other.t1),
             op(self.sym0, other.sym0),
             op(self.sym1, other.sym1),
-            twist,
+            self.twist,
         )
 
     def __add__(self, other):
@@ -372,7 +362,6 @@ class PodlesPair:
 
     zeta: FibrePair
     eta: FibrePair
-    t: TruncOp
 
 
 def podles_generators(params: ParamSet) -> PodlesPair:
@@ -388,8 +377,6 @@ def podles_generators(params: ParamSet) -> PodlesPair:
     qq = disc_base("x", params)
     s = params.s
     n = np.arange(d)
-    t_diag = qq**n
-    t_op = diag_op(t_diag)
     zeta0 = diag_op(-(s**2) * qq ** (n + 1.0))
     zeta1 = diag_op(qq ** (n + 1.0))
     v = qq ** (np.arange(d - 1) + 1.0)
@@ -399,7 +386,7 @@ def podles_generators(params: ParamSet) -> PodlesPair:
     s_u = LaurentPoly({1: S_COEF})
     zeta = FibrePair(zeta0, zeta1, empty, empty, 0)
     eta = FibrePair(eta0, eta1, s_u, s_u, 0)
-    return PodlesPair(zeta=zeta, eta=eta, t=t_op)
+    return PodlesPair(zeta=zeta, eta=eta)
 
 
 def polar_part(pair: FibrePair) -> FibrePair:
@@ -426,7 +413,7 @@ def polar_part(pair: FibrePair) -> FibrePair:
 # -- numeric line-bundle idempotents ----------------------------------------------
 
 
-def en_numeric(N: int, params: ParamSet, assignment: str = "corrected") -> OuterProduct:
+def en_numeric(N: int, params: ParamSet) -> OuterProduct:
     """Numeric idempotent matrix for degree N over the glued algebra, as
     the OuterProduct of the embedded X and Y.
 
@@ -442,7 +429,7 @@ def en_numeric(N: int, params: ParamSet, assignment: str = "corrected") -> Outer
         (pair,) = iota(v, params).values()
         return pair
 
-    X, Y, _ = build_en(N, assignment)
+    X, Y, _ = build_en(N)
     xs = [single_pair(X[k, 0]) for k in range(X.shape[0])]
     ys = [single_pair(Y[k, 0]) for k in range(Y.shape[0])]
     return OuterProduct(xs, ys)

@@ -131,7 +131,7 @@ def _trace_pairing(module, entries, defect, tail_tol=TAIL_TOL) -> PairingResult:
     traces: list[TraceResult] = []
     for i in range(len(entries)):
         diff = module.difference(entries[i][i])
-        traces.append(trace_finite_rank(diff, tail_tol, GUARD))
+        traces.append(trace_finite_rank(diff, tail_tol))
     value = float(sum(t.value for t in traces))
     rounded = int(round(value))
     residual = abs(value - rounded)

@@ -272,11 +272,11 @@ def zero(d: int, lattice: str = "N") -> TruncOp:
     return TruncOp._new({}, d, 0, lattice)
 
 
-def diag_op(values, lattice: str = "N") -> TruncOp:
+def diag_op(values) -> TruncOp:
     vec = np.array(values, dtype=np.complex128)
     if vec.ndim != 1:
         raise DimensionMismatch(f"diagonal values must be a vector, got shape {vec.shape}")
-    return TruncOp._new({0: vec}, vec.size, 0, lattice)
+    return TruncOp._new({0: vec}, vec.size, 0, "N")
 
 
 def weighted_shift(weights) -> TruncOp:
@@ -442,7 +442,7 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
 
 # -- traces and norms ----------------------------------------------------------
 
-# the default tail tolerance and guard width of trace_finite_rank; kpair
+# the default tail tolerance and the guard width of trace_finite_rank; kpair
 # certifies its pairings against them
 TAIL_TOL = 1e-9
 GUARD = 2
@@ -462,17 +462,15 @@ class TraceResult:
     tail_max: float
 
 
-def trace_finite_rank(
-    op: TruncOp, tail_tol: float = TAIL_TOL, guard: int = GUARD
-) -> TraceResult:
-    """On the natural lattice the tail region is the guarded untrusted
-    corner; on the integer lattice it is the guard band at the two window
-    edges (the shift-picture differences are exact compressions whose edge
-    entries are genuine, so the bandwidth does not widen the band)."""
+def trace_finite_rank(op: TruncOp, tail_tol: float = TAIL_TOL) -> TraceResult:
+    """On the natural lattice the tail region is the GUARD-guarded
+    untrusted corner; on the integer lattice it is the GUARD band at the two
+    window edges (the shift-picture differences are exact compressions whose
+    edge entries are genuine, so the bandwidth does not widen the band)."""
     if op.lattice == "Z":
-        lo, hi = guard, op.d - guard
+        lo, hi = GUARD, op.d - GUARD
     else:
-        lo, hi = op.trusted_range(guard)
+        lo, hi = op.trusted_range(GUARD)
     if hi <= lo:
         raise DimensionMismatch("window too small for the requested guard")
     tail = []

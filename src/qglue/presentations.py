@@ -469,9 +469,9 @@ def degree(x: NCPoly) -> int:
     return degrees.pop()
 
 
-def verify_identity(lhs: NCPoly, rhs=None, *, max_steps: int | None = None):
+def verify_identity(lhs: NCPoly, rhs=None):
     """Check lhs = rhs in the algebra; returns (holds, witness) where the
     witness is the normal form of the difference."""
     diff = lhs if rhs is None else lhs - rhs
-    witness = normal_form(diff, max_steps=max_steps)
+    witness = normal_form(diff)
     return witness.is_zero(), witness

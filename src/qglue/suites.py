@@ -6,8 +6,8 @@ under a stable name as a function (params, nmax, rng, pairings) ->
 list[CheckRecord] that hands each check to run_check, the one place a
 record is built and a check's failure is caught: a check that cannot be
 carried out at the given parameters becomes a fail record, so a suite never
-raises for one. run_check calls compute before the suite resumes, so a
-compute may read the suite's loop variables.
+raises for one. A compute takes its operands when it is yielded, so the
+runner collects a suite's checks and then runs them.
 
 run_suites seeds one rng per suite from (seed, suite name), so a subset run
 reproduces exactly the records the full run would have produced for those
@@ -18,11 +18,11 @@ per run whichever of them ask for it.
 
 from __future__ import annotations
 
-import functools
 import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache, partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -98,10 +98,7 @@ class Outcome(NamedTuple):
     note: str = ""
 
 
-# what a suite yields: (check name, anchor, compute). A compute may read
-# variables that the suite reassigns once it resumes (its loop variables and
-# the operands bound in the loop body), so each compute must run before the
-# suite is advanced past it.
+# what a suite yields: (check name, anchor, compute)
 Checks = Iterator[tuple[str, str, Callable[[], Outcome]]]
 
 
@@ -155,7 +152,7 @@ def _relations(check, pres, residual, tol, note="") -> Checks:
         yield (
             check,
             pres.rule_text(rule) + note,
-            lambda: _within(residual(pres.rule_element(rule)), tol),
+            lambda rule=rule: _within(residual(pres.rule_element(rule)), tol),
         )
 
 
@@ -169,21 +166,22 @@ def _random_word(pres, rng: random.Random, max_len: int) -> tuple[int, ...]:
     return tuple(rng.randrange(len(pres.letters)) for _ in range(n))
 
 
-def _random_element(pres, rng: random.Random, n_words: int = 2, max_len: int = 5) -> NCPoly:
+def _random_element(pres, rng: random.Random, max_len: int) -> NCPoly:
+    """A sum of two random words with small rational coefficients."""
     terms = {}
-    for _ in range(n_words):
+    for _ in range(2):
         coef = CoefPoly.scalar(Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 3)))
         _accumulate(terms, _random_word(pres, rng, max_len), coef)
     return NCPoly(pres, terms)
 
 
-def confluence_sample(pres, n_words: int, max_len: int, rng: random.Random) -> int:
-    """Reduce n_words random words with the deterministic strategy and the
-    fully randomized one; return the number of disagreements (0 when the
-    rule system is confluent)."""
+def confluence_sample(pres, rng: random.Random) -> int:
+    """Reduce 50 random words of length at most 8 with the deterministic
+    strategy and the fully randomized one; return the number of
+    disagreements (0 when the rule system is confluent)."""
     bad = 0
-    for _ in range(n_words):
-        x = NCPoly(pres, {_random_word(pres, rng, max_len): ONE})
+    for _ in range(50):
+        x = NCPoly(pres, {_random_word(pres, rng, 8): ONE})
         det = normal_form(x)
         rnd = normal_form(x, rng=rng)
         if det != rnd:
@@ -197,12 +195,12 @@ def confluence_sample(pres, n_words: int, max_len: int, rng: random.Random) -> i
 def suite_disc(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
 ) -> Checks:
-    def defect_diagonal():
+    def defect_diagonal(z, t):
         res = (identity(params.d) - z @ z.adjoint() - diag_op(t)).max_abs(guard=0)
         return _within(res, params.tol)
 
     # product identity behind the winding count, N up to 5
-    def power_product():
+    def power_product(z, base, t, N):
         lhs = (z.adjoint() ** N) @ (z**N)
         v = np.ones(params.d)
         for k in range(1, N + 1):
@@ -221,13 +219,13 @@ def suite_disc(
         yield (
             f"defect diagonal [{which}]",
             f"1 - {letter} {letter}* = diag(base^n)",
-            defect_diagonal,
+            partial(defect_diagonal, z, t),
         )
         for N in range(1, min(nmax, 5) + 1):
             yield (
                 f"power product [{which}] N={N}",
                 f"{letter}*^N {letter}^N = prod_k=1..N (1 - base^k (1 - {letter} {letter}*))",
-                power_product,
+                partial(power_product, z, base, t, N),
             )
 
 
@@ -251,7 +249,7 @@ def suite_s3(
         yield from _relations(
             f"kron relation [leg {leg}]",
             pres,
-            lambda x: evaluate(x, ops, params).max_abs_on(interior),
+            lambda x, ops=ops: evaluate(x, ops, params).max_abs_on(interior),
             params.tol,
             " (tensor interior)",
         )
@@ -259,11 +257,11 @@ def suite_s3(
     # twisted compatibility of the two legs; a gluing that breaks it raises
     small = replace(params, d=8)
     for trial in range(5):
-        x = _random_element(pres, rng, n_words=2, max_len=4)
+        x = _random_element(pres, rng, max_len=4)
         yield (
             f"leg compatibility [{trial}]",
             "W (sigma x id) leg0 = (sigma x id) leg1 on the doubled picture",
-            lambda: _completes(iota, x, small),
+            partial(_completes, iota, x, small),
         )
 
 
@@ -345,21 +343,21 @@ PODLES_RELATIONS = (
 def suite_podles(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
 ) -> Checks:
-    def symbolic():
+    def symbolic(relation):
         one = zeta.pres.one()
         return _identity(relation(zeta, eta, one, operator.mul, NCPoly.star, S * S, Q * Q, Q**-2))
 
-    def numeric():
+    def numeric(relation, z, e):
         op = relation(z, e, u, operator.matmul, TruncOp.adjoint, params.s**2, qq, 1.0 / qq)
         return _within(op.max_abs(guard=0), params.tol)
 
-    def polar():
+    def polar(leg):
         w = polar_part(pod.eta)
         return _within(trusted_diff_norm((w.t0, w.t1)[leg], shift(params.d), guard=1), 1e-10)
 
     zeta, eta = podles_zeta_eta()
     for check, anchor, relation in PODLES_RELATIONS:
-        yield f"symbolic {check}", anchor + " (exact normal form)", symbolic
+        yield f"symbolic {check}", anchor + " (exact normal form)", partial(symbolic, relation)
     pod = podles_generators(params)
     qq = params.q**2
     u = identity(params.d)
@@ -367,7 +365,7 @@ def suite_podles(
         z = (pod.zeta.t0, pod.zeta.t1)[leg]
         e = (pod.eta.t0, pod.eta.t1)[leg]
         for check, anchor, relation in PODLES_RELATIONS:
-            yield f"numeric {check} [leg {leg}]", anchor, numeric
+            yield f"numeric {check} [leg {leg}]", anchor, partial(numeric, relation, z, e)
     s_u = LaurentPoly({1: S})
     yield (
         "eta symbol",
@@ -383,18 +381,18 @@ def suite_podles(
         yield (
             f"polar part [leg {leg}]",
             "polar part of eta is the unilateral shift on the trusted block",
-            polar,
+            partial(polar, leg),
         )
 
 
 # -- circle Hopf structure -----------------------------------------------------------
 
 
-def _random_exact(cls, rng: random.Random, draw_key, n_terms: int = 3):
-    """An exact LaurentPoly or BiLaurent: n_terms monomials at draw_key()
+def _random_exact(cls, rng: random.Random, draw_key):
+    """An exact LaurentPoly or BiLaurent: three monomials at draw_key()
     with small rational coefficients."""
     terms = {}
-    for _ in range(n_terms):
+    for _ in range(3):
         key = draw_key()
         _accumulate(terms, key, Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)))
     return cls(terms)
@@ -441,7 +439,7 @@ def suite_hopf(
     # (sigma x id) of leg 0 to (sigma x id) of leg 1 on the doubled picture
     def phi_matches_w():
         pres, small = sphere3_presentation(), replace(params, d=8)
-        glued = [iota(_random_element(pres, rng, n_words=2, max_len=4), small) for _ in range(5)]
+        glued = [iota(_random_element(pres, rng, max_len=4), small) for _ in range(5)]
         return Outcome(all(w_map(leg_bilaurent(e, 0)) == leg_bilaurent(e, 1) for e in glued))
 
     # each law of the pairs (f, g) is one check, over all 25 pairs
@@ -455,7 +453,7 @@ def suite_hopf(
         ),
         ("morphism properties", "delta, eps, kappa respect the product", morphism),
     ):
-        yield check, anchor, lambda: Outcome(all(law(f, g) for f, g in pairs))
+        yield check, anchor, lambda law=law: Outcome(all(law(f, g) for f, g in pairs))
     yield "W bijective", "W (m, n) -> (m + n, n) inverts exactly", w_bijective
     yield "phi matches W", "phi acts as the gluing map W", phi_matches_w
 
@@ -468,12 +466,12 @@ def suite_en_symbolic(
 ) -> Checks:
     pres = sphere3_presentation()
 
-    def dual_pairing():
+    def dual_pairing(X, Y):
         pairing = normal_form((Y.transpose() @ X)[0, 0])
         holds = pairing == pres.one()
         return Outcome(holds, None if holds else str(pairing))
 
-    def idempotency():
+    def idempotency(X, Y, E):
         """E^2 = E, checked through E = X Y^T and one 1x1 reduction.
 
         In the matrix algebra over the free algebra, associativity gives
@@ -501,8 +499,8 @@ def suite_en_symbolic(
     cap = min(nmax, EN_CAP)
     for N in range(-cap, cap + 1):
         X, Y, E = build_en(N)
-        yield f"dual pairing N={N:+d}", "Y^T X = 1 exactly", dual_pairing
-        yield f"idempotency N={N:+d}", "E^2 = E entrywise, exactly", idempotency
+        yield f"dual pairing N={N:+d}", "Y^T X = 1 exactly", partial(dual_pairing, X, Y)
+        yield f"idempotency N={N:+d}", "E^2 = E entrywise, exactly", partial(idempotency, X, Y, E)
     yield (
         "literal weights fail at N=+1",
         "uncorrected binomial base leaves Y^T X - 1 = (q - p)(1 - b b*)",
@@ -519,13 +517,13 @@ def suite_en_numeric(
         yield (
             f"symbol trace N={N:+d}",
             "tr sigma(E) = 1 exactly",
-            lambda: Outcome(pairings.entry("en", N).symbol_trace == one_sym),
+            lambda N=N: Outcome(pairings.entry("en", N).symbol_trace == one_sym),
         )
         for row in pairings.rows("en", N):
             yield (
                 f"pairing N={N:+d} [{row.module}]",
                 f"<[{row.module}], [E_{N}]> = {row.expected}",
-                lambda: _pairing(row),
+                partial(_pairing, row),
             )
 
 
@@ -542,7 +540,7 @@ def suite_chi(
             yield (
                 f"pairing N={N:+d} [{row.module}]",
                 f"<[{row.module}], [chi_{N}]> = {row.expected}, exactly at finite window",
-                lambda: _pairing(row),
+                partial(_pairing, row),
             )
     # chi(0) is the unit
     yield (
@@ -559,11 +557,11 @@ def suite_chi(
         lambda: _exact_pairing(pair(pr, point), 1),
     )
 
-    def lands():
+    def lands(img, N):
         prod = img @ chi(-N, d)
         return _within(max((prod.t0 - img.t0).max_abs(), (prod.t1 - img.t1).max_abs()), 1e-14)
 
-    def round_trip():
+    def round_trip(img, gen, N):
         back = psi_inverse(img, N)
         # the round trip's bandwidth plus the guard can cover a small window
         res = max(
@@ -583,12 +581,12 @@ def suite_chi(
         yield (
             f"untwisting lands on chi({-N:+d})",
             "psi maps the twist-N generator onto the chi(-N) corner",
-            lands,
+            partial(lands, img, N),
         )
         yield (
             f"untwisting round trip N={N:+d}",
             "psi_inverse . psi = id on the trusted block",
-            round_trip,
+            partial(round_trip, img, gen, N),
         )
     # window compressions compose exactly while no trajectory can leave and
     # re-enter: exponents of one sign multiply on the whole window, mixed
@@ -599,10 +597,11 @@ def suite_chi(
     f2 = LaurentPoly({-1: 1, fw: Fraction(1, 2)})
     g2 = LaurentPoly({1: 1})
 
-    def rep(x):
-        return pi_rep(sign, x, params)
+    # rep is one shift picture's pi_rep at the run's window
+    def same_sign(rep):
+        return _within((rep(f * g) - rep(f) @ rep(g)).max_abs(), 1e-12)
 
-    def mixed():
+    def mixed(rep):
         whole, factors = rep(f2 * g2), rep(f2) @ rep(g2)
         res_int = trusted_diff_norm(whole, factors, guard=1)
         res_full = (whole - factors).max_abs()
@@ -611,14 +610,15 @@ def suite_chi(
         return _within(res_int, 1e-12)
 
     for sign in ("+", "-"):
+        rep = partial(pi_rep, sign, params=params)
         law = f"pi{sign}(f g) = pi{sign}(f) pi{sign}(g) on the"
         # f g reaches U^(fw + 2), past the shift window when w <= 3
         yield (
             f"same-sign multiplicative [{sign}]",
             f"{law} whole window",
-            lambda: _within((rep(f * g) - rep(f) @ rep(g)).max_abs(), 1e-12),
+            partial(same_sign, rep),
         )
-        yield f"mixed-sign multiplicative [{sign}]", f"{law} interior", mixed
+        yield f"mixed-sign multiplicative [{sign}]", f"{law} interior", partial(mixed, rep)
 
 
 def suite_index(
@@ -629,7 +629,7 @@ def suite_index(
             f"{row.representative} N={row.N:+d} [{row.module}]",
             f"<[{row.module}], [{row.representative}_{row.N}]> = "
             f"{row.expected}; {row.interpretation}",
-            lambda: _pairing(row),
+            partial(_pairing, row),
         )
 
 
@@ -645,7 +645,7 @@ def suite_convergence(
     # raised is kept as its error and raised again, not attempted again. At
     # the run's window the table holds it already (the same E_N and trace,
     # under the table's tail tolerance); only where that failed is it made here
-    @functools.cache
+    @cache
     def attempted(N, d):
         if d == params.d:
             result = pairings.entry("en", N).results["pr"]
@@ -659,7 +659,7 @@ def suite_convergence(
             raise error
         return result.residual
 
-    def shrinks():
+    def shrinks(N, d1, d2):
         r1, r2 = residual(N, d1), residual(N, d2)
         return Outcome(r2 <= r1 / 10.0 + 1e-12, r2, f"<= {r1 / 10.0:.3e} + 1e-12", r2)
 
@@ -670,7 +670,7 @@ def suite_convergence(
             yield (
                 f"pairing residual N={N} d={d1}->{d2}",
                 "pairing residual shrinks 10x per doubling until the float floor",
-                shrinks,
+                partial(shrinks, N, d1, d2),
             )
 
     def truncation_stability():
@@ -712,15 +712,15 @@ def suite_convergence(
 def suite_confluence(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
 ) -> Checks:
-    def agreement():
-        bad = confluence_sample(pres, n_words=50, max_len=8, rng=rng)
+    def agreement(pres):
+        bad = confluence_sample(pres, rng)
         return Outcome(bad == 0, bad, 0)
 
-    def homomorphism():
+    def homomorphism(pres):
         ok = True
         for _ in range(10):
-            x = _random_element(pres, rng, n_words=2, max_len=5)
-            y = _random_element(pres, rng, n_words=2, max_len=5)
+            x = _random_element(pres, rng, max_len=5)
+            y = _random_element(pres, rng, max_len=5)
             nf, nf_x = normal_form(x * y), normal_form(x)
             if normal_form(nf_x * normal_form(y)) != nf:
                 ok = False
@@ -734,12 +734,12 @@ def suite_confluence(
         yield (
             f"random order agreement [{name}]",
             "randomized reduction order reproduces the deterministic normal form",
-            agreement,
+            partial(agreement, pres),
         )
         yield (
             f"reduction is a homomorphism [{name}]",
             "NF(x y) = NF(NF(x) NF(y)), NF idempotent, NF commutes with star",
-            homomorphism,
+            partial(homomorphism, pres),
         )
 
 
@@ -747,18 +747,13 @@ def suite_confluence(
 
 
 def _recorded(suite: str, checks: Callable[..., Checks]):
-    """The suite as SUITES registers it: a function that runs each check
-    the suite yields through run_check, in order, and returns the records,
-    so one call of a SUITES entry is one whole suite.
-
-    Each check runs as soon as it is yielded, before the suite resumes.
-    The computes read the suite's loop variables when they run, so
-    collecting a suite's checks first and running them afterwards would
-    give every check of a loop the values of its last iteration. Code that
-    wraps or times a check here must keep that order."""
+    """The suite as SUITES registers it: a function that collects the
+    checks the suite yields, runs each through run_check in yield order and
+    returns the records, so one call of a SUITES entry is one whole suite."""
 
     def run(params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable):
-        return [run_check(suite, *check) for check in checks(params, nmax, rng, pairings)]
+        collected = list(checks(params, nmax, rng, pairings))
+        return [run_check(suite, *check) for check in collected]
 
     return run
 

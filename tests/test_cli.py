@@ -7,6 +7,7 @@ import json
 import pytest
 
 import qglue
+import qglue.cli
 from qglue.cli import load_config_file, run
 from qglue.errors import DimensionMismatch
 from qglue.report import CSV_COLUMNS
@@ -84,6 +85,43 @@ def test_malformed_config_is_exit_2(tmp_path, capsys):
     cfg.write_text("unknown_key = 3\n")
     assert run(["verify", "--config", str(cfg)]) == 2
     assert "unknown_key" in capsys.readouterr().err
+
+
+def test_an_empty_out_config_line_is_exit_2(tmp_path, capsys):
+    # an empty value would otherwise write to stdout instead of a file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suites = su2\nout =\n")
+    assert run(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qglue: {cfg}:2: out needs a file name\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("q = abc", "q must be a number, got 'abc'"), ("nmax =", "nmax must be an integer, got ''")],
+)
+def test_a_config_number_that_does_not_parse_names_its_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a sweep\n{line}\n")
+    assert run(["verify", "--suite", "su2", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qglue: {cfg}:2: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("target", ["", "missing/report.csv"], ids=["directory", "no-directory"])
+def test_an_unwritable_out_is_exit_2_before_any_suite_runs(tmp_path, capsys, monkeypatch, target):
+    # a directory, or a file in a directory that does not exist
+    def no_run(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(qglue.cli, "run_suites", no_run)
+    path = tmp_path / target
+    assert run(["verify", "--suite", "su2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"qglue: {path}: ")
+    assert captured.out == ""
 
 
 def test_bad_config_format_is_exit_2(tmp_path, capsys):

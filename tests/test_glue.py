@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qglue.idempotents
 from qglue import (
     DimensionMismatch,
     FibrePair,
@@ -85,14 +86,17 @@ def test_membership_rejects_numeric_symbols():
 
 
 def test_twist_join_rules():
-    z = zero_pair(8, 3)
+    # a sum or a difference needs one twist on both sides, even where one
+    # side has zero symbols
     u = chi(0, 8)
-    assert (z + u).twist == 0
-    assert (u + z).twist == 0
     twisted = psi_inverse(chi(0, 8), 1)
-    with pytest.raises(SymbolMismatch):
-        twisted + u
     assert (twisted + zero_pair(8, 1)).twist == 1
+    assert (u - zero_pair(8)).twist == 0
+    for a, b in ((zero_pair(8, 3), u), (u, zero_pair(8, 3)), (twisted, u)):
+        with pytest.raises(SymbolMismatch, match="cannot add twist"):
+            a + b
+        with pytest.raises(SymbolMismatch, match="cannot add twist"):
+            a - b
 
 
 def test_matmul_adds_twists():
@@ -386,8 +390,10 @@ def test_podles_symbols_and_membership():
     assert pp.eta.sym0 == LaurentPoly({1: S})
     assert pp.eta.sym1 == LaurentPoly({1: S})
     assert pp.eta.twist == 0
-    want = np.diag(PARAMS.q ** (2 * np.arange(20.0)))
-    assert np.max(np.abs(pp.t.mat - want)) < 1e-15
+    # zeta's legs are -s^2 q^2 t and q^2 t over the disc defect t = diag(q^2n)
+    t = PARAMS.q ** (2 * np.arange(20.0))
+    assert np.max(np.abs(pp.zeta.t1.mat - np.diag(PARAMS.q**2 * t))) < 1e-15
+    assert np.max(np.abs(pp.zeta.t0.mat + np.diag(PARAMS.s**2 * PARAMS.q**2 * t))) < 1e-15
 
 
 def test_podles_spectral_relations():
@@ -486,11 +492,18 @@ def test_leg_symbols_vanish_on_every_s3_rule():
             assert s3_leg_symbol(element, leg).is_zero()
 
 
+def _build_from(monkeypatch, assignment):
+    """Make en_numeric build E_N from the given binomial base assignment:
+    it reads qglue.idempotents.build_en when it is called."""
+    monkeypatch.setattr(qglue.idempotents, "build_en", lambda N: build_en(N, assignment))
+
+
 @pytest.mark.parametrize("assignment", ["corrected", "literal"])
-def test_en_numeric_symbols_are_those_of_the_normal_forms(assignment):
+def test_en_numeric_symbols_are_those_of_the_normal_forms(assignment, monkeypatch):
+    _build_from(monkeypatch, assignment)
     for N in range(-3, 4):
         _, _, E = build_en(N, assignment)
-        pairs = en_numeric(N, replace(PARAMS, d=8), assignment=assignment)
+        pairs = en_numeric(N, replace(PARAMS, d=8))
         n1 = abs(N) + 1
         for i in range(n1):
             for j in range(n1):
@@ -500,16 +513,17 @@ def test_en_numeric_symbols_are_those_of_the_normal_forms(assignment):
 
 
 @pytest.mark.parametrize("assignment", ["corrected", "literal"])
-def test_en_numeric_entries_evaluate_the_unreduced_entries(assignment):
+def test_en_numeric_entries_evaluate_the_unreduced_entries(assignment, monkeypatch):
     # the product of the fibre pairs iota maps X[i] and Y[j] to reassociates
     # E[i, j] = X[i] Y[j]: on each leg
     # it is the evaluation of the unreduced entry, up to rounding relative to
     # the matrix's largest entry (some entries vanish on one leg, where both
     # routes leave only rounding residue)
+    _build_from(monkeypatch, assignment)
     d = 24
     for N in range(-3, 4):
         _, _, E = build_en(N, assignment)
-        pairs = en_numeric(N, replace(PARAMS, d=d), assignment=assignment)
+        pairs = en_numeric(N, replace(PARAMS, d=d))
         n1 = E.shape[0]
         assert [len(row) for row in pairs] == [n1] * n1
         for leg in (0, 1):
@@ -522,9 +536,10 @@ def test_en_numeric_entries_evaluate_the_unreduced_entries(assignment):
                     assert (got - want[i][j]).max_abs() <= 1e-12 * scale, (N, i, j, leg)
 
 
-def test_en_numeric_literal_defect_shows_up():
+def test_en_numeric_literal_defect_shows_up(monkeypatch):
     # the literal base assignment leaves an order (q - p) failure of E^2 = E
-    pairs = en_numeric(1, replace(PARAMS, d=24), assignment="literal")
+    _build_from(monkeypatch, "literal")
+    pairs = en_numeric(1, replace(PARAMS, d=24))
     square = fp_matmul(pairs, pairs)
     defect = max(
         trusted_diff_norm(square[i][j].t1, pairs[i][j].t1, guard=1)

@@ -21,6 +21,12 @@
   has no try statement and constructs CheckRecord once.
 - Every name perfbench/tracer.py wraps resolves on the package, so a rename
   shows here and not first in a traced benchmark run.
+- No input is dead: every parameter with a default and every keyword-only
+  parameter of a package function is passed by some call in the package,
+  the tests or perfbench.
+- Suite checks are self-contained: no lambda or nested def in suites.py
+  reads a name that a for statement of its enclosing function rebinds, so
+  a compute gives the same result whenever the runner calls it.
 """
 
 import ast
@@ -332,3 +338,240 @@ def test_tracer_targets_resolve_on_the_package():
     assert ("qglue.glue", "fp_matmul") in targets
     assert ("qglue.opnum", "TruncOp.__matmul__") in targets
     assert unresolved(targets) == []
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def optional_parameters(sources) -> list[tuple[str, str, str, int | None]]:
+    """(qualified name, callee name, parameter, position) of every parameter
+    with a default and every keyword-only parameter of the defs in sources.
+    The position counts the arguments a call passes before the parameter
+    (None for a keyword-only one), so a method's self or cls is not counted.
+    The callee name is what a call names: the def's own name, or
+    "Class.__init__" for an __init__."""
+    found = []
+
+    def visit(node, scope, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}.{child.name}" if scope else child.name, child.name)
+                continue
+            if not isinstance(child, DEFS):
+                continue
+            name = f"{scope}.{child.name}" if scope else child.name
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+            )
+            if cls and not static:
+                positional = positional[1:]
+            callee = f"{cls}.__init__" if cls and child.name == "__init__" else child.name
+            first_default = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional):
+                if i >= first_default:
+                    found.append((name, callee, arg.arg, i))
+            for arg in args.kwonlyargs:
+                found.append((name, callee, arg.arg, None))
+            visit(child, name, None)
+
+    for source in sources:
+        visit(ast.parse(source), "", None)
+    return found
+
+
+def call_sites(sources) -> dict[str, list[tuple[float, set[str]]]]:
+    """Callee name -> (positional arguments, keyword names) of every call in
+    sources, functools.partial(f, ...) counting as a call of f. A starred
+    argument counts as every position and ** as every keyword. A call of a
+    class, of a subclass of it or of super().__init__ in one of its methods
+    is a call of "Class.__init__"."""
+    trees = [ast.parse(source) for source in sources]
+    classes = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = [
+                    b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in node.bases
+                ]
+
+    def ancestors(name):
+        seen, todo = [], [name]
+        while todo:
+            cls = todo.pop()
+            if cls in classes and cls not in seen:
+                seen.append(cls)
+                todo.extend(classes[cls])
+        return seen
+
+    sites: dict[str, list] = {}
+
+    def record(func, args, keywords, owner):
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            return
+        if name == "partial" and args:
+            record(args[0], args[1:], keywords, owner)
+            return
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        passed = (float("inf") if starred else len(args), {k.arg for k in keywords})
+        if None in passed[1]:
+            passed = (passed[0], {"*"})
+        if name == "__init__" and owner is not None:
+            names = [f"{cls}.__init__" for cls in ancestors(owner)[1:]]
+        elif name in classes:
+            names = [f"{cls}.__init__" for cls in ancestors(name)]
+        else:
+            names = [name]
+        for callee in names:
+            sites.setdefault(callee, []).append(passed)
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                is_super = (
+                    isinstance(child.func, ast.Attribute)
+                    and isinstance(child.func.value, ast.Call)
+                    and getattr(child.func.value.func, "id", None) == "super"
+                )
+                record(child.func, child.args, child.keywords, owner if is_super else None)
+            visit(child, owner)
+
+    for tree in trees:
+        visit(tree, None)
+    return sites
+
+
+def unpassed_parameters(package_sources, caller_sources) -> list[str]:
+    """"function(parameter)" for each parameter with a default or keyword-only
+    parameter of package_sources that no call in caller_sources passes."""
+    sites = call_sites(caller_sources)
+    missing = []
+    for qualname, callee, param, position in optional_parameters(package_sources):
+        passed = any(
+            (position is not None and count > position) or param in keys or "*" in keys
+            for count, keys in sites.get(callee, [])
+        )
+        if not passed:
+            missing.append(f"{qualname}({param})")
+    return sorted(missing)
+
+
+def test_checker_finds_unpassed_parameters():
+    package = (
+        "def f(a, b=1, *, c, e=2):\n    pass\n"
+        "def g(a, b=1):\n    pass\n"
+        "def h(a=0):\n    pass\n"
+        "class Base:\n    def __init__(self, x=0, y=0):\n        pass\n"
+        "    def m(self, k=0):\n        pass\n"
+        "    @staticmethod\n    def s(k=0):\n        pass\n"
+        "class Sub(Base):\n    def __init__(self):\n        super().__init__(1)\n"
+        "class Lone:\n    def __init__(self, z=0):\n        pass\n"
+    )
+    callers = [
+        package,
+        "f(0, 2, c=3)\nfunctools.partial(g, 0, 5)\nobj.m(1)\nBase.s()\n",
+        "Sub()\nBase(y=2)\nLone()\nh(**kw)\n",
+    ]
+    assert unpassed_parameters([package], callers) == ["Base.s(k)", "Lone.__init__(z)", "f(e)"]
+
+
+def test_every_optional_parameter_is_passed():
+    package = [path.read_text() for path in MODULES] + [(PACKAGE / "__init__.py").read_text()]
+    perfbench = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+    callers = package + [path.read_text() for path in TESTS + perfbench]
+    assert unpassed_parameters(package, callers) == []
+
+
+FUNCTIONS = (*DEFS, ast.Lambda)
+SCOPES = FUNCTIONS + (ast.ClassDef, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _own_nodes(node):
+    """The nodes of node's own scope: nested functions, classes and
+    comprehensions are yielded but not entered."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, SCOPES):
+            yield from _own_nodes(child)
+
+
+def _stored(nodes) -> set[str]:
+    return {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def _free_names(fn) -> set[str]:
+    """Names fn's body reads and nothing inside fn binds (its parameters'
+    defaults are read in the enclosing scope, so they do not count)."""
+    body = [fn.body] if isinstance(fn, ast.Lambda) else fn.body
+    inner = [n for stmt in body for n in ast.walk(stmt)]
+    params = {
+        a.arg
+        for n in [fn, *inner]
+        if isinstance(n, FUNCTIONS)
+        for a in ast.walk(n.args)
+        if isinstance(a, ast.arg)
+    }
+    defined = {n.name for n in inner if isinstance(n, (*DEFS, ast.ClassDef))}
+    read = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return read - _stored(inner) - params - defined
+
+
+def late_bound_computes(source: str) -> list[str]:
+    """"function: name" for each lambda or nested def inside a function that
+    reads, as a free variable, a name that a for statement of that function
+    binds as its target or assigns in its body: it would see the value of
+    the loop's latest iteration when it runs, not the one it was made with."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, DEFS):
+            continue
+        own = list(_own_nodes(fn))
+        looped = set()
+        for loop in own:
+            if isinstance(loop, (ast.For, ast.AsyncFor)):
+                looped |= _stored(_own_nodes(loop))
+        for inner in own:
+            if not isinstance(inner, FUNCTIONS):
+                continue
+            for name in _free_names(inner) & looped:
+                label = getattr(inner, "name", f"lambda at line {inner.lineno}")
+                found.add(f"{fn.name}.{label}: {name}")
+    return sorted(found)
+
+
+def test_checker_finds_late_bound_computes():
+    source = (
+        "def suite(params):\n"
+        "    def early():\n        return item + params\n"
+        "    def bound(item):\n        return item\n"
+        "    for n in range(3):\n"
+        "        item = n * 2\n"
+        "        yield lambda: n\n"
+        "        yield lambda n=n: n\n"
+        "        yield functools.partial(bound, item)\n"
+        "        yield lambda: [k for k in range(n)]\n"
+        "        yield lambda: all(item for item in range(3))\n"
+        "    def later():\n"
+        "        total = 0\n"
+        "        for k in range(3):\n"
+        "            total += k\n"
+        "        return total\n"
+        "    yield later\n"
+    )
+    assert late_bound_computes(source) == [
+        "suite.early: item",
+        "suite.lambda at line 11: n",
+        "suite.lambda at line 8: n",
+    ]
+
+
+def test_suite_computes_bind_their_operands():
+    assert late_bound_computes((PACKAGE / "suites.py").read_text()) == []

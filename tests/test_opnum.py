@@ -31,7 +31,7 @@ from qglue import (
     trace_finite_rank,
     trusted_diff_norm,
 )
-from qglue.opnum import PARAM_MIN, weighted_shift, zero
+from qglue.opnum import GUARD, PARAM_MIN, weighted_shift, zero
 
 
 def test_paramset_validation():
@@ -293,23 +293,28 @@ def test_trace_exactness_semantics():
 
 
 def test_trace_z_lattice_guard_band():
+    # the GUARD band at the two window edges is the tail
     w = 4
     d = 2 * w + 1
     mat = np.zeros((d, d))
-    mat[w, w] = 1.0
-    res = trace_finite_rank(TruncOp(mat, 0, "Z"), guard=2)
+    mat[GUARD, GUARD] = 1.0  # the first site past the band
+    res = trace_finite_rank(TruncOp(mat, 0, "Z"))
     assert res.value == 1.0 and res.exact
 
     mat2 = np.zeros((d, d))
-    mat2[0, 0] = 1.0  # sits in the guard band at the window edge
+    mat2[GUARD - 1, GUARD - 1] = 1.0  # sits in the guard band at the window edge
     with pytest.raises(ValueError):
-        trace_finite_rank(TruncOp(mat2, 0, "Z"), guard=2)
+        trace_finite_rank(TruncOp(mat2, 0, "Z"))
 
 
 def test_trace_guard_too_large():
-    op = TruncOp(np.eye(6), 2)
-    with pytest.raises(DimensionMismatch):
-        trace_finite_rank(op, guard=4)
+    # bandwidth 2 plus GUARD leaves no trusted block on a window of 4
+    op = TruncOp(np.eye(4), 2)
+    with pytest.raises(DimensionMismatch, match="window too small"):
+        trace_finite_rank(op)
+    # nor does GUARD at each edge of an integer-lattice window of radius 1
+    with pytest.raises(DimensionMismatch, match="window too small"):
+        trace_finite_rank(TruncOp(np.eye(3), 0, "Z"))
 
 
 def test_trusted_diff_norm_mixed_sizes():

@@ -304,11 +304,19 @@ def test_an_idempotent_that_cannot_be_built_fails_its_rows(monkeypatch):
     assert len(records) == 9
 
 
-def test_each_check_runs_before_its_suite_resumes():
-    # the compute reads the loop variable when it runs, not when it is built
+def test_a_suite_is_collected_before_its_checks_run():
+    # each compute binds its loop variable when it is yielded, so the
+    # checks run after the whole suite has been collected, in yield order
+    events = []
+
+    def compute(n):
+        events.append(f"run {n}")
+        return Outcome(True, n)
+
     def toy(params, nmax, rng, pairings):
         for n in range(3):
-            yield f"check {n}", f"n = {n}", lambda: Outcome(True, n)
+            events.append(f"yield {n}")
+            yield f"check {n}", f"n = {n}", lambda n=n: compute(n)
 
     records = _recorded("toy", toy)(PARAMS, 0, None, None)
     assert [(rec.check, rec.value) for rec in records] == [
@@ -316,6 +324,7 @@ def test_each_check_runs_before_its_suite_resumes():
         ("check 1", 1),
         ("check 2", 2),
     ]
+    assert events == ["yield 0", "yield 1", "yield 2", "run 0", "run 1", "run 2"]
 
 
 def test_a_pairing_residual_that_cannot_be_computed_fails_its_rows(monkeypatch):
