@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
@@ -55,8 +56,10 @@ _NUMBER_TYPES.update(nmax=int, seed=int)
 
 
 def load_config_file(path: str) -> dict:
-    """Parse `key = value` lines; unknown keys and malformed lines raise."""
+    """Parse `key = value` lines; unknown or repeated keys and malformed
+    lines raise."""
     values: dict = {}
+    first_set: dict = {}  # key -> the line that set it
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -67,6 +70,11 @@ def load_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_set:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate key {key!r} (first set on line {first_set[key]})"
+                )
+            first_set[key] = lineno
             if key in _NUMBER_TYPES:
                 number = _NUMBER_TYPES[key]
                 try:
@@ -206,7 +214,11 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # the process ends here: move every object out of the collector's reach,
+    # so interpreter shutdown does not collect what the OS reclaims anyway
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

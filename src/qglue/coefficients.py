@@ -91,6 +91,9 @@ def _matrix_product(A, B, product: Callable) -> list[list]:
     return [[reduce(add, map(product, row, col)) for col in columns] for row in A]
 
 
+_UNIT_TERMS = {(0, 0, 0): 1}
+
+
 class CoefPoly:
     """Element of Q[q^{+-1}, p^{+-1}, s].
 
@@ -140,7 +143,7 @@ class CoefPoly:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0, 0, 0): 1}
+        return self._terms == _UNIT_TERMS
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -210,6 +213,23 @@ class CoefPoly:
             if not isinstance(other, Rational):
                 return NotImplemented
             other = CoefPoly.scalar(other)
+        # a unit factor gives the other operand, which is immutable; any other
+        # one-term factor shifts the other factor's keys and scales its
+        # coefficients: the key map is injective, so nothing accumulates or
+        # cancels, and the terms keep the order the general loop gives them
+        if other._terms == _UNIT_TERMS:
+            return self
+        if self._terms == _UNIT_TERMS:
+            return other
+        if len(other._terms) == 1 or len(self._terms) == 1:
+            many, one = (self, other) if len(other._terms) == 1 else (other, self)
+            ((sq, sp, ss), scale), = one._terms.items()
+            items = many._terms.items()
+            out = CoefPoly.__new__(CoefPoly)
+            out._terms = _settle(
+                {(eq + sq, ep + sp, es + ss): coef * scale for (eq, ep, es), coef in items}
+            )
+            return out
         terms: dict[Expo, int | Fraction] = {}
         for (aq, ap, as_), ac in self._terms.items():
             for (bq, bp, bs), bc in other._terms.items():

@@ -18,9 +18,11 @@ deliberately looping systems for guard tests.
 
 The deterministic reducer takes the largest pending word first, so each word
 is expanded once per call, and keeps nothing between calls except a bounded
-memo of whole normal_form calls on each presentation (see normal_form). The
-randomized probe finds each word's rewrite options once, when the word enters
-the sum, and draws among them in sorted word order.
+memo of whole normal_form calls on each presentation (see normal_form) and a
+bounded table of pbw replacements on each presentation, each kept with the
+rewrite steps its cofactor reduction took, which every use charges (see
+_apply_pbw). The randomized probe finds each word's rewrite options once,
+when the word enters the sum, and draws among them in sorted word order.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ DEFAULT_MAX_STEPS = 1_000_000
 # makes 790 of them, at most 257 (238 distinct) on one presentation (s3pq), so
 # every call of a repeated pass is a hit
 NF_CACHE_SIZE = 1024
+# room for every distinct pbw step of a default verify pass (33) many times over
+PBW_TABLE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,8 @@ class _Budget:
     def __init__(self, max_steps: int):
         self.left = int(max_steps)
 
-    def tick(self) -> None:
-        self.left -= 1
+    def tick(self, steps: int = 1) -> None:
+        self.left -= steps
         if self.left < 0:
             raise RewriteLimitExceeded(
                 "rewrite step budget exhausted; the rule system may not terminate"
@@ -122,6 +126,9 @@ class Presentation:
         # input terms -> reduced terms of a whole default normal_form call,
         # least recently used first
         self._nf_cache: OrderedDict[frozenset, dict[Word, CoefPoly]] = OrderedDict()
+        # (sorted word, pbw rule) -> (rewrite steps, replacement), oldest first;
+        # see _apply_pbw
+        self._pbw_table: dict[tuple[Word, Rule], tuple[int, tuple]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -293,7 +300,20 @@ def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
     in the algebra and its subword normal form contains the target word with
     an invertible monomial coefficient lam; solving for the target gives the
     replacement -lam^{-1} * (rest).
+
+    The cofactor is reduced on the caller's budget. A replacement found is
+    kept, with the rewrite steps its reduction took, in the presentation's
+    table of its last PBW_TABLE_SIZE pbw steps, and a later use charges budget
+    those steps: whether a budget suffices does not depend on what ran before.
     """
+    table = pres._pbw_table
+    key = (word, rule)
+    found = table.get(key)
+    if found is not None:
+        steps, replacement = found
+        budget.tick(steps)
+        return replacement
+    left = budget.left
     counts = pres._counts(word)
     cof = tuple(c - b for c, b in zip(counts, rule.redex_counts))
     cword = pres.sorted_word_from_counts(cof)
@@ -308,20 +328,11 @@ def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
             f"coefficient on {pres._word_str(word)}"
         )
     lam_inv = lam.inverse_monomial()
-    return [(w2, -(lam_inv * c2)) for w2, c2 in full.items()]
-
-
-def _expand_once(pres: Presentation, word: Word, budget: _Budget, use_pbw: bool):
-    """One deterministic reduction step (leftmost position, first rule), or
-    None if the word is irreducible."""
-    for rule, pos in _subword_options(pres, word):
-        budget.tick()
-        return _apply_subword(word, rule, pos)
-    if use_pbw:
-        for rule in _pbw_options(pres, word):
-            budget.tick()
-            return _apply_pbw(pres, word, rule, budget)
-    return None
+    replacement = tuple((w2, -(lam_inv * c2)) for w2, c2 in full.items())
+    if len(table) >= PBW_TABLE_SIZE:
+        del table[next(iter(table))]  # the oldest
+    table[key] = (left - budget.left, replacement)
+    return replacement
 
 
 def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw: bool):
@@ -329,15 +340,18 @@ def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw
 
     The pending terms sit in a max-heap by the measure. Every rule lowers the
     measure, so when a word is the largest one pending, every coefficient it
-    will get has been merged into it: it is expanded once, and its children
-    are merged back into the pending terms. A child that was already expanded
-    in this call can only come from a rule system that does not lower the
-    measure, and raises instead of looping until the budget runs out."""
+    will get has been merged into it: it is expanded once, by the first rule
+    at the leftmost position where a subword rule applies or else by the
+    first pbw rule, and its children are merged back into the pending terms.
+    A child that was already expanded in this call can only come from a rule
+    system that does not lower the measure, and raises instead of looping
+    until the budget runs out."""
     weight = pres.order_weights.__getitem__
 
     def entry(word):
         return (-sum(map(weight, word)), -len(word), tuple(map(neg, word)), word)
 
+    by_first = pres._subword_rules_by_first
     pending = dict(terms)
     heap = [entry(word) for word in pending]
     heapq.heapify(heap)
@@ -348,12 +362,28 @@ def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw
         coef = pending.pop(word, None)
         if coef is None:  # cancelled, or a second heap entry of a merged word
             continue
-        expansion = _expand_once(pres, word, budget, use_pbw)
-        if expansion is None:
-            _accumulate(out, word, coef)
-            continue
+        # the children are head + mid + tail for each (mid, c) in rhs
+        rhs = None
+        for pos, letter in enumerate(word):
+            for rule in by_first[letter]:
+                redex = rule.redex
+                end = pos + len(redex)
+                if word[pos:end] == redex:
+                    head, rhs, tail = word[:pos], rule.rhs, word[end:]
+                    break
+            if rhs is not None:
+                break
+        if rhs is None:
+            pbw_rules = _pbw_options(pres, word) if use_pbw else ()
+            if not pbw_rules:
+                _accumulate(out, word, coef)
+                continue
+        budget.tick()
+        if rhs is None:
+            head, rhs, tail = (), _apply_pbw(pres, word, pbw_rules[0], budget), ()
         expanded.add(word)
-        for child, c in expansion:
+        for mid, c in rhs:
+            child = head + mid + tail
             if child in expanded:
                 raise RewriteLimitExceeded(
                     f"{pres.name}: cyclic reduction detected at {pres._word_str(child)}"
@@ -434,8 +464,9 @@ def normal_form(
     bound is DEFAULT_MAX_STEPS, a guard against rule systems that do not
     terminate, and a deterministic call looks its input up in the
     presentation's memo of the last NF_CACHE_SIZE such calls. With it, or
-    with an rng, the call always reduces from scratch, so whether the budget
-    suffices does not depend on what ran before.
+    with an rng, the call skips that memo. Whether the budget suffices does
+    not depend on what ran before: a pbw replacement is computed once and
+    reused, and every use charges the steps its cofactor reduction took.
     """
     pres, terms = x.pres, x.terms
     budget = _Budget(DEFAULT_MAX_STEPS if max_steps is None else max_steps)

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,16 @@ def test_a_config_number_that_does_not_parse_names_its_line(tmp_path, capsys, li
     assert run(["verify", "--suite", "su2", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"qglue: {cfg}:2: {message}\n"
+    assert captured.out == ""
+
+
+def test_a_repeated_config_key_is_exit_2(tmp_path, capsys):
+    # the second value would otherwise win silently
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 0.5\n# a second sweep\nq = 0.6\n")
+    assert run(["verify", "--suite", "su2", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qglue: {cfg}:3: duplicate key 'q' (first set on line 1)\n"
     assert captured.out == ""
 
 
@@ -407,3 +421,48 @@ def test_an_error_outside_every_check_is_a_bug_not_exit_2(monkeypatch):
     monkeypatch.setitem(SUITES, "su2", broken)
     with pytest.raises(DimensionMismatch, match="outside every check"):
         run(["verify", "--suite", "su2"])
+
+
+# -- the process entry point: python -m qglue runs cli.main ---------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def launch(*args) -> subprocess.CompletedProcess:
+    """Run python -m qglue in a fresh process on this checkout's sources."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)  # buffered output, as a plain launch has
+    return subprocess.run(
+        [sys.executable, "-m", "qglue", *args], env=env, capture_output=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "name, flags, exit_code",
+    [
+        ("verify_default.csv", [], 0),
+        ("verify_q0.95_p0.9.csv", ["--q", "0.95", "--p", "0.9"], 1),
+    ],
+)
+def test_the_process_writes_the_whole_report_to_a_pipe(name, flags, exit_code):
+    # the report goes to a pipe, not --out: a tail left unflushed when the
+    # process exits would be missing here
+    done = launch("verify", "--format", "csv", *flags)
+    assert done.returncode == exit_code
+    assert done.stdout == (GOLDEN / name).read_bytes()
+    assert done.stderr.startswith(b"qglue verify: ")
+
+
+def test_the_process_prints_its_version():
+    done = launch("--version")
+    assert done.returncode == 0
+    assert done.stdout.decode() == f"qglue {qglue.__version__}\n"
+
+
+def test_the_process_exits_2_on_an_unknown_flag():
+    done = launch("verify", "--frobnicate")
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr.startswith(b"usage: qglue")
+    assert b"unrecognized arguments: --frobnicate" in done.stderr

@@ -239,6 +239,87 @@ def test_mixed_arithmetic_matches_exact_evaluation(x, y, n, pt):
         assert_stored_form(z)
 
 
+# -- one-term fast paths against the general loops ------------------------------
+
+
+def stored(coef):
+    return int(coef) if coef.denominator == 1 else coef
+
+
+def general_product(x: CoefPoly, y: CoefPoly) -> dict:
+    """The convolution loop over every pair of terms, x's terms outer,
+    accumulated in that order and then brought to stored form."""
+    terms = {}
+    for (aq, ap, as_), ac in x._terms.items():
+        for (bq, bp, bs), bc in y._terms.items():
+            key = (aq + bq, ap + bp, as_ + bs)
+            acc = terms.get(key)
+            acc = ac * bc if acc is None else acc + ac * bc
+            if acc:
+                terms[key] = acc
+            else:
+                del terms[key]
+    return {key: stored(coef) for key, coef in terms.items()}
+
+
+def general_sum(x: CoefPoly, y: CoefPoly) -> dict:
+    terms = dict(x._terms)
+    for key, coef in y._terms.items():
+        acc = terms.get(key, 0) + coef
+        if acc:
+            terms[key] = acc
+        else:
+            del terms[key]
+    return {key: stored(coef) for key, coef in terms.items()}
+
+
+def stored_terms(terms: dict) -> list:
+    """The terms in stored order, each coefficient with its type."""
+    return [(key, coef, type(coef)) for key, coef in terms.items()]
+
+
+exponents = st.integers(min_value=-3, max_value=3)
+one_terms = st.one_of(
+    st.just(ONE),
+    st.builds(
+        lambda eq, ep, es, coef: CoefPoly({(eq, ep, es): coef}),
+        exponents,
+        exponents,
+        st.integers(min_value=0, max_value=3),
+        st.one_of(st.sampled_from([1, -1]), mixed_coefs),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_coefpolys(), one_terms, st.booleans())
+def test_one_term_products_match_the_general_loop(x, m, m_first):
+    a, b = (m, x) if m_first else (x, m)
+    product = a * b
+    assert stored_terms(product._terms) == stored_terms(general_product(a, b))
+    if m == ONE:
+        # the other operand itself, no copy (either one when both are units)
+        assert product is x or (product is m and x == ONE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_coefpolys(), mixed_coefpolys())
+def test_sums_match_the_general_loop(x, y):
+    assert stored_terms((x + y)._terms) == stored_terms(general_sum(x, y))
+    assert stored_terms((x * y)._terms) == stored_terms(general_product(x, y))
+
+
+def test_a_sum_that_comes_out_integral_stores_an_int():
+    x = CoefPoly({(1, 0, 0): Fraction(1, 3), (0, -1, 0): Fraction(5, 2)})
+    y = CoefPoly({(0, -1, 0): Fraction(-1, 2), (2, 0, 0): 1})
+    total = x + y
+    assert stored_terms(total._terms) == [
+        ((1, 0, 0), Fraction(1, 3), Fraction),
+        ((0, -1, 0), 2, int),
+        ((2, 0, 0), 1, int),
+    ]
+
+
 def test_exponents_must_be_integers():
     # a float exponent used to be truncated: (1.5, 0, 0) read as q
     with pytest.raises(TypeError):

@@ -27,6 +27,10 @@
 - Suite checks are self-contained: no lambda or nested def in suites.py
   reads a name that a for statement of its enclosing function rebinds, so
   a compute gives the same result whenever the runner calls it.
+- Only the process entry point, cli.main, freezes the garbage collector or
+  ends the process: gc.freeze, gc.disable and os._exit appear nowhere
+  else in the package, so a library caller never inherits a frozen or
+  disabled collector.
 """
 
 import ast
@@ -575,3 +579,62 @@ def test_checker_finds_late_bound_computes():
 
 def test_suite_computes_bind_their_operands():
     assert late_bound_computes((PACKAGE / "suites.py").read_text()) == []
+
+
+# calls that change how the whole process collects garbage or ends, and the
+# one function allowed to make them
+PROCESS_CALLS = {("gc", "freeze"), ("gc", "disable"), ("os", "_exit")}
+PROCESS_ENTRY = {"cli": {"main: gc.freeze"}}
+
+
+def process_calls(source: str) -> set[str]:
+    """'scope: module.name' for each place that reads gc.freeze, gc.disable
+    or os._exit, through its module (under any alias) or a from-import; the
+    scope is the dotted function or class name, or "<module>"."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> gc or os
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in ("gc", "os"):
+                    modules[alias.asname or alias.name] = alias.name
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                name = (modules.get(child.value.id), child.attr)
+            elif isinstance(child, ast.ImportFrom):
+                names = {(child.module, alias.name) for alias in child.names}
+                name = min(names & PROCESS_CALLS, default=None)
+            else:
+                name = None
+            if name in PROCESS_CALLS:
+                found.add(f"{scope or '<module>'}: {'.'.join(name)}")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_checker_finds_process_calls():
+    source = (
+        "import gc\nimport os as system\nfrom gc import disable\n"
+        "def main():\n    gc.freeze()\n    system._exit(0)\n"
+        "class Runner:\n    def stop(self):\n        gc.collect()\n        os._exit(1)\n"
+        "halt = system._exit\n"
+    )
+    assert process_calls(source) == {
+        "<module>: gc.disable",
+        "<module>: os._exit",
+        "main: gc.freeze",
+        "main: os._exit",
+    }
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_process_entry_freezes_the_collector(path):
+    assert process_calls(path.read_text()) <= PROCESS_ENTRY.get(path.stem, set())

@@ -353,6 +353,56 @@ def test_budget_outcome_does_not_depend_on_history(warm_first):
         call()
     assert normal_form(x, max_steps=100) == normal_form(x)
 
+    # a pbw step reuses its replacement once computed and charges the steps
+    # its cofactor reduction took: the smallest budget that suffices is the
+    # same with the table of replacements cold and warm. The sorted word
+    # a a*^2 b b* takes one pbw step, whose cofactor a* (a a* b b* - ...)
+    # takes two subword steps: three in all, as when every cofactor was
+    # reduced afresh on the caller's budget
+    s3 = sphere3_presentation()
+    a, b = s3.gen("a"), s3.gen("b")
+    y = a * a.star() * a.star() * b * b.star()
+    table = s3._pbw_table
+
+    def suffices(max_steps, cold):
+        if cold:
+            table.clear()
+        try:
+            normal_form(y, max_steps=max_steps)
+        except RewriteLimitExceeded:
+            return False
+        return True
+
+    def fewest(cold):
+        return next(n for n in itertools.count() if suffices(n, cold))
+
+    table.clear()
+    assert normal_form(y) == normal_form(y, max_steps=DEFAULT_MAX_STEPS)
+    assert table  # the word takes a pbw step
+    first = fewest(cold=not warm_first)
+    assert first == 3
+    assert fewest(cold=warm_first) == first
+    for cold in (True, False):
+        assert suffices(first, cold)
+        assert not suffices(first - 1, cold)
+
+
+def test_a_cofactor_reduction_runs_on_the_callers_budget():
+    # a cold pbw step reduces its cofactor on the caller's budget: a budget
+    # that runs out inside that reduction raises there and stores nothing,
+    # and the replacement is kept only once a budget has sufficed
+    s3 = sphere3_presentation()
+    a, b = s3.gen("a"), s3.gen("b")
+    y = a * a.star() * a.star() * b * b.star()  # one pbw step, two cofactor steps
+    s3._pbw_table.clear()
+    for max_steps in (1, 2):
+        with pytest.raises(RewriteLimitExceeded):
+            normal_form(y, max_steps=max_steps)
+        assert not s3._pbw_table
+    normal_form(y, max_steps=3)
+    ((steps, _),) = s3._pbw_table.values()
+    assert steps == 2
+
 
 def test_budget_applies_to_randomized_strategy():
     pres = _loop_presentation()
