@@ -85,9 +85,10 @@ def load_config_file(path: str) -> dict:
                         f"{path}:{lineno}: {key} must be {kind}, got {value!r}"
                     ) from None
             elif key == "suites":
-                values["suites"] = tuple(
-                    name.strip() for name in value.split(",") if name.strip()
-                )
+                names = tuple(name.strip() for name in value.split(",") if name.strip())
+                if not names:
+                    raise ValueError(f"{path}:{lineno}: suites needs at least one suite name")
+                values["suites"] = names
             elif key == "format" and value not in FORMATS:
                 raise ValueError(
                     f"{path}:{lineno}: format must be one of {', '.join(FORMATS)}, "

@@ -17,12 +17,12 @@ deterministic reducer terminate; the check can be disabled to build
 deliberately looping systems for guard tests.
 
 The deterministic reducer takes the largest pending word first, so each word
-is expanded once per call, and keeps nothing between calls except a bounded
-memo of whole normal_form calls on each presentation (see normal_form) and a
-bounded table of pbw replacements on each presentation, each kept with the
-rewrite steps its cofactor reduction took, which every use charges (see
-_apply_pbw). The randomized probe finds each word's rewrite options once,
-when the word enters the sum, and draws among them in sorted word order.
+is expanded once per call. Between calls each presentation keeps one table of
+remembered reductions (see _remembered): whole deterministic normal_form calls
+and pbw replacements, each kept with the rewrite steps it took, which every
+later use charges, so whether a budget suffices does not depend on what ran
+before. The randomized probe finds each word's rewrite options once, when the
+word enters the sum, and draws among them in sorted word order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import neg
 from typing import Iterable, Mapping, Sequence
@@ -40,12 +39,9 @@ from .errors import GradingError, PresentationError, RewriteLimitExceeded
 from .ncpoly import NCPoly, Word
 
 DEFAULT_MAX_STEPS = 1_000_000
-# whole normal_form calls remembered per presentation; a default verify pass
-# makes 790 of them, at most 257 (238 distinct) on one presentation (s3pq), so
-# every call of a repeated pass is a hit
-NF_CACHE_SIZE = 1024
-# room for every distinct pbw step of a default verify pass (33) many times over
-PBW_TABLE_SIZE = 1024
+# reductions remembered per presentation; a default verify pass leaves 156 on
+# s3pq (123 whole calls, 33 pbw steps), so every call of a repeated pass is a hit
+TABLE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -123,12 +119,8 @@ class Presentation:
                             f"not decrease the term order at {self._word_str(word)}"
                         )
 
-        # input terms -> reduced terms of a whole default normal_form call,
-        # least recently used first
-        self._nf_cache: OrderedDict[frozenset, dict[Word, CoefPoly]] = OrderedDict()
-        # (sorted word, pbw rule) -> (rewrite steps, replacement), oldest first;
-        # see _apply_pbw
-        self._pbw_table: dict[tuple[Word, Rule], tuple[int, tuple]] = {}
+        # remembered reductions, oldest first; see _remembered
+        self._nf_cache: dict[object, tuple[int, object]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -299,40 +291,51 @@ def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
     With C the sorted word of the count difference, C * (redex - rhs) is zero
     in the algebra and its subword normal form contains the target word with
     an invertible monomial coefficient lam; solving for the target gives the
-    replacement -lam^{-1} * (rest).
-
-    The cofactor is reduced on the caller's budget. A replacement found is
-    kept, with the rewrite steps its reduction took, in the presentation's
-    table of its last PBW_TABLE_SIZE pbw steps, and a later use charges budget
-    those steps: whether a budget suffices does not depend on what ran before.
+    replacement -lam^{-1} * (rest). The cofactor is reduced on the caller's
+    budget, and the replacement is remembered under (word, rule) with the
+    steps that reduction took (see _remembered).
     """
-    table = pres._pbw_table
-    key = (word, rule)
+
+    def replacement():
+        counts = pres._counts(word)
+        cof = tuple(c - b for c, b in zip(counts, rule.redex_counts))
+        cword = pres.sorted_word_from_counts(cof)
+        terms: dict[Word, CoefPoly] = {cword + rule.redex: ONE}
+        for mid, coef in rule.rhs:
+            _accumulate(terms, cword + mid, -coef)
+        full = _reduce_terms(pres, terms, budget, use_pbw=False)
+        lam = full.pop(word, None)
+        if lam is None or not lam.is_monomial():
+            raise PresentationError(
+                f"{pres.name}: pbw rule failed to produce an invertible leading "
+                f"coefficient on {pres._word_str(word)}"
+            )
+        lam_inv = lam.inverse_monomial()
+        return tuple((w2, -(lam_inv * c2)) for w2, c2 in full.items())
+
+    return _remembered(pres, (word, rule), budget, replacement)
+
+
+def _remembered(pres: Presentation, key, budget: _Budget, compute):
+    """compute(), remembered in the presentation's one table of reductions.
+
+    A hit charges budget the rewrite steps the stored reduction took and
+    returns the kept result, so whether a budget suffices does not depend on
+    what ran before. A miss runs compute() on budget and keeps (steps taken,
+    result) only if it finished; past TABLE_SIZE entries the oldest goes.
+    """
+    table = pres._nf_cache
     found = table.get(key)
     if found is not None:
-        steps, replacement = found
+        steps, result = found
         budget.tick(steps)
-        return replacement
+        return result
     left = budget.left
-    counts = pres._counts(word)
-    cof = tuple(c - b for c, b in zip(counts, rule.redex_counts))
-    cword = pres.sorted_word_from_counts(cof)
-    terms: dict[Word, CoefPoly] = {cword + rule.redex: ONE}
-    for mid, coef in rule.rhs:
-        _accumulate(terms, cword + mid, -coef)
-    full = _reduce_terms(pres, terms, budget, use_pbw=False)
-    lam = full.pop(word, None)
-    if lam is None or not lam.is_monomial():
-        raise PresentationError(
-            f"{pres.name}: pbw rule failed to produce an invertible leading "
-            f"coefficient on {pres._word_str(word)}"
-        )
-    lam_inv = lam.inverse_monomial()
-    replacement = tuple((w2, -(lam_inv * c2)) for w2, c2 in full.items())
-    if len(table) >= PBW_TABLE_SIZE:
+    result = compute()
+    if len(table) >= TABLE_SIZE:
         del table[next(iter(table))]  # the oldest
-    table[key] = (left - budget.left, replacement)
-    return replacement
+    table[key] = (left - budget.left, result)
+    return result
 
 
 def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw: bool):
@@ -462,28 +465,19 @@ def normal_form(
     max_steps bounds the rewrite steps (single rule applications) this call
     performs; past it the call raises RewriteLimitExceeded. Without it the
     bound is DEFAULT_MAX_STEPS, a guard against rule systems that do not
-    terminate, and a deterministic call looks its input up in the
-    presentation's memo of the last NF_CACHE_SIZE such calls. With it, or
-    with an rng, the call skips that memo. Whether the budget suffices does
-    not depend on what ran before: a pbw replacement is computed once and
-    reused, and every use charges the steps its cofactor reduction took.
+    terminate. A deterministic call, budgeted or not, is remembered in the
+    presentation's table under its input terms and charged the steps it took
+    on every later use (see _remembered), so whether the budget suffices does
+    not depend on what ran before. Only an rng skips that table.
     """
     pres, terms = x.pres, x.terms
     budget = _Budget(DEFAULT_MAX_STEPS if max_steps is None else max_steps)
     if rng is not None:
         return x._like(_random_reduce(pres, terms, rng, budget))
-    if max_steps is not None:
-        return x._like(_reduce_terms(pres, terms, budget, use_pbw=True))
-    memo = pres._nf_cache
     key = frozenset(terms.items())
-    reduced = memo.get(key)
-    if reduced is None:
-        reduced = _reduce_terms(pres, terms, budget, use_pbw=True)
-        memo[key] = reduced
-        if len(memo) > NF_CACHE_SIZE:
-            memo.popitem(last=False)
-    else:
-        memo.move_to_end(key)
+    reduced = _remembered(
+        pres, key, budget, lambda: _reduce_terms(pres, terms, budget, use_pbw=True)
+    )
     return x._like(reduced)
 
 

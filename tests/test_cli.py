@@ -57,11 +57,13 @@ def test_empty_suite_config_line_is_exit_2(tmp_path, capsys):
     cfg.write_text("suites =\n")
     assert run(["verify", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("qglue:") and "no suite" in captured.err
+    assert captured.err == f"qglue: {cfg}:1: suites needs at least one suite name\n"
     assert captured.out == ""
-    # a flag that names a suite still overrides the empty config line
-    assert run(["verify", "--config", str(cfg), "--suite", "su2"]) == 0
-    capsys.readouterr()
+    # like every other bad config value, it fails whatever flags follow
+    assert run(["verify", "--config", str(cfg), "--suite", "su2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qglue: {cfg}:1: suites needs at least one suite name\n"
+    assert captured.out == ""
 
 
 def test_bad_parameter_is_exit_2(capsys):
@@ -225,11 +227,11 @@ def test_repeated_runs_in_one_process_write_identical_reports(tmp_path, capsys):
         filled.append(dict(cache))
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    # every normal form of the second run is a hit: it adds no entry (a miss
-    # stores a new reduced dict, even where it evicts the same key)
+    # every normal form and pbw step of the second run is a hit: it adds no
+    # entry (a miss stores a new result, even where it evicts the same key)
     first, second = filled
     assert second.keys() == first.keys()
-    assert all(second[key] is first[key] for key in second)
+    assert all(second[key][1] is first[key][1] for key in second)
 
 
 def test_config_file_precedence(tmp_path, capsys):

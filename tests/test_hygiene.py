@@ -5,6 +5,9 @@
   since its imports are the package's re-exports.
 - Only opnum, which stores operator windows, reads a window's dense .mat
   array.
+- A presentation's table of remembered reductions has one owner: only
+  Presentation.__init__ (which makes it) and presentations._remembered
+  touch ._nf_cache.
 - The public surface is exact: every name in qglue.__all__ is bound and
   listed once, and every name __init__.py imports is listed there.
 - The public surface is used: every name in qglue.__all__ is imported from
@@ -83,11 +86,13 @@ def test_test_file_uses_every_import(path):
 
 # module name -> the functions outside opnum allowed to read .mat (none)
 MAT_READERS = {}
+# module name -> the functions allowed to touch a presentation's table
+TABLE_USERS = {"presentations": {"Presentation.__init__", "_remembered"}}
 
 
-def mat_readers(source: str) -> set[str]:
-    """Dotted names of the functions (or "<module>") that read an attribute
-    named mat."""
+def attribute_users(source: str, attr: str) -> set[str]:
+    """Dotted names of the functions (or "<module>") that read or write an
+    attribute named attr."""
     found = set()
 
     def visit(node, scope):
@@ -95,7 +100,7 @@ def mat_readers(source: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "mat":
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 found.add(scope or "<module>")
             visit(child, scope)
 
@@ -110,14 +115,29 @@ def test_checker_finds_mat_readers():
         "class C:\n    def g(self):\n        return self.mat.shape\n"
         "def h(op):\n    return op.matrix\n"
     )
-    assert mat_readers(source) == {"<module>", "f", "C.g"}
+    assert attribute_users(source, "mat") == {"<module>", "f", "C.g"}
 
 
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.stem != "opnum"], ids=lambda p: p.name
 )
 def test_only_the_window_store_reads_dense_windows(path):
-    assert mat_readers(path.read_text()) <= MAT_READERS.get(path.stem, set())
+    assert attribute_users(path.read_text(), "mat") <= MAT_READERS.get(path.stem, set())
+
+
+def test_checker_finds_table_users():
+    source = (
+        "class P:\n    def __init__(self):\n        self._nf_cache = {}\n"
+        "def _remembered(pres):\n    return pres._nf_cache.get(1)\n"
+        "def normal_form(x):\n    x.pres._nf_cache.clear()\n"
+        "def other(x):\n    return x._nf_cache_size\n"
+    )
+    assert attribute_users(source, "_nf_cache") == {"P.__init__", "_remembered", "normal_form"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_table_helper_touches_the_table(path):
+    assert attribute_users(path.read_text(), "_nf_cache") <= TABLE_USERS.get(path.stem, set())
 
 
 def test_public_names_are_bound_and_listed_once():

@@ -28,7 +28,7 @@ from qglue import (
     verify_identity,
 )
 from qglue import idempotents, presentations
-from qglue.presentations import DEFAULT_MAX_STEPS, NF_CACHE_SIZE, _apply_subword
+from qglue.presentations import DEFAULT_MAX_STEPS, TABLE_SIZE, _apply_subword
 from reference_reducer import reference_normal_form, reference_random_reduce
 
 QI = Q.inverse_monomial()
@@ -150,7 +150,14 @@ def test_nf_agrees_with_faithful_numeric_evaluation():
         assert np.max(np.abs(diff.mat[lo:hi, lo:hi])) < 1e-12
 
 
-# -- the reducer against the recursive reference and without its memo -----------
+# -- the reducer against the recursive reference and its table -------------------
+
+
+def _reduced_afresh(x):
+    """x's normal form from a reduction that runs: the presentation's table of
+    remembered reductions is emptied first."""
+    x.pres._nf_cache.clear()
+    return normal_form(x)
 
 
 @pytest.mark.parametrize("name", sorted(all_presentations()))
@@ -160,8 +167,8 @@ def test_nf_matches_recursive_reference(name):
     for _ in range(20):
         x = random_element(pres, rng, n_words=3, max_len=7)
         expected = reference_normal_form(x)
-        assert normal_form(x) == expected
-        assert normal_form(x) == expected  # now from the memo
+        assert _reduced_afresh(x) == expected
+        assert normal_form(x) == expected  # now from the table
         assert normal_form(x, max_steps=DEFAULT_MAX_STEPS) == expected
 
 
@@ -172,20 +179,29 @@ def test_nf_matches_recursive_reference_on_idempotents(N):
         for row in matrix.entries:
             for entry in row:
                 expected = reference_normal_form(entry)
-                assert normal_form(entry) == expected
+                assert _reduced_afresh(entry) == expected
                 assert normal_form(entry, max_steps=DEFAULT_MAX_STEPS) == expected
 
 
-def test_nf_memo_keeps_the_most_recently_used_calls(monkeypatch):
-    pres = disc_presentation.__wrapped__("q")
-    z = pres.gen("z")
-    inputs = [z.star() * z * k for k in range(1, NF_CACHE_SIZE + 2)]
-    for x in inputs[:NF_CACHE_SIZE]:
-        normal_form(x)
-    normal_form(inputs[0])
-    normal_form(inputs[-1])  # evicts inputs[1], the least recently used
-    assert len(pres._nf_cache) == NF_CACHE_SIZE
+def test_one_table_drops_the_oldest_entry_and_charges_every_hit(monkeypatch):
+    pres = sphere3_presentation.__wrapped__()
+    table = pres._nf_cache
+    a, b = pres.gen("a"), pres.gen("b")
+    y = a * a.star() * a.star() * b * b.star()  # one pbw step, two cofactor steps
 
+    # a call that runs out keeps no whole-call entry
+    with pytest.raises(RewriteLimitExceeded):
+        normal_form(y, max_steps=2)
+    assert not table
+
+    # the pbw step goes in first, then the whole call that took it
+    normal_form(y)
+    pbw_key, whole_key = table
+    assert pbw_key == (pres.word("a a* a* b b*"), pres._pbw_rules[0])
+    assert whole_key == frozenset(y.terms.items())
+    assert table[pbw_key][0] == 2 and table[whole_key][0] == 3
+
+    # a budgeted call after an unbudgeted one is a hit, charged the stored steps
     reduce_terms = presentations._reduce_terms
     reduced = []
 
@@ -194,11 +210,21 @@ def test_nf_memo_keeps_the_most_recently_used_calls(monkeypatch):
         return reduce_terms(pres, terms, budget, use_pbw)
 
     monkeypatch.setattr(presentations, "_reduce_terms", counting)
-    assert normal_form(inputs[0]) == normal_form(inputs[0], max_steps=10)
-    assert len(reduced) == 1  # only the budgeted call reduced
-    normal_form(inputs[1])
-    assert len(reduced) == 2
-    assert len(pres._nf_cache) == NF_CACHE_SIZE
+    assert normal_form(y, max_steps=3) == normal_form(y)
+    with pytest.raises(RewriteLimitExceeded):
+        normal_form(y, max_steps=2)
+    assert reduced == []
+
+    # at TABLE_SIZE the oldest entry goes, whichever kind it is
+    inputs = [a * k for k in range(1, TABLE_SIZE + 1)]
+    for x in inputs[: TABLE_SIZE - 2]:
+        normal_form(x)
+    assert len(table) == TABLE_SIZE
+    normal_form(inputs[-2])
+    assert pbw_key not in table and whole_key in table
+    normal_form(inputs[-1])
+    assert whole_key not in table
+    assert len(table) == TABLE_SIZE
 
 
 def test_cold_idempotency_sweep_keeps_no_per_word_normal_forms(monkeypatch):
@@ -339,7 +365,8 @@ def test_budget_exhaustion():
 @pytest.mark.parametrize("warm_first", [False, True], ids=["cold-first", "warm-first"])
 def test_budget_outcome_does_not_depend_on_history(warm_first):
     # z*^3 z^3 takes more than 5 rewrite steps from scratch; a budgeted call
-    # must run out whether or not an unbudgeted call has reduced it before
+    # must run out whether or not an unbudgeted call has reduced it before,
+    # so a remembered whole call charges the steps it took
     pres = disc_presentation("q")
     z = pres.gen("z")
     x = z.star() ** 3 * z**3
@@ -355,14 +382,14 @@ def test_budget_outcome_does_not_depend_on_history(warm_first):
 
     # a pbw step reuses its replacement once computed and charges the steps
     # its cofactor reduction took: the smallest budget that suffices is the
-    # same with the table of replacements cold and warm. The sorted word
+    # same with the table of reductions cold and warm. The sorted word
     # a a*^2 b b* takes one pbw step, whose cofactor a* (a a* b b* - ...)
     # takes two subword steps: three in all, as when every cofactor was
     # reduced afresh on the caller's budget
     s3 = sphere3_presentation()
     a, b = s3.gen("a"), s3.gen("b")
     y = a * a.star() * a.star() * b * b.star()
-    table = s3._pbw_table
+    table = s3._nf_cache
 
     def suffices(max_steps, cold):
         if cold:
@@ -394,14 +421,18 @@ def test_a_cofactor_reduction_runs_on_the_callers_budget():
     s3 = sphere3_presentation()
     a, b = s3.gen("a"), s3.gen("b")
     y = a * a.star() * a.star() * b * b.star()  # one pbw step, two cofactor steps
-    s3._pbw_table.clear()
+    table = s3._nf_cache
+    table.clear()
     for max_steps in (1, 2):
         with pytest.raises(RewriteLimitExceeded):
             normal_form(y, max_steps=max_steps)
-        assert not s3._pbw_table
+        assert not table
     normal_form(y, max_steps=3)
-    ((steps, _),) = s3._pbw_table.values()
-    assert steps == 2
+    (pbw_key,) = (key for key in table if isinstance(key, tuple))
+    assert pbw_key == (s3.word("a a* a* b b*"), s3._pbw_rules[0])
+    assert table[pbw_key][0] == 2
+    # the whole call's entry holds the pbw step and its two cofactor steps
+    assert table[frozenset(y.terms.items())][0] == 3
 
 
 def test_budget_applies_to_randomized_strategy():
