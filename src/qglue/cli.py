@@ -13,7 +13,8 @@ is `key = value` lines with # comments, keys matching the long flag names
 suite selection, or an --out file that cannot be opened, which is tried
 before any suite runs). A check that cannot be carried out at the given
 parameters is a fail record with the reason as its value (see
-suites.run_check), so any exception that escapes a run is a qglue bug.
+suites.run_check), so any exception that escapes a run is a qglue bug: the
+process prints its traceback to stderr and exits EX_SOFTWARE (70).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .report import Report, timestamp_now
 from .suites import SUITES, run_suites
 
 FORMATS = ("json", "csv")
+# the exit status of a qglue bug, as sysexits.h names it
+EX_SOFTWARE = 70
 
 
 @dataclass
@@ -215,7 +218,11 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    code = run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the traceback an uncaught exception prints
+        code = EX_SOFTWARE
     # the process ends here: move every object out of the collector's reach,
     # so interpreter shutdown does not collect what the OS reclaims anyway
     gc.freeze()

@@ -23,13 +23,15 @@ from .circle import LaurentPoly
 from .errors import CertificationError, DimensionMismatch, QGlueError, SymbolMismatch, attempt
 from .glue import FibrePair, OuterProduct, chi, en_numeric, fp_matmul
 from .idempotents import EN_CAP
-from .opnum import GUARD, TAIL_TOL, ParamSet, TraceResult, pi_rep, trace_finite_rank
+from .opnum import GUARD, ParamSet, pi_rep, trace_finite_rank
 from .report import FAIL, PASS
 
 ORIENTATION_SIGN = -1
 
-# the largest trusted-block idempotent defect a pairing accepts
+# the largest trusted-block idempotent defect a pairing accepts, and the
+# largest trace tail outside the GUARD-guarded block
 IDEM_TOL = 1e-8
+TAIL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,19 +65,20 @@ class FredholmModule:
 
 @dataclass(frozen=True)
 class PairingResult:
-    """A certified pairing; or, made by failed(), one that could not be
-    certified, whose value is the reason and whose rounded value and
-    residual are None."""
+    """A pairing, with the reason as failure when it is not certified. One
+    whose trace tail exceeds TAIL_TOL keeps its numbers; one that could not
+    be computed, made by failed(), has none."""
 
-    value: float | str
+    value: float | None
     rounded: int | None
     exact: bool
     residual: float | None
+    failure: str | None = None
     meta: dict = field(compare=False, default_factory=dict)
 
     @classmethod
     def failed(cls, exc: Exception) -> "PairingResult":
-        return cls(value=str(exc), rounded=None, exact=False, residual=None)
+        return cls(value=None, rounded=None, exact=False, residual=None, failure=str(exc))
 
 
 def _as_matrix(P) -> list[list[FibrePair]]:
@@ -125,13 +128,15 @@ def _checked_idempotent(P):
     return entries, defect
 
 
-def _trace_pairing(module, entries, defect, tail_tol=TAIL_TOL) -> PairingResult:
+def _trace_pairing(module, entries, defect) -> PairingResult:
     """Second step of a pairing: the sum of the diagonal traces of
-    (rho_+ - rho_-) over a checked idempotent."""
-    traces: list[TraceResult] = []
-    for i in range(len(entries)):
-        diff = module.difference(entries[i][i])
-        traces.append(trace_finite_rank(diff, tail_tol))
+    (rho_+ - rho_-) over a checked idempotent. The first trace whose tail
+    exceeds TAIL_TOL is the pairing's failure; the numbers are kept."""
+    traces = [trace_finite_rank(module.difference(row[i])) for i, row in enumerate(entries)]
+    over = next((t.tail_max for t in traces if t.tail_max > TAIL_TOL), None)
+    failure = None if over is None else (
+        f"operator is not finite-rank within the window: tail {over:.3e} exceeds {TAIL_TOL:.3e}"
+    )
     value = float(sum(t.value for t in traces))
     rounded = int(round(value))
     residual = abs(value - rounded)
@@ -143,12 +148,10 @@ def _trace_pairing(module, entries, defect, tail_tol=TAIL_TOL) -> PairingResult:
         "tail_max": max(t.tail_max for t in traces),
         "orientation_sign": ORIENTATION_SIGN,
     }
-    return PairingResult(
-        value=value, rounded=rounded, exact=exact, residual=residual, meta=meta
-    )
+    return PairingResult(value, rounded, exact, residual, failure, meta)
 
 
-def pair(module: FredholmModule, P, tail_tol: float = TAIL_TOL) -> PairingResult:
+def pair(module: FredholmModule, P) -> PairingResult:
     """Index pairing of a module with an idempotent (FibrePair or square
     matrix of twist-0 FibrePairs).
 
@@ -156,11 +159,14 @@ def pair(module: FredholmModule, P, tail_tol: float = TAIL_TOL) -> PairingResult
     is exactly idempotent, and the operator legs are idempotent on their
     trusted blocks within IDEM_TOL. The value is the sum of the diagonal
     traces of (rho_+ - rho_-), each certified with a tail of at most
-    tail_tol outside its GUARD-guarded block; `exact` means every trace had
-    a machine-zero tail, in which case the residual cannot move with the
-    window size."""
+    TAIL_TOL outside its GUARD-guarded block (else CertificationError);
+    `exact` means every trace had a machine-zero tail, in which case the
+    residual cannot move with the window size."""
     entries, defect = _checked_idempotent(P)
-    return _trace_pairing(module, entries, defect, tail_tol)
+    result = _trace_pairing(module, entries, defect)
+    if result.failure is not None:
+        raise CertificationError(result.failure)
+    return result
 
 
 # -- expected values and interpretation ------------------------------------------
@@ -207,9 +213,9 @@ EN_RESIDUAL_TOL = 1e-3
 
 @dataclass(frozen=True)
 class TableEntry:
-    """What a PairingTable keeps of one (representative, N): the pairing with
-    each module by kind ("pr", then "pi"), and for the degree-N idempotent
-    the exact trace of its symbol matrix (None if it could not be built)."""
+    """What a PairingTable keeps of one key: the pairing with each module by
+    kind ("pr", then "pi"), and for the degree-N idempotent the exact trace
+    of its symbol matrix (None if it could not be built)."""
 
     results: dict[str, PairingResult]
     symbol_trace: LaurentPoly | None
@@ -217,66 +223,65 @@ class TableEntry:
 
 class PairingTable:
     """The chi(N) and degree-N idempotent pairings of one run, keyed by
-    (representative, N) with representative "chi" or "en", and filled on
-    first use.
+    (representative, N, window) with representative "chi" or "en", and
+    filled on first use. The window is a ParamSet (the run's params or a
+    dataclasses.replace of them): the idempotent is built at window.d, the
+    "pi" module pairs at radius window.w.
 
     Filling an entry builds the idempotent once, checks its defect once and
     traces it against both modules; the operators are dropped afterwards,
-    so the table holds results only. The window size is params.d and the
-    "pi" window radius params.w. The table is the one place a pairing is
-    classified (see rows), for every suite that reports one."""
+    so the table holds results only. It is the one source of a run's chi(N)
+    and E_N pairings, and the one place they are classified (see rows)."""
 
     def __init__(self, params: ParamSet):
         self.params = params
-        self.modules = (
-            FredholmModule("pr"),
-            FredholmModule("pi", params=params),
-        )
-        self._entries: dict[tuple[str, int], TableEntry] = {}
+        self._entries: dict[tuple[str, int, ParamSet], TableEntry] = {}
 
-    def entry(self, representative: str, N: int) -> TableEntry:
-        """The entry for (representative, N), filled on first use."""
-        key = (representative, N)
+    def entry(self, representative: str, N: int, window: ParamSet | None = None) -> TableEntry:
+        """The entry at window (default: the run's), filled on first use."""
+        key = (representative, N, self.params if window is None else window)
         if key not in self._entries:
-            self._entries[key] = self._fill(representative, N)
+            self._entries[key] = self._fill(*key)
         return self._entries[key]
 
-    def _fill(self, representative: str, N: int) -> TableEntry:
+    def _fill(self, representative: str, N: int, window: ParamSet) -> TableEntry:
         """Build, check and trace one idempotent. A QGlueError keeps its
         reason as a failed result: of both modules when the idempotent
         cannot be built or checked (the symbol trace of an E_N that cannot
         be built is None), else of the module whose trace raised, the other
         module's pairing standing."""
+        modules = (FredholmModule("pr"), FredholmModule("pi", params=window))
         symbol_trace = None
         try:
             if representative == "chi":
-                P = chi(N, self.params.d)
+                P = chi(N, window.d)
             else:
-                P = en_numeric(N, self.params)
+                P = en_numeric(N, window)
                 symbol_trace = sum((row[i].sym0 for i, row in enumerate(P)), LaurentPoly({}))
             entries, defect = _checked_idempotent(P)
         except QGlueError as exc:
             failure = PairingResult.failed(exc)
-            return TableEntry({m.kind: failure for m in self.modules}, symbol_trace)
+            return TableEntry({m.kind: failure for m in modules}, symbol_trace)
         results = {}
-        for m in self.modules:
+        for m in modules:
             result, error = attempt(lambda: _trace_pairing(m, entries, defect))
             results[m.kind] = result if error is None else PairingResult.failed(error)
         return TableEntry(results, symbol_trace)
 
     def rows(self, representative: str, N: int) -> list[IndexRow]:
-        """The (representative, N) pairings classified, one row per module. A
-        row passes when the pairing rounds to its expected value within the
-        representative's residual tolerance; a chi(N) row also needs an
-        exact pairing, one whose value cannot move with the window. A failed
-        pairing rounds to None, so its row fails."""
+        """The (representative, N) pairings at the run's window classified,
+        one row per module. A row passes when the pairing has no failure and
+        rounds to its expected value within the representative's residual
+        tolerance; a chi(N) row also needs an exact pairing, one whose value
+        cannot move with the window."""
         is_chi = representative == "chi"
         tol = CHI_RESIDUAL_TOL if is_chi else EN_RESIDUAL_TOL
         rows = []
         for kind, result in self.entry(representative, N).results.items():
             expected = expected_pairing(kind, representative, N)
             ok = (
-                result.rounded == expected
+                result.failure is None
+                and result.rounded == expected
                 and result.residual <= tol
                 and (result.exact or not is_chi)
             )

@@ -442,9 +442,7 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
 
 # -- traces and norms ----------------------------------------------------------
 
-# the default tail tolerance and the guard width of trace_finite_rank; kpair
-# certifies its pairings against them
-TAIL_TOL = 1e-9
+# the guard width of trace_finite_rank; kpair certifies its pairings on it
 GUARD = 2
 
 
@@ -462,11 +460,12 @@ class TraceResult:
     tail_max: float
 
 
-def trace_finite_rank(op: TruncOp, tail_tol: float = TAIL_TOL) -> TraceResult:
+def trace_finite_rank(op: TruncOp) -> TraceResult:
     """On the natural lattice the tail region is the GUARD-guarded
     untrusted corner; on the integer lattice it is the GUARD band at the two
     window edges (the shift-picture differences are exact compressions whose
-    edge entries are genuine, so the bandwidth does not widen the band)."""
+    edge entries are genuine, so the bandwidth does not widen the band).
+    Only a window with no guarded block raises; kpair judges the tail."""
     if op.lattice == "Z":
         lo, hi = GUARD, op.d - GUARD
     else:
@@ -478,11 +477,6 @@ def trace_finite_rank(op: TruncOp, tail_tol: float = TAIL_TOL) -> TraceResult:
         inside_end = lo + _segment(k, vec, lo, hi).size
         tail += [vec[:lo], vec[inside_end:]]
     tail_max = _max_abs(tail)
-    if tail_max > tail_tol:
-        raise CertificationError(
-            f"operator is not finite-rank within the window: tail {tail_max:.3e} "
-            f"exceeds {tail_tol:.3e}"
-        )
     value = complex(op._diags[0].sum()) if 0 in op._diags else 0j
     return TraceResult(value=float(value.real), exact=tail_max == 0.0, tail_max=tail_max)
 
@@ -523,17 +517,13 @@ def trusted_diff_norm(a: TruncOp, b: TruncOp, guard: int = 0) -> float:
     return float(np.linalg.norm(diff.mat, 2))
 
 
-# inv_sqrt_psd counts an eigenvalue in [-PSD_FLOOR, PSD_FLOOR] as zero
-PSD_FLOOR = 1e-12
-
-
 def inv_sqrt_psd(op: TruncOp) -> TruncOp:
     """Pseudo-inverse square root of a diagonal positive semidefinite
-    operator, taken entrywise; it keeps the bandwidth. Entries at or below
-    PSD_FLOOR map to zero (a truncated positive operator always picks up a
-    zero at the boundary); genuinely negative entries raise. A non-diagonal
-    operator raises QGlueError: the one caller, glue.polar_part, passes t*t
-    for a weighted shift t, which is diagonal."""
+    operator, taken entrywise; it keeps the bandwidth. Exactly the zero
+    entries map to zero: the one caller, glue.polar_part, passes t*t for a
+    weighted shift t, whose entries are exact sums |w|^2, so its boundary
+    zero is exactly 0.0. Negative entries raise, and so does a non-diagonal
+    operator (QGlueError)."""
     if not op._diags.keys() <= {0}:
         raise QGlueError("inv_sqrt_psd is implemented for diagonal operators only")
     diag = op._diags.get(0, np.zeros(op.d, dtype=np.complex128))
@@ -541,11 +531,11 @@ def inv_sqrt_psd(op: TruncOp) -> TruncOp:
     if herm > 1e-12 * max(1.0, float(np.linalg.norm(diag))):
         raise CertificationError(f"operator is not self-adjoint (defect {herm:.3e})")
     eigvals = diag.real
-    if float(eigvals.min()) < -PSD_FLOOR:
+    if float(eigvals.min()) < 0.0:
         raise CertificationError(
             f"operator is not positive semidefinite: min eig {float(eigvals.min()):.3e}"
         )
     inv = np.zeros_like(eigvals)
-    keep = eigvals > PSD_FLOOR
+    keep = eigvals > 0.0
     inv[keep] = eigvals[keep] ** -0.5
     return op._like({0: inv.astype(np.complex128)}, op.bandwidth)

@@ -12,8 +12,8 @@ runner collects a suite's checks and then runs them.
 run_suites seeds one rng per suite from (seed, suite name), so a subset run
 reproduces exactly the records the full run would have produced for those
 suites. The chi, en-numeric, index and convergence suites read the chi(N)
-and E_N pairings from the run's one PairingTable, so each is computed once
-per run whichever of them ask for it.
+and E_N pairings at every window from the run's one PairingTable, so each
+is computed once per run whichever of them ask for it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -42,7 +42,6 @@ from .errors import attempt
 from .glue import (
     FibrePair,
     chi,
-    en_numeric,
     iota,
     iota_kron_assignment,
     kron_interior,
@@ -55,7 +54,7 @@ from .glue import (
     s3_leg_assignment,
 )
 from .idempotents import EN_CAP, build_en
-from .kpair import FredholmModule, IndexRow, PairingTable, pair
+from .kpair import FredholmModule, IndexRow, PairingResult, PairingTable, pair
 from .ncpoly import NCPoly
 from .opnum import (
     WINDOW_MAX,
@@ -136,9 +135,15 @@ def _completes(compute, *args) -> Outcome:
     return Outcome(True)
 
 
+def _shown(result: PairingResult):
+    """A pairing's report cell: its failure if it has one, else its value."""
+    return result.value if result.failure is None else result.failure
+
+
 def _pairing(row: IndexRow) -> Outcome:
-    """A pairing as the run's table classified it."""
-    return Outcome(row.status, row.result.value, row.expected, row.result.residual)
+    """A pairing as the run's table classified it; a failed one has no residual."""
+    residual = row.result.residual if row.result.failure is None else None
+    return Outcome(row.status, _shown(row.result), row.expected, residual)
 
 
 def _exact_pairing(result, expected: int) -> Outcome:
@@ -639,28 +644,17 @@ def suite_index(
 def suite_convergence(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
 ) -> Checks:
-    pr = FredholmModule("pr")
+    def read(representative, N, kind, **window):
+        return pairings.entry(representative, N, replace(params, **window)).results[kind]
 
-    # each window's pairing serves both doublings it takes part in; one that
-    # raised is kept as its error and raised again, not attempted again. At
-    # the run's window the table holds it already (the same E_N and trace,
-    # under the table's tail tolerance); only where that failed is it made here
-    @cache
-    def attempted(N, d):
-        if d == params.d:
-            result = pairings.entry("en", N).results["pr"]
-            if result.residual is not None:
-                return result, None
-        return attempt(lambda: pair(pr, en_numeric(N, replace(params, d=d)), tail_tol=np.inf))
-
-    def residual(N, d):
-        result, error = attempted(N, d)
-        if error is not None:
-            raise error
-        return result.residual
-
+    # a residual is read whether or not the trace tail passed the table's
+    # tolerance; a pairing that could not be computed fails the row
     def shrinks(N, d1, d2):
-        r1, r2 = residual(N, d1), residual(N, d2)
+        p1, p2 = read("en", N, "pr", d=d1), read("en", N, "pr", d=d2)
+        for result in (p1, p2):
+            if result.residual is None:
+                return Outcome(False, result.failure)
+        r1, r2 = p1.residual, p2.residual
         return Outcome(r2 <= r1 / 10.0 + 1e-12, r2, f"<= {r1 / 10.0:.3e} + 1e-12", r2)
 
     for N in (1, 2):
@@ -683,29 +677,28 @@ def suite_convergence(
         keep = len(block)
         return Outcome(bool(np.array_equal(block, big.trusted_block()[:keep, :keep])))
 
-    def stability_in_d():
-        r32 = pair(pr, chi(3, 32))
-        r64 = pair(pr, chi(3, 64))
-        return Outcome(r32.value == r64.value and r32.exact and r64.exact, r64.value, r32.value)
+    # one class paired at two windows: the same exact value at both
+    def stable(moved, kept):
+        ok = moved.value == kept.value and moved.exact and kept.exact
+        return Outcome(ok, _shown(moved), _shown(kept))
 
-    def stability_in_w():
-        # a shift window 4 wider than the run's, or 4 narrower at the cap
-        step = 4 if params.w + 4 <= WINDOW_MAX else -4
-        pi_other = FredholmModule("pi", params=replace(params, w=params.w + step))
-        rs = pairings.entry("chi", 2).results["pi"]
-        rl = pair(pi_other, chi(2, params.d))
-        return Outcome(rs.value == rl.value and rs.exact and rl.exact, rl.value, rs.value)
+    # a shift window 4 wider than the run's, or 4 narrower at the cap
+    step = 4 if params.w + 4 <= WINDOW_MAX else -4
 
     yield (
         "truncation stability",
         "trusted block is bitwise stable under window growth d -> 2d",
         truncation_stability,
     )
-    yield "pairing stability in d", "<[pr], [chi_3]> does not move with the window", stability_in_d
+    yield (
+        "pairing stability in d",
+        "<[pr], [chi_3]> does not move with the window",
+        lambda: stable(read("chi", 3, "pr", d=64), read("chi", 3, "pr", d=32)),
+    )
     yield (
         "pairing stability in w",
         "<[pi], [chi_2]> does not move with the shift window",
-        stability_in_w,
+        lambda: stable(read("chi", 2, "pi", w=params.w + step), read("chi", 2, "pi")),
     )
 
 

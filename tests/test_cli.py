@@ -1,19 +1,24 @@
 """Command line behavior: exit codes, formats, config precedence."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qglue
 import qglue.cli
-from qglue.cli import load_config_file, run
+from qglue.cli import EX_SOFTWARE, load_config_file, run
 from qglue.errors import DimensionMismatch
+from qglue.opnum import PARAM_MIN, WINDOW_MAX
 from qglue.report import CSV_COLUMNS
 from qglue.suites import SUITES
 
@@ -425,19 +430,69 @@ def test_an_error_outside_every_check_is_a_bug_not_exit_2(monkeypatch):
         run(["verify", "--suite", "su2"])
 
 
+@pytest.mark.parametrize("s", ["1e-7", repr(PARAM_MIN)])
+def test_the_polar_part_holds_at_a_tiny_family_parameter(s, capsys):
+    # the entries of eta* eta are of order s^2; only the exact zero the
+    # truncation leaves at the boundary is pseudo-inverted as zero
+    code = run(["verify", "--suite", "podles", "--s", s, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "qglue verify: 16 pass, 0 fail, 0 warn\n"
+
+
+NEAR_ONE = math.nextafter(1.0, 0.0)
+FLAG_VALUES = {
+    "q": st.one_of(st.sampled_from([PARAM_MIN, NEAR_ONE]), st.floats(PARAM_MIN, NEAR_ONE)),
+    "p": st.one_of(st.sampled_from([PARAM_MIN, NEAR_ONE]), st.floats(PARAM_MIN, NEAR_ONE)),
+    "s": st.one_of(st.sampled_from([PARAM_MIN, 1.0]), st.floats(PARAM_MIN, 1.0)),
+    "d": st.one_of(st.sampled_from([4, WINDOW_MAX]), st.integers(4, WINDOW_MAX)),
+    "w": st.one_of(st.sampled_from([1, WINDOW_MAX]), st.integers(1, WINDOW_MAX)),
+    "nmax": st.integers(0, 1),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.fixed_dictionaries({}, optional=FLAG_VALUES))
+@example({"q": PARAM_MIN, "p": PARAM_MIN, "s": PARAM_MIN, "nmax": 1})
+@example({"q": NEAR_ONE, "nmax": 1})
+@example({"q": NEAR_ONE, "p": NEAR_ONE, "d": WINDOW_MAX, "nmax": 1})
+@example({"w": 1, "nmax": 1})
+@example({"d": 4, "nmax": 1})
+@example({"d": WINDOW_MAX, "w": WINDOW_MAX, "nmax": 1})
+def test_every_valid_flag_set_exits_0_or_1_with_a_whole_report(flags):
+    argv = ["verify", "--format", "csv"]
+    for key, value in flags.items():
+        argv += [f"--{key}", repr(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    statuses = [row["status"] for row in rows]
+    assert out.getvalue().startswith(",".join(CSV_COLUMNS)) and out.getvalue().endswith("\n")
+    assert err.getvalue() == (
+        f"qglue verify: {statuses.count('pass')} pass, {statuses.count('fail')} fail, "
+        f"{statuses.count('warn')} warn\n"
+    )
+    assert len(rows) == statuses.count("pass") + statuses.count("fail") + statuses.count("warn")
+    assert code == (1 if "fail" in statuses else 0)
+
+
 # -- the process entry point: python -m qglue runs cli.main ---------------------
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def launch(*args) -> subprocess.CompletedProcess:
-    """Run python -m qglue in a fresh process on this checkout's sources."""
+def python(*args) -> subprocess.CompletedProcess:
+    """Run the interpreter in a fresh process on this checkout's sources."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)  # buffered output, as a plain launch has
-    return subprocess.run(
-        [sys.executable, "-m", "qglue", *args], env=env, capture_output=True, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+def launch(*args) -> subprocess.CompletedProcess:
+    """Run python -m qglue in a fresh process on this checkout's sources."""
+    return python("-m", "qglue", *args)
 
 
 @pytest.mark.parametrize(
@@ -468,3 +523,20 @@ def test_the_process_exits_2_on_an_unknown_flag():
     assert done.stdout == b""
     assert done.stderr.startswith(b"usage: qglue")
     assert b"unrecognized arguments: --frobnicate" in done.stderr
+
+
+def test_a_bug_exits_ex_software_with_its_traceback():
+    # an exception that escapes a run is a qglue bug, not a fail record
+    done = python(
+        "-c",
+        "import sys, qglue.cli, qglue.suites\n"
+        "def broken(*args):\n"
+        "    raise RuntimeError('a bug in a suite')\n"
+        "qglue.suites.SUITES['su2'] = broken\n"
+        "sys.argv = ['qglue', 'verify', '--suite', 'su2']\n"
+        "qglue.cli.main()\n",
+    )
+    assert done.returncode == EX_SOFTWARE == 70
+    assert done.stdout == b""
+    assert done.stderr.startswith(b"Traceback (most recent call last):")
+    assert done.stderr.endswith(b"RuntimeError: a bug in a suite\n")

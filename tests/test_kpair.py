@@ -24,8 +24,8 @@ from qglue import (
     psi_inverse,
     winding_interpretation,
 )
-from qglue.kpair import PairingTable
-from qglue.opnum import zero
+from qglue.kpair import TAIL_TOL, PairingResult, PairingTable, _checked_idempotent, _trace_pairing
+from qglue.opnum import diag_op, zero
 
 PARAMS = ParamSet()
 
@@ -167,3 +167,70 @@ def test_chi_rows_at_a_smaller_window():
     assert len(rows) == 10
     assert {row.representative for row in rows} == {"chi"}
     assert all(row.status == "pass" and row.result.exact for row in rows)
+
+
+# -- the trace-tail certificate ---------------------------------------------------
+
+
+def _tailed(d, tail):
+    """A twist-0 idempotent whose pr difference has one entry, tail, in the
+    untrusted corner: the defect is read on the guarded block, so it passes."""
+    corner = np.zeros(d)
+    corner[-1] = tail
+    return FibrePair(zero(d), diag_op(corner), 0, 0, 0)
+
+
+def test_a_tail_over_tail_tol_fails_the_pairing_and_keeps_its_numbers():
+    d = 16
+    P = [[_tailed(d, 1e-8), _tailed(d, 0.0)], [_tailed(d, 0.0), _tailed(d, 1e-6)]]
+    result = _trace_pairing(FredholmModule("pr"), *_checked_idempotent(P))
+    # the first diagonal trace over TAIL_TOL names the failure, not the largest
+    want = "operator is not finite-rank within the window: tail 1.000e-08 exceeds 1.000e-09"
+    assert result.failure == want
+    assert result.meta["tail_max"] == 1e-6
+    assert (result.value, result.rounded, result.exact) == (1e-8 + 1e-6, 0, False)
+    assert result.residual == pytest.approx(1e-8 + 1e-6)
+    with pytest.raises(CertificationError) as raised:
+        pair(FredholmModule("pr"), P)
+    assert str(raised.value) == want
+
+
+def test_a_tail_at_tail_tol_is_certified():
+    result = pair(FredholmModule("pr"), _tailed(16, TAIL_TOL))
+    assert result.failure is None and not result.exact
+
+
+def test_a_failed_pairing_has_no_numbers():
+    result = PairingResult.failed(DimensionMismatch("window too small"))
+    assert (result.value, result.rounded, result.residual) == (None, None, None)
+    assert (result.failure, result.exact) == ("window too small", False)
+
+
+def test_a_row_whose_pairing_has_a_failure_fails():
+    # at d = 32 the first E_-1 pr trace has a tail of 3.7e-7: the pairing
+    # rounds to its expected value well within EN_RESIDUAL_TOL, and its row
+    # fails
+    table = PairingTable(replace(PARAMS, d=32))
+    [pr_row, pi_row] = table.rows("en", -1)
+    assert pr_row.result.failure == (
+        "operator is not finite-rank within the window: tail 3.685e-07 exceeds 1.000e-09"
+    )
+    assert pr_row.result.rounded == pr_row.expected
+    assert pr_row.result.residual <= EN_RESIDUAL_TOL
+    assert pr_row.status == "fail"
+    assert pi_row.status == "pass" and pi_row.result.exact
+    assert all(row.status == "pass" for row in table.rows("chi", 2))
+
+
+def test_a_table_entry_is_kept_per_window():
+    table = PairingTable(PARAMS)
+    assert table.entry("chi", 3, replace(PARAMS)) is table.entry("chi", 3)
+    small = table.entry("chi", 3, replace(PARAMS, d=32))
+    assert small is not table.entry("chi", 3)
+    narrow = table.entry("chi", 2, replace(PARAMS, w=2)).results["pi"]
+    wide = table.entry("chi", 2, replace(PARAMS, w=12)).results["pi"]
+    assert narrow.value == wide.value == 1.0
+    # at radius 1 the guard leaves no block: that module alone fails
+    tiny = table.entry("chi", 2, replace(PARAMS, w=1)).results
+    assert tiny["pi"].failure == "window too small for the requested guard"
+    assert tiny["pi"].value is None and tiny["pr"].value == 2.0

@@ -16,11 +16,10 @@ from qglue import (
     ParamSet,
     SUITES,
     en_numeric,
-    pair,
     run_suites,
 )
 from qglue.errors import CertificationError, DimensionMismatch, SizeCapExceeded, WindowOverflow
-from qglue.kpair import PairingTable
+from qglue.kpair import PairingTable, _checked_idempotent, _trace_pairing
 from qglue.ncpoly import SymMatrix
 from qglue.opnum import WINDOW_MAX, TruncOp, diag_op, disc_base
 from qglue.cli import run
@@ -191,6 +190,38 @@ def test_pairing_suites_share_one_pairing_per_representative(monkeypatch):
     assert len(checks) - len(factored) == 5 + 1 + 3
 
 
+def test_a_default_run_pairs_each_class_once_per_window(monkeypatch):
+    # every idempotency check but the point defect's fills a table entry,
+    # keyed by (representative, N, window), and no key is filled twice
+    fill, check = PairingTable._fill, qglue.kpair._checked_idempotent
+    filling, filled, outside = [], [], []
+
+    def recorded_fill(table, *key):
+        filling.append(key)
+        try:
+            return fill(table, *key)
+        finally:
+            filling.pop()
+
+    def recorded_check(P):
+        (filled if filling else outside).append(filling[-1] if filling else P)
+        return check(P)
+
+    monkeypatch.setattr(PairingTable, "_fill", recorded_fill)
+    monkeypatch.setattr(qglue.kpair, "_checked_idempotent", recorded_check)
+    params = ParamSet()
+    records = run_suites(list(SUITES), params, 5)
+    assert FAIL not in {rec.status for rec in records}
+    assert len(filled) == len(set(filled))
+    [point] = outside
+    assert point.t0.max_abs() == 0.0 and point.twist == 0
+    # the run's chi(3) at d = 64 serves stability in d, and convergence's
+    # smaller windows are table entries too
+    assert ("chi", 3, params) in filled
+    for key in [("en", 1, replace(params, d=8)), ("chi", 2, replace(params, w=12))]:
+        assert key in filled
+
+
 def test_index_records_do_not_depend_on_companion_suites():
     params = ParamSet()
     alone = run_suites(["index"], params, 1)
@@ -328,7 +359,7 @@ def test_a_suite_is_collected_before_its_checks_run():
 
 
 def test_a_pairing_residual_that_cannot_be_computed_fails_its_rows(monkeypatch):
-    build = qglue.suites.en_numeric
+    build = qglue.kpair.en_numeric
     tried = []
 
     def no_d32(N, params):
@@ -337,7 +368,7 @@ def test_a_pairing_residual_that_cannot_be_computed_fails_its_rows(monkeypatch):
             raise DimensionMismatch("no window d=32")
         return build(N, params)
 
-    monkeypatch.setattr(qglue.suites, "en_numeric", no_d32)
+    monkeypatch.setattr(qglue.kpair, "en_numeric", no_d32)
     records = run_suites(["convergence"], ParamSet(), 2)
     failed = [rec for rec in records if rec.status == FAIL]
     assert [rec.check for rec in failed] == [
@@ -348,7 +379,8 @@ def test_a_pairing_residual_that_cannot_be_computed_fails_its_rows(monkeypatch):
     ]
     assert {(rec.value, rec.residual) for rec in failed} == {("no window d=32", None)}
     assert [rec.status for rec in records if rec.status != FAIL] == [PASS] * 4
-    # each window that cannot be paired is tried once, for both rows that read it
+    # each window that cannot be paired is tried once (one table entry), for
+    # both rows that read it
     assert tried == [1, 2]
 
 
@@ -462,17 +494,20 @@ def test_one_scaled_factor_entry_fails_every_row_of_its_idempotent(monkeypatch):
 
 @pytest.mark.parametrize("q, p, table_fails", [(0.6, 0.4, False), (0.95, 0.9, True)])
 def test_convergence_rows_equal_a_direct_computation(q, p, table_fails):
-    # at the run's window d = 64 convergence reads the table's pairing, and
-    # pairs with no tail tolerance of its own where that pairing failed (at
-    # q = 0.95, p = 0.9 its tail exceeds the table's tolerance)
+    # convergence reads the table's pairing at every window; one whose tail
+    # exceeds TAIL_TOL (at q = 0.95, p = 0.9, d = 64) fails its index rows
+    # but keeps its residual for the ladder
     params = ParamSet(q=q, p=p)
     table = PairingTable(params)
     for N in (1, 2):
-        assert (table.entry("en", N).results["pr"].residual is None) == table_fails
+        result = table.entry("en", N).results["pr"]
+        assert (result.failure is not None) == table_fails
+        assert result.residual is not None
     pr = FredholmModule("pr")
 
     def residual(N, d):
-        return pair(pr, en_numeric(N, replace(params, d=d)), tail_tol=np.inf).residual
+        entries, defect = _checked_idempotent(en_numeric(N, replace(params, d=d)))
+        return _trace_pairing(pr, entries, defect).residual
 
     want = []
     for N, dims in ((1, (8, 16, 32, 64)), (2, (16, 32, 64))):
