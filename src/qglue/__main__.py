@@ -1,3 +1,3 @@
-from .cli import main
+from .entry import main
 
 main()

@@ -35,7 +35,6 @@ from .coefficients import S as S_COEF, _accumulate, _matrix_product
 from .errors import DimensionMismatch, SymbolMismatch, UnsupportedSymbol
 from .ncpoly import NCPoly
 from .opnum import (
-    ParamSet,
     TruncOp,
     diag_op,
     disc_base,
@@ -49,6 +48,7 @@ from .opnum import (
     weighted_shift,
     zero,
 )
+from .params import ParamSet
 from .presets import sphere3_presentation
 
 ORIENTATION = (

@@ -23,7 +23,8 @@ from .circle import LaurentPoly
 from .errors import CertificationError, DimensionMismatch, QGlueError, SymbolMismatch, attempt
 from .glue import FibrePair, OuterProduct, chi, en_numeric, fp_matmul
 from .idempotents import EN_CAP
-from .opnum import GUARD, ParamSet, pi_rep, trace_finite_rank
+from .opnum import GUARD, pi_rep, trace_finite_rank
+from .params import ParamSet
 from .report import FAIL, PASS
 
 ORIENTATION_SIGN = -1

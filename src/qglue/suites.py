@@ -57,8 +57,6 @@ from .idempotents import EN_CAP, build_en
 from .kpair import FredholmModule, IndexRow, PairingResult, PairingTable, pair
 from .ncpoly import NCPoly
 from .opnum import (
-    WINDOW_MAX,
-    ParamSet,
     TruncOp,
     diag_op,
     disc_assignment,
@@ -70,6 +68,7 @@ from .opnum import (
     trusted_diff_norm,
     zero,
 )
+from .params import SUITE_NAMES, WINDOW_MAX, ParamSet
 from .presentations import degree, normal_form, verify_identity
 from .presets import (
     DISC_FLAVOURS,
@@ -751,24 +750,28 @@ def _recorded(suite: str, checks: Callable[..., Checks]):
     return run
 
 
+# registered under params.SUITE_NAMES, in that order
 SUITES = {
     name: _recorded(name, checks)
-    for name, checks in (
-        ("disc", suite_disc),
-        ("s3", suite_s3),
-        ("s2", suite_s2),
-        ("su2", suite_su2),
-        ("podles", suite_podles),
-        ("hopf", suite_hopf),
-        ("en-symbolic", suite_en_symbolic),
-        ("en-numeric", suite_en_numeric),
-        ("chi", suite_chi),
-        ("index", suite_index),
-        ("convergence", suite_convergence),
-        ("confluence", suite_confluence),
+    for name, checks in zip(
+        SUITE_NAMES,
+        (
+            suite_disc,
+            suite_s3,
+            suite_s2,
+            suite_su2,
+            suite_podles,
+            suite_hopf,
+            suite_en_symbolic,
+            suite_en_numeric,
+            suite_chi,
+            suite_index,
+            suite_convergence,
+            suite_confluence,
+        ),
+        strict=True,
     )
 }
-
 
 def run_suites(
     names, params: ParamSet, nmax: int, seed: int = 0

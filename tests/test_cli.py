@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 import qglue
 import qglue.cli
-from qglue.cli import EX_SOFTWARE, load_config_file, run
+from qglue.cli import run
+from qglue.entry import EX_SOFTWARE, load_config_file
 from qglue.errors import DimensionMismatch
-from qglue.opnum import PARAM_MIN, WINDOW_MAX
+from qglue.params import PARAM_MIN, WINDOW_MAX
 from qglue.report import CSV_COLUMNS
 from qglue.suites import SUITES
 
@@ -89,6 +91,25 @@ def test_a_parameter_whose_square_underflows_is_exit_2(capsys):
 def test_missing_config_is_exit_2(tmp_path, capsys):
     assert run(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_a_config_file_that_cannot_be_read_names_itself(tmp_path, capsys, kind):
+    # the message has the form --out uses: qglue: <path>: <reason>
+    cfg = tmp_path / "run.cfg"
+    reason = {
+        "missing": os.strerror(errno.ENOENT),
+        "directory": os.strerror(errno.EISDIR),
+        "not-utf-8": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    }[kind]
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf-8":
+        cfg.write_bytes(b"\xff = 1\n")
+    assert run(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qglue: {cfg}: {reason}\n"
+    assert captured.out == ""
 
 
 def test_malformed_config_is_exit_2(tmp_path, capsys):
@@ -287,6 +308,14 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
+def test_verify_help_lists_the_suites_in_registry_order(capsys, monkeypatch):
+    # the front names the suites without importing them; the list it shows
+    # is the registry's
+    monkeypatch.setenv("COLUMNS", "1000")  # one help line per option
+    assert run(["verify", "--help"]) == 0
+    assert f"Known: {', '.join(SUITES)}\n" in capsys.readouterr().out
+
+
 def test_suite_flags_accumulate_in_registry_order(capsys):
     code = run(
         [
@@ -477,7 +506,7 @@ def test_every_valid_flag_set_exits_0_or_1_with_a_whole_report(flags):
     assert code == (1 if "fail" in statuses else 0)
 
 
-# -- the process entry point: python -m qglue runs cli.main ---------------------
+# -- the process entry point: python -m qglue runs entry.main -------------------
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -529,14 +558,52 @@ def test_a_bug_exits_ex_software_with_its_traceback():
     # an exception that escapes a run is a qglue bug, not a fail record
     done = python(
         "-c",
-        "import sys, qglue.cli, qglue.suites\n"
+        "import sys, qglue.entry, qglue.suites\n"
         "def broken(*args):\n"
         "    raise RuntimeError('a bug in a suite')\n"
         "qglue.suites.SUITES['su2'] = broken\n"
         "sys.argv = ['qglue', 'verify', '--suite', 'su2']\n"
-        "qglue.cli.main()\n",
+        "qglue.entry.main()\n",
     )
     assert done.returncode == EX_SOFTWARE == 70
     assert done.stdout == b""
     assert done.stderr.startswith(b"Traceback (most recent call last):")
     assert done.stderr.endswith(b"RuntimeError: a bug in a suite\n")
+
+
+# prints, after whatever the front prints, the heavy modules the process loaded
+LOADED_AT_EXIT = (
+    "import sys\n"
+    "from qglue.entry import main\n"
+    "sys.argv[0] = 'qglue'\n"
+    "try:\n"
+    "    main()\n"
+    "finally:\n"
+    "    print('loaded:', *sorted({'numpy', 'qglue.cli', 'qglue.suites'} & set(sys.modules)))\n"
+)
+
+
+# each path that ends before a suite runs, with its exit status
+NO_RUN = [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["verify", "--help"], 0),
+    (["index", "--help"], 0),
+    (["verify", "--frobnicate"], 2),
+    (["verify", "--suite", "nope"], 2),
+    (["verify", "--suite", ","], 2),
+    (["verify", "--nmax", "-1"], 2),
+    (["verify", "--q", "2"], 2),
+    (["verify", "--config", "bad line"], 2),
+]
+
+
+@pytest.mark.parametrize("args, exit_code", NO_RUN, ids=[" ".join(a) for a, _ in NO_RUN])
+def test_an_invocation_without_a_run_exits_before_numpy(tmp_path, args, exit_code):
+    if "--config" in args:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 0.5\nno equals sign\n")
+        args = [*args[:-1], str(cfg)]
+    done = python("-c", LOADED_AT_EXIT, *args)
+    assert done.returncode == exit_code
+    assert done.stdout.splitlines()[-1] == b"loaded:"

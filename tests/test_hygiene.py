@@ -1,15 +1,15 @@
 """Source hygiene, checked with the stdlib ast module.
 
 - No package module or test file imports a name it never uses: a stand-in
-  for a linter's unused-import rule. The package's __init__.py is exempt,
-  since its imports are the package's re-exports.
+  for a linter's unused-import rule.
 - Only opnum, which stores operator windows, reads a window's dense .mat
   array.
 - A presentation's table of remembered reductions has one owner: only
   Presentation.__init__ (which makes it) and presentations._remembered
   touch ._nf_cache.
 - The public surface is exact: every name in qglue.__all__ is bound and
-  listed once, and every name __init__.py imports is listed there.
+  listed once; __all__ is the _EXPORTS table, each of whose names is the
+  object its submodule binds; and importing qglue loads no submodule.
 - The public surface is used: every name in qglue.__all__ is imported from
   qglue by a test file or named in backticks in README.md. A name nothing
   uses stays importable from its submodule.
@@ -30,15 +30,22 @@
 - Suite checks are self-contained: no lambda or nested def in suites.py
   reads a name that a for statement of its enclosing function rebinds, so
   a compute gives the same result whenever the runner calls it.
-- Only the process entry point, cli.main, freezes the garbage collector or
-  ends the process: gc.freeze, gc.disable and os._exit appear nowhere
+- Only the process entry point, entry.main, freezes the garbage collector
+  or ends the process: gc.freeze, gc.disable and os._exit appear nowhere
   else in the package, so a library caller never inherits a frozen or
   disabled collector.
+- A launch reads its command line before any numeric import: the package
+  __init__, __main__, the command line front (entry), the params module and
+  every qglue module they import import only the standard library and each
+  other at module level.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,7 +81,7 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: Fraction"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -148,14 +155,28 @@ def test_public_names_are_bound_and_listed_once():
 
 
 def test_every_reexport_is_public():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    }
-    assert sorted(imported - set(qglue.__all__)) == []
+    assert qglue.__all__ == list(qglue._EXPORTS)
+    for name, module in qglue._EXPORTS.items():
+        assert getattr(qglue, name) is getattr(importlib.import_module(f"qglue.{module}"), name)
+
+
+def test_an_unknown_public_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'qglue' has no attribute 'nope'"):
+        getattr(qglue, "nope")
+    assert "ParamSet" in dir(qglue) and "nope" not in dir(qglue)
+
+
+def test_importing_the_package_loads_no_submodule():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, qglue\nprint(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        check=True,
+        text=True,
+    )
+    loaded = done.stdout.split()
+    assert "qglue" in loaded
+    assert [m for m in loaded if m.startswith("qglue.") or m == "numpy"] == []
 
 
 def unused_public_names(public, test_sources, readme: str) -> list[str]:
@@ -604,7 +625,7 @@ def test_suite_computes_bind_their_operands():
 # calls that change how the whole process collects garbage or ends, and the
 # one function allowed to make them
 PROCESS_CALLS = {("gc", "freeze"), ("gc", "disable"), ("os", "_exit")}
-PROCESS_ENTRY = {"cli": {"main: gc.freeze"}}
+PROCESS_ENTRY = {"entry": {"main: gc.freeze"}}
 
 
 def process_calls(source: str) -> set[str]:
@@ -658,3 +679,77 @@ def test_checker_finds_process_calls():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_process_entry_freezes_the_collector(path):
     assert process_calls(path.read_text()) <= PROCESS_ENTRY.get(path.stem, set())
+
+
+# the modules a launch runs before it knows whether there is a run to do
+FRONT = ("qglue", "qglue.__main__", "qglue.entry", "qglue.params")
+
+
+def module_level_imports(source: str, package: str) -> set[str]:
+    """The absolute names of the modules a module imports outside its
+    functions and classes; a relative import is resolved against package,
+    and `from . import x` names the submodule package.x as well."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*DEFS, ast.Lambda, ast.ClassDef)):
+                continue
+            if isinstance(child, ast.Import):
+                found.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = package if child.level else ""
+                module = ".".join(part for part in (base, child.module) if part)
+                found.add(module)
+                if child.level and not child.module:
+                    found.update(f"{package}.{alias.name}" for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def front_imports(read, roots) -> list[str]:
+    """"module: import" for each module-level import, by a root or by a
+    qglue module a root reaches through such imports, of a module that is
+    neither standard library nor qglue; read maps a module name to its
+    source, or to None for a name that is no module file."""
+    todo, seen, found = list(roots), set(), []
+    while todo:
+        name = todo.pop()
+        source = read(name)
+        if name in seen or source is None:
+            continue
+        seen.add(name)
+        for imported in module_level_imports(source, "qglue"):
+            top = imported.split(".")[0]
+            if top == "qglue":
+                todo.append(imported)
+            elif top not in sys.stdlib_module_names:
+                found.append(f"{name}: {imported}")
+    return sorted(found)
+
+
+def test_checker_finds_front_imports():
+    sources = {
+        "qglue": "import importlib\ndef f():\n    import numpy\n",
+        "qglue.entry": "import argparse\nfrom . import __version__, helpers\nfrom .cli import run\n",
+        "qglue.helpers": "try:\n    import numpy as np\nexcept ImportError:\n    np = None\n",
+        "qglue.cli": "from .suites import SUITES\nimport scipy.linalg\n",
+        "qglue.suites": "import numpy\n",
+        "qglue.other": "import numpy\n",
+    }
+    assert front_imports(sources.get, ["qglue", "qglue.entry"]) == [
+        "qglue.cli: scipy.linalg",
+        "qglue.helpers: numpy",
+        "qglue.suites: numpy",
+    ]
+
+
+def read_package_module(name: str) -> str | None:
+    path = PACKAGE / ("__init__.py" if name == "qglue" else f"{name.split('.', 1)[1]}.py")
+    return path.read_text() if path.is_file() else None
+
+
+def test_the_front_imports_only_the_standard_library():
+    assert front_imports(read_package_module, FRONT) == []

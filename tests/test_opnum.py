@@ -31,7 +31,8 @@ from qglue import (
     trace_finite_rank,
     trusted_diff_norm,
 )
-from qglue.opnum import GUARD, PARAM_MIN, weighted_shift, zero
+from qglue.opnum import GUARD, weighted_shift, zero
+from qglue.params import PARAM_MIN
 
 
 def test_paramset_validation():

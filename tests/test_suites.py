@@ -21,8 +21,9 @@ from qglue import (
 from qglue.errors import CertificationError, DimensionMismatch, SizeCapExceeded, WindowOverflow
 from qglue.kpair import PairingTable, _checked_idempotent, _trace_pairing
 from qglue.ncpoly import SymMatrix
-from qglue.opnum import WINDOW_MAX, TruncOp, diag_op, disc_base
+from qglue.opnum import TruncOp, diag_op, disc_base
 from qglue.cli import run
+from qglue.params import WINDOW_MAX
 from qglue.report import FAIL, PASS, WARN, CheckRecord
 from qglue.suites import Outcome, _recorded, run_check
 
