@@ -7,10 +7,10 @@ Two subcommands share one parameter surface:
 
 Values resolve as defaults < config file < explicit flags. The config file
 is `key = value` lines with # comments, keys matching the long flag names
-(suites as a comma-separated list). Exit code 0 means every check passed,
-1 means at least one fail record, 2 means the invocation itself was bad
-(arguments, config file or parameters, an unknown suite name, an empty
-suite selection, or an --out file that cannot be opened, which is tried
+(suites, a verify key only, as a comma-separated list). Exit code 0 means
+every check passed, 1 means at least one fail record, 2 means the invocation
+itself was bad (arguments, config file or parameters, an unknown suite name,
+an empty suite selection, or an --out file that cannot be opened, which is tried
 before any suite runs). A check that cannot be carried out at the given
 parameters is a fail record with the reason as its value (see
 suites.run_check), so any exception that escapes a run is a qglue bug: the
@@ -57,9 +57,10 @@ _NUMBER_TYPES = {f.name: type(f.default) for f in fields(ParamSet)}
 _NUMBER_TYPES.update(nmax=int, seed=int)
 
 
-def load_config_file(path: str) -> dict:
-    """Parse `key = value` lines; a file that cannot be read, unknown or
-    repeated keys and malformed lines raise ValueError."""
+def load_config_file(path: str, command: str = "verify") -> dict:
+    """Parse `key = value` lines for command; a file that cannot be read,
+    unknown or repeated keys, a key the command has no flag for (suites for
+    index) and malformed lines raise ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -78,6 +79,8 @@ def load_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key == "suites" and command != "verify":
+            raise ValueError(f"{path}:{lineno}: key 'suites' applies to verify, not {command}")
         if key in first_set:
             raise ValueError(
                 f"{path}:{lineno}: duplicate key {key!r} (first set on line {first_set[key]})"
@@ -145,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = load_config_file(args.config) if args.config else {}
+    values = load_config_file(args.config, args.command) if args.config else {}
     for key in _PARAM_KEYS + ("nmax", "seed", "format", "out"):
         value = getattr(args, key, None)
         if value is not None:

@@ -118,9 +118,6 @@ class FibrePair:
     def __sub__(self, other):
         return self._entrywise(other, sub)
 
-    def __neg__(self):
-        return FibrePair(-self.t0, -self.t1, -self.sym0, -self.sym1, self.twist)
-
     def __matmul__(self, other):
         if not isinstance(other, FibrePair):
             return NotImplemented

@@ -12,22 +12,23 @@ reduction rules. Rules come in two modes:
   every generator (true for the shipped presets).
 
 Words are compared by the measure (sum of per-letter order weights, length,
-letter sequence). Every rule must strictly decrease it, which makes the
-deterministic reducer terminate; the check can be disabled to build
-deliberately looping systems for guard tests.
+letter sequence). The order weights must be nonnegative, so the measure is a
+semigroup order on words with no infinite descent. Construction checks that
+every rule's rhs words lie below its redex, and a pbw replacement is checked
+the first time it is computed, so every rewrite lowers the measure and every
+reduction, deterministic or randomized, terminates.
 
 The deterministic reducer takes the largest pending word first, so each word
 is expanded once per call. Between calls each presentation keeps one table of
 remembered reductions (see _remembered): whole deterministic normal_form calls
 and pbw replacements, each kept with the rewrite steps it took, which every
 later use charges, so whether a budget suffices does not depend on what ran
-before. The randomized probe finds each word's rewrite options once, when the
-word enters the sum, and draws among them in sorted word order.
+before. The randomized probe finds each word's rewrite options once per call
+and, before each draw, lists them over the sum's words in sorted order.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ class _Budget:
         self.left -= steps
         if self.left < 0:
             raise RewriteLimitExceeded(
-                "rewrite step budget exhausted; the rule system may not terminate"
+                "rewrite step budget exhausted before the normal form was reached"
             )
 
 
@@ -79,7 +80,6 @@ class Presentation:
         star: Mapping[str, object],
         rules: Iterable[tuple],
         order_weights: Sequence[int] | None = None,
-        check_order: bool = True,
     ):
         self.name = str(name)
         self.letters = tuple(letters)
@@ -99,6 +99,10 @@ class Presentation:
         if len(order_weights) != len(self.letters):
             raise PresentationError(f"{name}: need one order weight per letter")
         self.order_weights = tuple(int(w) for w in order_weights)
+        negative = [x for x, w in zip(self.letters, self.order_weights) if w < 0]
+        if negative:
+            # a negative weight admits an infinite descent of the measure
+            raise PresentationError(f"{name}: negative order weight on {negative}")
 
         self.star_table = self._build_star_table(star)
         self.rules = tuple(self._build_rule(spec) for spec in rules)
@@ -108,16 +112,6 @@ class Presentation:
             tuple(r for r in subword_rules if r.redex[0] == i) for i in range(len(self.letters))
         )
         self._pbw_rules = tuple(r for r in self.rules if r.pbw)
-
-        if check_order:
-            for rule in self.rules:
-                m = self.measure(rule.redex)
-                for word, _ in rule.rhs:
-                    if self.measure(word) >= m:
-                        raise PresentationError(
-                            f"{name}: rule {self._word_str(rule.redex)} -> ... does "
-                            f"not decrease the term order at {self._word_str(word)}"
-                        )
 
         # remembered reductions, oldest first; see _remembered
         self._nf_cache: dict[object, tuple[int, object]] = {}
@@ -165,6 +159,12 @@ class Presentation:
             for w, c in rhs_spec.items()
             if CoefPoly.coerce(c)
         )
+        for word, _ in rhs:
+            if self.measure(word) >= self.measure(redex):
+                raise PresentationError(
+                    f"{self.name}: rule {self._word_str(redex)} -> ... does "
+                    f"not decrease the term order at {self._word_str(word)}"
+                )
         counts = self._counts(redex) if pbw else ()
         if pbw and tuple(sorted(redex)) != redex:
             raise PresentationError(f"{self.name}: pbw redex must be sorted")
@@ -291,9 +291,10 @@ def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
     With C the sorted word of the count difference, C * (redex - rhs) is zero
     in the algebra and its subword normal form contains the target word with
     an invertible monomial coefficient lam; solving for the target gives the
-    replacement -lam^{-1} * (rest). The cofactor is reduced on the caller's
-    budget, and the replacement is remembered under (word, rule) with the
-    steps that reduction took (see _remembered).
+    replacement -lam^{-1} * (rest), whose words must lie below the target in
+    the measure or PresentationError is raised. The cofactor is reduced on the
+    caller's budget, and the replacement is remembered under (word, rule) with
+    the steps that reduction took (see _remembered).
     """
 
     def replacement():
@@ -310,6 +311,13 @@ def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
                 f"{pres.name}: pbw rule failed to produce an invertible leading "
                 f"coefficient on {pres._word_str(word)}"
             )
+        top = pres.measure(word)
+        for w2 in full:
+            if pres.measure(w2) >= top:
+                raise PresentationError(
+                    f"{pres.name}: pbw rule {pres.rule_text(rule)} does not decrease "
+                    f"the term order on {pres._word_str(word)} at {pres._word_str(w2)}"
+                )
         lam_inv = lam.inverse_monomial()
         return tuple((w2, -(lam_inv * c2)) for w2, c2 in full.items())
 
@@ -341,14 +349,13 @@ def _remembered(pres: Presentation, key, budget: _Budget, compute):
 def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw: bool):
     """Reduce a sum of terms, largest word first.
 
-    The pending terms sit in a max-heap by the measure. Every rule lowers the
-    measure, so when a word is the largest one pending, every coefficient it
+    The pending terms sit in a max-heap by the measure. Every rewrite lowers
+    the measure, so the distinct words leave the heap in strictly decreasing
+    order, and when a word is the largest one pending, every coefficient it
     will get has been merged into it: it is expanded once, by the first rule
     at the leftmost position where a subword rule applies or else by the
-    first pbw rule, and its children are merged back into the pending terms.
-    A child that was already expanded in this call can only come from a rule
-    system that does not lower the measure, and raises instead of looping
-    until the budget runs out."""
+    first pbw rule, and its children, all below it, are merged back into the
+    pending terms."""
     weight = pres.order_weights.__getitem__
 
     def entry(word):
@@ -358,7 +365,6 @@ def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw
     pending = dict(terms)
     heap = [entry(word) for word in pending]
     heapq.heapify(heap)
-    expanded: set[Word] = set()
     out: dict[Word, CoefPoly] = {}
     while heap:
         word = heapq.heappop(heap)[-1]
@@ -384,13 +390,8 @@ def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw
         budget.tick()
         if rhs is None:
             head, rhs, tail = (), _apply_pbw(pres, word, pbw_rules[0], budget), ()
-        expanded.add(word)
         for mid, c in rhs:
             child = head + mid + tail
-            if child in expanded:
-                raise RewriteLimitExceeded(
-                    f"{pres.name}: cyclic reduction detected at {pres._word_str(child)}"
-                )
             if child not in pending:
                 heapq.heappush(heap, entry(child))
             _accumulate(pending, child, coef * c)
@@ -403,50 +404,31 @@ def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
     cofactor with the deterministic subword-only reducer); used to probe
     confluence against the deterministic reducer.
 
-    The options are listed word by word in sorted word order. Each word's
-    options are found once, when it enters the sum; the reducible words are
-    kept sorted, and the draw rng.randrange(total) is located by walking
-    their option counts."""
+    Before each draw the options are listed word by word over the sum's
+    words in sorted order: a word's subword options, or if it has none its
+    pbw rules. Each word's options are found once per call."""
     acc = dict(terms)
-    options = {}
-    reducible: list[Word] = []
+    options: dict[Word, list] = {}
 
-    def enter(word):
-        # the subword options, or if there are none the pbw rules
-        found = list(_subword_options(pres, word))
-        found = found or [(rule, None) for rule in _pbw_options(pres, word)]
-        if found:
-            options[word] = found
-            bisect.insort(reducible, word)
+    def options_of(word):
+        if word not in options:
+            found = list(_subword_options(pres, word))
+            options[word] = found or [(rule, None) for rule in _pbw_options(pres, word)]
+        return options[word]
 
-    def leave(word):
-        if options.pop(word, None) is not None:
-            del reducible[bisect.bisect_left(reducible, word)]
-
-    for word in acc:
-        enter(word)
-    while reducible:
-        pick = rng.randrange(sum(map(len, options.values())))
-        for word in reducible:
-            if pick < len(options[word]):
-                break
-            pick -= len(options[word])
-        rule, pos = options[word][pick]
+    while True:
+        listed = [(word, *option) for word in sorted(acc) for option in options_of(word)]
+        if not listed:
+            return acc
+        word, rule, pos = listed[rng.randrange(len(listed))]
         budget.tick()
         if pos is None:
             expansion = _apply_pbw(pres, word, rule, budget)
         else:
             expansion = _apply_subword(word, rule, pos)
         coef = acc.pop(word)
-        leave(word)
         for w2, c2 in expansion:
-            present = w2 in acc
             _accumulate(acc, w2, coef * c2)
-            if present and w2 not in acc:
-                leave(w2)
-            elif w2 in acc and not present:
-                enter(w2)
-    return acc
 
 
 def normal_form(
@@ -462,10 +444,11 @@ def normal_form(
     must agree with the deterministic one exactly when the rule system is
     confluent.
 
-    max_steps bounds the rewrite steps (single rule applications) this call
-    performs; past it the call raises RewriteLimitExceeded. Without it the
-    bound is DEFAULT_MAX_STEPS, a guard against rule systems that do not
-    terminate. A deterministic call, budgeted or not, is remembered in the
+    Every rewrite lowers the measure (see Presentation), so the reduction
+    terminates. max_steps bounds its work, the rewrite steps (single rule
+    applications) this call performs; past it the call raises
+    RewriteLimitExceeded. Without it the bound is DEFAULT_MAX_STEPS. A
+    deterministic call, budgeted or not, is remembered in the
     presentation's table under its input terms and charged the steps it took
     on every later use (see _remembered), so whether the budget suffices does
     not depend on what ran before. Only an rng skips that table.

@@ -152,6 +152,24 @@ def test_a_repeated_config_key_is_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["chi", "bogus"])
+def test_a_suites_config_line_under_index_is_exit_2(tmp_path, capsys, monkeypatch, value):
+    # index takes no suite selection, as --suite is no index flag; the line
+    # is refused whatever it names, not ignored or checked as unused
+    def no_run(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(qglue.cli, "run_suites", no_run)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"nmax = 2\nsuites = {value}\n")
+    assert run(["index", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qglue: {cfg}:2: key 'suites' applies to verify, not index\n"
+    assert captured.out == ""
+    assert run(["index", "--suite", "chi"]) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("target", ["", "missing/report.csv"], ids=["directory", "no-directory"])
 def test_an_unwritable_out_is_exit_2_before_any_suite_runs(tmp_path, capsys, monkeypatch, target):
     # a directory, or a file in a directory that does not exist

@@ -38,7 +38,6 @@ def test_validate_rejects_inhomogeneous_rule():
         weights=(1, -1),
         star={"u": "u*"},
         rules=[("u* u", {"u": ONE})],
-        check_order=False,
     )
     with pytest.raises(GradingError):
         pres.validate()

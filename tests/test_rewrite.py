@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qglue import (
     CoefPoly,
@@ -325,32 +327,89 @@ def test_random_probe_draws_as_the_rescanning_reference(name, monkeypatch):
 # -- guards ----------------------------------------------------------------------
 
 
-def _loop_presentation():
+def _loop_presentation(rules):
     return Presentation(
         name="loop",
         letters=("u", "v"),
         weights=(1, -1),
         star={"u": "v"},
-        rules=[
-            ("u v", {"v u": ONE}),
-            ("v u", {"u v": ONE}),
-        ],
-        check_order=False,
+        rules=rules,
     )
 
 
 def test_cyclic_rules_detected():
-    pres = _loop_presentation()
-    x = pres.gen("u") * pres.gen("v")
-    with pytest.raises(RewriteLimitExceeded):
-        normal_form(x)
+    # u v -> v u and v u -> u v would rewrite u v forever; whichever way the
+    # measure orders the two words, one of the rules does not lower it
+    with pytest.raises(PresentationError, match="does not decrease the term order"):
+        _loop_presentation([("u v", {"v u": ONE}), ("v u", {"u v": ONE})])
 
 
 def test_cyclic_rules_are_named_before_the_budget_runs_out():
-    pres = _loop_presentation()
-    x = pres.gen("u") * pres.gen("v")
-    with pytest.raises(RewriteLimitExceeded, match="cyclic"):
-        normal_form(x, max_steps=100)
+    # the loop is refused when the rules enter, before any reduction can spend
+    # a step budget on it, and the refusal names the rule that does not descend
+    # (u v lies below v u) and the word it would rise to, in either rule order
+    rules = [("u v", {"v u": ONE}), ("v u", {"u v": ONE})]
+    for order in (rules, rules[::-1]):
+        with pytest.raises(PresentationError) as refused:
+            _loop_presentation(order)
+        assert not isinstance(refused.value, RewriteLimitExceeded)
+        assert str(refused.value) == (
+            "loop: rule u v -> ... does not decrease the term order at v u"
+        )
+    # the descending rule alone is accepted and reduces v u to u v
+    pres = _loop_presentation(rules[1:])
+    u, v = pres.gen("u"), pres.gen("v")
+    assert normal_form(v * u, max_steps=1) == u * v
+
+
+def test_negative_order_weight_refused():
+    # with a weight below zero, z* z* z* ... would descend in the measure forever
+    with pytest.raises(PresentationError, match="negative order weight"):
+        Presentation(
+            name="negative",
+            letters=("z", "z*"),
+            weights=(1, -1),
+            star={"z": "z*"},
+            rules=[],
+            order_weights=(1, -1),
+        )
+
+
+def test_pbw_step_that_raises_the_order_is_refused():
+    # both rules lower the order as written, but the pbw step on the sorted
+    # word a b c goes through the cofactor b: b (a c) = b a c reduces to
+    # a b c + a c b, so it would replace a b c by -(a c b), which lies above it
+    pres = Presentation(
+        name="rising-pbw",
+        letters=("a", "b", "c"),
+        weights=(0, 0, 0),
+        star={"a": "a", "b": "b", "c": "c"},
+        rules=[("b a c", {"a b c": ONE, "a c b": ONE}), ("a c", {}, "pbw")],
+    )
+    x = pres.element({"a b c": ONE})
+    for rng in (None, random.Random(0)):
+        with pytest.raises(PresentationError, match="does not decrease the term order"):
+            normal_form(x, rng=rng)
+    assert not pres._nf_cache
+
+
+@pytest.mark.parametrize("name", sorted(all_presentations()))
+@settings(max_examples=40, deadline=None)
+@given(letters=st.lists(st.integers(0, 63), min_size=1, max_size=8), sort=st.booleans())
+def test_every_rewrite_lowers_the_measure(name, letters, sort):
+    # the invariant the reducers rely on to terminate: every subword option's
+    # children and every pbw replacement word lie below the word they replace
+    pres = all_presentations()[name]
+    word = tuple(i % len(pres.letters) for i in letters)
+    word = tuple(sorted(word)) if sort else word
+    top = pres.measure(word)
+    for rule, pos in presentations._subword_options(pres, word):
+        for child, _ in _apply_subword(word, rule, pos):
+            assert pres.measure(child) < top
+    budget = presentations._Budget(DEFAULT_MAX_STEPS)
+    for rule in presentations._pbw_options(pres, word):
+        for child, _ in presentations._apply_pbw(pres, word, rule, budget):
+            assert pres.measure(child) < top
 
 
 def test_budget_exhaustion():
@@ -436,10 +495,13 @@ def test_a_cofactor_reduction_runs_on_the_callers_budget():
 
 
 def test_budget_applies_to_randomized_strategy():
-    pres = _loop_presentation()
-    x = pres.gen("u") * pres.gen("v")
+    # (z* z)^5 holds five z* z redexes, so no order of steps reduces it in three
+    pres = disc_presentation("q")
+    z = pres.gen("z")
+    deep = (z.star() * z) ** 5
     with pytest.raises(RewriteLimitExceeded):
-        normal_form(x, rng=random.Random(0), max_steps=50)
+        normal_form(deep, rng=random.Random(0), max_steps=3)
+    assert normal_form(deep, rng=random.Random(0)) == normal_form(deep)
 
 
 def test_order_check_rejects_increasing_rule():

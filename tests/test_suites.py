@@ -451,6 +451,25 @@ def test_an_idempotent_that_is_not_x_yt_fails_idempotency(monkeypatch):
         assert status[f"idempotency N={N:+d}"] == FAIL
 
 
+def test_en_symbolic_reduces_each_dual_pairing_once(monkeypatch):
+    # dual pairing and idempotency of one degree read one reduction of Y^T X
+    pres = qglue.suites.sphere3_presentation()
+    pres._nf_cache.clear()
+    reduced = []
+    normal_form = qglue.suites.normal_form
+
+    def counted(x, **kwargs):
+        reduced.append(x)
+        return normal_form(x, **kwargs)
+
+    monkeypatch.setattr(qglue.suites, "normal_form", counted)
+    records = run_suites(["en-symbolic"], PARAMS, 2)
+    assert all(rec.status == PASS for rec in records)
+    for N in range(-2, 3):
+        X, Y, _ = qglue.suites.build_en(N)
+        assert reduced.count((Y.transpose() @ X)[0, 0]) == 1
+
+
 def _scaled(pair, c):
     """c times a fibre pair: both legs and both symbols."""
     return FibrePair(c * pair.t0, c * pair.t1, c * pair.sym0, c * pair.sym1, pair.twist)
