@@ -33,8 +33,8 @@ _EXPORTS = {
         "coefficients": ("CoefPoly", "ONE", "P", "Q", "S", "ZERO"),
         "errors": (
             "CertificationError", "DimensionMismatch", "GradingError", "PresentationError",
-            "QGlueError", "RewriteLimitExceeded", "SizeCapExceeded", "SymbolMismatch",
-            "UnsupportedSymbol", "WindowOverflow",
+            "QGlueError", "RewriteLimitExceeded", "SymbolMismatch", "UnsupportedSymbol",
+            "WindowOverflow",
         ),
         "glue": (
             "FibrePair", "ORIENTATION", "OuterProduct", "chi", "en_numeric", "fp_matmul",

@@ -41,10 +41,6 @@ class UnsupportedSymbol(QGlueError, ValueError):
     polar phase of a symbol with more than one monomial)."""
 
 
-class SizeCapExceeded(QGlueError, ValueError):
-    """A symbolic construction exceeded its safety cap."""
-
-
 class CertificationError(QGlueError, ValueError):
     """A numeric certificate is over its tolerance: a trace tail, an
     idempotent defect, or a self-adjointness or positivity defect."""

@@ -33,6 +33,7 @@ import numpy as np
 from .circle import BiLaurent, LaurentPoly
 from .coefficients import S as S_COEF, _accumulate, _matrix_product
 from .errors import DimensionMismatch, SymbolMismatch, UnsupportedSymbol
+from .idempotents import build_en
 from .ncpoly import NCPoly
 from .opnum import (
     TruncOp,
@@ -420,7 +421,6 @@ def en_numeric(N: int, params: ParamSet) -> OuterProduct:
     exact leg symbols carried along by the gluing map.
     The leg-symbol map sends every s3pq rule to zero, so these are the
     symbols of the normal forms of E's entries."""
-    from .idempotents import build_en
 
     def single_pair(v: NCPoly) -> FibrePair:
         (pair,) = iota(v, params).values()

@@ -6,8 +6,10 @@ class encodes the degree. The deformed binomial weights in Y come from
 reordering the two disc copies; `assignment` selects which deformation base
 feeds which side ("corrected" is the convention that actually satisfies
 Y^T X = 1, "literal" keeps the transposed reading so its failure witness can
-be inspected). build_en checks its degree cap on every call and builds each
-(presentation, N, assignment) once per process.
+be inspected). build_en builds any degree, once per (N, assignment) per
+process; what grows with |N| is the exact reduction of Y^T X, and the rewrite
+budget bounds that. EN_CAP bounds only the degrees a run reports, through
+en_degrees.
 """
 
 from __future__ import annotations
@@ -15,16 +17,18 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coefficients import CoefPoly, ONE, P, Q
-from .errors import SizeCapExceeded
 from .ncpoly import NCPoly, SymMatrix
 from .presets import sphere3_presentation
 
-# the largest |N| that build_en builds, and so the largest degree the suites
-# pair: a higher cap adds E_N rows to the default report, which then no
-# longer matches the pinned reference outcomes. The exact check of E^2 = E
-# reduces only Y^T X - 1 and no longer limits it (about 0.2 s cold at
-# |N| = 8 on a 2-vCPU VM).
+# the largest |N| a run reports E_N rows for: a higher cap adds rows to the
+# default report, which then no longer matches the pinned reference outcomes
 EN_CAP = 3
+
+
+def en_degrees(nmax: int) -> range:
+    """The degrees N of the E_N rows a run at nmax reports: |N| <= min(nmax, EN_CAP)."""
+    cap = min(nmax, EN_CAP)
+    return range(-cap, cap + 1)
 
 
 @lru_cache(maxsize=None)
@@ -48,6 +52,8 @@ def gaussian_binomial(n: int, k: int, which: str = "q") -> CoefPoly:
     )
 
 
+# room for every degree a run reports, on both assignments
+@lru_cache(maxsize=2 * (2 * EN_CAP + 1))
 def build_en(N: int, assignment: str = "corrected") -> tuple[SymMatrix, SymMatrix, SymMatrix]:
     """Vectors X, Y and the idempotent E = X Y^T for degree N.
 
@@ -63,22 +69,12 @@ def build_en(N: int, assignment: str = "corrected") -> tuple[SymMatrix, SymMatri
     (q-binomials with B, p-binomials with A); already at N = 1 that leaves
     the nonzero witness (q - p)(1 - bb*).
 
-    Raises SizeCapExceeded when |N| > EN_CAP. The cap is checked on every
-    call; past it the vectors are built once per presentation, degree and
-    assignment and shared (SymMatrix entries are tuples).
+    The result is built once per (N, assignment) and shared (SymMatrix
+    entries are tuples).
     """
     if assignment not in ("corrected", "literal"):
         raise ValueError(f"unknown assignment {assignment!r}")
-    n = abs(N)
-    if n > EN_CAP:
-        raise SizeCapExceeded(f"|N| = {n} exceeds the size cap {EN_CAP}")
-    return _build_en(sphere3_presentation(), N, assignment)
-
-
-# room for every degree up to a cap of 8, on both assignments
-@lru_cache(maxsize=34)
-def _build_en(pres, N: int, assignment: str) -> tuple[SymMatrix, SymMatrix, SymMatrix]:
-    """build_en past its checks, once per (presentation, N, assignment)."""
+    pres = sphere3_presentation()
     n = abs(N)
     a, astar, b, bstar = (pres.gen(x) for x in ("a", "a*", "b", "b*"))
     one = pres.one()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .circle import LaurentPoly
 from .errors import CertificationError, DimensionMismatch, QGlueError, SymbolMismatch, attempt
 from .glue import FibrePair, OuterProduct, chi, en_numeric, fp_matmul
-from .idempotents import EN_CAP
+from .idempotents import en_degrees
 from .opnum import GUARD, pi_rep, trace_finite_rank
 from .params import ParamSet
 from .report import FAIL, PASS
@@ -301,8 +301,7 @@ class PairingTable:
 
     def index_rows(self, nmax: int) -> list[IndexRow]:
         """Rows for chi(N), |N| <= nmax, then for the degree-N idempotents,
-        |N| <= min(nmax, EN_CAP)."""
+        N in en_degrees(nmax)."""
         rows = [row for N in range(-nmax, nmax + 1) for row in self.rows("chi", N)]
-        cap = min(nmax, EN_CAP)
-        return rows + [row for N in range(-cap, cap + 1) for row in self.rows("en", N)]
+        return rows + [row for N in en_degrees(nmax) for row in self.rows("en", N)]
 

@@ -105,8 +105,13 @@ class TruncOp:
 
     def max_abs(self, guard: int | None = None) -> float:
         """Largest entry magnitude: of the whole window when guard is None,
-        else of the guarded trusted block (0.0 when that block is empty)."""
+        else of the guarded trusted block. An empty guarded block raises
+        DimensionMismatch: a check over it would compare nothing."""
         lo, hi = (0, self.d) if guard is None else self.trusted_range(guard)
+        if hi <= lo:
+            raise DimensionMismatch(
+                f"no trusted block: d={self.d}, bandwidth={self.bandwidth} at guard {guard}"
+            )
         return _max_abs([_segment(k, vec, lo, hi) for k, vec in self._diags.items()])
 
     def max_abs_on(self, index) -> float:

@@ -53,7 +53,7 @@ from .glue import (
     s2_leg_assignment,
     s3_leg_assignment,
 )
-from .idempotents import EN_CAP, build_en
+from .idempotents import build_en, en_degrees
 from .kpair import FredholmModule, IndexRow, PairingResult, PairingTable, pair
 from .ncpoly import NCPoly
 from .opnum import (
@@ -500,8 +500,7 @@ def suite_en_symbolic(
         expected = normal_form((Q - P) * (pres.one() - b * b.star()))
         return Outcome(witness == expected, str(witness), str(expected))
 
-    cap = min(nmax, EN_CAP)
-    for N in range(-cap, cap + 1):
+    for N in en_degrees(nmax):
         X, Y, E = build_en(N)
         # Y^T X is reduced once per degree, and both checks read it
         pairing = cache(partial(normal_form, (Y.transpose() @ X)[0, 0]))
@@ -522,8 +521,7 @@ def suite_en_numeric(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
 ) -> Checks:
     one_sym = LaurentPoly({0: 1})
-    cap = min(nmax, EN_CAP)
-    for N in range(-cap, cap + 1):
+    for N in en_degrees(nmax):
         yield (
             f"symbol trace N={N:+d}",
             "tr sigma(E) = 1 exactly",

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import qglue.idempotents
+import qglue.glue
 from qglue import (
     DimensionMismatch,
     FibrePair,
@@ -493,9 +493,8 @@ def test_leg_symbols_vanish_on_every_s3_rule():
 
 
 def _build_from(monkeypatch, assignment):
-    """Make en_numeric build E_N from the given binomial base assignment:
-    it reads qglue.idempotents.build_en when it is called."""
-    monkeypatch.setattr(qglue.idempotents, "build_en", lambda N: build_en(N, assignment))
+    """Make en_numeric build E_N from the given binomial base assignment."""
+    monkeypatch.setattr(qglue.glue, "build_en", lambda N: build_en(N, assignment))
 
 
 @pytest.mark.parametrize("assignment", ["corrected", "literal"])

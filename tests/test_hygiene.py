@@ -7,6 +7,8 @@
 - A presentation's table of remembered reductions has one owner: only
   Presentation.__init__ (which makes it) and presentations._remembered
   touch ._nf_cache.
+- The E_N degree bound has one reader: no package module but idempotents
+  names EN_CAP, so every degree a run reports comes from en_degrees.
 - The public surface is exact: every name in qglue.__all__ is bound and
   listed once; __all__ is the _EXPORTS table, each of whose names is the
   object its submodule binds; and importing qglue loads no submodule.
@@ -145,6 +147,38 @@ def test_checker_finds_table_users():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_table_helper_touches_the_table(path):
     assert attribute_users(path.read_text(), "_nf_cache") <= TABLE_USERS.get(path.stem, set())
+
+
+def name_readers(source: str, name: str) -> list[int]:
+    """Lines that name `name`: as a bare name, an attribute or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named = any(name in (alias.name, alias.asname) for alias in node.names)
+        else:
+            named = getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+        if named:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_en_cap_readers():
+    source = (
+        "from .idempotents import EN_CAP as cap\n"
+        "from . import idempotents\n"
+        "def f(nmax):\n    return min(nmax, idempotents.EN_CAP)\n"
+        "EN_CAP_NOTE = 'EN_CAP'\n"
+        "g = lambda: EN_CAP\n"
+    )
+    assert name_readers(source, "EN_CAP") == [1, 4, 6]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "idempotents"], ids=lambda p: p.name
+)
+def test_only_idempotents_reads_the_report_degree_bound(path):
+    # the degrees a run reports come from idempotents.en_degrees
+    assert name_readers(path.read_text(), "EN_CAP") == []
 
 
 def test_public_names_are_bound_and_listed_once():

@@ -5,7 +5,6 @@ import pytest
 from qglue import (
     P,
     Q,
-    SizeCapExceeded,
     build_en,
     degree,
     gaussian_binomial,
@@ -13,7 +12,6 @@ from qglue import (
     sphere3_presentation,
     verify_identity,
 )
-from qglue import idempotents
 from qglue.idempotents import EN_CAP
 from qglue.ncpoly import SymMatrix
 
@@ -104,25 +102,15 @@ def test_literal_assignment_negative_degree_witness():
 
 
 def test_size_cap():
-    with pytest.raises(SizeCapExceeded):
-        build_en(EN_CAP + 1)
-    with pytest.raises(SizeCapExceeded):
-        build_en(-EN_CAP - 1)
+    # EN_CAP bounds the reported degrees, not what build_en builds
+    for N in (EN_CAP + 1, -EN_CAP - 1):
+        X, Y, E = build_en(N)
+        assert X.shape == Y.shape == (EN_CAP + 2, 1)
+        assert E.shape == (EN_CAP + 2, EN_CAP + 2)
     X, Y, E = build_en(EN_CAP)
     assert E.shape == (EN_CAP + 1, EN_CAP + 1)
     with pytest.raises(ValueError):
         build_en(1, assignment="swapped")
-
-
-def test_size_cap_holds_after_a_build_under_a_raised_cap(monkeypatch):
-    # the degree built while the cap was raised stays cached, but the cap is
-    # checked before the cache is read
-    with monkeypatch.context() as raised:
-        raised.setattr(idempotents, "EN_CAP", EN_CAP + 1)
-        X, _, _ = build_en(EN_CAP + 1)
-        assert X.shape == (EN_CAP + 2, 1)
-    with pytest.raises(SizeCapExceeded):
-        build_en(EN_CAP + 1)
 
 
 def test_degree_zero_bundle_is_the_unit():

@@ -391,7 +391,8 @@ def test_max_abs_reads_whole_window_or_guarded_block():
     corner = TruncOp(np.diag([0.5, 0, 0, 0, 2.0]), 0, "Z")
     assert corner.max_abs() == 2.0
     assert corner.max_abs(1) == 0.0  # the centered block drops both ends
-    assert op.max_abs(5) == 0.0  # empty guarded block
+    with pytest.raises(DimensionMismatch, match="no trusted block: d=6, bandwidth=1 at guard 5"):
+        op.max_abs(5)  # an empty guarded block compares nothing
 
 
 @pytest.mark.parametrize(

@@ -147,8 +147,11 @@ def test_readers_match_dense(op_dense, guard):
     block = op.trusted_block(guard)
     assert np.array_equal(block, dense[lo:hi, lo:hi]) and block.shape == (hi - lo, hi - lo)
     assert op.max_abs() == float(np.max(np.abs(dense)))
-    want = float(np.max(np.abs(dense[lo:hi, lo:hi]))) if hi > lo else 0.0
-    assert op.max_abs(guard) == want
+    if hi > lo:
+        assert op.max_abs(guard) == float(np.max(np.abs(dense[lo:hi, lo:hi])))
+    else:
+        with pytest.raises(DimensionMismatch, match=f"no trusted block: d={op.d}"):
+            op.max_abs(guard)
 
 
 @settings(max_examples=150, deadline=None)

@@ -236,7 +236,8 @@ def test_cold_idempotency_sweep_keeps_no_per_word_normal_forms(monkeypatch):
     # reducer about 0.5 MB
     fresh = sphere3_presentation.__wrapped__()
     monkeypatch.setattr(idempotents, "sphere3_presentation", lambda: fresh)
-    _, _, E = build_en(2)
+    # uncached: the cache holds E_2 over the shared presentation
+    _, _, E = build_en.__wrapped__(2)
     assert E.pres is fresh
     sq = E @ E
     tracemalloc.start()

@@ -1,5 +1,6 @@
 """Verification suite registry: naming, determinism, subset reproducibility."""
 
+import re
 import sys
 from dataclasses import replace
 
@@ -15,10 +16,17 @@ from qglue import (
     OuterProduct,
     ParamSet,
     SUITES,
+    build_en,
     en_numeric,
     run_suites,
 )
-from qglue.errors import CertificationError, DimensionMismatch, SizeCapExceeded, WindowOverflow
+from qglue.errors import (
+    CertificationError,
+    DimensionMismatch,
+    RewriteLimitExceeded,
+    WindowOverflow,
+)
+from qglue.idempotents import EN_CAP
 from qglue.kpair import PairingTable, _checked_idempotent, _trace_pairing
 from qglue.ncpoly import SymMatrix
 from qglue.opnum import TruncOp, diag_op, disc_base
@@ -319,7 +327,7 @@ def test_an_idempotent_that_cannot_be_built_fails_its_rows(monkeypatch):
     def no_e1(N, params):
         calls.append(N)
         if N == 1:
-            raise SizeCapExceeded("E_1 refused")
+            raise RewriteLimitExceeded("E_1 refused")
         return build(N, params)
 
     monkeypatch.setattr(qglue.kpair, "en_numeric", no_e1)
@@ -334,6 +342,36 @@ def test_an_idempotent_that_cannot_be_built_fails_its_rows(monkeypatch):
     # the failed build is kept for both modules, not tried again
     assert calls == [-1, 0, 1]
     assert len(records) == 9
+
+
+def test_e_n_rows_cover_exactly_the_reported_degrees():
+    # nmax above the bound: chi rows go to nmax, E_N rows stop at EN_CAP,
+    # while build_en itself builds past it
+    nmax = EN_CAP + 5
+    records = run_suites(["en-symbolic", "en-numeric", "index"], ParamSet(), nmax)
+    degrees = {"en-symbolic": set(), "en-numeric": set(), "index": set()}
+    for rec in records:
+        if rec.suite != "index" or rec.check.startswith("en "):
+            degrees[rec.suite].add(int(re.search(r"N=([+-]\d+)", rec.check).group(1)))
+    reported = set(range(-EN_CAP, EN_CAP + 1))
+    assert degrees == {suite: reported for suite in degrees}
+    chi = [rec for rec in records if rec.check.startswith("chi ")]
+    assert {rec.check.split()[1] for rec in chi} == {f"N={N:+d}" for N in range(-nmax, nmax + 1)}
+    _, _, E = build_en(EN_CAP + 1)
+    assert E.shape == (EN_CAP + 2, EN_CAP + 2)
+
+
+def test_a_check_over_an_empty_trusted_block_fails():
+    # at d = 8 the power product's window leaves no trusted block at guard
+    # 0, nor does E_2's square at the pairing guard: nothing is compared,
+    # so both rows fail and name the window
+    records = run_suites(["disc", "en-numeric"], ParamSet(d=8), 5)
+    by_check = {(rec.suite, rec.check): rec for rec in records}
+    power = by_check["disc", "power product [q] N=4"]
+    pairing = by_check["en-numeric", "pairing N=+2 [pi]"]
+    assert power.status == pairing.status == FAIL
+    assert power.value == "no trusted block: d=8, bandwidth=8 at guard 0"
+    assert pairing.value == "no trusted block: d=8, bandwidth=8 at guard 2"
 
 
 def test_a_suite_is_collected_before_its_checks_run():
