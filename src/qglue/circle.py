@@ -21,6 +21,7 @@ class LaurentPoly(TermSum):
 
     _norm_key = staticmethod(int)
     _unit = 0
+    _key_text = staticmethod(lambda n: "U" if n == 1 else f"U^{n}")
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by U^n."""
@@ -29,23 +30,6 @@ class LaurentPoly(TermSum):
     def star(self) -> "LaurentPoly":
         return self._like({-k: c.conjugate() for k, c in self.terms.items()})
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for n in sorted(self.terms):
-            coef = self.terms[n]
-            head = "" if n else "1"
-            if n == 1:
-                head = "U"
-            elif n:
-                head = f"U^{n}"
-            parts.append(f"({coef}) {head}".strip() if head != "1" else f"({coef})")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
-
 
 class BiLaurent(TermSum):
     """Laurent polynomial on the two-torus, exponents (m, n)."""
@@ -53,6 +37,7 @@ class BiLaurent(TermSum):
     __slots__ = ()
 
     _unit = (0, 0)
+    _key_text = staticmethod(lambda key: f"U^{key[0]} x U^{key[1]}")
 
     @staticmethod
     def _norm_key(key):
@@ -74,12 +59,6 @@ class BiLaurent(TermSum):
         for (m, n), coef in self.terms.items():
             _accumulate(terms, n if which == 0 else m, coef)
         return LaurentPoly(terms)
-
-    def __repr__(self) -> str:
-        body = " + ".join(
-            f"({self.terms[k]}) U^{k[0]} x U^{k[1]}" for k in sorted(self.terms)
-        )
-        return f"BiLaurent({body or '0'})"
 
 
 # -- Hopf structure -----------------------------------------------------------

@@ -11,7 +11,8 @@ is many times cheaper than Fraction arithmetic.
 TermSum is the arithmetic of a sparse sum with coefficients in this ring,
 shared by the free-algebra elements (ncpoly) and the circle and torus
 elements (circle). _power and _matrix_product are the package's one
-binary-powering loop and one entry-matrix loop, given the product they use.
+binary-powering loop and one entry-matrix loop, given the product they use,
+and _sum_text the one text form of the ring's elements and of every TermSum.
 """
 
 from __future__ import annotations
@@ -89,6 +90,24 @@ def _matrix_product(A, B, product: Callable) -> list[list]:
         raise DimensionMismatch(f"shape mismatch: {len(A)}x{len(A[0])} @ {len(B)}x{len(B[0])}")
     columns = list(zip(*B))
     return [[reduce(add, map(product, row, col)) for col in columns] for row in A]
+
+
+def _sum_text(terms: list[tuple[object, str, str]]) -> str:
+    """The one text form of a sum, from its (coefficient, coefficient text,
+    key text) terms in print order: an empty key text (the unit) prints the
+    coefficient text alone, a coefficient of +-1 on any other key prints as
+    its sign, and any other term as 'coefficient key'. An empty sum is 0."""
+    parts = []
+    for coef, coef_text, key_text in terms:
+        if not key_text:
+            parts.append(coef_text)
+        elif coef == 1:
+            parts.append(key_text)
+        elif coef == -1:
+            parts.append(f"-{key_text}")
+        else:
+            parts.append(f"{coef_text} {key_text}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 _UNIT_TERMS = {(0, 0, 0): 1}
@@ -289,21 +308,11 @@ class CoefPoly:
         return f"CoefPoly({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (eq, ep, es), coef in sorted(self._terms.items()):
-            factors = []
-            if coef != 1 or (eq, ep, es) == (0, 0, 0):
-                factors.append(str(coef))
-            if eq:
-                factors.append("q" if eq == 1 else f"q^{eq}")
-            if ep:
-                factors.append("p" if ep == 1 else f"p^{ep}")
-            if es:
-                factors.append("s" if es == 1 else f"s^{es}")
-            parts.append(" ".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        terms = []
+        for expo, coef in sorted(self._terms.items()):
+            powers = (x if e == 1 else f"{x}^{e}" for x, e in zip("qps", expo) if e)
+            terms.append((coef, str(coef), " ".join(powers)))
+        return _sum_text(terms)
 
 
 class TermSum:
@@ -312,10 +321,12 @@ class TermSum:
     of U) and BiLaurent (pairs of powers on the torus).
 
     A subclass gives its key normaliser _norm_key, its key product _join
-    (ka + kb unless it says otherwise) and its unit key _unit. A rational or
-    CoefPoly scalar sits at the unit key, so x + 1 and x == 1 read it there;
-    a float or complex scalar is no operand. terms is the stored dict:
-    callers read it and never mutate it.
+    (ka + kb unless it says otherwise), its unit key _unit, the text of a
+    key _key_text, and the sort key of its print order _order (the key
+    itself unless it says otherwise). A rational or CoefPoly scalar sits at
+    the unit key, so x + 1 and x == 1 read it there; a float or complex
+    scalar is no operand. terms is the stored dict: callers read it and
+    never mutate it.
     """
 
     __slots__ = ("terms",)
@@ -323,6 +334,8 @@ class TermSum:
     _norm_key: Callable
     _join: Callable = staticmethod(add)
     _unit: object
+    _key_text: Callable
+    _order: Callable = staticmethod(lambda key: key)
 
     def __init__(self, terms: Mapping | None = None):
         clean: dict = {}
@@ -425,6 +438,21 @@ class TermSum:
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
         return _power(self, n, mul) if n else self._like({self._unit: ONE})
+
+    # -- display -----------------------------------------------------------
+
+    def __str__(self) -> str:
+        parts = []
+        for key in sorted(self.terms, key=self._order):
+            coef = self.terms[key]
+            if key == self._unit:
+                parts.append((coef, str(coef) if coef.is_monomial() else f"({coef})", ""))
+            else:
+                parts.append((coef, f"({coef})", self._key_text(key)))
+        return _sum_text(parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
     def map_keys(self, fn: Callable):
         """Relabel keys through fn, merging collisions."""

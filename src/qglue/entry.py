@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import __version__
-from .params import SUITE_NAMES, ParamSet
+from .params import SUITE_NAMES, WINDOW_MAX, ParamSet
 
 FORMATS = ("json", "csv")
 # the exit status of a qglue bug, as sysexits.h names it
@@ -159,8 +159,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             names.extend(n.strip() for n in chunk.split(",") if n.strip())
         values["suites"] = tuple(names)
     nmax = values.get("nmax", RunConfig.nmax)
-    if nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {nmax}")
+    # chi(N) needs d > |N| and d <= WINDOW_MAX: a higher degree fails at every window
+    if not 0 <= nmax < WINDOW_MAX:
+        raise ValueError(f"nmax must lie in [0, {WINDOW_MAX - 1}], got {nmax}")
     suites = values.get("suites", RunConfig.suites)
     if not suites:
         raise ValueError("no suite selected: name at least one suite")

@@ -61,22 +61,17 @@ ORIENTATION = (
 )
 
 
-def _as_symbol(sym) -> LaurentPoly:
-    """A leg symbol: a LaurentPoly, or an exact scalar taken as a constant."""
-    return sym if isinstance(sym, LaurentPoly) else LaurentPoly({0: sym})
-
-
 class FibrePair:
     """Two truncated operator legs with matching exact boundary symbols."""
 
     __slots__ = ("t0", "t1", "sym0", "sym1", "twist")
 
-    def __init__(self, t0: TruncOp, t1: TruncOp, sym0, sym1, twist: int = 0):
+    def __init__(self, t0: TruncOp, t1: TruncOp, sym0, sym1, twist: int):
         if t0.lattice != "N" or t1.lattice != "N":
             raise DimensionMismatch("fibre-pair legs live on the natural lattice")
         t0._compat(t1)
-        sym0 = _as_symbol(sym0)
-        sym1 = _as_symbol(sym1)
+        if not (isinstance(sym0, LaurentPoly) and isinstance(sym1, LaurentPoly)):
+            raise TypeError("leg symbols are LaurentPolys")
         twist = index(twist)
         if sym0.shift(twist).terms != sym1.terms:
             mismatch = sym0.shift(twist) - sym1

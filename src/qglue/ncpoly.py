@@ -67,20 +67,10 @@ class NCPoly(TermSum):
 
     # -- display -----------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for word, coef in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0])):
-            cs = str(coef)
-            ws = self.pres._word_str(word)
-            if ws == "1":
-                parts.append(f"({cs})" if " " in cs else cs)
-            elif coef.is_one():
-                parts.append(ws)
-            else:
-                parts.append(f"({cs}) {ws}")
-        return " + ".join(parts)
+    _order = staticmethod(lambda word: (len(word), word))
+
+    def _key_text(self, word: Word) -> str:
+        return self.pres._word_str(word)
 
     def __repr__(self) -> str:
         return f"NCPoly<{self.pres.name}>({self})"

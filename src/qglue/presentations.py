@@ -221,13 +221,8 @@ class Presentation:
         return NCPoly(self, terms)
 
     def rule_text(self, rule: Rule) -> str:
-        """The rule as 'lhs -> (coef) word + ...', in the syntax of the text
-        format; the empty word renders as nothing, an empty rhs as 0."""
-        rhs = " + ".join(
-            f"({coef}) {' '.join(self.letters[i] for i in word)}".strip()
-            for word, coef in rule.rhs
-        )
-        return f"{' '.join(self.letters[i] for i in rule.redex)} -> {rhs or '0'}"
+        """The rule as 'redex -> rhs', the rhs printed as an NCPoly."""
+        return f"{self._word_str(rule.redex)} -> {NCPoly(self, dict(rule.rhs))}"
 
     # -- validation -------------------------------------------------------------
 

@@ -230,6 +230,33 @@ def test_negative_nmax_is_exit_2(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_an_nmax_past_the_window_bound_is_exit_2(tmp_path, capsys):
+    # chi(N) needs d > |N| and d <= WINDOW_MAX, so every row of a degree
+    # |N| >= WINDOW_MAX would fail at every window, and the rows grow with nmax
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"nmax = {WINDOW_MAX}\n")
+    for argv in (
+        ["verify", "--suite", "chi", "--nmax", str(WINDOW_MAX)],
+        ["index", "--nmax", str(WINDOW_MAX)],
+        ["verify", "--suite", "chi", "--config", str(cfg)],
+    ):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err == f"qglue: nmax must lie in [0, {WINDOW_MAX - 1}], got {WINDOW_MAX}\n"
+        assert captured.out == ""
+
+
+def test_the_largest_nmax_runs_at_the_largest_window(capsys):
+    nmax = WINDOW_MAX - 1
+    window = ["--d", str(WINDOW_MAX), "--w", str(WINDOW_MAX)]
+    code = run(["verify", "--suite", "chi,index", "--nmax", str(nmax), *window, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    checks = {row[1] for row in csv.reader(io.StringIO(captured.out))}
+    assert f"pairing N=+{nmax} [pi]" in checks and f"pairing N=-{nmax} [pr]" in checks
+
+
 def test_csv_verify_run(capsys):
     code = run(["verify", "--suite", "disc,su2", "--d", "16", "--format", "csv"])
     captured = capsys.readouterr()
@@ -611,6 +638,7 @@ NO_RUN = [
     (["verify", "--suite", "nope"], 2),
     (["verify", "--suite", ","], 2),
     (["verify", "--nmax", "-1"], 2),
+    (["verify", "--nmax", str(WINDOW_MAX)], 2),
     (["verify", "--q", "2"], 2),
     (["verify", "--config", "bad line"], 2),
 ]

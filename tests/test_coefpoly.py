@@ -1,5 +1,6 @@
 """Exact coefficient ring: Laurent in q, p; polynomial in s."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -133,9 +134,50 @@ def test_as_fraction_and_is_monomial():
 
 
 def test_str_readable():
-    assert str(ONE - Q) == "1 - 1 q"
+    assert str(ONE - Q) == "1 - q"
+    assert str(Q - P) == "-p + q"
+    assert str(-Q) == "-q"
+    assert str(CoefPoly.scalar(-1)) == "-1"
     assert str(ZERO) == "0"
     assert "q^-2" in str(Q**-2)
+
+
+# the coefficients the printer treats apart (+-1) and their neighbours
+PRINT_COEFS = [1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3)]
+# a coefficient of +-1 printed in front of a monomial or a key: "1 q",
+# "-1 p", "(1) a", "(-1) U" (an exponent, as in "p^-1 s", is none)
+UNIT_IN_FRONT = re.compile(r"(?:^|[ (])-?1 [A-Za-z]|\(-?1\) ")
+
+
+def printed_value(text: str, q, p, s) -> Fraction:
+    """The value of a CoefPoly's text at (q, p, s), read back as arithmetic:
+    juxtaposition is a product and ^ a power."""
+    expr = re.sub(r"(?<=[\w)]) (?=[\w(])", "*", text.replace("^", "**"))
+    expr = re.sub(r"\d+", lambda m: f"Fraction({m.group()})", expr)
+    return eval(expr, {"Fraction": Fraction, "q": q, "p": p, "s": s})
+
+
+@st.composite
+def signed_terms(draw):
+    """A few distinct monomials with coefficients from PRINT_COEFS."""
+    monomials = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2))
+    expos = draw(st.lists(monomials, max_size=4, unique=True))
+    return [(expo, draw(st.sampled_from(PRINT_COEFS))) for expo in expos]
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_terms(), st.one_of(st.none(), signed_terms()), st.randoms(use_true_random=False))
+def test_str_prints_a_unit_coefficient_as_its_sign(terms, other, rng):
+    # other None subtracts the element from itself, so zero is drawn too
+    x = CoefPoly(dict(terms)) - CoefPoly(dict(terms if other is None else other))
+    text = str(x)
+    assert not UNIT_IN_FRONT.search(text), text
+    assert (text == "0") == x.is_zero()
+    for pt in POINTS:
+        assert printed_value(text, *pt) == ev(x, pt), text
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    assert str(CoefPoly(dict(shuffled))) == str(CoefPoly(dict(terms)))
 
 
 # -- stored form: int while integral, Fraction once a denominator appears ------

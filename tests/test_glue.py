@@ -47,9 +47,9 @@ from qglue.suites import run_check
 PARAMS = ParamSet(d=24)
 
 
-def zero_pair(d, twist=0):
+def zero_pair(d, twist):
     z = zero(d)
-    return FibrePair(z, z, 0, 0, twist)
+    return FibrePair(z, z, LaurentPoly({}), LaurentPoly({}), twist)
 
 
 # -- membership ---------------------------------------------------------------
@@ -77,12 +77,15 @@ def test_membership_names_first_failing_power():
 
 def test_membership_rejects_numeric_symbols():
     one = identity(8)
+    # a leg symbol is a LaurentPoly: a bare number, exact or not, is none
+    for scalar in (1.0, 1):
+        with pytest.raises(TypeError, match="LaurentPoly"):
+            FibrePair(one, one, scalar, scalar, 0)
     with pytest.raises(TypeError):
-        FibrePair(one, one, 1.0, 1.0)
-    with pytest.raises(TypeError):
-        FibrePair(one, one, LaurentPoly({0: 1.0}), LaurentPoly({0: 1.0}))
+        FibrePair(one, one, LaurentPoly({0: 1.0}), LaurentPoly({0: 1.0}), 0)
+    sym = LaurentPoly({0: 1})
     with pytest.raises(DimensionMismatch):
-        FibrePair(identity(8), identity(9), 1, 1)
+        FibrePair(identity(8), identity(9), sym, sym, 0)
 
 
 def test_twist_join_rules():
@@ -91,7 +94,7 @@ def test_twist_join_rules():
     u = chi(0, 8)
     twisted = psi_inverse(chi(0, 8), 1)
     assert (twisted + zero_pair(8, 1)).twist == 1
-    assert (u - zero_pair(8)).twist == 0
+    assert (u - zero_pair(8, 0)).twist == 0
     for a, b in ((zero_pair(8, 3), u), (u, zero_pair(8, 3)), (twisted, u)):
         with pytest.raises(SymbolMismatch, match="cannot add twist"):
             a + b
@@ -160,9 +163,13 @@ def test_psi_inverse_needs_twist_zero():
 
 def test_fibre_pair_rejects_a_non_integer_twist():
     one = identity(8)
+    sym = LaurentPoly({0: 1})
     with pytest.raises(TypeError):
-        FibrePair(one, one, 1, 1, 0.7)
-    assert FibrePair(one, one, 1, 1, np.int64(0)).twist == 0
+        FibrePair(one, one, sym, sym, 0.7)
+    assert FibrePair(one, one, sym, sym, np.int64(0)).twist == 0
+    # the twist is required: there is no default to fall back on
+    with pytest.raises(TypeError):
+        FibrePair(one, one, sym, sym)
 
 
 def test_chi_rejects_a_non_integer_degree():

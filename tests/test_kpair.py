@@ -12,6 +12,7 @@ from qglue import (
     DimensionMismatch,
     FibrePair,
     FredholmModule,
+    LaurentPoly,
     ORIENTATION_SIGN,
     OuterProduct,
     ParamSet,
@@ -32,7 +33,7 @@ PARAMS = ParamSet()
 
 def zero_pair(d):
     z = zero(d)
-    return FibrePair(z, z, 0, 0)
+    return FibrePair(z, z, LaurentPoly({}), LaurentPoly({}), 0)
 
 
 def test_module_validation():
@@ -113,13 +114,14 @@ def test_pair_reads_an_outer_products_defect_off_its_factors():
 
 def test_pair_rejects_sloppy_idempotents():
     half = TruncOp(0.5 * np.eye(16))
+    one_sym = LaurentPoly({0: 1})
     with pytest.raises(ValueError, match="defect"):
-        pair(FredholmModule("pr"), FibrePair(half, half, 1, 1, 0))
+        pair(FredholmModule("pr"), FibrePair(half, half, one_sym, one_sym, 0))
 
 
 def test_pair_rejects_non_idempotent_symbols():
     one = TruncOp(np.eye(16))
-    doubled = FibrePair(one, one, 2, 2, 0)
+    doubled = FibrePair(one, one, LaurentPoly({0: 2}), LaurentPoly({0: 2}), 0)
     with pytest.raises(SymbolMismatch):
         pair(FredholmModule("pr"), doubled)
 
@@ -177,7 +179,7 @@ def _tailed(d, tail):
     untrusted corner: the defect is read on the guarded block, so it passes."""
     corner = np.zeros(d)
     corner[-1] = tail
-    return FibrePair(zero(d), diag_op(corner), 0, 0, 0)
+    return FibrePair(zero(d), diag_op(corner), LaurentPoly({}), LaurentPoly({}), 0)
 
 
 def test_a_tail_over_tail_tol_fails_the_pairing_and_keeps_its_numbers():

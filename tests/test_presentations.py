@@ -115,8 +115,8 @@ def test_element_builder_and_word_roundtrip():
 
 def test_rule_text_renders_the_empty_word_as_nothing():
     (rule,) = disc_presentation("q").rules
-    assert disc_presentation("q").rule_text(rule) == "z* z -> (q) z z* + (1 - 1 q)"
+    assert disc_presentation("q").rule_text(rule) == "z* z -> (1 - q) + (q) z z*"
     (rule,) = disc_presentation("q2").rules
-    assert disc_presentation("q2").rule_text(rule) == "x* x -> (q^2) x x* + (1 - 1 q^2)"
+    assert disc_presentation("q2").rule_text(rule) == "x* x -> (1 - q^2) + (q^2) x x*"
     zero_rule = all_presentations()["s2pq"].rules[0]
     assert all_presentations()["s2pq"].rule_text(zero_rule) == "A B -> 0"

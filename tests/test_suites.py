@@ -147,8 +147,8 @@ def test_a_shifted_s2_defect_projection_fails_the_defect_relations(monkeypatch):
     records = run_suites(["s2"], PARAMS, 2)
     failed = [(rec.check, rec.anchor) for rec in records if rec.status == FAIL]
     assert failed == [
-        ("relation [leg 0]", "R* R -> (1) + (-1 q) A + (-1 p) B"),
-        ("relation [leg 0]", "R R* -> (1) + (-1) A + (-1) B"),
+        ("relation [leg 0]", "R* R -> 1 + (-q) A + (-p) B"),
+        ("relation [leg 0]", "R R* -> 1 - A - B"),
     ]
     assert len(records) == 16
 

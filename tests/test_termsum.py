@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qglue import ONE, BiLaurent, CoefPoly, LaurentPoly, NCPoly, Q, all_presentations
 from qglue.coefficients import TermSum
+from test_coefpoly import PRINT_COEFS, UNIT_IN_FRONT
 
 PRES = all_presentations()["s3pq"]
 
@@ -122,3 +123,38 @@ def test_power_takes_one_product_per_squaring_and_per_set_bit(monkeypatch, name)
         assert got == expected, n
         if isinstance(expected, TermSum):
             assert list(got.terms.items()) == list(expected.terms.items()), n
+
+
+# -- text: one printer for every term sum ----------------------------------------
+
+print_coefs = st.lists(
+    st.tuples(st.sampled_from(PRINT_COEFS), st.integers(-2, 2)), min_size=1, max_size=2
+).map(lambda terms: sum((c * Q**k for c, k in terms), CoefPoly())).filter(bool)
+
+
+@pytest.mark.parametrize("kind", ["NCPoly", "LaurentPoly"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_str_prints_a_unit_coefficient_as_its_sign(kind, data):
+    make, keys, _, _ = KINDS[kind]
+    terms = data.draw(st.lists(st.tuples(keys, print_coefs), max_size=4, unique_by=lambda t: t[0]))
+    x = make(dict(terms))
+    text = str(x)
+    assert not UNIT_IN_FRONT.search(text), text
+    assert (text == "0") == x.is_zero()
+    assert str(x - x) == "0"
+    shuffled = data.draw(st.permutations(terms))
+    assert str(make(dict(shuffled))) == text
+    assert repr(x).endswith(f"({text})")
+
+
+def test_str_of_each_term_sum():
+    a, a_star = PRES.gen("a"), PRES.gen("a*")
+    assert str(a_star * a - (1 - Q) - Q * a * a_star) == "(-1 + q) + (-q) a a* + a* a"
+    assert str(2 - a) == "2 - a"
+    assert str(NCPoly(PRES, {(): Q})) == "q"
+    assert str(LaurentPoly({-2: Q, 0: 1, 1: -1, 3: 1 - Q})) == "(q) U^-2 + 1 - U + (1 - q) U^3"
+    assert repr(BiLaurent({(0, 0): 2, (1, 0): -1, (2, -1): Q})) == (
+        "BiLaurent(2 - U^1 x U^0 + (q) U^2 x U^-1)"
+    )
+    assert repr(LaurentPoly({})) == "LaurentPoly(0)"
