@@ -33,8 +33,7 @@ _EXPORTS = {
         "coefficients": ("CoefPoly", "ONE", "P", "Q", "S", "ZERO"),
         "errors": (
             "CertificationError", "DimensionMismatch", "GradingError", "PresentationError",
-            "QGlueError", "RewriteLimitExceeded", "SymbolMismatch", "UnsupportedSymbol",
-            "WindowOverflow",
+            "QGlueError", "SymbolMismatch", "UnsupportedSymbol", "WindowOverflow",
         ),
         "glue": (
             "FibrePair", "ORIENTATION", "OuterProduct", "chi", "en_numeric", "fp_matmul",

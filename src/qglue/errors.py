@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 A QGlueError means a computation could not be carried out at the given
-parameters: a window too small, a certificate over its tolerance, a rewrite
-budget spent, ... A check that raises one becomes a fail record
+parameters: a window too small, a certificate over its tolerance, a
+malformed presentation, ... A check that raises one becomes a fail record
 (suites.run_check), a pairing that raises one a failed result
 (kpair.PairingTable). Any other exception that escapes a run is a bug.
 """
@@ -10,10 +10,6 @@ budget spent, ... A check that raises one becomes a fail record
 
 class QGlueError(Exception):
     """Base class for all package-specific errors."""
-
-
-class RewriteLimitExceeded(QGlueError, RuntimeError):
-    """Normal-form computation exceeded its rewrite-step budget."""
 
 
 class PresentationError(QGlueError, ValueError):

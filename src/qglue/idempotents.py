@@ -7,9 +7,9 @@ reordering the two disc copies; `assignment` selects which deformation base
 feeds which side ("corrected" is the convention that actually satisfies
 Y^T X = 1, "literal" keeps the transposed reading so its failure witness can
 be inspected). build_en builds any degree, once per (N, assignment) per
-process; what grows with |N| is the exact reduction of Y^T X, and the rewrite
-budget bounds that. EN_CAP bounds only the degrees a run reports, through
-en_degrees.
+process; what grows with |N| is the exact reduction of Y^T X, which
+terminates because every rewrite lowers the term order. EN_CAP bounds only
+the degrees a run reports, through en_degrees.
 """
 
 from __future__ import annotations

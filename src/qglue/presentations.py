@@ -20,11 +20,10 @@ reduction, deterministic or randomized, terminates.
 
 The deterministic reducer takes the largest pending word first, so each word
 is expanded once per call. Between calls each presentation keeps one table of
-remembered reductions (see _remembered): whole deterministic normal_form calls
-and pbw replacements, each kept with the rewrite steps it took, which every
-later use charges, so whether a budget suffices does not depend on what ran
-before. The randomized probe finds each word's rewrite options once per call
-and, before each draw, lists them over the sum's words in sorted order.
+remembered results (see _remembered): whole deterministic normal_form calls
+and pbw replacements. The randomized probe finds each word's rewrite options
+once per call and, before each draw, lists them over the sum's words in
+sorted order.
 """
 
 from __future__ import annotations
@@ -36,12 +35,11 @@ from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .coefficients import CoefPoly, ONE, _accumulate
-from .errors import GradingError, PresentationError, RewriteLimitExceeded
+from .errors import GradingError, PresentationError
 from .ncpoly import NCPoly, Word
 
-DEFAULT_MAX_STEPS = 1_000_000
-# reductions remembered per presentation; a default verify pass leaves 156 on
-# s3pq (123 whole calls, 33 pbw steps), so every call of a repeated pass is a hit
+# results remembered per presentation; a default verify pass leaves 156 on s3pq
+# (123 whole calls, 33 pbw replacements), so every call of a repeated pass is a hit
 TABLE_SIZE = 1024
 
 
@@ -51,22 +49,6 @@ class Rule:
     rhs: tuple[tuple[Word, CoefPoly], ...]
     pbw: bool = False
     redex_counts: tuple[int, ...] = field(default=(), compare=False)
-
-
-class _Budget:
-    """The rewrite steps one normal_form call has left."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, max_steps: int):
-        self.left = int(max_steps)
-
-    def tick(self, steps: int = 1) -> None:
-        self.left -= steps
-        if self.left < 0:
-            raise RewriteLimitExceeded(
-                "rewrite step budget exhausted before the normal form was reached"
-            )
 
 
 class Presentation:
@@ -113,8 +95,8 @@ class Presentation:
         )
         self._pbw_rules = tuple(r for r in self.rules if r.pbw)
 
-        # remembered reductions, oldest first; see _remembered
-        self._nf_cache: dict[object, tuple[int, object]] = {}
+        # remembered results, oldest first; see _remembered
+        self._nf_cache: dict[object, object] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -280,16 +262,15 @@ def _apply_subword(word: Word, rule: Rule, pos: int):
     return [(head + mid + tail, coef) for mid, coef in rule.rhs]
 
 
-def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
+def _apply_pbw(pres: Presentation, word: Word, rule: Rule):
     """Reduce a sorted word by a pbw rule via its left cofactor.
 
     With C the sorted word of the count difference, C * (redex - rhs) is zero
     in the algebra and its subword normal form contains the target word with
     an invertible monomial coefficient lam; solving for the target gives the
     replacement -lam^{-1} * (rest), whose words must lie below the target in
-    the measure or PresentationError is raised. The cofactor is reduced on the
-    caller's budget, and the replacement is remembered under (word, rule) with
-    the steps that reduction took (see _remembered).
+    the measure or PresentationError is raised. The replacement is
+    remembered under (word, rule) (see _remembered).
     """
 
     def replacement():
@@ -299,7 +280,7 @@ def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
         terms: dict[Word, CoefPoly] = {cword + rule.redex: ONE}
         for mid, coef in rule.rhs:
             _accumulate(terms, cword + mid, -coef)
-        full = _reduce_terms(pres, terms, budget, use_pbw=False)
+        full = _reduce_terms(pres, terms, use_pbw=False)
         lam = full.pop(word, None)
         if lam is None or not lam.is_monomial():
             raise PresentationError(
@@ -316,32 +297,25 @@ def _apply_pbw(pres: Presentation, word: Word, rule: Rule, budget: _Budget):
         lam_inv = lam.inverse_monomial()
         return tuple((w2, -(lam_inv * c2)) for w2, c2 in full.items())
 
-    return _remembered(pres, (word, rule), budget, replacement)
+    return _remembered(pres, (word, rule), replacement)
 
 
-def _remembered(pres: Presentation, key, budget: _Budget, compute):
-    """compute(), remembered in the presentation's one table of reductions.
-
-    A hit charges budget the rewrite steps the stored reduction took and
-    returns the kept result, so whether a budget suffices does not depend on
-    what ran before. A miss runs compute() on budget and keeps (steps taken,
-    result) only if it finished; past TABLE_SIZE entries the oldest goes.
-    """
+def _remembered(pres: Presentation, key, compute):
+    """compute(), remembered in the presentation's one table of results: a
+    hit returns the kept result, a miss keeps what compute() returns; past
+    TABLE_SIZE entries the oldest goes."""
     table = pres._nf_cache
-    found = table.get(key)
-    if found is not None:
-        steps, result = found
-        budget.tick(steps)
+    result = table.get(key)
+    if result is not None:
         return result
-    left = budget.left
     result = compute()
     if len(table) >= TABLE_SIZE:
         del table[next(iter(table))]  # the oldest
-    table[key] = (left - budget.left, result)
+    table[key] = result
     return result
 
 
-def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw: bool):
+def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], use_pbw: bool):
     """Reduce a sum of terms, largest word first.
 
     The pending terms sit in a max-heap by the measure. Every rewrite lowers
@@ -382,9 +356,7 @@ def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw
             if not pbw_rules:
                 _accumulate(out, word, coef)
                 continue
-        budget.tick()
-        if rhs is None:
-            head, rhs, tail = (), _apply_pbw(pres, word, pbw_rules[0], budget), ()
+            head, rhs, tail = (), _apply_pbw(pres, word, pbw_rules[0]), ()
         for mid, c in rhs:
             child = head + mid + tail
             if child not in pending:
@@ -393,7 +365,7 @@ def _reduce_terms(pres, terms: Mapping[Word, CoefPoly], budget: _Budget, use_pbw
     return out
 
 
-def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
+def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng):
     """Fully randomized reduction: at each step pick uniformly among every
     applicable (word, rule, position) option (a pbw step still reduces its
     cofactor with the deterministic subword-only reducer); used to probe
@@ -416,9 +388,8 @@ def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
         if not listed:
             return acc
         word, rule, pos = listed[rng.randrange(len(listed))]
-        budget.tick()
         if pos is None:
-            expansion = _apply_pbw(pres, word, rule, budget)
+            expansion = _apply_pbw(pres, word, rule)
         else:
             expansion = _apply_subword(word, rule, pos)
         coef = acc.pop(word)
@@ -426,12 +397,7 @@ def _random_reduce(pres, terms: Mapping[Word, CoefPoly], rng, budget: _Budget):
             _accumulate(acc, w2, coef * c2)
 
 
-def normal_form(
-    x: NCPoly,
-    *,
-    max_steps: int | None = None,
-    rng=None,
-) -> NCPoly:
+def normal_form(x: NCPoly, *, rng=None) -> NCPoly:
     """Reduce an element to its normal form.
 
     Deterministic by default (largest word first, leftmost-position
@@ -440,23 +406,15 @@ def normal_form(
     confluent.
 
     Every rewrite lowers the measure (see Presentation), so the reduction
-    terminates. max_steps bounds its work, the rewrite steps (single rule
-    applications) this call performs; past it the call raises
-    RewriteLimitExceeded. Without it the bound is DEFAULT_MAX_STEPS. A
-    deterministic call, budgeted or not, is remembered in the
-    presentation's table under its input terms and charged the steps it took
-    on every later use (see _remembered), so whether the budget suffices does
-    not depend on what ran before. Only an rng skips that table.
+    terminates. A deterministic call is remembered in the presentation's
+    table under its input terms (see _remembered); only an rng skips that
+    table.
     """
     pres, terms = x.pres, x.terms
-    budget = _Budget(DEFAULT_MAX_STEPS if max_steps is None else max_steps)
     if rng is not None:
-        return x._like(_random_reduce(pres, terms, rng, budget))
+        return x._like(_random_reduce(pres, terms, rng))
     key = frozenset(terms.items())
-    reduced = _remembered(
-        pres, key, budget, lambda: _reduce_terms(pres, terms, budget, use_pbw=True)
-    )
-    return x._like(reduced)
+    return x._like(_remembered(pres, key, lambda: _reduce_terms(pres, terms, use_pbw=True)))
 
 
 # -- grading helpers ----------------------------------------------------------

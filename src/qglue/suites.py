@@ -571,11 +571,7 @@ def suite_chi(
 
     def round_trip(img, gen, N):
         back = psi_inverse(img, N)
-        # the round trip's bandwidth plus the guard can cover a small window
-        res = max(
-            trusted_diff_norm(back.t0, gen.t0, guard=abs(N)),
-            trusted_diff_norm(back.t1, gen.t1, guard=abs(N)),
-        )
+        res = max(trusted_diff_norm(back.t0, gen.t0), trusted_diff_norm(back.t1, gen.t1))
         ok = back.twist == N and back.sym0 == gen.sym0 and back.sym1 == gen.sym1
         return _within(res if ok else 1.0, 1e-12)
 

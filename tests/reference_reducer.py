@@ -14,13 +14,7 @@ order to it.
 
 from qglue import ONE, NCPoly, PresentationError
 from qglue.coefficients import _accumulate
-from qglue.presentations import (
-    DEFAULT_MAX_STEPS,
-    _Budget,
-    _apply_subword,
-    _pbw_options,
-    _subword_options,
-)
+from qglue.presentations import _apply_subword, _pbw_options, _subword_options
 from qglue.presentations import _apply_pbw as _apply_pbw_reducing
 
 
@@ -93,7 +87,6 @@ def _apply_pbw(pres, word, rule, caches):
 def reference_random_reduce(pres, terms, rng):
     """Randomized reduction that sorts the sum and finds every word's
     options again before each step, then draws one uniformly."""
-    budget = _Budget(DEFAULT_MAX_STEPS)
     acc = dict(terms)
     while True:
         options = []
@@ -107,9 +100,8 @@ def reference_random_reduce(pres, terms, rng):
         if not options:
             return acc
         word, rule, pos = options[rng.randrange(len(options))]
-        budget.tick()
         if pos is None:
-            expansion = _apply_pbw_reducing(pres, word, rule, budget)
+            expansion = _apply_pbw_reducing(pres, word, rule)
         else:
             expansion = _apply_subword(word, rule, pos)
         coef = acc.pop(word)

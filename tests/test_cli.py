@@ -302,7 +302,7 @@ def test_repeated_runs_in_one_process_write_identical_reports(tmp_path, capsys):
     # entry (a miss stores a new result, even where it evicts the same key)
     first, second = filled
     assert second.keys() == first.keys()
-    assert all(second[key][1] is first[key][1] for key in second)
+    assert all(second[key] is first[key] for key in second)
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -418,10 +418,10 @@ def test_uncertifiable_pairing_is_a_fail_record(capsys):
 
 
 def test_untwisting_round_trip_without_a_trusted_block_is_a_fail_record(capsys):
-    # at d = 16 the round trips at N = +4 and +5 leave no common trusted
-    # block: each is a fail record carrying the reason, and every other chi
-    # check still reports
-    code = run(["verify", "--suite", "chi", "--d", "16", "--format", "csv"])
+    # at d = 12 the round trips at N = +4 and +5 (bandwidth 3N >= d) leave no
+    # common trusted block: each is a fail record carrying the reason, and
+    # every other chi check still reports
+    code = run(["verify", "--suite", "chi", "--d", "12", "--format", "csv"])
     captured = capsys.readouterr()
     assert code == 1
     rows = list(csv.DictReader(io.StringIO(captured.out)))
@@ -431,8 +431,20 @@ def test_untwisting_round_trip_without_a_trusted_block_is_a_fail_record(capsys):
         "untwisting round trip N=+5",
     ]
     for row in failed:
-        assert row["value"].startswith("no common trusted block: d=16")
+        assert row["value"].startswith("no common trusted block: d=12")
         assert row["residual"] == ""
+
+
+def test_untwisting_round_trip_reads_its_own_trusted_block(capsys):
+    # the round trip's bandwidth 3|N| is its trust bound: at d = 64 it leaves
+    # a block up to |N| = 21, so N = +16..+20 (past d/4) pass exactly
+    code = run(["verify", "--suite", "chi", "--nmax", "20", "--d", "64", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    trips = [row for row in rows if row["check"].startswith("untwisting round trip")]
+    assert len(trips) == 40
+    assert all(row["status"] == "pass" and float(row["residual"]) == 0.0 for row in trips)
 
 
 def test_multiplicative_checks_past_the_shift_window_are_fail_records(capsys):

@@ -37,6 +37,15 @@ def test_dual_pairing_is_one(N):
     assert pairing == X[0, 0].pres.one()
 
 
+@pytest.mark.parametrize("N", [-8, -6, -5, -4, 4, 5, 6, 8])
+def test_dual_pairing_is_one_past_the_reported_degrees(N):
+    # no report reaches these degrees while EN_CAP = 3; the reduction of
+    # Y^T X grows with |N| and terminates with no bound on its work
+    assert abs(N) > EN_CAP
+    X, Y, _ = build_en(N)
+    assert normal_form((Y.transpose() @ X)[0, 0]) == X[0, 0].pres.one()
+
+
 @pytest.mark.parametrize("N", range(-3, 4))
 def test_idempotent_square(N):
     X, Y, E = build_en(N)

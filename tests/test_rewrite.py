@@ -18,7 +18,6 @@ from qglue import (
     Presentation,
     PresentationError,
     Q,
-    RewriteLimitExceeded,
     all_presentations,
     build_en,
     disc_assignment,
@@ -30,7 +29,7 @@ from qglue import (
     verify_identity,
 )
 from qglue import idempotents, presentations
-from qglue.presentations import DEFAULT_MAX_STEPS, TABLE_SIZE, _apply_subword
+from qglue.presentations import TABLE_SIZE, _apply_subword
 from reference_reducer import reference_normal_form, reference_random_reduce
 
 QI = Q.inverse_monomial()
@@ -171,7 +170,6 @@ def test_nf_matches_recursive_reference(name):
         expected = reference_normal_form(x)
         assert _reduced_afresh(x) == expected
         assert normal_form(x) == expected  # now from the table
-        assert normal_form(x, max_steps=DEFAULT_MAX_STEPS) == expected
 
 
 @pytest.mark.parametrize("N", [-2, -1, 0, 1, 2])
@@ -182,39 +180,30 @@ def test_nf_matches_recursive_reference_on_idempotents(N):
             for entry in row:
                 expected = reference_normal_form(entry)
                 assert _reduced_afresh(entry) == expected
-                assert normal_form(entry, max_steps=DEFAULT_MAX_STEPS) == expected
 
 
 def test_one_table_drops_the_oldest_entry_and_charges_every_hit(monkeypatch):
     pres = sphere3_presentation.__wrapped__()
     table = pres._nf_cache
     a, b = pres.gen("a"), pres.gen("b")
-    y = a * a.star() * a.star() * b * b.star()  # one pbw step, two cofactor steps
+    y = a * a.star() * a.star() * b * b.star()  # one pbw step
 
-    # a call that runs out keeps no whole-call entry
-    with pytest.raises(RewriteLimitExceeded):
-        normal_form(y, max_steps=2)
-    assert not table
-
-    # the pbw step goes in first, then the whole call that took it
-    normal_form(y)
+    # the pbw replacement goes in first, then the whole call that used it
+    nf = normal_form(y)
     pbw_key, whole_key = table
     assert pbw_key == (pres.word("a a* a* b b*"), pres._pbw_rules[0])
     assert whole_key == frozenset(y.terms.items())
-    assert table[pbw_key][0] == 2 and table[whole_key][0] == 3
 
-    # a budgeted call after an unbudgeted one is a hit, charged the stored steps
+    # every later call is a hit: it reduces nothing and shares the stored terms
     reduce_terms = presentations._reduce_terms
     reduced = []
 
-    def counting(pres, terms, budget, use_pbw):
+    def counting(pres, terms, use_pbw):
         reduced.append(terms)
-        return reduce_terms(pres, terms, budget, use_pbw)
+        return reduce_terms(pres, terms, use_pbw)
 
     monkeypatch.setattr(presentations, "_reduce_terms", counting)
-    assert normal_form(y, max_steps=3) == normal_form(y)
-    with pytest.raises(RewriteLimitExceeded):
-        normal_form(y, max_steps=2)
+    assert normal_form(y).terms is nf.terms
     assert reduced == []
 
     # at TABLE_SIZE the oldest entry goes, whichever kind it is
@@ -295,6 +284,10 @@ def test_randomized_reduction_matches_deterministic():
         for _ in range(25):
             x = NCPoly(pres, {random_word(pres, rng, 7): ONE})
             assert normal_form(x) == normal_form(x, rng=rng)
+    # (z* z)^5 holds five z* z redexes, whichever order the probe takes them in
+    z = disc_presentation("q").gen("z")
+    deep = (z.star() * z) ** 5
+    assert normal_form(deep, rng=random.Random(0)) == normal_form(deep)
 
 
 @pytest.mark.parametrize("name", sorted(all_presentations()))
@@ -315,9 +308,7 @@ def test_random_probe_draws_as_the_rescanning_reference(name, monkeypatch):
     for seed in range(120):
         x = random_element(pres, rng, n_words=3, max_len=7)
         ours, theirs = random.Random(seed), random.Random(seed)
-        got = presentations._random_reduce(
-            pres, x.terms, ours, presentations._Budget(DEFAULT_MAX_STEPS)
-        )
+        got = presentations._random_reduce(pres, x.terms, ours)
         want = reference_random_reduce(pres, x.terms, theirs)
         assert list(got.items()) == list(want.items())
         assert ours.getstate() == theirs.getstate()
@@ -346,21 +337,20 @@ def test_cyclic_rules_detected():
 
 
 def test_cyclic_rules_are_named_before_the_budget_runs_out():
-    # the loop is refused when the rules enter, before any reduction can spend
-    # a step budget on it, and the refusal names the rule that does not descend
-    # (u v lies below v u) and the word it would rise to, in either rule order
+    # the loop is refused when the rules enter, before any reduction can run
+    # on it, and the refusal names the rule that does not descend (u v lies
+    # below v u) and the word it would rise to, in either rule order
     rules = [("u v", {"v u": ONE}), ("v u", {"u v": ONE})]
     for order in (rules, rules[::-1]):
         with pytest.raises(PresentationError) as refused:
             _loop_presentation(order)
-        assert not isinstance(refused.value, RewriteLimitExceeded)
         assert str(refused.value) == (
             "loop: rule u v -> ... does not decrease the term order at v u"
         )
     # the descending rule alone is accepted and reduces v u to u v
     pres = _loop_presentation(rules[1:])
     u, v = pres.gen("u"), pres.gen("v")
-    assert normal_form(v * u, max_steps=1) == u * v
+    assert normal_form(v * u) == u * v
 
 
 def test_negative_order_weight_refused():
@@ -407,102 +397,9 @@ def test_every_rewrite_lowers_the_measure(name, letters, sort):
     for rule, pos in presentations._subword_options(pres, word):
         for child, _ in _apply_subword(word, rule, pos):
             assert pres.measure(child) < top
-    budget = presentations._Budget(DEFAULT_MAX_STEPS)
     for rule in presentations._pbw_options(pres, word):
-        for child, _ in presentations._apply_pbw(pres, word, rule, budget):
+        for child, _ in presentations._apply_pbw(pres, word, rule):
             assert pres.measure(child) < top
-
-
-def test_budget_exhaustion():
-    pres = disc_presentation("q")
-    z = pres.gen("z")
-    deep = (z.star() * z) ** 5
-    with pytest.raises(RewriteLimitExceeded):
-        normal_form(deep, max_steps=3)
-    assert isinstance(RewriteLimitExceeded("x"), RuntimeError)
-
-
-@pytest.mark.parametrize("warm_first", [False, True], ids=["cold-first", "warm-first"])
-def test_budget_outcome_does_not_depend_on_history(warm_first):
-    # z*^3 z^3 takes more than 5 rewrite steps from scratch; a budgeted call
-    # must run out whether or not an unbudgeted call has reduced it before,
-    # so a remembered whole call charges the steps it took
-    pres = disc_presentation("q")
-    z = pres.gen("z")
-    x = z.star() ** 3 * z**3
-
-    def budgeted():
-        with pytest.raises(RewriteLimitExceeded):
-            normal_form(x, max_steps=5)
-
-    calls = [budgeted, lambda: normal_form(x)]
-    for call in reversed(calls) if warm_first else calls:
-        call()
-    assert normal_form(x, max_steps=100) == normal_form(x)
-
-    # a pbw step reuses its replacement once computed and charges the steps
-    # its cofactor reduction took: the smallest budget that suffices is the
-    # same with the table of reductions cold and warm. The sorted word
-    # a a*^2 b b* takes one pbw step, whose cofactor a* (a a* b b* - ...)
-    # takes two subword steps: three in all, as when every cofactor was
-    # reduced afresh on the caller's budget
-    s3 = sphere3_presentation()
-    a, b = s3.gen("a"), s3.gen("b")
-    y = a * a.star() * a.star() * b * b.star()
-    table = s3._nf_cache
-
-    def suffices(max_steps, cold):
-        if cold:
-            table.clear()
-        try:
-            normal_form(y, max_steps=max_steps)
-        except RewriteLimitExceeded:
-            return False
-        return True
-
-    def fewest(cold):
-        return next(n for n in itertools.count() if suffices(n, cold))
-
-    table.clear()
-    assert normal_form(y) == normal_form(y, max_steps=DEFAULT_MAX_STEPS)
-    assert table  # the word takes a pbw step
-    first = fewest(cold=not warm_first)
-    assert first == 3
-    assert fewest(cold=warm_first) == first
-    for cold in (True, False):
-        assert suffices(first, cold)
-        assert not suffices(first - 1, cold)
-
-
-def test_a_cofactor_reduction_runs_on_the_callers_budget():
-    # a cold pbw step reduces its cofactor on the caller's budget: a budget
-    # that runs out inside that reduction raises there and stores nothing,
-    # and the replacement is kept only once a budget has sufficed
-    s3 = sphere3_presentation()
-    a, b = s3.gen("a"), s3.gen("b")
-    y = a * a.star() * a.star() * b * b.star()  # one pbw step, two cofactor steps
-    table = s3._nf_cache
-    table.clear()
-    for max_steps in (1, 2):
-        with pytest.raises(RewriteLimitExceeded):
-            normal_form(y, max_steps=max_steps)
-        assert not table
-    normal_form(y, max_steps=3)
-    (pbw_key,) = (key for key in table if isinstance(key, tuple))
-    assert pbw_key == (s3.word("a a* a* b b*"), s3._pbw_rules[0])
-    assert table[pbw_key][0] == 2
-    # the whole call's entry holds the pbw step and its two cofactor steps
-    assert table[frozenset(y.terms.items())][0] == 3
-
-
-def test_budget_applies_to_randomized_strategy():
-    # (z* z)^5 holds five z* z redexes, so no order of steps reduces it in three
-    pres = disc_presentation("q")
-    z = pres.gen("z")
-    deep = (z.star() * z) ** 5
-    with pytest.raises(RewriteLimitExceeded):
-        normal_form(deep, rng=random.Random(0), max_steps=3)
-    assert normal_form(deep, rng=random.Random(0)) == normal_form(deep)
 
 
 def test_order_check_rejects_increasing_rule():

@@ -23,7 +23,6 @@ from qglue import (
 from qglue.errors import (
     CertificationError,
     DimensionMismatch,
-    RewriteLimitExceeded,
     WindowOverflow,
 )
 from qglue.idempotents import EN_CAP
@@ -327,7 +326,7 @@ def test_an_idempotent_that_cannot_be_built_fails_its_rows(monkeypatch):
     def no_e1(N, params):
         calls.append(N)
         if N == 1:
-            raise RewriteLimitExceeded("E_1 refused")
+            raise CertificationError("E_1 refused")
         return build(N, params)
 
     monkeypatch.setattr(qglue.kpair, "en_numeric", no_e1)
