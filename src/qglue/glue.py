@@ -47,10 +47,9 @@ from .opnum import (
     pi_rep,
     shift,
     weighted_shift,
-    zero,
 )
 from .params import ParamSet
-from .presets import sphere3_presentation
+from .presets import S2_IN_S3, sphere3_presentation
 
 ORIENTATION = (
     "psi_iso removes a twist by shifting the leg whose symbol carries the "
@@ -269,16 +268,10 @@ def s3_leg_assignment(leg: int, params: ParamSet) -> Mapping[str, TruncOp]:
 
 
 def s2_leg_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:
-    """Operators for one leg of the quotient sphere: R acts as the z-disc on
-    leg 0 and the y-disc on leg 1; A and B are the two defect projections
-    diag(base^n), only one of which survives on each leg."""
-    if leg not in (0, 1):
-        raise ValueError("leg must be 0 or 1")
-    disc = ("z", "y")[leg]
-    r = disc_rep(disc, params)
-    defects = [zero(params.d), zero(params.d)]
-    defects[leg] = diag_op(disc_base(disc, params) ** np.arange(params.d))
-    return {"A": defects[0], "B": defects[1], "R": r, "R*": r.adjoint()}
+    """Operators for one leg of the quotient sphere: the s3pq images of its
+    letters under presets.S2_IN_S3, evaluated on s3_leg_assignment."""
+    legs, pres = s3_leg_assignment(leg, params), sphere3_presentation()
+    return {x: evaluate(pres.element(image), legs, params) for x, image in S2_IN_S3.items()}
 
 
 # -- the doubled picture ----------------------------------------------------------
@@ -384,8 +377,8 @@ def podles_generators(params: ParamSet) -> PodlesPair:
 
 def polar_part(pair: FibrePair) -> FibrePair:
     """Isometry part of the polar decomposition, leg by leg; the symbol is
-    the phase of the original symbol (implemented for the single-monomial
-    symbols arising here; another symbol raises UnsupportedSymbol)."""
+    the phase U^n of a symbol c U^n with c one term of positive rational
+    coefficient, so c > 0 at every accepted point (else UnsupportedSymbol)."""
 
     def leg(op: TruncOp) -> TruncOp:
         return op @ inv_sqrt_psd(op.adjoint() @ op)
@@ -396,7 +389,9 @@ def polar_part(pair: FibrePair) -> FibrePair:
         if len(sym.terms) != 1:
             raise UnsupportedSymbol("polar phase implemented for monomial symbols only")
         (n, coef), = sym.terms.items()
-        return LaurentPoly({n: 1}) if coef else LaurentPoly({})
+        if not (coef.is_monomial() and next(coef.items())[1] > 0):
+            raise UnsupportedSymbol(f"polar phase of {sym}: not a positive monomial times U^{n}")
+        return LaurentPoly({n: 1})
 
     return FibrePair(
         leg(pair.t0), leg(pair.t1), phase(pair.sym0), phase(pair.sym1), pair.twist

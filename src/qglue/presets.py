@@ -4,8 +4,8 @@ Every rule set below is oriented by the term order declared with it. Its
 confluence is probed, not certified: the `confluence` suite reduces random
 words in random rule order and compares the results with the deterministic
 normal form. The test suite resolves every critical pair between two subword
-rules; the report certifies no critical pair, and the pbw rule of s3pq is
-only probed.
+rules (the report certifies none; the pbw rule of s3pq is only probed) and
+proves exact the embedding S2_IN_S3 of s2pq as the degree-zero part of s3pq.
 """
 
 from __future__ import annotations
@@ -67,10 +67,20 @@ def sphere3_presentation() -> Presentation:
     )
 
 
+# How s2pq sits in s3pq as its degree-zero part, stated once: each s2pq letter
+# as an s3pq element, in the rules' term specs. glue reads the s2 legs off it.
+S2_IN_S3 = {
+    "A": {"": ONE, "a a*": -ONE},
+    "B": {"": ONE, "b b*": -ONE},
+    "R": {"a b": ONE},
+    "R*": {"b* a*": ONE},
+}
+
+
 @lru_cache(maxsize=None)
 def sphere2_presentation() -> Presentation:
-    """Degree-zero quotient sphere: projections A, B with AB = 0 and a
-    normal letter R with RR* = 1 - A - B, R*R = 1 - qA - pB."""
+    """Quotient sphere, embedded in s3pq by S2_IN_S3: projections A, B with
+    AB = 0 and a normal letter R with RR* = 1 - A - B, R*R = 1 - qA - pB."""
     return Presentation(
         name="s2pq",
         letters=("A", "B", "R", "R*"),

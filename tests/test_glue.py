@@ -2,6 +2,8 @@
 
 import random
 from dataclasses import replace
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -12,12 +14,17 @@ from qglue import (
     FibrePair,
     LaurentPoly,
     NCPoly,
+    ONE,
+    P,
     ParamSet,
+    Q,
     S,
     SymbolMismatch,
     UnsupportedSymbol,
     build_en,
     chi,
+    diag_op,
+    disc_rep,
     en_numeric,
     evaluate,
     fp_matmul,
@@ -35,12 +42,15 @@ from qglue import (
     s3_leg_assignment,
     s3_leg_symbol,
     shift,
+    sphere2_presentation,
     sphere3_presentation,
     trusted_diff_norm,
     w_map,
 )
 from qglue.glue import leg_bilaurent
-from qglue.opnum import zero
+from qglue.ncpoly import SymMatrix
+from qglue.opnum import disc_base, weighted_shift, zero
+from qglue.presets import S2_IN_S3
 from qglue.report import FAIL
 from qglue.suites import run_check
 
@@ -255,6 +265,101 @@ def test_s2_leg_relations():
         assert np.max(np.abs(A @ B)) == 0.0
 
 
+# -- the quotient sphere inside the glued discs -------------------------------------
+
+
+def _in_s3(x, table=S2_IN_S3):
+    """The s2pq element x with each letter replaced by its s3pq image."""
+    s3 = sphere3_presentation()
+    images = [s3.element(table[letter]) for letter in x.pres.letters]
+    total = NCPoly(s3)
+    for word, coef in x.terms.items():
+        total = total + coef * reduce(mul, (images[i] for i in word), s3.one())
+    return total
+
+
+def _embedding_defects(table):
+    """The s2pq rules whose image under table does not reduce to 0 in s3pq,
+    then the letters x whose image of x* is not the star of x's image."""
+    s2 = sphere2_presentation()
+    broken = [
+        s2.rule_text(rule)
+        for rule in s2.rules
+        if not normal_form(_in_s3(s2.rule_element(rule), table)).is_zero()
+    ]
+    for letter in s2.letters:
+        x = s2.gen(letter)
+        if normal_form(_in_s3(x.star(), table) - _in_s3(x, table).star()):
+            broken.append(f"star of {letter}")
+    return broken
+
+
+def test_s2_in_s3_is_an_exact_star_embedding():
+    assert _embedding_defects(S2_IN_S3) == []
+
+
+def test_a_wrong_image_of_r_breaks_the_embedding():
+    # R -> a b* breaks the rules through the p-disc, and the star with it
+    assert _embedding_defects({**S2_IN_S3, "R": {"a b*": ONE}}) == [
+        "R B -> (p^-1) B R",
+        "R* R -> 1 + (-q) A + (-p) B",
+        "R R* -> 1 - A - B",
+        "star of R",
+        "star of R*",
+    ]
+    # with R* -> b a* the star holds, and the rules still break
+    assert _embedding_defects({**S2_IN_S3, "R": {"a b*": ONE}, "R*": {"b a*": ONE}}) == [
+        "R B -> (p^-1) B R",
+        "R* B -> (p) B R*",
+        "R* R -> 1 + (-q) A + (-p) B",
+        "R R* -> 1 - A - B",
+    ]
+
+
+# the s2 legs as glue wrote them before they were derived from S2_IN_S3: R is
+# the z-disc on leg 0 and the y-disc on leg 1, A and B are diag(base^n) on
+# their own leg and 0 on the other
+def _closed_form_s2_legs(leg, params, discs=("z", "y")):
+    disc = discs[leg]
+    r = disc_rep(disc, params)
+    defects = [zero(params.d), zero(params.d)]
+    defects[leg] = diag_op(disc_base(disc, params) ** np.arange(params.d))
+    return {"A": defects[0], "B": defects[1], "R": r, "R*": r.adjoint()}
+
+
+def _leg_distance(params, discs):
+    return max(
+        trusted_diff_norm(op, _closed_form_s2_legs(leg, params, discs)[x], guard=2)
+        for leg in (0, 1)
+        for x, op in s2_leg_assignment(leg, params).items()
+    )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ParamSet(q=0.6, p=0.4, d=64), ParamSet(q=0.95, p=0.9, d=64), ParamSet(q=0.99, p=0.98, d=512)],
+    ids=["default", "q0.95", "q0.99-d512"],
+)
+def test_derived_s2_legs_match_the_closed_forms(params):
+    assert _leg_distance(params, ("z", "y")) < 1e-15
+    # an oracle with q and p swapped is told apart
+    assert _leg_distance(params, ("y", "z")) > 1e-3
+
+
+@pytest.mark.parametrize("N", [1, -1])
+def test_line_bundles_over_the_quotient_sphere(N):
+    # E_1 = [[pB, R*], [BR, 1 - B]] and E_-1 = [[qA, R*], [AR, 1 - A]]
+    s2 = sphere2_presentation()
+    proj, base = ("B", P) if N == 1 else ("A", Q)
+    rows = [[{proj: base}, {"R*": ONE}], [{f"{proj} R": ONE}, {"": ONE, proj: -ONE}]]
+    E = SymMatrix(s2, [[s2.element(entry) for entry in row] for row in rows])
+    square, glued = E @ E, build_en(N)[2]
+    for i in range(2):
+        for j in range(2):
+            assert normal_form(square[i, j] - E[i, j]).is_zero()
+            assert normal_form(_in_s3(E[i, j])) == normal_form(glued[i, j])
+
+
 # -- the doubled picture -----------------------------------------------------------
 
 
@@ -442,6 +547,19 @@ def test_polar_part_rejects_fat_symbols():
         FAIL,
         "polar phase implemented for monomial symbols only",
     )
+
+
+def test_polar_part_rejects_a_coefficient_that_is_not_a_positive_term():
+    # the phase of -s U is -U, which the symbol ring cannot read off as U^n;
+    # neither can it for (1 + s) U, a coefficient of two terms
+    t = weighted_shift(-0.5 * np.ones(7))
+    for coef in (-S, 1 + S):
+        sym = LaurentPoly({1: coef})
+        with pytest.raises(UnsupportedSymbol, match="not a positive monomial times U"):
+            polar_part(FibrePair(t, t, sym, sym, 0))
+    # 2 q s U has the phase U
+    sym = LaurentPoly({1: 2 * Q * S})
+    assert polar_part(FibrePair(-t, -t, sym, sym, 0)).sym0 == LaurentPoly({1: 1})
 
 
 # -- numeric line bundles -----------------------------------------------------------
