@@ -27,9 +27,6 @@ class LaurentPoly(TermSum):
         """Multiply by U^n."""
         return self._like({k + n: c for k, c in self.terms.items()})
 
-    def star(self) -> "LaurentPoly":
-        return self._like({-k: c.conjugate() for k, c in self.terms.items()})
-
 
 class BiLaurent(TermSum):
     """Laurent polynomial on the two-torus, exponents (m, n)."""
@@ -47,9 +44,6 @@ class BiLaurent(TermSum):
     @staticmethod
     def _join(ka, kb):
         return (ka[0] + kb[0], ka[1] + kb[1])
-
-    def star(self) -> "BiLaurent":
-        return self._like({(-m, -n): c.conjugate() for (m, n), c in self.terms.items()})
 
     def collapse(self, which: int) -> LaurentPoly:
         """Apply the counit to one tensor leg (0 = left, 1 = right)."""

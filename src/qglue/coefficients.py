@@ -29,14 +29,6 @@ Expo = Tuple[int, int, int]
 ScalarLike = Union[int, Fraction, "CoefPoly"]
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Rational):
-        return Fraction(value)
-    raise TypeError(f"expected a rational coefficient, got {type(value).__name__}")
-
-
 def _coef(value) -> int | Fraction:
     """The stored form of a rational coefficient: an int when it is
     integral, else a Fraction."""
@@ -141,8 +133,8 @@ class CoefPoly:
         return CoefPoly({(0, 0, 0): value})
 
     @staticmethod
-    def monomial(e_q: int = 0, e_p: int = 0, e_s: int = 0, coef=1) -> "CoefPoly":
-        return CoefPoly({(e_q, e_p, e_s): coef})
+    def monomial(e_q: int = 0, e_p: int = 0, e_s: int = 0) -> "CoefPoly":
+        return CoefPoly({(e_q, e_p, e_s): 1})
 
     @staticmethod
     def coerce(value: ScalarLike) -> "CoefPoly":
@@ -166,15 +158,6 @@ class CoefPoly:
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
-
-    def as_fraction(self) -> Fraction:
-        """The value of a constant element, always as a Fraction; raises if
-        q, p or s appear."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {(0, 0, 0)}:
-            raise ValueError("element is not constant")
-        return _as_fraction(self._terms[(0, 0, 0)])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CoefPoly):
@@ -281,25 +264,12 @@ class CoefPoly:
             raise ValueError("s is not invertible")
         return CoefPoly({(-eq, -ep, 0): Fraction(1, coef)})
 
-    def conjugate(self) -> "CoefPoly":
-        """Coefficientwise *-conjugation; the ring is real, so identity."""
-        return self
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, q: float, p: float, s: float = 0.0) -> float:
         total = 0.0
         for (eq, ep, es), coef in self._terms.items():
             total += float(coef) * q**eq * p**ep * s**es
-        return total
-
-    def evaluate_exact(self, q: Fraction, p: Fraction, s: Fraction = Fraction(0)) -> Fraction:
-        q = _as_fraction(q)
-        p = _as_fraction(p)
-        s = _as_fraction(s)
-        total = Fraction(0)
-        for (eq, ep, es), coef in self._terms.items():
-            total += coef * q**eq * p**ep * s**es
         return total
 
     # -- display -----------------------------------------------------------

@@ -50,13 +50,13 @@ class NCPoly(TermSum):
         return NCPoly(pres, {(index,): CoefPoly.scalar(1)})
 
     def star(self) -> "NCPoly":
-        """Adjoint: reverses words, sends each letter through the star table,
-        conjugates coefficients (identity on this real coefficient ring)."""
+        """Adjoint: reverses words and sends each letter through the star
+        table; the coefficient ring is real, so coefficients stay."""
         table = self.pres.star_table
         terms: dict[Word, CoefPoly] = {}
         for word, coef in self.terms.items():
             out_word = []
-            out_coef = coef.conjugate()
+            out_coef = coef
             for letter in reversed(word):
                 partner, scale = table[letter]
                 out_word.append(partner)

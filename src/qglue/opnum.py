@@ -33,33 +33,25 @@ class TruncOp:
     The window is stored by diagonals: offset k (column minus row) maps to
     the vector of the entries (i, i + k) that lie in the window, in row
     order, and only diagonals with a nonzero entry are kept. So a product of
-    operators with k1 and k2 diagonals costs O(d k1 k2). TruncOp(mat, ...)
-    takes a dense square array; .mat builds the dense window on each read.
+    operators with k1 and k2 diagonals costs O(d k1 k2). TruncOp(diags, d,
+    bandwidth, lattice) takes that {offset: vector} store, the vectors taken
+    over, not copied; .mat builds the dense window on each read.
     """
 
     __slots__ = ("_diags", "d", "bandwidth", "lattice")
 
-    def __init__(self, mat, bandwidth: int = 0, lattice: str = "N"):
-        arr = np.asarray(mat, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch(f"operator must be square, got shape {arr.shape}")
-        d = arr.shape[0]
-        diags = {k: np.diagonal(arr, k).copy() for k in range(1 - d, d)}
-        self._store(diags, d, bandwidth, lattice)
-
-    @classmethod
-    def _new(cls, diags, d, bandwidth, lattice) -> "TruncOp":
-        """An operator from {offset: diagonal vector}; the vectors are taken
-        over, not copied."""
-        op = object.__new__(cls)
-        op._store(diags, d, bandwidth, lattice)
-        return op
-
-    def _store(self, diags, d, bandwidth, lattice) -> None:
+    def __init__(self, diags, d: int, bandwidth: int, lattice: str):
+        """A diagonal whose offset lies outside the window, or whose length
+        is not d - |offset|, raises DimensionMismatch; the bandwidth is
+        clamped to [0, d]."""
         _check_window(d, lattice)
         self._diags = {}
         for k in sorted(diags):
-            vec = diags[k]
+            vec = np.asarray(diags[k], dtype=np.complex128)
+            if not -d < k < d or vec.shape != (d - abs(k),):
+                raise DimensionMismatch(
+                    f"diagonal {k} of shape {vec.shape} does not fit a window of dimension {d}"
+                )
             if np.count_nonzero(vec):
                 vec.setflags(write=False)
                 self._diags[k] = vec
@@ -73,7 +65,7 @@ class TruncOp:
         return (self.d - 1) // 2 if self.lattice == "Z" else None
 
     def _like(self, diags, bandwidth: int) -> "TruncOp":
-        return TruncOp._new(diags, self.d, bandwidth, self.lattice)
+        return TruncOp(diags, self.d, bandwidth, self.lattice)
 
     def _block(self, lo: int, hi: int) -> np.ndarray:
         """The dense block of rows and columns [lo, hi), read-only."""
@@ -100,8 +92,8 @@ class TruncOp:
         hi = self.d - margin
         return (lo, max(lo, hi))
 
-    def trusted_block(self, guard: int = 0) -> np.ndarray:
-        return self._block(*self.trusted_range(guard))
+    def trusted_block(self) -> np.ndarray:
+        return self._block(*self.trusted_range())
 
     def max_abs(self, guard: int | None = None) -> float:
         """Largest entry magnitude: of the whole window when guard is None,
@@ -189,7 +181,7 @@ class TruncOp:
         """Binary powering: coefficients._power with @ as its product."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        return _power(self, n, matmul) if n else identity_like(self)
+        return _power(self, n, matmul) if n else identity(self.d, self.lattice)
 
     def adjoint(self) -> "TruncOp":
         return self._like({-k: vec.conj() for k, vec in self._diags.items()}, self.bandwidth)
@@ -225,29 +217,24 @@ def _max_abs(parts) -> float:
 
 
 def identity(d: int, lattice: str = "N") -> TruncOp:
-    return TruncOp._new({0: np.ones(d, dtype=np.complex128)}, d, 0, lattice)
+    return TruncOp({0: np.ones(d, dtype=np.complex128)}, d, 0, lattice)
 
 
-def identity_like(op: TruncOp) -> TruncOp:
-    return identity(op.d, op.lattice)
-
-
-def zero(d: int, lattice: str = "N") -> TruncOp:
-    return TruncOp._new({}, d, 0, lattice)
+def zero(d: int) -> TruncOp:
+    return TruncOp({}, d, 0, "N")
 
 
 def diag_op(values) -> TruncOp:
     vec = np.array(values, dtype=np.complex128)
-    if vec.ndim != 1:
-        raise DimensionMismatch(f"diagonal values must be a vector, got shape {vec.shape}")
-    return TruncOp._new({0: vec}, vec.size, 0, "N")
+    return TruncOp({0: vec}, vec.size, 0, "N")
 
 
 def weighted_shift(weights) -> TruncOp:
     """Weighted unilateral shift e_n -> weights[n] e_{n+1} on the window of
-    size len(weights) + 1; bandwidth 1."""
+    size len(weights) + 1; bandwidth 1. The 1 x 1 window (no weights) has
+    no offset -1, so it is the zero operator."""
     vec = np.array(weights, dtype=np.complex128)
-    return TruncOp._new({-1: vec}, vec.size + 1, 1, "N")
+    return TruncOp({-1: vec} if vec.size else {}, vec.size + 1, 1, "N")
 
 
 def shift(d: int) -> TruncOp:
@@ -284,7 +271,7 @@ def kron(a: TruncOp, b: TruncOp) -> TruncOp:
             c = ka * b.d + kb
             vec = (a_row[:, None] * b_row).reshape(-1)[max(0, -c) : d - max(0, c)]
             diags[c] = vec if c not in diags else diags[c] + vec
-    return TruncOp._new(diags, d, d, "N")
+    return TruncOp(diags, d, d, "N")
 
 
 def disc_base(letter: str, params: ParamSet) -> float:
@@ -354,7 +341,7 @@ def pi_rep(sign: str, f: LaurentPoly, params: ParamSet) -> TruncOp:
             if offset not in diags:
                 diags[offset] = np.zeros(d - abs(offset), dtype=np.complex128)
             diags[offset][np.minimum(rows[at], cols[at])] += value
-    return TruncOp._new(diags, d, bandwidth, "Z")
+    return TruncOp(diags, d, bandwidth, "Z")
 
 
 # -- evaluation of symbolic elements -------------------------------------------
@@ -383,7 +370,7 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
             raise KeyError(f"assignment misses letter {name!r}")
         return ops[name]
 
-    one = identity_like(first)
+    one = identity(first.d, first.lattice)
     total: dict[int, np.ndarray] = {}
     bandwidth = 0
     for word, coef in x.terms.items():
@@ -477,7 +464,7 @@ def trusted_diff_norm(a: TruncOp, b: TruncOp, guard: int = 0) -> float:
             segs[k] = seg
     if len(segs) <= 1:
         return _max_abs(segs.values())
-    diff = TruncOp._new(segs, hi - lo, 0, "N")
+    diff = TruncOp(segs, hi - lo, 0, "N")
     return float(np.linalg.norm(diff.mat, 2))
 
 

@@ -65,9 +65,6 @@ class Report:
     meta: dict = field(default_factory=dict)
     records: list[CheckRecord] = field(default_factory=list)
 
-    def add(self, record: CheckRecord) -> None:
-        self.records.append(record)
-
     def extend(self, records) -> None:
         self.records.extend(records)
 

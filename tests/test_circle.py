@@ -58,16 +58,6 @@ def test_exact_arithmetic():
     assert f.shift(2) == f * g
 
 
-def test_star_reverses_and_conjugates():
-    # the coefficient ring is real, so conjugation fixes every coefficient
-    f = LaurentPoly({1: 1 + 2 * Q, -3: Fraction(1, 2)})
-    fs = f.star()
-    assert fs.terms[-1] == 1 + 2 * Q
-    assert fs.terms[3] == Fraction(1, 2)
-    g = LaurentPoly({2: Q})
-    assert g.star() == LaurentPoly({-2: Q})
-
-
 def test_coercion_rules():
     assert LaurentPoly({0: Q}).terms == {0: Q}
     assert LaurentPoly({0: Fraction(1, 2)}).terms == {0: CoefPoly.scalar(Fraction(1, 2))}

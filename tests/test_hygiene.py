@@ -28,7 +28,10 @@
   shows here and not first in a traced benchmark run.
 - No input is dead: every parameter with a default and every keyword-only
   parameter of a package function is passed by some call in the package,
-  the tests or perfbench.
+  the tests or perfbench, and none is passed by the tests alone.
+- No code is dead: every function and method of the package is read, by
+  name, somewhere in the package or perfbench (dunders and the console
+  entry point aside), so nothing is kept only for the tests.
 - Suite checks are self-contained: no lambda or nested def in suites.py
   reads a name that a for statement of its enclosing function rebinds, so
   a compute gives the same result whenever the runner calls it.
@@ -295,7 +298,7 @@ def test_windows_are_sized_by_the_paramset(path):
 
 # the window constructors: an integer-lattice window's radius is read off its
 # dimension 2w + 1, so none of them takes one
-WINDOW_CONSTRUCTORS = ("TruncOp.__init__", "TruncOp._new", "identity", "zero", "diag_op")
+WINDOW_CONSTRUCTORS = ("TruncOp.__init__", "identity", "zero", "diag_op")
 
 
 def test_window_constructors_take_no_radius():
@@ -577,14 +580,76 @@ def test_only_these_parameters_are_passed_by_tests_alone():
     # a knob no package or perfbench call sets: a new one must be used or
     # argued for here
     callers = PACKAGE_SOURCES + [path.read_text() for path in PERFBENCH]
-    assert unpassed_parameters(PACKAGE_SOURCES, callers) == [
-        "CoefPoly.evaluate_exact(s)",
-        "CoefPoly.monomial(coef)",
-        "TruncOp.__init__(bandwidth)",
-        "TruncOp.__init__(lattice)",
-        "TruncOp.trusted_block(guard)",
-        "zero(lattice)",
-    ]
+    assert unpassed_parameters(PACKAGE_SOURCES, callers) == []
+
+
+# functions a name match cannot see called: the console entry point, which
+# pyproject.toml names as a string
+ENTRY_POINTS = {("entry", "main")}
+
+
+def uncalled_functions(modules, caller_sources) -> list[str]:
+    """"module: qualified name" for each function or method (nested ones
+    included) defined in modules, a {module name: source} map, whose name
+    no caller source reads, as a bare name or as an attribute; the def
+    itself is no read. Dunders, which the language calls, and ENTRY_POINTS
+    are exempt.
+
+    The match is by name only, so it misses a method whose name another
+    function shares: a LaurentPoly.star that only tests call reads as used
+    because NCPoly.star is called in the package, and a Report.add because
+    sets are added to."""
+    read = set()
+    for source in caller_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    missing = []
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (*DEFS, ast.ClassDef)):
+                continue
+            name = f"{scope}.{child.name}" if scope else child.name
+            dunder = child.name.startswith("__") and child.name.endswith("__")
+            exempt = dunder or child.name in read or (module, name) in ENTRY_POINTS
+            if isinstance(child, DEFS) and not exempt:
+                missing.append(f"{module}: {name}")
+            visit(child, name, module)
+
+    for module, source in modules.items():
+        visit(ast.parse(source), "", module)
+    return sorted(missing)
+
+
+def test_checker_finds_uncalled_functions():
+    planted = {
+        "entry": "def main():\n    pass\n",
+        "ring": (
+            "class Poly:\n"
+            "    def __add__(self, other):\n        return self.scale(1)\n"
+            "    def scale(self, c):\n        return self\n"
+            "    def star(self):\n        return self\n"
+            "    def only_tested(self):\n        return self\n"
+            "    @property\n    def degree(self):\n        return 0\n"
+            "def helper(x):\n    def inner():\n        return x\n    return inner\n"
+            "def callback(x):\n    return x\n"
+            "def orphan():\n    return helper\n"
+            "TABLE = {'cb': callback}\n"
+        ),
+        "algebra": "class Word:\n    def star(self):\n        return self\n",
+    }
+    callers = [*planted.values(), "def run(p, w):\n    return p.degree, w.star()\n"]
+    # Poly.star reads as called: its name matches Word.star's call
+    assert uncalled_functions(planted, callers) == ["ring: Poly.only_tested", "ring: orphan"]
+
+
+def test_every_package_function_is_called_in_the_package_or_perfbench():
+    modules = {path.stem: path.read_text() for path in [*MODULES, PACKAGE / "__init__.py"]}
+    callers = PACKAGE_SOURCES + [path.read_text() for path in PERFBENCH]
+    assert uncalled_functions(modules, callers) == []
 
 
 FUNCTIONS = (*DEFS, ast.Lambda)

@@ -17,7 +17,6 @@ from qglue import (
     OuterProduct,
     ParamSet,
     SymbolMismatch,
-    TruncOp,
     chi,
     en_numeric,
     expected_pairing,
@@ -27,6 +26,7 @@ from qglue import (
 )
 from qglue.kpair import TAIL_TOL, PairingResult, PairingTable, _checked_idempotent, _trace_pairing
 from qglue.opnum import diag_op, zero
+from references import dense_op
 
 PARAMS = ParamSet()
 
@@ -113,14 +113,14 @@ def test_pair_reads_an_outer_products_defect_off_its_factors():
 
 
 def test_pair_rejects_sloppy_idempotents():
-    half = TruncOp(0.5 * np.eye(16))
+    half = dense_op(0.5 * np.eye(16))
     one_sym = LaurentPoly({0: 1})
     with pytest.raises(ValueError, match="defect"):
         pair(FredholmModule("pr"), FibrePair(half, half, one_sym, one_sym, 0))
 
 
 def test_pair_rejects_non_idempotent_symbols():
-    one = TruncOp(np.eye(16))
+    one = dense_op(np.eye(16))
     doubled = FibrePair(one, one, LaurentPoly({0: 2}), LaurentPoly({0: 2}), 0)
     with pytest.raises(SymbolMismatch):
         pair(FredholmModule("pr"), doubled)

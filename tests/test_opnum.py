@@ -33,6 +33,7 @@ from qglue import (
 )
 from qglue.opnum import GUARD, weighted_shift, zero
 from qglue.params import PARAM_MIN
+from references import dense_op
 
 
 def test_paramset_validation():
@@ -67,8 +68,8 @@ def test_paramset_rejects_non_finite_tol(tol):
 
 
 def test_truncop_basic_bookkeeping():
-    a = TruncOp(np.eye(4), 1)
-    b = TruncOp(np.ones((4, 4)), 2)
+    a = dense_op(np.eye(4), 1)
+    b = dense_op(np.ones((4, 4)), 2)
     assert (a + b).bandwidth == 2
     assert (a @ b).bandwidth == 3
     assert (2.0 * a).bandwidth == 1
@@ -77,9 +78,9 @@ def test_truncop_basic_bookkeeping():
     assert a.trusted_range(0) == (0, 3)
     assert a.trusted_range(1) == (0, 2)
     with pytest.raises(DimensionMismatch):
-        a + TruncOp(np.eye(5))
+        a + dense_op(np.eye(5))
     with pytest.raises(DimensionMismatch):
-        TruncOp(np.ones((2, 3)))
+        dense_op(np.ones((2, 3)))
     with pytest.raises(ValueError):
         a ** -1
     assert not a.mat.flags.writeable
@@ -87,12 +88,60 @@ def test_truncop_basic_bookkeeping():
 
 def test_z_lattice_needs_odd_window():
     with pytest.raises(DimensionMismatch):
-        TruncOp(np.eye(6), 0, "Z")
-    op = TruncOp(np.eye(7), 1, "Z")
+        dense_op(np.eye(6), 0, "Z")
+    op = dense_op(np.eye(7), 1, "Z")
     assert op.w == 3
     assert op.trusted_range(0) == (1, 6)
     with pytest.raises(DimensionMismatch):
         op + identity(7)  # N lattice vs Z lattice
+
+
+@pytest.mark.parametrize("lattice", ["N", "Z"])
+def test_the_constructor_rejects_a_diagonal_outside_the_window(lattice):
+    d = 5
+    # an empty vector at offset +-d holds no entry, and is still refused
+    for k, n in [(d, 0), (-d, 0), (-d, 1), (7, 1)]:
+        with pytest.raises(DimensionMismatch, match=f"diagonal {k} of shape"):
+            TruncOp({k: np.ones(n)}, d, 0, lattice)
+    for k, n in [(0, d - 1), (2, d), (-1, d), (1, 0)]:
+        with pytest.raises(DimensionMismatch, match=f"window of dimension {d}"):
+            TruncOp({k: np.ones(n)}, d, 0, lattice)
+    with pytest.raises(DimensionMismatch):
+        TruncOp({0: np.ones((d, 1))}, d, 0, lattice)
+
+
+@pytest.mark.parametrize("lattice", ["N", "Z"])
+def test_the_constructor_drops_all_zero_diagonals(lattice):
+    diags = {-2: np.zeros(3), 0: np.arange(5.0), 1: np.zeros(4), 4: [0.5j]}
+    op = TruncOp(diags, 5, 0, lattice)
+    assert list(op._diags) == [0, 4]
+    want = np.diag(np.arange(5.0)).astype(np.complex128)
+    want[0, 4] = 0.5j
+    assert np.array_equal(op.mat, want)
+    assert TruncOp({0: np.zeros(5)}, 5, 0, lattice)._diags == {}
+
+
+@st.composite
+def dense_windows(draw):
+    """(dense array, lattice) of a random window on either lattice. Adding
+    0.0 turns every -0.0 into 0.0: a diagonal of zeros is not stored, and
+    its entries read back as 0.0."""
+    lattice = draw(st.sampled_from(["N", "Z"]))
+    d = draw(st.integers(1, 9)) if lattice == "N" else 2 * draw(st.integers(0, 4)) + 1
+    cells = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(st.one_of(st.just(0j), cells), min_size=d * d, max_size=d * d))
+    return np.array(values, dtype=np.complex128).reshape(d, d) + 0.0, lattice
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_windows(), st.integers(-3, 12))
+def test_the_dense_helper_round_trips_through_mat(window, bandwidth):
+    dense, lattice = window
+    op = dense_op(dense, bandwidth, lattice)
+    assert op.mat.dtype == np.complex128
+    assert op.mat.tobytes() == dense.tobytes()
+    assert (op.d, op.lattice) == (len(dense), lattice)
+    assert op.bandwidth == min(max(bandwidth, 0), len(dense))
 
 
 def test_disc_rep_matches_direct_construction():
@@ -276,7 +325,7 @@ def test_pi_difference_is_local():
 
 def test_trace_exactness_semantics():
     d = 10
-    op = TruncOp(np.diag([1.0, 2.0] + [0.0] * (d - 2)), 0)
+    op = dense_op(np.diag([1.0, 2.0] + [0.0] * (d - 2)), 0)
     res = trace_finite_rank(op)
     assert res.value == 3.0
     assert res.exact and res.tail_max == 0.0
@@ -284,14 +333,14 @@ def test_trace_exactness_semantics():
     leaky = np.zeros((d, d))
     leaky[0, 0] = 1.0
     leaky[d - 1, d - 1] = 1e-12
-    res = trace_finite_rank(TruncOp(leaky, 0))
+    res = trace_finite_rank(dense_op(leaky, 0))
     assert not res.exact
     assert res.tail_max == 1e-12
     assert res.value == pytest.approx(1.0 + 1e-12)
 
     # a tail of any size is measured, not refused: kpair certifies it
     leaky[d - 1, d - 1] = 1.0
-    res = trace_finite_rank(TruncOp(leaky, 0))
+    res = trace_finite_rank(dense_op(leaky, 0))
     assert (res.value, res.exact, res.tail_max) == (2.0, False, 1.0)
 
 
@@ -301,30 +350,30 @@ def test_trace_z_lattice_guard_band():
     d = 2 * w + 1
     mat = np.zeros((d, d))
     mat[GUARD, GUARD] = 1.0  # the first site past the band
-    res = trace_finite_rank(TruncOp(mat, 0, "Z"))
+    res = trace_finite_rank(dense_op(mat, 0, "Z"))
     assert res.value == 1.0 and res.exact
 
     mat2 = np.zeros((d, d))
     mat2[GUARD - 1, GUARD - 1] = 1.0  # sits in the guard band at the window edge
-    res = trace_finite_rank(TruncOp(mat2, 0, "Z"))
+    res = trace_finite_rank(dense_op(mat2, 0, "Z"))
     assert (res.value, res.exact, res.tail_max) == (1.0, False, 1.0)
 
 
 def test_trace_guard_too_large():
     # bandwidth 2 plus GUARD leaves no trusted block on a window of 4
-    op = TruncOp(np.eye(4), 2)
+    op = dense_op(np.eye(4), 2)
     with pytest.raises(DimensionMismatch, match="window too small"):
         trace_finite_rank(op)
     # nor does GUARD at each edge of an integer-lattice window of radius 1
     with pytest.raises(DimensionMismatch, match="window too small"):
-        trace_finite_rank(TruncOp(np.eye(3), 0, "Z"))
+        trace_finite_rank(dense_op(np.eye(3), 0, "Z"))
 
 
 def test_trusted_diff_norm_mixed_sizes():
     a = identity(8)
     b = identity(12)
     assert trusted_diff_norm(a, b) == 0.0
-    c = TruncOp(np.eye(12) * 2.0)
+    c = dense_op(np.eye(12) * 2.0)
     assert trusted_diff_norm(a, c) == pytest.approx(1.0)
 
 
@@ -385,10 +434,10 @@ def test_shift_window_defects_sit_at_the_edges():
 def test_max_abs_reads_whole_window_or_guarded_block():
     mat = np.zeros((6, 6))
     mat[5, 4] = -3.0  # outside the top-left 5x5 block trusted at bandwidth 1
-    op = TruncOp(mat, 1)
+    op = dense_op(mat, 1)
     assert op.max_abs() == 3.0
     assert op.max_abs(0) == 0.0
-    corner = TruncOp(np.diag([0.5, 0, 0, 0, 2.0]), 0, "Z")
+    corner = dense_op(np.diag([0.5, 0, 0, 0, 2.0]), 0, "Z")
     assert corner.max_abs() == 2.0
     assert corner.max_abs(1) == 0.0  # the centered block drops both ends
     with pytest.raises(DimensionMismatch, match="no trusted block: d=6, bandwidth=1 at guard 5"):
@@ -404,7 +453,9 @@ def test_max_abs_reads_whole_window_or_guarded_block():
     ids=["N", "Z"],
 )
 def test_zero_is_the_additive_identity(x):
-    z = zero(x.d, x.lattice)
+    # zero builds the natural-lattice zero; the empty store is the zero of
+    # either lattice
+    z = zero(x.d) if x.lattice == "N" else TruncOp({}, x.d, 0, "Z")
     assert z.bandwidth == 0
     assert (z.lattice, z.w) == (x.lattice, x.w)
     for total in (x + z, z + x):

@@ -35,28 +35,29 @@ def test_bad_status_rejected():
 def test_exit_code_rules():
     rep = Report()
     assert rep.exit_code() == 0
-    rep.add(CheckRecord("a", "x", "pass"))
-    rep.add(CheckRecord("a", "y", "warn"))
+    rep.extend([CheckRecord("a", "x", "pass"), CheckRecord("a", "y", "warn")])
     assert rep.exit_code() == 0
-    rep.add(CheckRecord("a", "z", "fail"))
+    rep.extend([CheckRecord("a", "z", "fail")])
     assert rep.exit_code() == 1
     assert rep.counts() == {"pass": 1, "fail": 1, "warn": 1}
 
 
 def test_csv_cells_round_trip():
     rep = Report()
-    rep.add(
-        CheckRecord(
-            "disc",
-            "relation residual",
-            "pass",
-            value=0.1,
-            expected=None,
-            residual=1.25e-15,
-            anchor="z* z - q z z* - (1-q) = 0",
-        )
+    rep.extend(
+        [
+            CheckRecord(
+                "disc",
+                "relation residual",
+                "pass",
+                value=0.1,
+                expected=None,
+                residual=1.25e-15,
+                anchor="z* z - q z z* - (1-q) = 0",
+            ),
+            CheckRecord("disc", "count, with comma", "pass", value=3, anchor='say "hi"'),
+        ]
     )
-    rep.add(CheckRecord("disc", "count, with comma", "pass", value=3, anchor='say "hi"'))
     rows = list(csv.reader(io.StringIO(rep.to_csv())))
     assert rows[0] == list(CSV_COLUMNS)
     assert rows[1] == [
@@ -76,14 +77,14 @@ def test_csv_cells_round_trip():
 
 def test_float_cells_use_repr():
     rep = Report()
-    rep.add(CheckRecord("a", "b", "pass", value=0.30000000000000004))
+    rep.extend([CheckRecord("a", "b", "pass", value=0.30000000000000004)])
     line = rep.to_csv().splitlines()[1]
     assert "0.30000000000000004" in line
 
 
 def test_json_shape():
     rep = Report(meta={"seed": 0, "timestamp": "2020-01-01T00:00:00+00:00"})
-    rep.add(CheckRecord("a", "b", "pass", value=1.0, expected=1, residual=0.0, anchor="id"))
+    rep.extend([CheckRecord("a", "b", "pass", value=1.0, expected=1, residual=0.0, anchor="id")])
     payload = json.loads(rep.to_json())
     assert payload["report_version"] == 1
     assert payload["meta"]["seed"] == 0
@@ -111,8 +112,12 @@ def test_timestamp_parses():
 
 def test_json_writes_non_finite_values_as_strings():
     rep = Report(meta={"seed": 0})
-    rep.add(CheckRecord("a", "b", "fail", value=float("inf"), residual=float("nan")))
-    rep.add(CheckRecord("a", "c", "fail", value=float("-inf"), expected=2.5))
+    rep.extend(
+        [
+            CheckRecord("a", "b", "fail", value=float("inf"), residual=float("nan")),
+            CheckRecord("a", "c", "fail", value=float("-inf"), expected=2.5),
+        ]
+    )
 
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

@@ -28,7 +28,7 @@ from qglue.errors import (
 from qglue.idempotents import EN_CAP
 from qglue.kpair import PairingTable, _checked_idempotent, _trace_pairing
 from qglue.ncpoly import SymMatrix
-from qglue.opnum import TruncOp, diag_op, disc_base
+from qglue.opnum import diag_op, disc_base
 from qglue.cli import run
 from qglue.params import WINDOW_MAX
 from qglue.report import FAIL, PASS, WARN, CheckRecord
@@ -270,18 +270,6 @@ def test_numeric_suites_at_d512_take_no_dense_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     run_suites(["disc", "podles", "en-numeric", "chi", "index"], ParamSet(d=512), 1)
     assert spectral[0] == 0
-
-
-def test_a_default_run_builds_no_operator_from_a_dense_array(monkeypatch):
-    # every operator comes from a constructor on the diagonal store; the leg
-    # cache is emptied so that the legs, too, are built in this run
-    def dense(*args):
-        raise AssertionError("TruncOp built from a dense array")
-
-    monkeypatch.setattr(TruncOp, "__init__", dense)
-    qglue.glue.s3_leg_assignment.cache_clear()
-    records = run_suites(list(SUITES), ParamSet(), 5)
-    assert FAIL not in {rec.status for rec in records}
 
 
 def test_pairing_stability_in_w_holds_at_the_window_cap():
