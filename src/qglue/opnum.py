@@ -6,9 +6,10 @@ the top-left (d - bandwidth) block (natural lattice), or of the centered
 block with margin bandwidth (integer lattice), agree with the infinite
 operator. Sums take the larger bandwidth, products add bandwidths.
 
-Every operation works on the stored diagonals; kron, too, builds the
-Kronecker product diagonal by diagonal, so no dense window is formed except
-where a caller reads .mat.
+Every operation and reader works on the stored diagonals: kron builds the
+Kronecker product diagonal by diagonal, and trusted_diff_norm measures a
+difference by the diagonal-sum norm, so nothing in the package forms a dense
+window; .mat is there for callers that want one.
 """
 
 from __future__ import annotations
@@ -67,23 +68,16 @@ class TruncOp:
     def _like(self, diags, bandwidth: int) -> "TruncOp":
         return TruncOp(diags, self.d, bandwidth, self.lattice)
 
-    def _block(self, lo: int, hi: int) -> np.ndarray:
-        """The dense block of rows and columns [lo, hi), read-only."""
-        n = hi - lo
-        out = np.zeros((n, n), dtype=np.complex128)
-        flat = out.reshape(-1)
-        for k, vec in self._diags.items():
-            seg = _segment(k, vec, lo, hi)
-            if seg.size:
-                start = max(0, -k) * n + max(0, k)
-                flat[start :: n + 1][: seg.size] = seg
-        out.setflags(write=False)
-        return out
-
     @property
     def mat(self) -> np.ndarray:
         """The whole window as a read-only dense array."""
-        return self._block(0, self.d)
+        out = np.zeros((self.d, self.d), dtype=np.complex128)
+        flat = out.reshape(-1)
+        for k, vec in self._diags.items():
+            start = max(0, -k) * self.d + max(0, k)
+            flat[start :: self.d + 1][: vec.size] = vec
+        out.setflags(write=False)
+        return out
 
     def trusted_range(self, guard: int = 0) -> tuple[int, int]:
         """Index range [lo, hi) on which entries are trusted."""
@@ -92,18 +86,14 @@ class TruncOp:
         hi = self.d - margin
         return (lo, max(lo, hi))
 
-    def trusted_block(self) -> np.ndarray:
-        return self._block(*self.trusted_range())
-
     def max_abs(self, guard: int | None = None) -> float:
         """Largest entry magnitude: of the whole window when guard is None,
         else of the guarded trusted block. An empty guarded block raises
         DimensionMismatch: a check over it would compare nothing."""
-        lo, hi = (0, self.d) if guard is None else self.trusted_range(guard)
-        if hi <= lo:
-            raise DimensionMismatch(
-                f"no trusted block: d={self.d}, bandwidth={self.bandwidth} at guard {guard}"
-            )
+        if guard is None:
+            lo, hi = 0, self.d
+        else:
+            lo, hi = _guarded(self, *self.trusted_range(guard), guard)
         return _max_abs([_segment(k, vec, lo, hi) for k, vec in self._diags.items()])
 
     def max_abs_on(self, index) -> float:
@@ -204,6 +194,16 @@ def _segment(k: int, vec: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The part of diagonal k that lies in the block of rows and columns
     [lo, hi)."""
     return vec[lo : max(lo, hi - abs(k))]
+
+
+def _guarded(op: TruncOp, lo: int, hi: int, guard: int) -> tuple[int, int]:
+    """The guarded block [lo, hi) of op; an empty one raises
+    DimensionMismatch naming the window."""
+    if hi <= lo:
+        raise DimensionMismatch(
+            f"no trusted block: d={op.d}, bandwidth={op.bandwidth} at guard {guard}"
+        )
+    return lo, hi
 
 
 def _max_abs(parts) -> float:
@@ -417,12 +417,8 @@ def trace_finite_rank(op: TruncOp) -> TraceResult:
     window edges (the shift-picture differences are exact compressions whose
     edge entries are genuine, so the bandwidth does not widen the band).
     Only a window with no guarded block raises; kpair judges the tail."""
-    if op.lattice == "Z":
-        lo, hi = GUARD, op.d - GUARD
-    else:
-        lo, hi = op.trusted_range(GUARD)
-    if hi <= lo:
-        raise DimensionMismatch("window too small for the requested guard")
+    block = (GUARD, op.d - GUARD) if op.lattice == "Z" else op.trusted_range(GUARD)
+    lo, hi = _guarded(op, *block, GUARD)
     tail = []
     for k, vec in op._diags.items():
         inside_end = lo + _segment(k, vec, lo, hi).size
@@ -433,15 +429,17 @@ def trace_finite_rank(op: TruncOp) -> TraceResult:
 
 
 def trusted_diff_norm(a: TruncOp, b: TruncOp, guard: int = 0) -> float:
-    """Spectral norm of a - b on the common trusted block. Dimensions may
-    differ on the natural lattice (windows of one picture at two sizes).
+    """Diagonal-sum norm of a - b on the common trusted block: the sum over
+    offsets k of the largest |entry| of diagonal k of the difference.
+    Dimensions may differ on the natural lattice (windows of one picture at
+    two sizes).
 
-    The difference is taken one diagonal at a time (an absent diagonal reads
-    as 0.0, so each entry is the same IEEE difference as in the dense
-    blocks), which costs O(d * diagonals). No differing diagonal gives 0.0;
-    one gives a diagonal times a partial isometry, whose norm is its largest
-    entry magnitude. Only two or more differing diagonals build the dense
-    block and take its SVD."""
+    Each diagonal of the difference is a diagonal matrix times a partial
+    isometry, whose spectral norm is its largest entry magnitude, so the sum
+    bounds the spectral norm of the difference from above and equals it
+    where at most one diagonal differs. It costs O(d * diagonals). An
+    absent diagonal reads as 0.0, so each entry is the same IEEE difference
+    as in the dense blocks."""
     if a.lattice != b.lattice:
         raise DimensionMismatch("operators live on different lattices")
     if a.lattice == "Z" and a.w != b.w:
@@ -457,15 +455,8 @@ def trusted_diff_norm(a: TruncOp, b: TruncOp, guard: int = 0) -> float:
     def part(op, k):
         return _segment(k, op._diags[k], lo, hi) if k in op._diags else 0.0
 
-    segs = {}
-    for k in a._diags.keys() | b._diags.keys():
-        seg = np.subtract(part(a, k), part(b, k))
-        if seg.any():
-            segs[k] = seg
-    if len(segs) <= 1:
-        return _max_abs(segs.values())
-    diff = TruncOp(segs, hi - lo, 0, "N")
-    return float(np.linalg.norm(diff.mat, 2))
+    offsets = sorted(a._diags.keys() | b._diags.keys())
+    return sum((_max_abs([np.subtract(part(a, k), part(b, k))]) for k in offsets), 0.0)
 
 
 def inv_sqrt_psd(op: TruncOp) -> TruncOp:

@@ -2,8 +2,9 @@
 
 - No package module or test file imports a name it never uses: a stand-in
   for a linter's unused-import rule.
-- Only opnum, which stores operator windows, reads a window's dense .mat
-  array.
+- No package function reads a window's dense .mat array, and only
+  opnum.inv_sqrt_psd reaches numpy's linalg (for vector norms): every
+  reader works on the stored diagonals, and no check takes an SVD.
 - A presentation's table of remembered reductions has one owner: only
   Presentation.__init__ (which makes it) and presentations._remembered
   touch ._nf_cache.
@@ -96,15 +97,15 @@ def test_test_file_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-# module name -> the functions outside opnum allowed to read .mat (none)
-MAT_READERS = {}
+# module name -> the functions allowed to reach numpy's linalg
+LINALG_USERS = {"opnum": {"inv_sqrt_psd"}}
 # module name -> the functions allowed to touch a presentation's table
 TABLE_USERS = {"presentations": {"Presentation.__init__", "_remembered"}}
 
 
-def attribute_users(source: str, attr: str) -> set[str]:
-    """Dotted names of the functions (or "<module>") that read or write an
-    attribute named attr."""
+def node_users(source: str, matches) -> set[str]:
+    """Dotted names of the functions (or "<module>") holding a node for
+    which matches(node) is true."""
     found = set()
 
     def visit(node, scope):
@@ -112,12 +113,30 @@ def attribute_users(source: str, attr: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == attr:
+            if matches(child):
                 found.add(scope or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def attribute_users(source: str, attr: str) -> set[str]:
+    """The functions that read or write an attribute named attr."""
+    return node_users(source, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def reaches_linalg(node) -> bool:
+    """An attribute named linalg, or an import of a linalg module or name."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "linalg"
+    if isinstance(node, ast.ImportFrom):
+        names = (node.module or "").split(".") + [alias.name for alias in node.names]
+    elif isinstance(node, ast.Import):
+        names = [part for alias in node.names for part in alias.name.split(".")]
+    else:
+        return False
+    return "linalg" in names
 
 
 def test_checker_finds_mat_readers():
@@ -130,11 +149,28 @@ def test_checker_finds_mat_readers():
     assert attribute_users(source, "mat") == {"<module>", "f", "C.g"}
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.stem != "opnum"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_window_store_reads_dense_windows(path):
-    assert attribute_users(path.read_text(), "mat") <= MAT_READERS.get(path.stem, set())
+    # the store is the diagonals: no package function reads .mat
+    assert attribute_users(path.read_text(), "mat") == set()
+
+
+def test_checker_finds_linalg_users():
+    source = (
+        "from numpy.linalg import svd\n"
+        "def f(m):\n    return np.linalg.norm(m, 2)\n"
+        "class C:\n    def g(self):\n        from numpy import linalg\n"
+        "    def h(self):\n        import scipy.linalg as la\n"
+        "def k(m):\n    return np.linalgebra(m), m.norm()\n"
+    )
+    assert node_users(source, reaches_linalg) == {"<module>", "f", "C.g", "C.h"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_psd_inverse_reaches_linalg(path):
+    # inv_sqrt_psd's norms are vector norms; no package function takes an SVD
+    found = node_users(path.read_text(), reaches_linalg)
+    assert found <= LINALG_USERS.get(path.stem, set())
 
 
 def test_checker_finds_table_users():

@@ -234,5 +234,5 @@ def test_a_table_entry_is_kept_per_window():
     assert narrow.value == wide.value == 1.0
     # at radius 1 the guard leaves no block: that module alone fails
     tiny = table.entry("chi", 2, replace(PARAMS, w=1)).results
-    assert tiny["pi"].failure == "window too small for the requested guard"
+    assert tiny["pi"].failure == "no trusted block: d=3, bandwidth=0 at guard 2"
     assert tiny["pi"].value is None and tiny["pr"].value == 2.0

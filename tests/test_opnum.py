@@ -362,10 +362,10 @@ def test_trace_z_lattice_guard_band():
 def test_trace_guard_too_large():
     # bandwidth 2 plus GUARD leaves no trusted block on a window of 4
     op = dense_op(np.eye(4), 2)
-    with pytest.raises(DimensionMismatch, match="window too small"):
+    with pytest.raises(DimensionMismatch, match="no trusted block: d=4, bandwidth=2 at guard 2"):
         trace_finite_rank(op)
     # nor does GUARD at each edge of an integer-lattice window of radius 1
-    with pytest.raises(DimensionMismatch, match="window too small"):
+    with pytest.raises(DimensionMismatch, match="no trusted block: d=3, bandwidth=0 at guard 2"):
         trace_finite_rank(dense_op(np.eye(3), 0, "Z"))
 
 
@@ -374,7 +374,9 @@ def test_trusted_diff_norm_mixed_sizes():
     b = identity(12)
     assert trusted_diff_norm(a, b) == 0.0
     c = dense_op(np.eye(12) * 2.0)
-    assert trusted_diff_norm(a, c) == pytest.approx(1.0)
+    assert trusted_diff_norm(a, c) == 1.0
+    # two differing diagonals: their largest entries add
+    assert trusted_diff_norm(a, c + 0.5 * shift(12)) == 1.5
 
 
 # -- inverse square root --------------------------------------------------------
