@@ -32,24 +32,18 @@ def en_degrees(nmax: int) -> range:
 
 
 @lru_cache(maxsize=None)
-def gaussian_binomial(n: int, k: int, which: str = "q") -> CoefPoly:
-    """Deformed binomial coefficient via the deformed Pascal recurrence
+def gaussian_binomial(n: int, k: int, x: CoefPoly) -> CoefPoly:
+    """Deformed binomial coefficient in the variable x (Q or P) via the
+    deformed Pascal recurrence
 
-        binom(n, k)_x = binom(n-1, k-1)_x + x^k binom(n-1, k)_x
-
-    with x the variable selected by `which` ("q" or "p")."""
-    if which not in ("q", "p"):
-        raise ValueError(f"which must be 'q' or 'p', got {which!r}")
+        binom(n, k)_x = binom(n-1, k-1)_x + x^k binom(n-1, k)_x"""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return CoefPoly()
     if k == 0 or k == n:
         return ONE
-    x = Q if which == "q" else P
-    return gaussian_binomial(n - 1, k - 1, which) + (x**k) * gaussian_binomial(
-        n - 1, k, which
-    )
+    return gaussian_binomial(n - 1, k - 1, x) + (x**k) * gaussian_binomial(n - 1, k, x)
 
 
 # room for every degree a run reports, on both assignments
@@ -84,17 +78,17 @@ def build_en(N: int, assignment: str = "corrected") -> tuple[SymMatrix, SymMatri
     # the corrected base is p for N >= 0 and q for N < 0; literal swaps them
     if N >= 0:
         x_front, x_back, proj, back, front = b, astar, B, a, bstar
-        bases = (("p", P), ("q", Q))
+        bases = (P, Q)
     else:
         x_front, x_back, proj, back, front = a, bstar, A, b, astar
-        bases = (("q", Q), ("p", P))
-    which, base = bases[0] if assignment == "corrected" else bases[1]
+        bases = (Q, P)
+    base = bases[0] if assignment == "corrected" else bases[1]
 
     xs: list[NCPoly] = []
     ys: list[NCPoly] = []
     for k in range(n + 1):
         xs.append(x_front**k * x_back ** (n - k))
-        coef = gaussian_binomial(n, k, which) * base ** (n - k)
+        coef = gaussian_binomial(n, k, base) * base ** (n - k)
         ys.append(coef * (proj ** (n - k) * back ** (n - k) * front**k))
 
     X = SymMatrix(pres, [[x] for x in xs])

@@ -13,6 +13,10 @@ Degree-N line-bundle idempotents pair with the "pr" module to
 ORIENTATION_SIGN * N: the twist normalization lands the degree-N module on
 chi(-N) (see glue.ORIENTATION), so the sign is a recorded orientation
 convention, not a free choice per run, written once in expected_pairing.
+
+classify is the one rule that turns a pairing into a row status, for the
+PairingTable rows of every suite and for the chi suite's unit class and
+point defect alike.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 from .circle import LaurentPoly
 from .errors import CertificationError, DimensionMismatch, QGlueError, SymbolMismatch, attempt
 from .glue import FibrePair, OuterProduct, chi, en_numeric, fp_matmul
-from .idempotents import en_degrees
 from .opnum import GUARD, pi_rep, trace_finite_rank
 from .params import ParamSet
 from .report import FAIL, PASS
@@ -68,7 +71,9 @@ class FredholmModule:
 class PairingResult:
     """A pairing, with the reason as failure when it is not certified. One
     whose trace tail exceeds TAIL_TOL keeps its numbers; one that could not
-    be computed, made by failed(), has none."""
+    be computed, made by failed(), has none. exact means every diagonal
+    trace had a tail of exactly 0.0; meta keeps the margins idem_defect
+    and tail_max."""
 
     value: float | None
     rounded: int | None
@@ -134,21 +139,16 @@ def _trace_pairing(module, entries, defect) -> PairingResult:
     (rho_+ - rho_-) over a checked idempotent. The first trace whose tail
     exceeds TAIL_TOL is the pairing's failure; the numbers are kept."""
     traces = [trace_finite_rank(module.difference(row[i])) for i, row in enumerate(entries)]
-    over = next((t.tail_max for t in traces if t.tail_max > TAIL_TOL), None)
+    tails = [tail for _, tail in traces]
+    over = next((tail for tail in tails if tail > TAIL_TOL), None)
     failure = None if over is None else (
         f"operator is not finite-rank within the window: tail {over:.3e} exceeds {TAIL_TOL:.3e}"
     )
-    value = float(sum(t.value for t in traces))
+    value = float(sum(trace for trace, _ in traces))
     rounded = int(round(value))
     residual = abs(value - rounded)
-    exact = all(t.exact for t in traces)
-    meta = {
-        "kind": module.kind,
-        "size": len(entries),
-        "idem_defect": defect,
-        "tail_max": max(t.tail_max for t in traces),
-        "orientation_sign": ORIENTATION_SIGN,
-    }
+    exact = all(tail == 0.0 for tail in tails)
+    meta = {"idem_defect": defect, "tail_max": max(tails)}
     return PairingResult(value, rounded, exact, residual, failure, meta)
 
 
@@ -197,19 +197,35 @@ def winding_interpretation(representative: str, module_kind: str, N: int) -> str
     return f"winding = {value} (orientation sign {ORIENTATION_SIGN})"
 
 
+CHI_RESIDUAL_TOL = 1e-12
+EN_RESIDUAL_TOL = 1e-3
+
+
+def classify(result: PairingResult, representative: str, expected: int) -> str:
+    """A pairing's row status under the rule of its representative, "chi"
+    or "en". It passes when it has no failure and rounds to expected within
+    the representative's residual tolerance; under the chi rule, which the
+    unit class and the point defect follow too, it must also be exact, so
+    its value cannot move with the window."""
+    is_chi = representative == "chi"
+    tol = CHI_RESIDUAL_TOL if is_chi else EN_RESIDUAL_TOL
+    ok = (
+        result.failure is None
+        and result.rounded == expected
+        and result.residual <= tol
+        and (result.exact or not is_chi)
+    )
+    return PASS if ok else FAIL
+
+
 @dataclass(frozen=True)
 class IndexRow:
-    N: int
-    representative: str
+    """One module's pairing of a PairingTable key, classified."""
+
     module: str
     result: PairingResult
     expected: int
-    interpretation: str
     status: str
-
-
-CHI_RESIDUAL_TOL = 1e-12
-EN_RESIDUAL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -232,7 +248,7 @@ class PairingTable:
     Filling an entry builds the idempotent once, checks its defect once and
     traces it against both modules; the operators are dropped afterwards,
     so the table holds results only. It is the one source of a run's chi(N)
-    and E_N pairings, and the one place they are classified (see rows)."""
+    and E_N pairings; rows classifies those at the run's window."""
 
     def __init__(self, params: ParamSet):
         self.params = params
@@ -270,38 +286,11 @@ class PairingTable:
         return TableEntry(results, symbol_trace)
 
     def rows(self, representative: str, N: int) -> list[IndexRow]:
-        """The (representative, N) pairings at the run's window classified,
-        one row per module. A row passes when the pairing has no failure and
-        rounds to its expected value within the representative's residual
-        tolerance; a chi(N) row also needs an exact pairing, one whose value
-        cannot move with the window."""
-        is_chi = representative == "chi"
-        tol = CHI_RESIDUAL_TOL if is_chi else EN_RESIDUAL_TOL
+        """The (representative, N) pairings at the run's window, one row per
+        module, each classified by classify."""
         rows = []
         for kind, result in self.entry(representative, N).results.items():
             expected = expected_pairing(kind, representative, N)
-            ok = (
-                result.failure is None
-                and result.rounded == expected
-                and result.residual <= tol
-                and (result.exact or not is_chi)
-            )
-            rows.append(
-                IndexRow(
-                    N=N,
-                    representative=representative,
-                    module=kind,
-                    result=result,
-                    expected=expected,
-                    interpretation=winding_interpretation(representative, kind, N),
-                    status=PASS if ok else FAIL,
-                )
-            )
+            status = classify(result, representative, expected)
+            rows.append(IndexRow(kind, result, expected, status))
         return rows
-
-    def index_rows(self, nmax: int) -> list[IndexRow]:
-        """Rows for chi(N), |N| <= nmax, then for the degree-N idempotents,
-        N in en_degrees(nmax)."""
-        rows = [row for N in range(-nmax, nmax + 1) for row in self.rows("chi", N)]
-        return rows + [row for N in en_degrees(nmax) for row in self.rows("en", N)]
-

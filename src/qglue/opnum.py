@@ -9,12 +9,13 @@ operator. Sums take the larger bandwidth, products add bandwidths.
 Every operation and reader works on the stored diagonals: kron builds the
 Kronecker product diagonal by diagonal, and trusted_diff_norm measures a
 difference by the diagonal-sum norm, so nothing in the package forms a dense
-window; .mat is there for callers that want one.
+window; .mat is there for callers that want one. trace_finite_rank hands
+back a trace and its largest tail entry as two floats; kpair alone judges
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import matmul
 from typing import Mapping
 
@@ -397,35 +398,23 @@ def evaluate(x: NCPoly, assignment: Mapping[str, TruncOp], params: ParamSet) -> 
 GUARD = 2
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    """Trace of an essentially finite-rank window operator.
-
-    value is the full-window trace; tail_max is the largest entry magnitude
-    outside the guarded trusted block; exact means that tail is literally
-    zero in machine arithmetic, so the value cannot drift with the window.
-    """
-
-    value: float
-    exact: bool
-    tail_max: float
-
-
-def trace_finite_rank(op: TruncOp) -> TraceResult:
-    """On the natural lattice the tail region is the GUARD-guarded
-    untrusted corner; on the integer lattice it is the GUARD band at the two
-    window edges (the shift-picture differences are exact compressions whose
-    edge entries are genuine, so the bandwidth does not widen the band).
-    Only a window with no guarded block raises; kpair judges the tail."""
+def trace_finite_rank(op: TruncOp) -> tuple[float, float]:
+    """(value, tail_max) of an essentially finite-rank window operator:
+    value is the real part of the full-window trace, tail_max the largest
+    entry magnitude outside the guarded trusted block. On the natural
+    lattice the tail region is the GUARD-guarded untrusted corner; on the
+    integer lattice it is the GUARD band at the two window edges (the
+    shift-picture differences are exact compressions whose edge entries are
+    genuine, so the bandwidth does not widen the band). Only a window with
+    no guarded block raises; kpair judges the tail."""
     block = (GUARD, op.d - GUARD) if op.lattice == "Z" else op.trusted_range(GUARD)
     lo, hi = _guarded(op, *block, GUARD)
     tail = []
     for k, vec in op._diags.items():
         inside_end = lo + _segment(k, vec, lo, hi).size
         tail += [vec[:lo], vec[inside_end:]]
-    tail_max = _max_abs(tail)
     value = complex(op._diags[0].sum()) if 0 in op._diags else 0j
-    return TraceResult(value=float(value.real), exact=tail_max == 0.0, tail_max=tail_max)
+    return float(value.real), _max_abs(tail)
 
 
 def trusted_diff_norm(a: TruncOp, b: TruncOp, guard: int = 0) -> float:

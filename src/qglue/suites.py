@@ -54,7 +54,15 @@ from .glue import (
     s3_leg_assignment,
 )
 from .idempotents import build_en, en_degrees
-from .kpair import FredholmModule, IndexRow, PairingResult, PairingTable, pair
+from .kpair import (
+    FredholmModule,
+    IndexRow,
+    PairingResult,
+    PairingTable,
+    classify,
+    pair,
+    winding_interpretation,
+)
 from .ncpoly import NCPoly
 from .opnum import (
     TruncOp,
@@ -143,11 +151,6 @@ def _pairing(row: IndexRow) -> Outcome:
     """A pairing as the run's table classified it; a failed one has no residual."""
     residual = row.result.residual if row.result.failure is None else None
     return Outcome(row.status, _shown(row.result), row.expected, residual)
-
-
-def _exact_pairing(result, expected: int) -> Outcome:
-    """A pairing that must round to expected with a machine-zero tail."""
-    return Outcome(result.rounded == expected and result.exact, result.value, expected)
 
 
 def _relations(check, pres, residual, tol, note="") -> Checks:
@@ -550,20 +553,22 @@ def suite_chi(
                 f"<[{row.module}], [chi_{N}]> = {row.expected}, exactly at finite window",
                 partial(_pairing, row),
             )
-    # chi(0) is the unit
+    # chi(0) is the unit: its pr row, shown without a residual
+    unit = pairings.rows("chi", 0)[0]
     yield (
         "unit class",
         "<[pr], [1]> = 0",
-        lambda: _exact_pairing(pairings.entry("chi", 0).results["pr"], 0),
+        lambda: Outcome(unit.status, unit.result.value, unit.expected),
     )
     sh = shift(d)
     empty = LaurentPoly({})
     point = FibrePair(zero(d), identity(d) - sh @ sh.adjoint(), empty, empty, 0)
-    yield (
-        "point defect",
-        "<[pr], [e_00]> = 1 (single boundary mode)",
-        lambda: _exact_pairing(pair(pr, point), 1),
-    )
+
+    def point_defect():
+        result = pair(pr, point)
+        return Outcome(classify(result, "chi", 1), result.value, 1)
+
+    yield "point defect", "<[pr], [e_00]> = 1 (single boundary mode)", point_defect
 
     def lands(img, N):
         prod = img @ chi(-N, d)
@@ -628,13 +633,15 @@ def suite_chi(
 def suite_index(
     params: ParamSet, nmax: int, rng: random.Random, pairings: PairingTable
 ) -> Checks:
-    for row in pairings.index_rows(nmax):
-        yield (
-            f"{row.representative} N={row.N:+d} [{row.module}]",
-            f"<[{row.module}], [{row.representative}_{row.N}]> = "
-            f"{row.expected}; {row.interpretation}",
-            partial(_pairing, row),
-        )
+    chi_keys = [("chi", N) for N in range(-nmax, nmax + 1)]
+    for representative, N in chi_keys + [("en", N) for N in en_degrees(nmax)]:
+        for row in pairings.rows(representative, N):
+            yield (
+                f"{representative} N={N:+d} [{row.module}]",
+                f"<[{row.module}], [{representative}_{N}]> = {row.expected}; "
+                f"{winding_interpretation(representative, row.module, N)}",
+                partial(_pairing, row),
+            )
 
 
 # -- convergence and stability ---------------------------------------------------------

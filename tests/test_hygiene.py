@@ -10,6 +10,8 @@
   touch ._nf_cache.
 - The E_N degree bound has one reader: no package module but idempotents
   names EN_CAP, so every degree a run reports comes from en_degrees.
+- A pairing is judged in one place: no package module but kpair reads the
+  attribute rounded, so every status comes from kpair.classify.
 - The public surface is exact: every name in qglue.__all__ is bound and
   listed once; __all__ is the _EXPORTS table, each of whose names is the
   object its submodule binds; and importing qglue loads no submodule.
@@ -28,8 +30,8 @@
 - Every name perfbench/tracer.py wraps resolves on the package, so a rename
   shows here and not first in a traced benchmark run.
 - No input is dead: every parameter with a default and every keyword-only
-  parameter of a package function is passed by some call in the package,
-  the tests or perfbench, and none is passed by the tests alone.
+  parameter of a package function is passed by some call in the package
+  or perfbench, so none is passed by the tests alone.
 - No code is dead: every function and method of the package is read, by
   name, somewhere in the package or perfbench (dunders and the console
   entry point aside), so nothing is kept only for the tests.
@@ -218,6 +220,23 @@ def test_checker_finds_en_cap_readers():
 def test_only_idempotents_reads_the_report_degree_bound(path):
     # the degrees a run reports come from idempotents.en_degrees
     assert name_readers(path.read_text(), "EN_CAP") == []
+
+
+def test_checker_finds_rounded_readers():
+    source = (
+        "def f(result, expected):\n    return result.rounded == expected\n"
+        "class C:\n    def g(self):\n        return [r.rounded for r in self.rs]\n"
+        "def h(result):\n    return result.rounded_value, rounded\n"
+    )
+    assert attribute_users(source, "rounded") == {"f", "C.g"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "kpair"], ids=lambda p: p.name
+)
+def test_only_kpair_reads_a_rounded_pairing(path):
+    # a pairing's status comes from kpair.classify
+    assert attribute_users(path.read_text(), "rounded") == set()
 
 
 def test_public_names_are_bound_and_listed_once():
@@ -605,11 +624,6 @@ PACKAGE_SOURCES = [path.read_text() for path in MODULES] + [
     (PACKAGE / "__init__.py").read_text()
 ]
 PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
-
-
-def test_every_optional_parameter_is_passed():
-    callers = PACKAGE_SOURCES + [path.read_text() for path in TESTS + PERFBENCH]
-    assert unpassed_parameters(PACKAGE_SOURCES, callers) == []
 
 
 def test_only_these_parameters_are_passed_by_tests_alone():

@@ -133,7 +133,7 @@ def test_binomial_weights_in_y():
     X, Y, E = build_en(3)
     lead = Y[1, 0]
     coefs = set(lead.terms.values())
-    expected = gaussian_binomial(3, 1, "p") * P**2
+    expected = gaussian_binomial(3, 1, P) * P**2
     assert expected in coefs or -expected in coefs
 
 

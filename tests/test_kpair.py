@@ -24,6 +24,7 @@ from qglue import (
     psi_inverse,
     winding_interpretation,
 )
+from qglue.idempotents import en_degrees
 from qglue.kpair import TAIL_TOL, PairingResult, PairingTable, _checked_idempotent, _trace_pairing
 from qglue.opnum import diag_op, zero
 from references import dense_op
@@ -87,7 +88,7 @@ def test_direct_sum_adds_pairings():
     assert res.rounded == 2 and res.exact
     res_pi = pair(FredholmModule("pi", params=replace(PARAMS, w=6)), block)
     assert res_pi.rounded == 2
-    assert res.meta["size"] == 2
+    assert res.meta == {"idem_defect": 0.0, "tail_max": 0.0}
 
 
 @pytest.mark.parametrize("N", [1, -2])
@@ -147,27 +148,27 @@ def test_expected_pairing_table():
 
 
 def test_index_rows_full_battery():
-    rows = PairingTable(PARAMS).index_rows(5)
-    assert len(rows) == 36
-    assert all(row.status == "pass" for row in rows)
-    chi_rows = [row for row in rows if row.representative == "chi"]
-    en_rows = [row for row in rows if row.representative == "en"]
-    assert len(chi_rows) == 22 and len(en_rows) == 14
+    # the rows the index suite reports at nmax = 5: chi(N) for |N| <= 5,
+    # E_N for the degrees en_degrees(5) keeps
+    table = PairingTable(PARAMS)
+    chi_rows = [row for N in range(-5, 6) for row in table.rows("chi", N)]
+    en_rows = {N: table.rows("en", N) for N in en_degrees(5)}
+    assert len(chi_rows) == 22 and list(en_rows) == list(range(-3, 4))
     for row in chi_rows:
-        assert row.result.exact
+        assert row.status == "pass" and row.result.exact
         assert row.result.residual <= CHI_RESIDUAL_TOL
-    for row in en_rows:
-        assert row.result.residual <= EN_RESIDUAL_TOL
-        assert row.expected == expected_pairing(row.module, "en", row.N)
-    ns = sorted({row.N for row in en_rows})
-    assert ns == list(range(-3, 4))
+    for N, rows in en_rows.items():
+        assert [row.module for row in rows] == ["pr", "pi"]
+        for row in rows:
+            assert row.status == "pass"
+            assert row.result.residual <= EN_RESIDUAL_TOL
+            assert row.expected == expected_pairing(row.module, "en", N)
 
 
 def test_chi_rows_at_a_smaller_window():
     table = PairingTable(replace(PARAMS, d=32, w=6))
     rows = [row for N in range(-2, 3) for row in table.rows("chi", N)]
-    assert len(rows) == 10
-    assert {row.representative for row in rows} == {"chi"}
+    assert [row.module for row in rows] == ["pr", "pi"] * 5
     assert all(row.status == "pass" and row.result.exact for row in rows)
 
 

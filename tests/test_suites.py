@@ -239,11 +239,13 @@ def test_index_records_do_not_depend_on_companion_suites():
 
 
 def test_chi_rows_need_an_exact_pairing_in_every_suite(monkeypatch):
-    # every trace keeps its value but loses its exactness certificate
+    # every trace keeps its value, and its tail is the smallest subnormal
+    # where it was exactly 0.0: far inside TAIL_TOL, but not exact
     trace = qglue.kpair.trace_finite_rank
 
-    def inexact(*args, **kwargs):
-        return replace(trace(*args, **kwargs), exact=False)
+    def inexact(op):
+        value, tail_max = trace(op)
+        return value, max(tail_max, 5e-324)
 
     monkeypatch.setattr(qglue.kpair, "trace_finite_rank", inexact)
     records = run_suites(["chi", "index"], ParamSet(), 1)
@@ -252,10 +254,29 @@ def test_chi_rows_need_an_exact_pairing_in_every_suite(monkeypatch):
     # chi(N) for N = -1, 0, 1 against both modules, in each suite
     assert len(chi_rows) == 12
     assert {rec.status for rec in chi_rows} == {FAIL}
+    # the unit class and the point defect follow the chi rule
+    classes = [rec for rec in records if rec.check in ("unit class", "point defect")]
+    assert [rec.status for rec in classes] == [FAIL, FAIL]
     # an E_N row needs no exact pairing
     en_rows = [rec for rec in records if rec.check.startswith("en N=")]
     assert len(en_rows) == 6
     assert {rec.status for rec in en_rows} == {PASS}
+
+
+def test_chi_classes_are_held_to_the_chi_residual(monkeypatch):
+    # every trace is exact but off by 1e-9, a residual over CHI_RESIDUAL_TOL
+    trace = qglue.kpair.trace_finite_rank
+
+    def off(op):
+        return trace(op)[0] + 1e-9, 0.0
+
+    monkeypatch.setattr(qglue.kpair, "trace_finite_rank", off)
+    records = {rec.check: rec for rec in run_suites(["chi"], ParamSet(), 1)}
+    for check in ("unit class", "point defect", "pairing N=+0 [pr]"):
+        assert records[check].status == FAIL, check
+    # the unit class shows its row's value and expected value, no residual
+    unit = records["unit class"]
+    assert (unit.value, unit.expected, unit.residual) == (1e-9, 0, None)
 
 
 def test_numeric_suites_at_d512_take_no_dense_svd(monkeypatch):
