@@ -1,23 +1,25 @@
 """Fibre products of truncated Toeplitz pictures over the circle.
 
 A FibrePair is one element of the glued algebra: two operator legs together
-with their exact boundary symbols and an integer twist N, subject to the
-membership rule
+with one exact boundary symbol and an integer twist N. Leg 0 carries the
+symbol sym0 and leg 1 its twisted copy, by definition
 
-    U^N * sym0 == sym1        (checked exactly at construction).
+    sym1 = U^N * sym0,
 
-Twist 0 is the glued function algebra itself; twist N is the degree-N
-bimodule over it. chi produces the canonical range projections (chi(0) is
-the unit), psi_iso normalizes a twist away and psi_inverse puts it back,
-both by one leg shift (see ORIENTATION). iota embeds the symbolic
-glued-disc algebra into the doubled picture, a map degree k -> twist-k
-FibrePair whose legs opnum.evaluate builds from the leg assignments and
-whose symbols s3_leg_symbol reads off; en_numeric builds the degree-N
-line-bundle idempotents through it, as the OuterProduct X Y^T of the
-embedded column and row, which keeps its factors for the square. The leg
-assignments are built once per (leg, ParamSet) and shared read-only. The
-tensor picture (iota_kron_assignment) realizes the same gluing map on disc
-(x) circle windows, as TruncOps built by opnum.kron.
+so the membership rule holds by construction; iota, the one map that reads
+a symbol off each leg, checks it exactly. Twist 0 is the glued function
+algebra itself; twist N is the degree-N bimodule over it. chi produces the
+canonical range projections (chi(0) is the unit), psi_iso normalizes a
+twist away and psi_inverse puts it back, both by one leg shift (see
+ORIENTATION). iota embeds the symbolic glued-disc algebra into the doubled
+picture, a map degree k -> twist-k FibrePair whose legs opnum.evaluate
+builds from the leg assignments and whose leg symbols s3_leg_symbol reads
+off; en_numeric builds the degree-N line-bundle idempotents through it, as
+the OuterProduct X Y^T of the embedded column and row, which keeps its
+factors for the square. The leg assignments are built once per (leg,
+ParamSet) and shared read-only. The tensor picture (iota_kron_assignment)
+realizes the same gluing map on disc (x) circle windows, as TruncOps built
+by opnum.kron.
 """
 
 from __future__ import annotations
@@ -61,50 +63,43 @@ ORIENTATION = (
 
 
 class FibrePair:
-    """Two truncated operator legs with matching exact boundary symbols."""
+    """Two truncated operator legs with one exact boundary symbol: sym0 on
+    leg 0, and on leg 1 its twisted copy sym1 = U^twist sym0."""
 
-    __slots__ = ("t0", "t1", "sym0", "sym1", "twist")
+    __slots__ = ("t0", "t1", "sym0", "twist")
 
-    def __init__(self, t0: TruncOp, t1: TruncOp, sym0, sym1, twist: int):
+    def __init__(self, t0: TruncOp, t1: TruncOp, sym0, twist: int):
         if t0.lattice != "N" or t1.lattice != "N":
             raise DimensionMismatch("fibre-pair legs live on the natural lattice")
         t0._compat(t1)
-        if not (isinstance(sym0, LaurentPoly) and isinstance(sym1, LaurentPoly)):
-            raise TypeError("leg symbols are LaurentPolys")
-        twist = index(twist)
-        if sym0.shift(twist).terms != sym1.terms:
-            mismatch = sym0.shift(twist) - sym1
-            k = sorted(mismatch.terms)[0]
-            raise SymbolMismatch(
-                f"twist-{twist} membership U^{twist} sym0 == sym1 fails first "
-                f"at U^{k} (difference {mismatch.terms[k]})"
-            )
+        if not isinstance(sym0, LaurentPoly):
+            raise TypeError("the boundary symbol is a LaurentPoly")
         self.t0 = t0
         self.t1 = t1
         self.sym0 = sym0
-        self.sym1 = sym1
-        self.twist = twist
+        self.twist = index(twist)
+
+    @property
+    def sym1(self) -> LaurentPoly:
+        """Leg 1's symbol, U^twist sym0 by definition."""
+        return self.sym0.shift(self.twist)
 
     @property
     def d(self) -> int:
         return self.t0.d
 
     def symbols_zero(self) -> bool:
-        return self.sym0.is_zero() and self.sym1.is_zero()
+        return self.sym0.is_zero()
 
     def _entrywise(self, other, op):
         """Sum or difference of two pairs of one twist: op on each leg and
-        on each symbol."""
+        on the symbol."""
         if not isinstance(other, FibrePair):
             return NotImplemented
         if self.twist != other.twist:
             raise SymbolMismatch(f"cannot add twist {self.twist} to twist {other.twist}")
         return FibrePair(
-            op(self.t0, other.t0),
-            op(self.t1, other.t1),
-            op(self.sym0, other.sym0),
-            op(self.sym1, other.sym1),
-            self.twist,
+            op(self.t0, other.t0), op(self.t1, other.t1), op(self.sym0, other.sym0), self.twist
         )
 
     def __add__(self, other):
@@ -120,7 +115,6 @@ class FibrePair:
             self.t0 @ other.t0,
             self.t1 @ other.t1,
             self.sym0 * other.sym0,
-            self.sym1 * other.sym1,
             self.twist + other.twist,
         )
 
@@ -137,7 +131,7 @@ class FibrePair:
 def chi(N: int, d: int) -> FibrePair:
     """Range projection of the twist-N module inside the glued algebra:
     one leg is the shift-range projection S^{|N|} S*^{|N|}, the other the
-    unit; both symbols are 1."""
+    unit; the symbol is 1."""
     N = index(N)
     k = abs(N)
     if k >= d:
@@ -146,21 +140,21 @@ def chi(N: int, d: int) -> FibrePair:
     one = identity(d)
     sym = LaurentPoly({0: 1})
     if N >= 0:
-        return FibrePair(proj, one, sym, sym, 0)
-    return FibrePair(one, proj, sym, sym, 0)
+        return FibrePair(proj, one, sym, 0)
+    return FibrePair(one, proj, sym, 0)
 
 
 def _shift_leg(pair: FibrePair, N: int, twist: int) -> FibrePair:
     """pair moved to twist, one of pair.twist and twist being N and the other
     0: the leg that carries U^N (see ORIENTATION) is multiplied by S^|N| to
-    add the twist or by S*^|N| to remove it, and its symbol moves with it."""
+    add the twist or by S*^|N| to remove it, and its symbol moves with it
+    (leg 1's follows the twist; leg 0's is shifted the other way)."""
     power = shift(pair.d) ** abs(N)
     if twist == 0:
         power = power.adjoint()
-    step = twist - pair.twist
     if N > 0:
-        return FibrePair(pair.t0, pair.t1 @ power, pair.sym0, pair.sym1.shift(step), twist)
-    return FibrePair(pair.t0 @ power, pair.t1, pair.sym0.shift(-step), pair.sym1, twist)
+        return FibrePair(pair.t0, pair.t1 @ power, pair.sym0, twist)
+    return FibrePair(pair.t0 @ power, pair.t1, pair.sym0.shift(pair.twist - twist), twist)
 
 
 def psi_iso(pair: FibrePair) -> FibrePair:
@@ -281,8 +275,9 @@ def iota(x: NCPoly, params: ParamSet) -> dict[int, FibrePair]:
     """Embed a symbolic glued-disc element into the doubled picture by the
     gluing map S3_GLUING: degree k -> the twist-k FibrePair of the degree-k
     part of x, its legs evaluated on the leg assignments and its exact
-    symbols read off by s3_leg_symbol. A degree whose legs break the
-    membership rule raises SymbolMismatch."""
+    symbols read off by s3_leg_symbol. A degree whose leg symbols break the
+    membership rule U^k sym0 == sym1 raises SymbolMismatch: the one place
+    where a second symbol is read rather than derived."""
     parts: dict[int, dict] = {}
     for word, coef in x.terms.items():
         parts.setdefault(x.pres.word_degree(word), {})[word] = coef
@@ -290,12 +285,16 @@ def iota(x: NCPoly, params: ParamSet) -> dict[int, FibrePair]:
     image = {}
     for k, terms in parts.items():
         part = NCPoly(x.pres, terms)
+        sym0, sym1 = s3_leg_symbol(part, 0), s3_leg_symbol(part, 1)
+        if sym0.shift(k).terms != sym1.terms:
+            mismatch = sym0.shift(k) - sym1
+            j = sorted(mismatch.terms)[0]
+            raise SymbolMismatch(
+                f"twist-{k} membership U^{k} sym0 == sym1 fails first "
+                f"at U^{j} (difference {mismatch.terms[j]})"
+            )
         image[k] = FibrePair(
-            evaluate(part, legs[0], params),
-            evaluate(part, legs[1], params),
-            s3_leg_symbol(part, 0),
-            s3_leg_symbol(part, 1),
-            k,
+            evaluate(part, legs[0], params), evaluate(part, legs[1], params), sym0, k
         )
     return image
 
@@ -358,7 +357,7 @@ def podles_generators(params: ParamSet) -> PodlesPair:
                 f0 at q^{2(n+1)}: s sqrt((1 - v)(1 + s^2 v))
                 f1 at q^{2(n+1)}:   sqrt((1 - v)(s^2 + v))
 
-    Both eta legs have exact boundary symbol s U; zeta has symbol 0."""
+    eta has exact boundary symbol s U on both legs; zeta has symbol 0."""
     d = params.d
     qq = disc_base("x", params)
     s = params.s
@@ -368,10 +367,8 @@ def podles_generators(params: ParamSet) -> PodlesPair:
     v = qq ** (np.arange(d - 1) + 1.0)
     eta0 = weighted_shift(s * np.sqrt((1.0 - v) * (1.0 + s**2 * v)))
     eta1 = weighted_shift(np.sqrt((1.0 - v) * (s**2 + v)))
-    empty = LaurentPoly({})
-    s_u = LaurentPoly({1: S_COEF})
-    zeta = FibrePair(zeta0, zeta1, empty, empty, 0)
-    eta = FibrePair(eta0, eta1, s_u, s_u, 0)
+    zeta = FibrePair(zeta0, zeta1, LaurentPoly({}), 0)
+    eta = FibrePair(eta0, eta1, LaurentPoly({1: S_COEF}), 0)
     return PodlesPair(zeta=zeta, eta=eta)
 
 
@@ -393,9 +390,7 @@ def polar_part(pair: FibrePair) -> FibrePair:
             raise UnsupportedSymbol(f"polar phase of {sym}: not a positive monomial times U^{n}")
         return LaurentPoly({n: 1})
 
-    return FibrePair(
-        leg(pair.t0), leg(pair.t1), phase(pair.sym0), phase(pair.sym1), pair.twist
-    )
+    return FibrePair(leg(pair.t0), leg(pair.t1), phase(pair.sym0), pair.twist)
 
 
 # -- numeric line-bundle idempotents ----------------------------------------------

@@ -58,10 +58,8 @@ class FredholmModule:
         """(rho_+ - rho_-) applied to one fibre pair."""
         if self.kind == "pr":
             return pair.t1 - pair.t0
-        if pair.twist != 0 or pair.sym0 != pair.sym1:
-            raise SymbolMismatch(
-                "the 'pi' module needs twist 0 with equal leg symbols"
-            )
+        if pair.twist != 0:
+            raise SymbolMismatch("the 'pi' module needs twist 0 with equal leg symbols")
         plus = pi_rep("+", pair.sym0, self.params)
         minus = pi_rep("-", pair.sym0, self.params)
         return plus - minus

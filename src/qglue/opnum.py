@@ -94,7 +94,7 @@ class TruncOp:
         if guard is None:
             lo, hi = 0, self.d
         else:
-            lo, hi = _guarded(self, *self.trusted_range(guard), guard)
+            lo, hi = _guarded(self, *self.trusted_range(guard), guard, self.bandwidth)
         return _max_abs([_segment(k, vec, lo, hi) for k, vec in self._diags.items()])
 
     def max_abs_on(self, index) -> float:
@@ -197,13 +197,15 @@ def _segment(k: int, vec: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return vec[lo : max(lo, hi - abs(k))]
 
 
-def _guarded(op: TruncOp, lo: int, hi: int, guard: int) -> tuple[int, int]:
+def _guarded(
+    op: TruncOp, lo: int, hi: int, guard: int, bandwidth: int | None
+) -> tuple[int, int]:
     """The guarded block [lo, hi) of op; an empty one raises
-    DimensionMismatch naming the window."""
+    DimensionMismatch naming the window: d, the bandwidth when it widened
+    the guard (None when it did not), and the guard."""
     if hi <= lo:
-        raise DimensionMismatch(
-            f"no trusted block: d={op.d}, bandwidth={op.bandwidth} at guard {guard}"
-        )
+        band = "" if bandwidth is None else f", bandwidth={bandwidth}"
+        raise DimensionMismatch(f"no trusted block: d={op.d}{band} at guard {guard}")
     return lo, hi
 
 
@@ -407,8 +409,10 @@ def trace_finite_rank(op: TruncOp) -> tuple[float, float]:
     shift-picture differences are exact compressions whose edge entries are
     genuine, so the bandwidth does not widen the band). Only a window with
     no guarded block raises; kpair judges the tail."""
-    block = (GUARD, op.d - GUARD) if op.lattice == "Z" else op.trusted_range(GUARD)
-    lo, hi = _guarded(op, *block, GUARD)
+    if op.lattice == "Z":
+        lo, hi = _guarded(op, GUARD, op.d - GUARD, GUARD, None)
+    else:
+        lo, hi = _guarded(op, *op.trusted_range(GUARD), GUARD, op.bandwidth)
     tail = []
     for k, vec in op._diags.items():
         inside_end = lo + _segment(k, vec, lo, hi).size

@@ -59,30 +59,42 @@ PARAMS = ParamSet(d=24)
 
 def zero_pair(d, twist):
     z = zero(d)
-    return FibrePair(z, z, LaurentPoly({}), LaurentPoly({}), twist)
+    return FibrePair(z, z, LaurentPoly({}), twist)
 
 
 # -- membership ---------------------------------------------------------------
 
 
-def test_membership_accepts_matching_symbols():
-    one = identity(8)
+def _plant_leg_symbols(monkeypatch, sym0, sym1):
+    """iota reads sym0 off leg 0 and sym1 off leg 1, whatever the element."""
+    monkeypatch.setattr(qglue.glue, "s3_leg_symbol", lambda x, leg: (sym0, sym1)[leg])
+
+
+def test_membership_accepts_matching_symbols(monkeypatch):
+    # iota checks the two symbols it reads; the pair keeps one and derives
+    # the other
     sym = LaurentPoly({0: 1, 2: 3})
-    fp = FibrePair(one, one, sym, sym, 0)
+    _plant_leg_symbols(monkeypatch, sym, sym)
+    (fp,) = iota(sphere3_presentation().one(), replace(PARAMS, d=8)).values()
     assert fp.twist == 0 and fp.d == 8
+    assert fp.sym0 == fp.sym1 == sym
 
 
-def test_membership_names_first_failing_power():
-    one = identity(8)
+def test_membership_names_first_failing_power(monkeypatch):
+    pres, small = sphere3_presentation(), replace(PARAMS, d=8)
     sym0 = LaurentPoly({0: 1, 2: 1})
     sym1 = LaurentPoly({0: 1})
+    _plant_leg_symbols(monkeypatch, sym0, sym1)
     with pytest.raises(SymbolMismatch, match=r"U\^2"):
-        FibrePair(one, one, sym0, sym1, 0)
+        iota(pres.one(), small)
+    # b has degree 1
+    _plant_leg_symbols(monkeypatch, sym1, sym1)
     with pytest.raises(SymbolMismatch, match=r"twist-1"):
-        FibrePair(one, one, sym1, sym1, 1)
+        iota(pres.gen("b"), small)
     # the twisted membership wants sym1 = U^twist sym0
-    fp = FibrePair(one, one, sym1, LaurentPoly({1: 1}), 1)
-    assert fp.twist == 1
+    _plant_leg_symbols(monkeypatch, sym1, LaurentPoly({1: 1}))
+    (fp,) = iota(pres.gen("b"), small).values()
+    assert fp.twist == 1 and fp.sym1 == LaurentPoly({1: 1})
 
 
 def test_membership_rejects_numeric_symbols():
@@ -90,12 +102,12 @@ def test_membership_rejects_numeric_symbols():
     # a leg symbol is a LaurentPoly: a bare number, exact or not, is none
     for scalar in (1.0, 1):
         with pytest.raises(TypeError, match="LaurentPoly"):
-            FibrePair(one, one, scalar, scalar, 0)
+            FibrePair(one, one, scalar, 0)
     with pytest.raises(TypeError):
-        FibrePair(one, one, LaurentPoly({0: 1.0}), LaurentPoly({0: 1.0}), 0)
+        FibrePair(one, one, LaurentPoly({0: 1.0}), 0)
     sym = LaurentPoly({0: 1})
     with pytest.raises(DimensionMismatch):
-        FibrePair(identity(8), identity(9), sym, sym, 0)
+        FibrePair(identity(8), identity(9), sym, 0)
 
 
 def test_twist_join_rules():
@@ -175,11 +187,11 @@ def test_fibre_pair_rejects_a_non_integer_twist():
     one = identity(8)
     sym = LaurentPoly({0: 1})
     with pytest.raises(TypeError):
-        FibrePair(one, one, sym, sym, 0.7)
-    assert FibrePair(one, one, sym, sym, np.int64(0)).twist == 0
+        FibrePair(one, one, sym, 0.7)
+    assert FibrePair(one, one, sym, np.int64(0)).twist == 0
     # the twist is required: there is no default to fall back on
     with pytest.raises(TypeError):
-        FibrePair(one, one, sym, sym)
+        FibrePair(one, one, sym)
 
 
 def test_chi_rejects_a_non_integer_degree():
@@ -538,7 +550,7 @@ def test_polar_part_of_eta_is_shiftlike():
 def test_polar_part_rejects_fat_symbols():
     one = identity(8)
     sym = LaurentPoly({0: 1, 1: 1})
-    fp = FibrePair(one, one, sym, sym, 0)
+    fp = FibrePair(one, one, sym, 0)
     with pytest.raises(UnsupportedSymbol):
         polar_part(fp)
     # a QGlueError, so a check that meets it is a fail record, not a crash
@@ -556,10 +568,10 @@ def test_polar_part_rejects_a_coefficient_that_is_not_a_positive_term():
     for coef in (-S, 1 + S):
         sym = LaurentPoly({1: coef})
         with pytest.raises(UnsupportedSymbol, match="not a positive monomial times U"):
-            polar_part(FibrePair(t, t, sym, sym, 0))
+            polar_part(FibrePair(t, t, sym, 0))
     # 2 q s U has the phase U
     sym = LaurentPoly({1: 2 * Q * S})
-    assert polar_part(FibrePair(-t, -t, sym, sym, 0)).sym0 == LaurentPoly({1: 1})
+    assert polar_part(FibrePair(-t, -t, sym, 0)).sym0 == LaurentPoly({1: 1})
 
 
 # -- numeric line bundles -----------------------------------------------------------

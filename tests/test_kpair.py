@@ -34,7 +34,7 @@ PARAMS = ParamSet()
 
 def zero_pair(d):
     z = zero(d)
-    return FibrePair(z, z, LaurentPoly({}), LaurentPoly({}), 0)
+    return FibrePair(z, z, LaurentPoly({}), 0)
 
 
 def test_module_validation():
@@ -103,11 +103,11 @@ def test_en_pairings(N):
 
 
 def test_pair_reads_an_outer_products_defect_off_its_factors():
-    # Y[0]'s legs doubled, its symbols kept: the symbol matrix is still an
+    # Y[0]'s legs doubled, its symbol kept: the symbol matrix is still an
     # idempotent, so the trusted-block defect of X (Y^T X) Y^T decides
     pairs = en_numeric(1, PARAMS)
     y = pairs.row[0]
-    legs_doubled = FibrePair(2 * y.t0, 2 * y.t1, y.sym0, y.sym1, y.twist)
+    legs_doubled = FibrePair(2 * y.t0, 2 * y.t1, y.sym0, y.twist)
     sloppy = OuterProduct(pairs.column, [legs_doubled, *pairs.row[1:]])
     with pytest.raises(CertificationError, match="defect"):
         pair(FredholmModule("pr"), sloppy)
@@ -117,12 +117,12 @@ def test_pair_rejects_sloppy_idempotents():
     half = dense_op(0.5 * np.eye(16))
     one_sym = LaurentPoly({0: 1})
     with pytest.raises(ValueError, match="defect"):
-        pair(FredholmModule("pr"), FibrePair(half, half, one_sym, one_sym, 0))
+        pair(FredholmModule("pr"), FibrePair(half, half, one_sym, 0))
 
 
 def test_pair_rejects_non_idempotent_symbols():
     one = dense_op(np.eye(16))
-    doubled = FibrePair(one, one, LaurentPoly({0: 2}), LaurentPoly({0: 2}), 0)
+    doubled = FibrePair(one, one, LaurentPoly({0: 2}), 0)
     with pytest.raises(SymbolMismatch):
         pair(FredholmModule("pr"), doubled)
 
@@ -180,7 +180,7 @@ def _tailed(d, tail):
     untrusted corner: the defect is read on the guarded block, so it passes."""
     corner = np.zeros(d)
     corner[-1] = tail
-    return FibrePair(zero(d), diag_op(corner), LaurentPoly({}), LaurentPoly({}), 0)
+    return FibrePair(zero(d), diag_op(corner), LaurentPoly({}), 0)
 
 
 def test_a_tail_over_tail_tol_fails_the_pairing_and_keeps_its_numbers():
@@ -235,5 +235,5 @@ def test_a_table_entry_is_kept_per_window():
     assert narrow.value == wide.value == 1.0
     # at radius 1 the guard leaves no block: that module alone fails
     tiny = table.entry("chi", 2, replace(PARAMS, w=1)).results
-    assert tiny["pi"].failure == "no trusted block: d=3, bandwidth=0 at guard 2"
+    assert tiny["pi"].failure == "no trusted block: d=3 at guard 2"
     assert tiny["pi"].value is None and tiny["pr"].value == 2.0

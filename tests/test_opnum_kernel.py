@@ -37,10 +37,32 @@ from references import dense_op
 
 ULPS = 4
 
-entries = st.one_of(
-    st.just(0.0),
-    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False, allow_subnormal=False),
-)
+SEEDS = st.integers(0, 2**32 - 1)
+
+# values a float strategy draws often and the bitwise checks must keep
+# seeing: zero, the ends of [-4, 4] and the smallest normal, whose products
+# reach the subnormal range
+EDGES = np.array([0.0, 4.0, -4.0, np.finfo(np.float64).tiny])
+
+
+def seeded_diagonal(rng, n):
+    """n entries drawn as one array: 0.0 with probability 1/3, one of the
+    EDGES with probability 1/6, else uniform in [-4, 4]."""
+    pick = rng.random(n)
+    drawn = np.where(pick < 1 / 2, rng.choice(EDGES, n), rng.uniform(-4.0, 4.0, n))
+    return np.where(pick < 1 / 3, 0.0, drawn)
+
+
+def seeded_dense(rng, d, offsets, real):
+    """A d x d window whose diagonals at offsets are seeded_diagonal arrays,
+    real or complex."""
+    dense = np.zeros((d, d), dtype=np.complex128)
+    for k in offsets:
+        n = d - abs(k)
+        vec = seeded_diagonal(rng, n) + (0.0 if real else 1j * seeded_diagonal(rng, n))
+        rows = np.arange(n) + max(0, -k)
+        dense[rows, rows + k] = vec
+    return dense
 
 
 @st.composite
@@ -55,19 +77,13 @@ def shapes(draw):
 @st.composite
 def windows(draw, shape=None, real=None):
     """(TruncOp, dense array) for a random window with a few nonzero
-    diagonals at offsets in [-3, 3]; real or complex entries."""
+    diagonals at offsets in [-3, 3]; real or complex entries, each diagonal
+    one seeded array."""
     lattice, d = draw(shapes()) if shape is None else shape
     reach = min(3, d - 1)
     offsets = draw(st.sets(st.integers(-reach, reach), min_size=1, max_size=3))
     real = draw(st.booleans()) if real is None else real
-    dense = np.zeros((d, d), dtype=np.complex128)
-    for k in offsets:
-        n = d - abs(k)
-        vec = np.array(draw(st.lists(entries, min_size=n, max_size=n)), dtype=np.complex128)
-        if not real:
-            vec += 1j * np.array(draw(st.lists(entries, min_size=n, max_size=n)))
-        rows = np.arange(n) + max(0, -k)
-        dense[rows, rows + k] = vec
+    dense = seeded_dense(np.random.default_rng(draw(SEEDS)), d, offsets, real)
     bandwidth = draw(st.integers(0, 3))
     return dense_op(dense, bandwidth, lattice), dense
 
@@ -173,28 +189,13 @@ def test_interior_reader_rejects_indices_outside_the_window():
             op.max_abs_on(index)
 
 
-SEEDS = st.integers(0, 2**32 - 1)
-
-
-def seeded_diagonal(rng, n):
-    """n entries drawn as one array: 0.0 with probability 1/3, else uniform
-    in [-4, 4]."""
-    return np.where(rng.random(n) < 1 / 3, 0.0, rng.uniform(-4.0, 4.0, n))
-
-
 def seeded_window(rng, lattice, d):
     """(TruncOp, dense array) drawn from a numpy rng the way windows() draws
     one: one to three diagonals at offsets in [-3, 3], real or complex
-    entries, and a bandwidth in [0, 3]; each diagonal is one array."""
+    entries, and a bandwidth in [0, 3]."""
     reach = min(3, d - 1)
     offsets = rng.choice(np.arange(-reach, reach + 1), rng.integers(1, 4), replace=False)
-    real = rng.random() < 0.5
-    dense = np.zeros((d, d), dtype=np.complex128)
-    for k in offsets:
-        n = d - abs(k)
-        vec = seeded_diagonal(rng, n) + (0.0 if real else 1j * seeded_diagonal(rng, n))
-        rows = np.arange(n) + max(0, -k)
-        dense[rows, rows + k] = vec
+    dense = seeded_dense(rng, d, offsets, rng.random() < 0.5)
     return dense_op(dense, int(rng.integers(0, 4)), lattice), dense
 
 

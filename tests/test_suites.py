@@ -449,7 +449,7 @@ def test_a_gluing_that_breaks_w_fails_phi_matches_w(monkeypatch):
     def legs_swapped(x, params):
         # each degree's legs trade places: still a fibre pair, of the opposite twist
         return {
-            k: FibrePair(pair.t1, pair.t0, pair.sym1, pair.sym0, -pair.twist)
+            k: FibrePair(pair.t1, pair.t0, pair.sym1, -pair.twist)
             for k, pair in glue(x, params).items()
         }
 
@@ -517,8 +517,8 @@ def test_en_symbolic_reduces_each_dual_pairing_once(monkeypatch):
 
 
 def _scaled(pair, c):
-    """c times a fibre pair: both legs and both symbols."""
-    return FibrePair(c * pair.t0, c * pair.t1, c * pair.sym0, c * pair.sym1, pair.twist)
+    """c times a fibre pair: both legs and the symbol."""
+    return FibrePair(c * pair.t0, c * pair.t1, c * pair.sym0, pair.twist)
 
 
 def test_a_doubled_numeric_idempotent_fails_its_pairings(monkeypatch):
