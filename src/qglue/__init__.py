@@ -38,8 +38,7 @@ _EXPORTS = {
         "glue": (
             "FibrePair", "ORIENTATION", "OuterProduct", "chi", "en_numeric", "fp_matmul",
             "iota", "iota_kron_assignment", "kron_interior", "podles_generators",
-            "polar_part", "psi_inverse", "psi_iso", "s2_leg_assignment",
-            "s3_leg_assignment", "s3_leg_symbol",
+            "polar_part", "psi_inverse", "psi_iso", "s2_leg_assignment", "s3_leg_assignment",
         ),
         "idempotents": ("build_en", "gaussian_binomial"),
         "kpair": (

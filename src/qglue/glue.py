@@ -6,20 +6,21 @@ symbol sym0 and leg 1 its twisted copy, by definition
 
     sym1 = U^N * sym0,
 
-so the membership rule holds by construction; iota, the one map that reads
-a symbol off each leg, checks it exactly. Twist 0 is the glued function
+so the membership rule holds by construction. Twist 0 is the glued function
 algebra itself; twist N is the degree-N bimodule over it. chi produces the
 canonical range projections (chi(0) is the unit), psi_iso normalizes a
 twist away and psi_inverse puts it back, both by one leg shift (see
-ORIENTATION). iota embeds the symbolic glued-disc algebra into the doubled
-picture, a map degree k -> twist-k FibrePair whose legs opnum.evaluate
-builds from the leg assignments and whose leg symbols s3_leg_symbol reads
-off; en_numeric builds the degree-N line-bundle idempotents through it, as
-the OuterProduct X Y^T of the embedded column and row, which keeps its
-factors for the square. The leg assignments are built once per (leg,
-ParamSet) and shared read-only. The tensor picture (iota_kron_assignment)
-realizes the same gluing map on disc (x) circle windows, as TruncOps built
-by opnum.kron.
+ORIENTATION). leg_bilaurent is the one symbol map: (sigma x id) of a
+glued-disc element on one leg, an exact two-torus element. iota embeds the
+symbolic glued-disc algebra into the doubled picture, a map degree k ->
+twist-k FibrePair whose legs opnum.evaluate builds from the leg assignments
+and whose symbol is leg 0's; it checks the gluing law, W on leg 0's
+symbol == leg 1's, on every degree. en_numeric builds the degree-N
+line-bundle idempotents through it, as the OuterProduct X Y^T of the
+embedded column and row, which keeps its factors for the square. The leg
+assignments are built once per (leg, ParamSet) and shared read-only. The
+tensor picture (iota_kron_assignment) realizes the same gluing map on disc
+(x) circle windows, as TruncOps built by opnum.kron.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circle import BiLaurent, LaurentPoly
+from .circle import BiLaurent, LaurentPoly, w_map
 from .coefficients import S as S_COEF, _accumulate, _matrix_product
 from .errors import DimensionMismatch, SymbolMismatch, UnsupportedSymbol
 from .idempotents import build_en
@@ -87,9 +88,6 @@ class FibrePair:
     @property
     def d(self) -> int:
         return self.t0.d
-
-    def symbols_zero(self) -> bool:
-        return self.sym0.is_zero()
 
     def _entrywise(self, other, op):
         """Sum or difference of two pairs of one twist: op on each leg and
@@ -224,19 +222,21 @@ S3_GLUING = {
 }
 
 
-def s3_leg_symbol(x: NCPoly, leg: int) -> LaurentPoly:
-    """Boundary symbol of a glued-disc element on one leg (a-side or b-side):
-    the leg's disc letter goes to U, its star to U^{-1}, the unit to 1.
-    Exact coefficients throughout."""
+def leg_bilaurent(x: NCPoly, leg: int) -> BiLaurent:
+    """(sigma x id) of a glued-disc element on one leg (a-side or b-side), as
+    an exact two-torus element: a word goes to U^m x U^k, where m sums its
+    letters' exponents on the leg (the leg's disc letter is U, its star
+    U^{-1}, the unit 1; read off S3_GLUING) and k is its grading degree."""
     exponent = {}
     for letter, discs in S3_GLUING.items():
         disc = discs[leg]
         exponent[letter] = 0 if disc is None else (-1 if disc.endswith("*") else 1)
-    letters = x.pres.letters
+    pres = x.pres
     terms = {}
     for word, coef in x.terms.items():
-        _accumulate(terms, sum(exponent[letters[i]] for i in word), coef)
-    return LaurentPoly(terms)
+        m = sum(exponent[pres.letters[i]] for i in word)
+        _accumulate(terms, (m, pres.word_degree(word)), coef)
+    return BiLaurent(terms)
 
 
 # -- leg assignments -------------------------------------------------------------
@@ -275,9 +275,9 @@ def iota(x: NCPoly, params: ParamSet) -> dict[int, FibrePair]:
     """Embed a symbolic glued-disc element into the doubled picture by the
     gluing map S3_GLUING: degree k -> the twist-k FibrePair of the degree-k
     part of x, its legs evaluated on the leg assignments and its exact
-    symbols read off by s3_leg_symbol. A degree whose leg symbols break the
-    membership rule U^k sym0 == sym1 raises SymbolMismatch: the one place
-    where a second symbol is read rather than derived."""
+    symbol read off leg 0 by leg_bilaurent. Each degree part must obey the
+    gluing law W (sigma x id) leg 0 == (sigma x id) leg 1, on the circle
+    U^k sym0 == sym1; a part that breaks it raises SymbolMismatch."""
     parts: dict[int, dict] = {}
     for word, coef in x.terms.items():
         parts.setdefault(x.pres.word_degree(word), {})[word] = coef
@@ -285,28 +285,18 @@ def iota(x: NCPoly, params: ParamSet) -> dict[int, FibrePair]:
     image = {}
     for k, terms in parts.items():
         part = NCPoly(x.pres, terms)
-        sym0, sym1 = s3_leg_symbol(part, 0), s3_leg_symbol(part, 1)
-        if sym0.shift(k).terms != sym1.terms:
-            mismatch = sym0.shift(k) - sym1
-            j = sorted(mismatch.terms)[0]
+        sym0 = leg_bilaurent(part, 0)
+        mismatch = (w_map(sym0) - leg_bilaurent(part, 1)).collapse(1)
+        if not mismatch.is_zero():
+            j = min(mismatch.terms)
             raise SymbolMismatch(
                 f"twist-{k} membership U^{k} sym0 == sym1 fails first "
                 f"at U^{j} (difference {mismatch.terms[j]})"
             )
         image[k] = FibrePair(
-            evaluate(part, legs[0], params), evaluate(part, legs[1], params), sym0, k
+            evaluate(part, legs[0], params), evaluate(part, legs[1], params), sym0.collapse(1), k
         )
     return image
-
-
-def leg_bilaurent(image: Mapping[int, FibrePair], leg: int) -> BiLaurent:
-    """(symbol x id) of one leg of a doubled-picture image, as an exact
-    two-torus element: U^m in degree k goes to the monomial (m, k)."""
-    terms = {}
-    for k, pair in image.items():
-        for m, coef in (pair.sym0, pair.sym1)[leg].terms.items():
-            _accumulate(terms, (m, k), coef)
-    return BiLaurent(terms)
 
 
 def iota_kron_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:

@@ -112,7 +112,7 @@ def _idem_defect(P, entries: list[list[FibrePair]]) -> float:
         for a, b in zip(row_sq, row):
             diff = a - b
             worst = max(worst, diff.t0.max_abs(GUARD), diff.t1.max_abs(GUARD))
-            if not diff.symbols_zero():
+            if not diff.sym0.is_zero():
                 raise SymbolMismatch(
                     "symbol matrix is not exactly idempotent; refusing to pair"
                 )

@@ -10,6 +10,7 @@ import pytest
 
 import qglue.glue
 from qglue import (
+    BiLaurent,
     DimensionMismatch,
     FibrePair,
     LaurentPoly,
@@ -40,7 +41,6 @@ from qglue import (
     psi_iso,
     s2_leg_assignment,
     s3_leg_assignment,
-    s3_leg_symbol,
     shift,
     sphere2_presentation,
     sphere3_presentation,
@@ -66,8 +66,14 @@ def zero_pair(d, twist):
 
 
 def _plant_leg_symbols(monkeypatch, sym0, sym1):
-    """iota reads sym0 off leg 0 and sym1 off leg 1, whatever the element."""
-    monkeypatch.setattr(qglue.glue, "s3_leg_symbol", lambda x, leg: (sym0, sym1)[leg])
+    """iota's leg map reads sym0 off leg 0 and sym1 off leg 1, in the degree
+    of the homogeneous element it is given, whatever the element."""
+
+    def planted(x, leg):
+        (k,) = {x.pres.word_degree(word) for word in x.terms}
+        return BiLaurent({(m, k): c for m, c in (sym0, sym1)[leg].terms.items()})
+
+    monkeypatch.setattr(qglue.glue, "leg_bilaurent", planted)
 
 
 def test_membership_accepts_matching_symbols(monkeypatch):
@@ -218,16 +224,17 @@ def test_fp_matmul_shape_check():
 
 
 def test_s3_leg_symbols_split_the_letters():
+    # each leg sees its own disc letter; the second exponent is the degree
     pres = sphere3_presentation()
     a, bstar = pres.gen("a"), pres.gen("b*")
     x = a * bstar
-    assert set(s3_leg_symbol(x, 0).terms) == {1}
-    assert set(s3_leg_symbol(x, 1).terms) == {-1}
+    assert set(leg_bilaurent(x, 0).terms) == {(1, -2)}
+    assert set(leg_bilaurent(x, 1).terms) == {(-1, -2)}
     # the disc defects have symbol zero on their own leg
     astar = pres.gen("a*")
     defect = pres.one() - a * astar
-    assert s3_leg_symbol(defect, 0).is_zero()
-    assert s3_leg_symbol(defect, 1).is_zero()
+    assert leg_bilaurent(defect, 0).is_zero()
+    assert leg_bilaurent(defect, 1).is_zero()
 
 
 # -- leg assignments -------------------------------------------------------------
@@ -385,7 +392,8 @@ def test_iota_basic_structure():
     assert pair.sym1 == LaurentPoly({0: 1})
     assert pair.t0.bandwidth == 1
     assert np.array_equal(pair.t1.mat.real, np.eye(12))
-    assert w_map(leg_bilaurent(e, 0)) == leg_bilaurent(e, 1)
+    assert pair.sym0 == leg_bilaurent(a, 0).collapse(1)
+    assert w_map(leg_bilaurent(a, 0)) == leg_bilaurent(a, 1)
 
 
 def test_iota_symbol_side_is_multiplicative():
@@ -404,11 +412,15 @@ def test_iota_symbol_side_is_multiplicative():
 
     for _ in range(5):
         x, y = rand_elem(), rand_elem()
-        small = replace(PARAMS, d=8)
-        ex, ey, exy = iota(x, small), iota(y, small), iota(x * y, small)
+        xy = x * y
         for leg in (0, 1):
-            assert leg_bilaurent(exy, leg) == leg_bilaurent(ex, leg) * leg_bilaurent(ey, leg)
-        assert w_map(leg_bilaurent(exy, 0)) == leg_bilaurent(exy, 1)
+            assert leg_bilaurent(xy, leg) == leg_bilaurent(x, leg) * leg_bilaurent(y, leg)
+        assert w_map(leg_bilaurent(xy, 0)) == leg_bilaurent(xy, 1)
+        # iota's degree-k pair carries the degree-k part of leg 0's symbol
+        sym = leg_bilaurent(xy, 0)
+        for k, pair in iota(xy, replace(PARAMS, d=8)).items():
+            part = BiLaurent({key: c for key, c in sym.terms.items() if key[1] == k})
+            assert pair.sym0 == part.collapse(1)
 
 
 def test_iota_degrees_are_fibre_pairs_of_that_twist():
@@ -480,8 +492,9 @@ def test_gluing_map_agrees_across_its_uses():
         kron = iota_kron_assignment(leg, prm)
         for letter, weight in zip(pres.letters, pres.weights):
             gen = pres.gen(letter)
-            sym = s3_leg_symbol(gen, leg)
-            assert list(sym.terms.values()) == [1]
+            (((exponent, degree), coef),) = leg_bilaurent(gen, leg).terms.items()
+            assert degree == weight and coef == 1
+            sym = LaurentPoly({exponent: 1})
             image = iota(gen, prm)
             assert list(image) == [weight]
             op = (image[weight].t0, image[weight].t1)[leg]
@@ -492,7 +505,6 @@ def test_gluing_map_agrees_across_its_uses():
             circle = pi_rep("+", LaurentPoly({weight: 1}), prm).mat
             assert np.array_equal(kron[letter].mat, np.kron(ops[letter].mat, circle))
             # the leg operator is the unit exactly where the symbol is 1
-            (exponent,) = sym.terms
             is_unit = np.array_equal(ops[letter].mat, np.eye(d))
             assert is_unit == (exponent == 0)
 
@@ -510,7 +522,7 @@ def test_evaluate_on_kron_operators_matches_word_product():
 
 def test_podles_symbols_and_membership():
     pp = podles_generators(replace(PARAMS, d=20))
-    assert pp.zeta.symbols_zero()
+    assert pp.zeta.sym0.is_zero()
     assert pp.eta.sym0 == LaurentPoly({1: S})
     assert pp.eta.sym1 == LaurentPoly({1: S})
     assert pp.eta.twist == 0
@@ -626,7 +638,7 @@ def test_leg_symbols_vanish_on_every_s3_rule():
     for element in elements:
         assert not element.is_zero()
         for leg in (0, 1):
-            assert s3_leg_symbol(element, leg).is_zero()
+            assert leg_bilaurent(element, leg).is_zero()
 
 
 def _build_from(monkeypatch, assignment):
@@ -644,8 +656,8 @@ def test_en_numeric_symbols_are_those_of_the_normal_forms(assignment, monkeypatc
         for i in range(n1):
             for j in range(n1):
                 entry = normal_form(E[i, j])
-                assert pairs[i][j].sym0 == s3_leg_symbol(entry, 0)
-                assert pairs[i][j].sym1 == s3_leg_symbol(entry, 1)
+                assert pairs[i][j].sym0 == leg_bilaurent(entry, 0).collapse(1)
+                assert pairs[i][j].sym1 == leg_bilaurent(entry, 1).collapse(1)
 
 
 @pytest.mark.parametrize("assignment", ["corrected", "literal"])

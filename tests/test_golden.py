@@ -2,11 +2,13 @@
 
 The default run passes everywhere; the run at q = 0.95, p = 0.9 fails some
 E_N pairings on the table's tail tolerance, so its convergence rows come
-from their own pairings; the numeric suites at d = 512 pin the dense
-window products, pairings and eigh at the benchmark's largest window. A
-change meant to move records regenerates the files (see README, "Behaviour
-gate") and lists the moved records in CHANGES.md. A mismatch names the
-first differing lines.
+from their own pairings; the numeric suites at d = 512 pin the banded
+window products, the pairings' traces and tails and the diagonal polar
+parts at the benchmark's largest window; the run at d = 8 pins the fail
+records of checks whose window has no trusted block left. A change meant
+to move records regenerates the files (see README, "Behaviour gate") and
+lists the moved records in CHANGES.md. A mismatch names the first
+differing lines.
 """
 
 import difflib
@@ -31,6 +33,7 @@ SHOWN = 20
             ["--suite", "disc,podles,en-numeric,chi,index", "--d", "512", "--nmax", "1"],
             0,
         ),
+        ("verify_d8.csv", ["--d", "8"], 1),
     ],
 )
 def test_verify_csv_matches_its_golden_file(tmp_path, capsys, name, flags, exit_code):

@@ -13,8 +13,10 @@ import qglue.suites
 from qglue import (
     FibrePair,
     FredholmModule,
+    LaurentPoly,
     OuterProduct,
     ParamSet,
+    S,
     SUITES,
     build_en,
     en_numeric,
@@ -95,13 +97,13 @@ def test_cheap_suites_pass_at_defaults():
 
 def test_broken_gluing_fails_leg_compatibility(monkeypatch, capsys):
     # a leg-1 symbol off by one power of U breaks every letter's membership
-    true_symbol = qglue.glue.s3_leg_symbol
+    true_map = qglue.glue.leg_bilaurent
 
-    def wrong_symbol(x, leg):
-        sym = true_symbol(x, leg)
-        return sym.shift(1) if leg == 1 else sym
+    def wrong_map(x, leg):
+        sym = true_map(x, leg)
+        return sym.map_keys(lambda k: (k[0] + 1, k[1])) if leg == 1 else sym
 
-    monkeypatch.setattr(qglue.glue, "s3_leg_symbol", wrong_symbol)
+    monkeypatch.setattr(qglue.glue, "leg_bilaurent", wrong_map)
     records = run_suites(["s3"], PARAMS, 2)
     legs = [rec for rec in records if rec.check.startswith("leg compatibility")]
     assert len(legs) == 5
@@ -443,20 +445,59 @@ def test_a_polar_part_that_cannot_be_computed_fails_its_rows(monkeypatch):
     assert len(records) > len(failed)
 
 
-def test_a_gluing_that_breaks_w_fails_phi_matches_w(monkeypatch):
-    glue = qglue.suites.iota
-
-    def legs_swapped(x, params):
-        # each degree's legs trade places: still a fibre pair, of the opposite twist
-        return {
-            k: FibrePair(pair.t1, pair.t0, pair.sym1, -pair.twist)
-            for k, pair in glue(x, params).items()
-        }
-
-    monkeypatch.setattr(qglue.suites, "iota", legs_swapped)
+def _phi_matches_w():
     records = run_suites(["hopf"], PARAMS, 2)
     [record] = [rec for rec in records if rec.check == "phi matches W"]
-    assert record.status == FAIL
+    return record
+
+
+def test_a_gluing_that_breaks_w_fails_phi_matches_w(monkeypatch):
+    # leg 1 reads b as y*: its symbol is no longer W of leg 0's
+    monkeypatch.setitem(qglue.glue.S3_GLUING, "b", (None, "y*"))
+    assert _phi_matches_w().status == FAIL
+
+
+def test_phi_matches_w_reads_both_symbols_off_the_element(monkeypatch):
+    # the row fails on a broken leg-1 table by itself, not through iota's
+    # membership check: an iota that skips the check (on a leg-1 break, the
+    # true table's iota) changes nothing
+    true_table = dict(qglue.glue.S3_GLUING)
+    true_iota = qglue.glue.iota
+
+    def unchecked_iota(x, params):
+        with monkeypatch.context() as m:
+            m.setattr(qglue.glue, "S3_GLUING", true_table)
+            return true_iota(x, params)
+
+    monkeypatch.setattr(qglue.suites, "iota", unchecked_iota)
+    assert _phi_matches_w().status == PASS
+    monkeypatch.setitem(qglue.glue.S3_GLUING, "b", (None, "y*"))
+    assert _phi_matches_w().status == FAIL
+
+
+def _podles_failures(monkeypatch, plant):
+    """The podles rows that fail when plant edits the generators' pairs."""
+    true_generators = qglue.suites.podles_generators
+    monkeypatch.setattr(
+        qglue.suites, "podles_generators", lambda params: plant(true_generators(params))
+    )
+    return [rec.check for rec in run_suites(["podles"], PARAMS, 2) if rec.status == FAIL]
+
+
+@pytest.mark.parametrize("sym0, twist", [(LaurentPoly({1: 1}), 0), (LaurentPoly({1: S}), 1)])
+def test_a_wrong_eta_symbol_fails_the_eta_symbol_row(monkeypatch, sym0, twist):
+    def plant(pod):
+        return replace(pod, eta=FibrePair(pod.eta.t0, pod.eta.t1, sym0, twist))
+
+    assert _podles_failures(monkeypatch, plant) == ["eta symbol"]
+
+
+def test_a_twisted_zeta_fails_the_zeta_symbol_row(monkeypatch):
+    # zeta keeps symbol 0, but a twist-1 pair is no element of the glued algebra
+    def plant(pod):
+        return replace(pod, zeta=FibrePair(pod.zeta.t0, pod.zeta.t1, pod.zeta.sym0, 1))
+
+    assert _podles_failures(monkeypatch, plant) == ["zeta symbol"]
 
 
 def test_a_literal_weight_idempotent_fails_idempotency(monkeypatch):
