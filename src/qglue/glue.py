@@ -11,16 +11,18 @@ algebra itself; twist N is the degree-N bimodule over it. chi produces the
 canonical range projections (chi(0) is the unit), psi_iso normalizes a
 twist away and psi_inverse puts it back, both by one leg shift (see
 ORIENTATION). leg_bilaurent is the one symbol map: (sigma x id) of a
-glued-disc element on one leg, an exact two-torus element. iota embeds the
-symbolic glued-disc algebra into the doubled picture, a map degree k ->
-twist-k FibrePair whose legs opnum.evaluate builds from the leg assignments
-and whose symbol is leg 0's; it checks the gluing law, W on leg 0's
-symbol == leg 1's, on every degree. en_numeric builds the degree-N
-line-bundle idempotents through it, as the OuterProduct X Y^T of the
-embedded column and row, which keeps its factors for the square. The leg
-assignments are built once per (leg, ParamSet) and shared read-only. The
-tensor picture (iota_kron_assignment) realizes the same gluing map on disc
-(x) circle windows, as TruncOps built by opnum.kron.
+glued-disc element on one leg, an exact two-torus element; glued_parts is
+the one check of the gluing law, W on leg 0's symbol == leg 1's, on every
+degree part. iota embeds the symbolic glued-disc algebra into the doubled
+picture through it, a map degree k -> twist-k FibrePair whose legs
+opnum.evaluate builds from the leg assignments and whose symbol is leg 0's.
+en_numeric builds the degree-N line-bundle idempotents through iota, as the
+OuterProduct X Y^T of the embedded column and row, which keeps its factors
+for the square. The symbol map and the leg assignments read S3_GLUING
+through one derivation keyed on its content; the assignments are built
+once per (leg's gluing, ParamSet) and shared read-only. The tensor picture
+(iota_kron_assignment) realizes the same gluing map on disc (x) circle
+windows, as TruncOps built by opnum.kron.
 """
 
 from __future__ import annotations
@@ -222,15 +224,29 @@ S3_GLUING = {
 }
 
 
+@lru_cache(maxsize=8)
+def _gluing_legs(table: tuple) -> tuple:
+    """The gluing table's content read per leg: for leg 0 and leg 1, each
+    letter's (letter, disc letter) pair on the leg (None: the unit) and its
+    exponent there (the disc letter is U, its star U^{-1}, the unit 1).
+    Keyed on the content, so a change of S3_GLUING is read at the next call."""
+    legs = []
+    for leg in (0, 1):
+        discs = tuple((letter, pair[leg]) for letter, pair in table)
+        exponent = MappingProxyType({
+            letter: 0 if disc is None else (-1 if disc.endswith("*") else 1)
+            for letter, disc in discs
+        })
+        legs.append((discs, exponent))
+    return tuple(legs)
+
+
 def leg_bilaurent(x: NCPoly, leg: int) -> BiLaurent:
     """(sigma x id) of a glued-disc element on one leg (a-side or b-side), as
     an exact two-torus element: a word goes to U^m x U^k, where m sums its
-    letters' exponents on the leg (the leg's disc letter is U, its star
-    U^{-1}, the unit 1; read off S3_GLUING) and k is its grading degree."""
-    exponent = {}
-    for letter, discs in S3_GLUING.items():
-        disc = discs[leg]
-        exponent[letter] = 0 if disc is None else (-1 if disc.endswith("*") else 1)
+    letters' exponents on the leg (read off S3_GLUING) and k is its grading
+    degree."""
+    _, exponent = _gluing_legs(tuple(S3_GLUING.items()))[leg]
     pres = x.pres
     terms = {}
     for word, coef in x.terms.items():
@@ -239,25 +255,53 @@ def leg_bilaurent(x: NCPoly, leg: int) -> BiLaurent:
     return BiLaurent(terms)
 
 
+def glued_parts(x: NCPoly) -> dict[int, tuple[NCPoly, LaurentPoly]]:
+    """The gluing law, checked in one place: x split by degree, degree k ->
+    (the degree-k part, leg 0's boundary symbol of it). Each part must obey
+    W (sigma x id) leg 0 == (sigma x id) leg 1, on the circle U^k sym0 ==
+    sym1; a part that breaks it raises SymbolMismatch."""
+    parts: dict[int, dict] = {}
+    for word, coef in x.terms.items():
+        parts.setdefault(x.pres.word_degree(word), {})[word] = coef
+    checked = {}
+    for k, terms in parts.items():
+        part = NCPoly(x.pres, terms)
+        sym0 = leg_bilaurent(part, 0)
+        mismatch = (w_map(sym0) - leg_bilaurent(part, 1)).collapse(1)
+        if not mismatch.is_zero():
+            j = min(mismatch.terms)
+            raise SymbolMismatch(
+                f"twist-{k} membership U^{k} sym0 == sym1 fails first "
+                f"at U^{j} (difference {mismatch.terms[j]})"
+            )
+        checked[k] = part, sym0.collapse(1)
+    return checked
+
+
 # -- leg assignments -------------------------------------------------------------
+
+
+def s3_leg_assignment(leg: int, params: ParamSet) -> Mapping[str, TruncOp]:
+    """Operators for one leg of the glued-disc picture, read off S3_GLUING:
+    the a-copy acts as the q-disc and b is scalar on leg 0; mirrored on leg 1.
+
+    Built once per (leg's gluing, params) and shared by every caller: a
+    read-only mapping of operators, whose diagonals are read-only like every
+    TruncOp's."""
+    if leg not in (0, 1):
+        raise ValueError("leg must be 0 or 1")
+    discs, _ = _gluing_legs(tuple(S3_GLUING.items()))[leg]
+    return _leg_operators(discs, params)
 
 
 # bounded, since each ParamSet is a new key; a default verify pass builds 10
 # (both legs at five ParamSets)
 @lru_cache(maxsize=32)
-def s3_leg_assignment(leg: int, params: ParamSet) -> Mapping[str, TruncOp]:
-    """Operators for one leg of the glued-disc picture, read off S3_GLUING:
-    the a-copy acts as the q-disc and b is scalar on leg 0; mirrored on leg 1.
-
-    Built once per (leg, params) and shared by every caller: a read-only
-    mapping of operators, whose diagonals are read-only like every
-    TruncOp's."""
-    if leg not in (0, 1):
-        raise ValueError("leg must be 0 or 1")
+def _leg_operators(discs: tuple, params: ParamSet) -> Mapping[str, TruncOp]:
+    """The operators of one leg's (letter, disc letter) pairs at params."""
     one = identity(params.d)
     return MappingProxyType({
-        letter: one if discs[leg] is None else disc_rep(discs[leg], params)
-        for letter, discs in S3_GLUING.items()
+        letter: one if disc is None else disc_rep(disc, params) for letter, disc in discs
     })
 
 
@@ -275,28 +319,13 @@ def iota(x: NCPoly, params: ParamSet) -> dict[int, FibrePair]:
     """Embed a symbolic glued-disc element into the doubled picture by the
     gluing map S3_GLUING: degree k -> the twist-k FibrePair of the degree-k
     part of x, its legs evaluated on the leg assignments and its exact
-    symbol read off leg 0 by leg_bilaurent. Each degree part must obey the
-    gluing law W (sigma x id) leg 0 == (sigma x id) leg 1, on the circle
-    U^k sym0 == sym1; a part that breaks it raises SymbolMismatch."""
-    parts: dict[int, dict] = {}
-    for word, coef in x.terms.items():
-        parts.setdefault(x.pres.word_degree(word), {})[word] = coef
+    symbol leg 0's, as glued_parts checks them (SymbolMismatch on a part
+    that breaks the gluing law)."""
     legs = [s3_leg_assignment(leg, params) for leg in (0, 1)]
-    image = {}
-    for k, terms in parts.items():
-        part = NCPoly(x.pres, terms)
-        sym0 = leg_bilaurent(part, 0)
-        mismatch = (w_map(sym0) - leg_bilaurent(part, 1)).collapse(1)
-        if not mismatch.is_zero():
-            j = min(mismatch.terms)
-            raise SymbolMismatch(
-                f"twist-{k} membership U^{k} sym0 == sym1 fails first "
-                f"at U^{j} (difference {mismatch.terms[j]})"
-            )
-        image[k] = FibrePair(
-            evaluate(part, legs[0], params), evaluate(part, legs[1], params), sym0.collapse(1), k
-        )
-    return image
+    return {
+        k: FibrePair(evaluate(part, legs[0], params), evaluate(part, legs[1], params), sym0, k)
+        for k, (part, sym0) in glued_parts(x).items()
+    }
 
 
 def iota_kron_assignment(leg: int, params: ParamSet) -> dict[str, TruncOp]:

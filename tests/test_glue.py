@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -52,7 +52,7 @@ from qglue.ncpoly import SymMatrix
 from qglue.opnum import disc_base, weighted_shift, zero
 from qglue.presets import S2_IN_S3
 from qglue.report import FAIL
-from qglue.suites import run_check
+from qglue.suites import _random_element, run_check
 
 PARAMS = ParamSet(d=24)
 
@@ -507,6 +507,37 @@ def test_gluing_map_agrees_across_its_uses():
             # the leg operator is the unit exactly where the symbol is 1
             is_unit = np.array_equal(ops[letter].mat, np.eye(d))
             assert is_unit == (exponent == 0)
+
+
+def test_a_leg_built_under_a_planted_table_does_not_outlive_it(monkeypatch):
+    # legs are cached on the table's content: a plant takes effect, and once
+    # the table is restored the leg and iota are the true operators again
+    prm = replace(PARAMS, d=6)
+    b = sphere3_presentation().gen("b")
+    true_b, planted_b = disc_rep("y", prm), disc_rep("y*", prm)
+    with monkeypatch.context() as m:
+        m.setitem(qglue.glue.S3_GLUING, "b", (None, "y*"))
+        assert np.array_equal(s3_leg_assignment(1, prm)["b"].mat, planted_b.mat)
+    assert np.array_equal(s3_leg_assignment(1, prm)["b"].mat, true_b.mat)
+    (pair,) = iota(b * b, prm).values()
+    assert np.array_equal(pair.t1.mat, (true_b @ true_b).mat)
+
+
+@pytest.mark.parametrize("q, p", [(0.6, 0.4), (0.95, 0.9)])
+def test_iota_operator_side_is_multiplicative(q, p):
+    # degree k of iota(x y) is the sum over i + j = k of iota(x)[i] @ iota(y)[j]:
+    # exactly on the symbols, on the legs within the common trusted block
+    prm = ParamSet(q=q, p=p, d=24)
+    pres = sphere3_presentation()
+    rng = random.Random(45)
+    for _ in range(20):
+        x, y = (_random_element(pres, rng, max_len=4) for _ in range(2))
+        ix, iy = iota(x, prm), iota(y, prm)
+        for k, pair in iota(x * y, prm).items():
+            total = reduce(add, [ix[i] @ iy[j] for i in ix for j in iy if i + j == k])
+            assert pair.twist == total.twist and pair.sym0 == total.sym0
+            assert trusted_diff_norm(pair.t0, total.t0) <= 1e-12
+            assert trusted_diff_norm(pair.t1, total.t1) <= 1e-12
 
 
 def test_evaluate_on_kron_operators_matches_word_product():

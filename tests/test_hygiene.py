@@ -28,7 +28,8 @@
 - The suites build every record through their one check runner: suites.py
   has no try statement and constructs CheckRecord once.
 - Every name perfbench/tracer.py wraps resolves on the package, so a rename
-  shows here and not first in a traced benchmark run.
+  shows here and not first in a traced benchmark run, and the harness's own
+  self-check (python3 perfbench/selfcheck.py) passes in a fresh process.
 - No input is dead: every parameter with a default and every keyword-only
   parameter of a package function is passed by some call in the package
   or perfbench, so none is passed by the tests alone.
@@ -475,6 +476,17 @@ def test_tracer_targets_resolve_on_the_package():
     assert ("qglue.glue", "fp_matmul") in targets
     assert ("qglue.opnum", "TruncOp.__matmul__") in targets
     assert unresolved(targets) == []
+
+
+def test_the_benchmark_harness_passes_its_self_check():
+    done = subprocess.run(
+        [sys.executable, "perfbench/selfcheck.py"],
+        cwd=TRACER.parent.parent,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -457,22 +457,30 @@ def test_a_gluing_that_breaks_w_fails_phi_matches_w(monkeypatch):
     assert _phi_matches_w().status == FAIL
 
 
-def test_phi_matches_w_reads_both_symbols_off_the_element(monkeypatch):
-    # the row fails on a broken leg-1 table by itself, not through iota's
-    # membership check: an iota that skips the check (on a leg-1 break, the
-    # true table's iota) changes nothing
-    true_table = dict(qglue.glue.S3_GLUING)
-    true_iota = qglue.glue.iota
+def test_the_gluing_law_rows_build_no_operator(monkeypatch):
+    # the s3 "leg compatibility" rows and "phi matches W" check the gluing law
+    # on symbols alone, so they pass with no operator evaluation at all
+    def no_operators(*args):
+        raise AssertionError("the gluing law evaluated an operator")
 
-    def unchecked_iota(x, params):
-        with monkeypatch.context() as m:
-            m.setattr(qglue.glue, "S3_GLUING", true_table)
-            return true_iota(x, params)
+    monkeypatch.setattr(qglue.glue, "evaluate", no_operators)
 
-    monkeypatch.setattr(qglue.suites, "iota", unchecked_iota)
-    assert _phi_matches_w().status == PASS
-    monkeypatch.setitem(qglue.glue.S3_GLUING, "b", (None, "y*"))
-    assert _phi_matches_w().status == FAIL
+    def law_rows():
+        records = run_suites(["s3", "hopf"], PARAMS, 2)
+        rows = [rec for rec in records if rec.check.startswith("leg compatibility")]
+        assert len(rows) == 5
+        return rows + [rec for rec in records if rec.check == "phi matches W"]
+
+    assert {rec.status for rec in law_rows()} == {PASS}
+    # a table that puts every letter one power of U off the law on leg 1
+    # breaks every nonempty word, so every row fails with iota's message
+    for letter, discs in {
+        "a": ("z", "y*"), "a*": (None, None), "b": (None, None), "b*": ("z", "y*"),
+    }.items():
+        monkeypatch.setitem(qglue.glue.S3_GLUING, letter, discs)
+    for rec in law_rows():
+        assert rec.status == FAIL
+        assert "membership" in rec.value
 
 
 def _podles_failures(monkeypatch, plant):
