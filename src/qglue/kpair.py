@@ -14,9 +14,10 @@ ORIENTATION_SIGN * N: the twist normalization lands the degree-N module on
 chi(-N) (see glue.ORIENTATION), so the sign is a recorded orientation
 convention, not a free choice per run, written once in expected_pairing.
 
-classify is the one rule that turns a pairing into a row status, for the
-PairingTable rows of every suite and for the chi suite's unit class and
-point defect alike.
+PairingTable computes each pairing of a run once and keeps the results;
+it judges none of them. classify is the one rule that turns a pairing into
+a status, against the integer expected_pairing gives; the suites apply it
+to every pairing they report.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ EN_RESIDUAL_TOL = 1e-3
 
 
 def classify(result: PairingResult, representative: str, expected: int) -> str:
-    """A pairing's row status under the rule of its representative, "chi"
-    or "en". It passes when it has no failure and rounds to expected within
+    """A pairing's status under the rule of its representative, "chi" or
+    "en". It passes when it has no failure and rounds to expected within
     the representative's residual tolerance; under the chi rule, which the
     unit class and the point defect follow too, it must also be exact, so
     its value cannot move with the window."""
@@ -214,16 +215,6 @@ def classify(result: PairingResult, representative: str, expected: int) -> str:
         and (result.exact or not is_chi)
     )
     return PASS if ok else FAIL
-
-
-@dataclass(frozen=True)
-class IndexRow:
-    """One module's pairing of a PairingTable key, classified."""
-
-    module: str
-    result: PairingResult
-    expected: int
-    status: str
 
 
 @dataclass(frozen=True)
@@ -246,7 +237,8 @@ class PairingTable:
     Filling an entry builds the idempotent once, checks its defect once and
     traces it against both modules; the operators are dropped afterwards,
     so the table holds results only. It is the one source of a run's chi(N)
-    and E_N pairings; rows classifies those at the run's window."""
+    and E_N pairings, and it computes them without judging them: the
+    expected values and statuses are expected_pairing's and classify's."""
 
     def __init__(self, params: ParamSet):
         self.params = params
@@ -282,13 +274,3 @@ class PairingTable:
             result, error = attempt(lambda: _trace_pairing(m, entries, defect))
             results[m.kind] = result if error is None else PairingResult.failed(error)
         return TableEntry(results, symbol_trace)
-
-    def rows(self, representative: str, N: int) -> list[IndexRow]:
-        """The (representative, N) pairings at the run's window, one row per
-        module, each classified by classify."""
-        rows = []
-        for kind, result in self.entry(representative, N).results.items():
-            expected = expected_pairing(kind, representative, N)
-            status = classify(result, representative, expected)
-            rows.append(IndexRow(kind, result, expected, status))
-        return rows

@@ -13,7 +13,10 @@ run_suites seeds one rng per suite from (seed, suite name), so a subset run
 reproduces exactly the records the full run would have produced for those
 suites. The chi, en-numeric, index and convergence suites read the chi(N)
 and E_N pairings at every window from the run's one PairingTable, so each
-is computed once per run whichever of them ask for it.
+is computed once per run whichever of them ask for it. The table only
+computes: _pairing judges a pairing by kpair.classify, and _pairings makes
+each chi, en-numeric and index pairing record from a table entry, so a
+pairing has one status in every suite that reports it.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ from .glue import (
 from .idempotents import build_en, en_degrees
 from .kpair import (
     FredholmModule,
-    IndexRow,
     PairingResult,
     PairingTable,
     classify,
+    expected_pairing,
     pair,
     winding_interpretation,
 )
@@ -146,10 +149,28 @@ def _shown(result: PairingResult):
     return result.value if result.failure is None else result.failure
 
 
-def _pairing(row: IndexRow) -> Outcome:
-    """A pairing as the run's table classified it; a failed one has no residual."""
-    residual = row.result.residual if row.result.failure is None else None
-    return Outcome(row.status, _shown(row.result), row.expected, residual)
+def _pairing(result: PairingResult, representative: str, expected: int) -> Outcome:
+    """A pairing as kpair.classify judges it; a failed one has no residual."""
+    residual = result.residual if result.failure is None else None
+    return Outcome(classify(result, representative, expected), _shown(result), expected, residual)
+
+
+def _pairings(pairings: PairingTable, representative: str, N: int, check: str, anchor: str) -> Checks:
+    """One check per module of the run's (representative, N) pairings, "pr"
+    then "pi", against expected_pairing. check and anchor are templates
+    over {representative}, {N}, {module}, {expected} and {interpretation}."""
+    for module, result in pairings.entry(representative, N).results.items():
+        expected = expected_pairing(module, representative, N)
+        interpretation = winding_interpretation(representative, module, N)
+        fields = dict(
+            representative=representative, N=N, module=module,
+            expected=expected, interpretation=interpretation,
+        )
+        yield (
+            check.format(**fields),
+            anchor.format(**fields),
+            partial(_pairing, result, representative, expected),
+        )
 
 
 def _relations(check, pres, residual, tol, note="") -> Checks:
@@ -265,7 +286,7 @@ def suite_s3(
         x = _random_element(pres, rng, max_len=4)
         yield (
             f"leg compatibility [{trial}]",
-            "W (sigma x id) leg0 = (sigma x id) leg1 on the doubled picture",
+            "W (sigma x id) leg0 = (sigma x id) leg1 on the exact symbols of each degree",
             partial(_completes, glued_parts, x),
         )
 
@@ -531,12 +552,9 @@ def suite_en_numeric(
             "tr sigma(E) = 1 exactly",
             lambda N=N: Outcome(pairings.entry("en", N).symbol_trace == one_sym),
         )
-        for row in pairings.rows("en", N):
-            yield (
-                f"pairing N={N:+d} [{row.module}]",
-                f"<[{row.module}], [E_{N}]> = {row.expected}",
-                partial(_pairing, row),
-            )
+        yield from _pairings(
+            pairings, "en", N, "pairing N={N:+d} [{module}]", "<[{module}], [E_{N}]> = {expected}"
+        )
 
 
 # -- boundary classes and the index table ---------------------------------------------
@@ -548,25 +566,23 @@ def suite_chi(
     d = params.d
     pr = FredholmModule("pr")
     for N in range(-nmax, nmax + 1):
-        for row in pairings.rows("chi", N):
-            yield (
-                f"pairing N={N:+d} [{row.module}]",
-                f"<[{row.module}], [chi_{N}]> = {row.expected}, exactly at finite window",
-                partial(_pairing, row),
-            )
-    # chi(0) is the unit: its pr row, shown without a residual
-    unit = pairings.rows("chi", 0)[0]
+        yield from _pairings(
+            pairings, "chi", N, "pairing N={N:+d} [{module}]",
+            "<[{module}], [chi_{N}]> = {expected}, exactly at finite window",
+        )
+    # chi(0) is the unit: its pr pairing, shown without a residual
+    unit = pairings.entry("chi", 0).results["pr"]
     yield (
         "unit class",
         "<[pr], [1]> = 0",
-        lambda: Outcome(unit.status, unit.result.value, unit.expected),
+        lambda: Outcome(_pairing(unit, "chi", 0).verdict, unit.value, 0),
     )
     sh = shift(d)
     point = FibrePair(zero(d), identity(d) - sh @ sh.adjoint(), LaurentPoly({}), 0)
 
     def point_defect():
         result = pair(pr, point)
-        return Outcome(classify(result, "chi", 1), result.value, 1)
+        return Outcome(_pairing(result, "chi", 1).verdict, result.value, 1)
 
     yield "point defect", "<[pr], [e_00]> = 1 (single boundary mode)", point_defect
 
@@ -632,13 +648,10 @@ def suite_index(
 ) -> Checks:
     chi_keys = [("chi", N) for N in range(-nmax, nmax + 1)]
     for representative, N in chi_keys + [("en", N) for N in en_degrees(nmax)]:
-        for row in pairings.rows(representative, N):
-            yield (
-                f"{representative} N={N:+d} [{row.module}]",
-                f"<[{row.module}], [{representative}_{N}]> = {row.expected}; "
-                f"{winding_interpretation(representative, row.module, N)}",
-                partial(_pairing, row),
-            )
+        yield from _pairings(
+            pairings, representative, N, "{representative} N={N:+d} [{module}]",
+            "<[{module}], [{representative}_{N}]> = {expected}; {interpretation}",
+        )
 
 
 # -- convergence and stability ---------------------------------------------------------

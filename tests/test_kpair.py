@@ -1,5 +1,6 @@
 """Index pairings: the two Fredholm modules against projections and bundles."""
 
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from qglue import (
     ORIENTATION_SIGN,
     OuterProduct,
     ParamSet,
+    SUITES,
     SymbolMismatch,
     chi,
     en_numeric,
@@ -25,8 +27,17 @@ from qglue import (
     winding_interpretation,
 )
 from qglue.idempotents import en_degrees
-from qglue.kpair import TAIL_TOL, PairingResult, PairingTable, _checked_idempotent, _trace_pairing
-from qglue.opnum import diag_op, zero
+from qglue.kpair import (
+    TAIL_TOL,
+    PairingResult,
+    PairingTable,
+    TableEntry,
+    _checked_idempotent,
+    _trace_pairing,
+    classify,
+)
+from qglue.entry import RunConfig
+from qglue.opnum import TruncOp, diag_op, zero
 from references import dense_op
 
 PARAMS = ParamSet()
@@ -148,28 +159,38 @@ def test_expected_pairing_table():
 
 
 def test_index_rows_full_battery():
-    # the rows the index suite reports at nmax = 5: chi(N) for |N| <= 5,
-    # E_N for the degrees en_degrees(5) keeps
+    # the pairings the index suite reports at nmax = 5: chi(N) for |N| <= 5,
+    # E_N for the degrees en_degrees(5) keeps, each judged by classify
+    # against expected_pairing
     table = PairingTable(PARAMS)
-    chi_rows = [row for N in range(-5, 6) for row in table.rows("chi", N)]
-    en_rows = {N: table.rows("en", N) for N in en_degrees(5)}
-    assert len(chi_rows) == 22 and list(en_rows) == list(range(-3, 4))
-    for row in chi_rows:
-        assert row.status == "pass" and row.result.exact
-        assert row.result.residual <= CHI_RESIDUAL_TOL
-    for N, rows in en_rows.items():
-        assert [row.module for row in rows] == ["pr", "pi"]
-        for row in rows:
-            assert row.status == "pass"
-            assert row.result.residual <= EN_RESIDUAL_TOL
-            assert row.expected == expected_pairing(row.module, "en", N)
+    chi_pairings = [
+        (N, module, result)
+        for N in range(-5, 6)
+        for module, result in table.entry("chi", N).results.items()
+    ]
+    en_pairings = {N: table.entry("en", N).results for N in en_degrees(5)}
+    assert len(chi_pairings) == 22 and list(en_pairings) == list(range(-3, 4))
+    for N, module, result in chi_pairings:
+        assert classify(result, "chi", expected_pairing(module, "chi", N)) == "pass"
+        assert result.exact and result.residual <= CHI_RESIDUAL_TOL
+    for N, results in en_pairings.items():
+        assert list(results) == ["pr", "pi"]
+        for module, result in results.items():
+            assert classify(result, "en", expected_pairing(module, "en", N)) == "pass"
+            assert result.residual <= EN_RESIDUAL_TOL
 
 
 def test_chi_rows_at_a_smaller_window():
     table = PairingTable(replace(PARAMS, d=32, w=6))
-    rows = [row for N in range(-2, 3) for row in table.rows("chi", N)]
-    assert [row.module for row in rows] == ["pr", "pi"] * 5
-    assert all(row.status == "pass" and row.result.exact for row in rows)
+    pairings = [
+        (N, module, result)
+        for N in range(-2, 3)
+        for module, result in table.entry("chi", N).results.items()
+    ]
+    assert [module for _, module, _ in pairings] == ["pr", "pi"] * 5
+    for N, module, result in pairings:
+        assert classify(result, "chi", expected_pairing(module, "chi", N)) == "pass"
+        assert result.exact
 
 
 # -- the trace-tail certificate ---------------------------------------------------
@@ -214,15 +235,18 @@ def test_a_row_whose_pairing_has_a_failure_fails():
     # rounds to its expected value well within EN_RESIDUAL_TOL, and its row
     # fails
     table = PairingTable(replace(PARAMS, d=32))
-    [pr_row, pi_row] = table.rows("en", -1)
-    assert pr_row.result.failure == (
+    results = table.entry("en", -1).results
+    assert list(results) == ["pr", "pi"]
+    pr, pi = results.values()
+    assert pr.failure == (
         "operator is not finite-rank within the window: tail 3.685e-07 exceeds 1.000e-09"
     )
-    assert pr_row.result.rounded == pr_row.expected
-    assert pr_row.result.residual <= EN_RESIDUAL_TOL
-    assert pr_row.status == "fail"
-    assert pi_row.status == "pass" and pi_row.result.exact
-    assert all(row.status == "pass" for row in table.rows("chi", 2))
+    assert pr.rounded == expected_pairing("pr", "en", -1)
+    assert pr.residual <= EN_RESIDUAL_TOL
+    assert classify(pr, "en", expected_pairing("pr", "en", -1)) == "fail"
+    assert classify(pi, "en", expected_pairing("pi", "en", -1)) == "pass" and pi.exact
+    chi_2 = table.entry("chi", 2).results
+    assert all(classify(chi_2[m], "chi", expected_pairing(m, "chi", 2)) == "pass" for m in chi_2)
 
 
 def test_a_table_entry_is_kept_per_window():
@@ -237,3 +261,38 @@ def test_a_table_entry_is_kept_per_window():
     tiny = table.entry("chi", 2, replace(PARAMS, w=1)).results
     assert tiny["pi"].failure == "no trusted block: d=3 at guard 2"
     assert tiny["pi"].value is None and tiny["pr"].value == 2.0
+
+
+def _reachable(root):
+    """Every object reachable from root through containers, instance
+    dictionaries and slots."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack.extend([*obj.keys(), *obj.values()])
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+            stack.extend(getattr(obj, name) for name in slots if hasattr(obj, name))
+
+
+def test_the_table_keeps_results_only():
+    # a whole default run on one table leaves no operator in it: kept
+    # idempotents would hold about 18 MB at --suite chi --nmax 511 --d 512
+    operators = {TruncOp, FibrePair, OuterProduct}
+    kept = TableEntry({"pr": chi(1, 8)}, None)
+    assert operators - {OuterProduct} <= {type(obj) for obj in _reachable(kept)}
+    params = ParamSet()
+    table = PairingTable(params)
+    for name, suite in SUITES.items():
+        suite(params, RunConfig.nmax, random.Random(f"0:{name}"), table)
+    reached = {type(obj) for obj in _reachable(vars(table))}
+    assert {TableEntry, PairingResult, LaurentPoly} <= reached
+    assert not reached & operators

@@ -32,6 +32,7 @@ from qglue.kpair import PairingTable, _checked_idempotent, _trace_pairing
 from qglue.ncpoly import SymMatrix
 from qglue.opnum import diag_op, disc_base
 from qglue.cli import run
+from qglue.entry import RunConfig
 from qglue.params import WINDOW_MAX
 from qglue.report import FAIL, PASS, WARN, CheckRecord
 from qglue.suites import Outcome, _recorded, run_check
@@ -238,6 +239,26 @@ def test_index_records_do_not_depend_on_companion_suites():
     together = run_suites(["en-numeric", "chi", "index"], params, 1)
     assert alone
     assert alone == [rec for rec in together if rec.suite == "index"]
+
+
+@pytest.mark.parametrize("flags", [{}, {"q": 0.95, "p": 0.9}])
+def test_a_pairing_is_one_fact_in_every_suite(flags):
+    # each chi and en-numeric pairing record equals the index record of the
+    # same representative, N and module, cell for cell; at q = 0.95, p = 0.9
+    # some E_N pairings fail, and they fail alike
+    records = run_suites(["en-numeric", "chi", "index"], ParamSet(**flags), RunConfig.nmax)
+    index = {rec.check: rec for rec in records if rec.suite == "index"}
+    representative = {"chi": "chi", "en-numeric": "en"}
+    twins = [
+        (rec, index[representative[rec.suite] + rec.check.removeprefix("pairing")])
+        for rec in records
+        if rec.check.startswith("pairing N=")
+    ]
+    assert len(twins) == 36
+    for rec, twin in twins:
+        cells = (rec.status, rec.value, rec.expected, rec.residual)
+        assert cells == (twin.status, twin.value, twin.expected, twin.residual), rec.check
+    assert {rec.status for rec, _ in twins} == ({PASS} if not flags else {PASS, FAIL})
 
 
 def test_chi_rows_need_an_exact_pairing_in_every_suite(monkeypatch):
